@@ -129,13 +129,8 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_density(args) -> int:
     model = _load_model(args.model)
-    grid_spec = args.step if args.step else None
     curve = density_curve(
-        model,
-        model.aspect,
-        grid_spec=grid_spec,
-        epsilon=args.epsilon,
-        threshold=args.threshold,
+        model, model.aspect, grid_spec=args.step, epsilon=args.epsilon
     )
     with open(args.out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -148,7 +143,6 @@ def _cmd_density(args) -> int:
             "clusters": [list(c) for c in curve.clusters],
             "mass_at_zero": curve.mass_at_zero,
             "epsilon": curve.epsilon,
-            "threshold": curve.threshold,
             "separable": is_separable(curve, model.L),
             "total_mass": curve.total_mass(),
         },
@@ -293,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--step", type=float, help="grid step (default: auto)")
     p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--threshold", type=float, default=1e-4)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-json", default="-")
     p.set_defaults(func=_cmd_density)

@@ -30,10 +30,9 @@ from .contours import (
 )
 from .errors import ConditioningError, ConvergenceError, InputError, SeparabilityError
 from .limiting import (
-    density_curve,
-    is_separable,
     m_underline_derivative,
     solve_m_underline_grid,
+    support_clusters,
 )
 from .model import PopulationModel
 
@@ -126,8 +125,8 @@ def v_matrix(
         raise InputError("L must be at least 1")
     auto = contours is None
     if auto:
-        hull = density_curve(model, model.aspect).support_hull()
-        contours = support_contours(hull, nodes)
+        clusters = support_clusters(model, model.aspect)
+        contours = support_contours((clusters[0][0], clusters[-1][1]), nodes)
 
     for attempt in range(max_refinements + 1):
         inner, outer = contours
@@ -235,12 +234,9 @@ def theta_mestre(
     """
     if L is None:
         L = model.L
-    curve = density_curve(model, model.aspect)
-    if not is_separable(curve, L):
-        raise SeparabilityError(
-            f"support has {len(curve.clusters)} clusters, need {L}"
-        )
-    clusters = curve.clusters
+    clusters = support_clusters(model, model.aspect)
+    if len(clusters) != L:
+        raise SeparabilityError(f"support has {len(clusters)} clusters, need {L}")
     w = model.weights_array()
     c = model.aspect
 

@@ -1,16 +1,14 @@
 """Closed integration contours in the complex plane.
 
-Everything here is a counterclockwise ellipse or axis-aligned rectangle
-centered on the real axis, discretized for quadrature. Ellipses use the
-periodic trapezoid rule with nodes offset off the real axis, which
-converges geometrically for integrands analytic in a neighborhood of the
-curve; rectangles use per-edge midpoint rules and are kept mainly for
-cross-checking since their corners limit the order.
+Everything here is a counterclockwise ellipse centered on the real axis,
+discretized by the periodic trapezoid rule with nodes offset off the real
+axis, which converges geometrically for integrands analytic in a
+neighborhood of the curve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -30,9 +28,8 @@ __all__ = [
 class Contour:
     """Closed curve around part of the positive real axis.
 
-    half_width and half_height are the semi-axes (ellipse) or half side
-    lengths (rectangle) around the real center. Only counterclockwise
-    orientation is supported.
+    half_width and half_height are the semi-axes around the real center;
+    the curve runs counterclockwise. "ellipse" is the only shape.
     """
 
     shape: str
@@ -40,38 +37,31 @@ class Contour:
     half_width: float
     half_height: float
     nodes: int
-    orientation: str = "ccw"
 
     def __post_init__(self):
-        if self.shape not in ("ellipse", "rectangle"):
+        if self.shape != "ellipse":
             raise ContourError(f"unknown contour shape {self.shape!r}")
-        if self.orientation != "ccw":
-            raise ContourError("only counterclockwise contours are supported")
         if self.half_width <= 0 or self.half_height <= 0:
             raise ContourError("contour extents must be positive")
         if self.nodes < 16:
             raise ContourError("need at least 16 quadrature nodes")
 
     def points(self) -> NDArray[np.complex128]:
-        if self.shape == "ellipse":
-            theta = self._theta()
-            return (
-                self.center
-                + self.half_width * np.cos(theta)
-                + 1j * self.half_height * np.sin(theta)
-            )
-        return self._rectangle_points_dz()[0]
+        theta = self._theta()
+        return (
+            self.center
+            + self.half_width * np.cos(theta)
+            + 1j * self.half_height * np.sin(theta)
+        )
 
     def dz(self) -> NDArray[np.complex128]:
         """Complex quadrature weights: sum(f(points) * dz) approximates the
         counterclockwise contour integral of f."""
-        if self.shape == "ellipse":
-            theta = self._theta()
-            return (
-                (-self.half_width * np.sin(theta) + 1j * self.half_height * np.cos(theta))
-                * (2.0 * np.pi / self.nodes)
-            )
-        return self._rectangle_points_dz()[1]
+        theta = self._theta()
+        return (
+            (-self.half_width * np.sin(theta) + 1j * self.half_height * np.cos(theta))
+            * (2.0 * np.pi / self.nodes)
+        )
 
     def _theta(self) -> NDArray[np.float64]:
         # half-step offset keeps every node strictly off the real axis and
@@ -79,26 +69,8 @@ class Contour:
         k = np.arange(self.nodes)
         return 2.0 * np.pi * (k + 0.5) / self.nodes
 
-    def _rectangle_points_dz(self):
-        c, a, b = self.center, self.half_width, self.half_height
-        corners = [c - a - 1j * b, c + a - 1j * b, c + a + 1j * b, c - a + 1j * b]
-        lengths = np.array([2 * a, 2 * b, 2 * a, 2 * b])
-        frac = lengths / lengths.sum()
-        counts = np.maximum(1, np.round(frac * self.nodes).astype(int))
-        pts, wts = [], []
-        for i in range(4):
-            start, stop = corners[i], corners[(i + 1) % 4]
-            n = counts[i]
-            seg = (stop - start) / n
-            # midpoint rule per edge: no node sits on a corner
-            pts.append(start + seg * (np.arange(n) + 0.5))
-            wts.append(np.full(n, seg))
-        return np.concatenate(pts), np.concatenate(wts)
-
     def contains_real(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.shape == "ellipse":
-            return np.abs(x - self.center) < self.half_width
         return np.abs(x - self.center) < self.half_width
 
     def min_distance_to_real(self, x) -> float:
@@ -108,15 +80,13 @@ class Contour:
         return float(np.abs(x[:, None] - pts[None, :]).min())
 
     def with_nodes(self, nodes: int) -> "Contour":
-        return Contour(
-            self.shape, self.center, self.half_width, self.half_height,
-            int(nodes), self.orientation,
-        )
+        return replace(self, nodes=int(nodes))
 
     def scaled(self, factor_w: float, factor_h: float) -> "Contour":
-        return Contour(
-            self.shape, self.center, self.half_width * factor_w,
-            self.half_height * factor_h, self.nodes, self.orientation,
+        return replace(
+            self,
+            half_width=self.half_width * factor_w,
+            half_height=self.half_height * factor_h,
         )
 
 
@@ -130,12 +100,7 @@ def _ellipse(x0: float, x1: float, clearance: float, nodes: int) -> Contour:
     return Contour("ellipse", center, a, b, nodes)
 
 
-def spectrum_contour(
-    spectrum,
-    secular=None,
-    nodes: int = 1024,
-    shape: str = "ellipse",
-) -> Contour:
+def spectrum_contour(spectrum, secular=None, nodes: int = 1024) -> Contour:
     """Contour enclosing every positive sample eigenvalue and every positive
     secular root, excluding the origin.
 
@@ -157,11 +122,7 @@ def spectrum_contour(
             f"smallest enclosed point {lo:.3e} is too close to the origin "
             f"relative to lambda_max {hi:.3e}; no admissible contour"
         )
-    if shape == "ellipse":
-        cont = _ellipse(x0, x1, 0.5 * lo, nodes)
-    else:
-        cont = Contour("rectangle", 0.5 * (x0 + x1), 0.5 * (x1 - x0),
-                       0.5 * hi, nodes)
+    cont = _ellipse(x0, x1, 0.5 * lo, nodes)
     _check_clearance(cont, np.concatenate([lam, mu]), hi)
     return cont
 

@@ -31,6 +31,7 @@ __all__ = [
     "m_underline_derivative",
     "m_from_companion",
     "density_curve",
+    "support_clusters",
     "is_separable",
 ]
 
@@ -48,10 +49,11 @@ class StieltjesValue:
 
 @dataclass(frozen=True)
 class DensityCurve:
-    """Limiting density sampled on a real grid, plus detected support.
+    """Limiting density sampled on a real grid, plus the exact support.
 
-    clusters are the maximal intervals where the density exceeds the
-    detection threshold, with edges refined beyond the grid resolution.
+    density is the continuous part of the sample-covariance limit at
+    grid + i*epsilon. clusters are the support intervals in (0, inf) from
+    support_clusters; they do not depend on the grid or on epsilon.
     mass_at_zero is the point mass max(0, 1 - 1/c) of the sample-covariance
     limit when c > 1.
     """
@@ -59,17 +61,11 @@ class DensityCurve:
     grid: NDArray[np.float64]
     density: NDArray[np.float64]
     epsilon: float
-    threshold: float
     clusters: tuple[tuple[float, float], ...]
     mass_at_zero: float
 
     def total_mass(self) -> float:
         return float(np.trapezoid(self.density, self.grid)) + self.mass_at_zero
-
-    def support_hull(self) -> tuple[float, float]:
-        if not self.clusters:
-            raise InputError("no support clusters detected")
-        return self.clusters[0][0], self.clusters[-1][1]
 
 
 def _fixed_point_map(m, z, ratio, rho, w):
@@ -240,44 +236,32 @@ def m_underline_derivative(model: PopulationModel, n_over_m: float, m_underline)
     return out if np.ndim(m_underline) else complex(out)
 
 
-def _default_grid(model: PopulationModel, ratio: float) -> NDArray[np.float64]:
-    hi = 1.1 * (1.0 + np.sqrt(ratio)) ** 2 * model.rho[-1]
-    return np.linspace(0.0, hi, 2501)
-
-
 def _grid_from_spec(model, ratio, grid_spec) -> NDArray[np.float64]:
+    """Grid from 0 to just past the largest possible support edge: 2501
+    points when grid_spec is None, else spaced by the step grid_spec."""
+    hi = 1.1 * (1.0 + np.sqrt(ratio)) ** 2 * model.rho[-1]
     if grid_spec is None:
-        return _default_grid(model, ratio)
-    if isinstance(grid_spec, (int, np.integer)):
-        hi = 1.1 * (1.0 + np.sqrt(ratio)) ** 2 * model.rho[-1]
-        return np.linspace(0.0, hi, int(grid_spec))
-    if isinstance(grid_spec, (float, np.floating)):
-        hi = 1.1 * (1.0 + np.sqrt(ratio)) ** 2 * model.rho[-1]
-        n = int(np.ceil(hi / float(grid_spec))) + 1
-        return np.arange(n) * float(grid_spec)
-    if isinstance(grid_spec, tuple) and len(grid_spec) == 3:
-        lo, hi, step = map(float, grid_spec)
-        n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-        return lo + np.arange(n) * step
-    grid = np.asarray(grid_spec, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise InputError("grid must be a 1-D strictly increasing array")
-    return grid
+        return np.linspace(0.0, hi, 2501)
+    step = float(grid_spec)
+    if not 0 < step < np.inf:
+        raise InputError(f"grid step must be positive and finite, got {step!r}")
+    n = int(np.ceil(hi / step)) + 1
+    return np.arange(n) * step
 
 
-def _solve_near_axis(model, ratio, x, epsilon, init=None):
+def _solve_near_axis(model, ratio, x, epsilon):
     """Solve at x + i*epsilon by stepping epsilon down a decade at a time.
 
     Picard contraction degrades like the distance to the support, so a cold
     start just above the real axis crawls; warm-starting each decade from
     the previous one keeps every point inside the Newton basin instead.
     """
-    eps = epsilon if init is not None else max(epsilon, 1e-2)
-    x = np.asarray(x, dtype=float)
+    eps = max(epsilon, 1e-2)
+    init = None
     while True:
-        m, it, res = solve_m_underline_grid(model, ratio, x + 1j * eps, init=init)
+        m, _, _ = solve_m_underline_grid(model, ratio, x + 1j * eps, init=init)
         if eps <= epsilon:
-            return m, it, res
+            return m
         eps = max(epsilon, 0.1 * eps)
         init = m
 
@@ -297,10 +281,39 @@ def _continuous_density(m, z, ratio):
     return np.maximum(dens, 0.0)
 
 
-def _density_at(model, ratio, x, epsilon, init=None):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    m, _, _ = _solve_near_axis(model, ratio, x, epsilon, init=init)
-    return _continuous_density(m, x + 1j * epsilon, ratio), m
+def support_clusters(
+    model: PopulationModel, n_over_m: float
+) -> tuple[tuple[float, float], ...]:
+    """Support of the limiting sample density in (0, inf), as sorted intervals.
+
+    The inverse map x(m) = -1/m + c sum_k w_k rho_k / (1 + rho_k m) sends a
+    real m to a point outside the support exactly where x'(m) > 0
+    (Silverstein & Choi 1995), so the support edges are x at the real
+    critical points of x. In v = -1/m, which keeps the sign of the
+    derivative,
+
+        x = v + c sum_k w_k rho_k v / (v - rho_k),
+        dx/dv = 1 - c sum_k w_k rho_k^2 / (v - rho_k)^2.
+
+    The sum is convex between consecutive rho_k and monotone outside them,
+    so the real critical points v_0 < v_1 < ... are one below rho_1, one
+    above rho_L and pairs in between, and cluster i is [x(v_2i), x(v_2i+1)].
+    They are the eigenvalues v of [[R, -I], [-b b^T, R]] with R = diag(rho)
+    and b_k = rho_k sqrt(c w_k), which solve det((R - v)^2 - b b^T) = 0;
+    unlike the roots of the same polynomial in monomial form, they stay
+    accurate when the clusters are narrow (small c).
+    """
+    ratio = float(n_over_m)
+    rho = model.rho_array()
+    w = model.weights_array()
+    b = rho * np.sqrt(ratio * w)
+    R = np.diag(rho)
+    eig = np.linalg.eigvals(np.block([[R, -np.eye(rho.size)], [-np.outer(b, b), R]]))
+    v = np.sort(eig[eig.imag == 0].real)[:, None]
+    edges = (v + ratio * (w * rho * v / (v - rho)).sum(axis=1, keepdims=True)).ravel()
+    # at c = 1 the lowest edge is 0 up to rounding, which may be negative
+    edges = np.maximum(edges, 0.0)
+    return tuple((float(lo), float(hi)) for lo, hi in edges.reshape(-1, 2))
 
 
 def density_curve(
@@ -308,84 +321,27 @@ def density_curve(
     n_over_m: float,
     grid_spec=None,
     epsilon: float = 1e-6,
-    threshold: float = 1e-4,
 ) -> DensityCurve:
-    """Limiting density on a real grid with support-cluster detection.
+    """Limiting density on a real grid, with the exact support clusters.
 
-    Clusters are maximal runs where the density exceeds ``threshold``;
-    their edges are then sharpened by bisection between the bracketing grid
-    points, so edge accuracy is set by epsilon rather than the grid step.
+    grid_spec is None for 2501 points from 0 to just past the upper edge
+    bound rho_L (1 + sqrt(c))^2, or a positive grid step. The density is
+    read at x + i*epsilon, so epsilon smooths it within about epsilon of
+    the edges; the clusters come from support_clusters and depend on
+    neither the grid nor epsilon.
     """
     ratio = float(n_over_m)
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise InputError("epsilon must be positive and finite")
     grid = _grid_from_spec(model, ratio, grid_spec)
-    z = grid + 1j * epsilon
-    m, _, _ = _solve_near_axis(model, ratio, grid, epsilon)
-    dens = _continuous_density(m, z, ratio)
-
-    mask = dens > threshold
-    clusters = []
-    edges_lo, edges_hi = [], []  # brackets needing refinement: (outside, inside)
-    i = 0
-    n = grid.size
-    while i < n:
-        if not mask[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and mask[j + 1]:
-            j += 1
-        left = grid[i] if i == 0 else None
-        right = grid[j] if j == n - 1 else None
-        clusters.append([left, right, i, j])
-        if left is None:
-            edges_lo.append((grid[i - 1], grid[i]))
-        if right is None:
-            edges_hi.append((grid[j + 1], grid[j]))
-        i = j + 1
-
-    lo_ref = _refine_edges(model, ratio, edges_lo, epsilon, threshold)
-    hi_ref = _refine_edges(model, ratio, edges_hi, epsilon, threshold)
-    out = []
-    ilo = ihi = 0
-    for left, right, _, _ in clusters:
-        if left is None:
-            left = lo_ref[ilo]
-            ilo += 1
-        if right is None:
-            right = hi_ref[ihi]
-            ihi += 1
-        out.append((float(left), float(right)))
-
+    m = _solve_near_axis(model, ratio, grid, epsilon)
     return DensityCurve(
         grid=grid,
-        density=dens,
+        density=_continuous_density(m, grid + 1j * epsilon, ratio),
         epsilon=float(epsilon),
-        threshold=float(threshold),
-        clusters=tuple(out),
+        clusters=support_clusters(model, ratio),
         mass_at_zero=max(0.0, 1.0 - 1.0 / ratio),
     )
-
-
-def _refine_edges(model, ratio, brackets, epsilon, threshold, sweeps: int = 52):
-    """Bisect density(x) = threshold between (outside, inside) abscissas."""
-    if not brackets:
-        return []
-    lo = np.array([b[0] for b in brackets])  # density below threshold
-    hi = np.array([b[1] for b in brackets])  # density above
-    init = None
-    for _ in range(sweeps):
-        mid = 0.5 * (lo + hi)
-        # midpoints move less each sweep, so the previous solution is an
-        # ever better warm start
-        dens, init = _density_at(model, ratio, mid, epsilon, init=init)
-        above = dens > threshold
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        if np.max(np.abs(hi - lo)) < 1e-13 * (1.0 + np.max(np.abs(hi))):
-            break
-    return list(0.5 * (lo + hi))
 
 
 def is_separable(curve: DensityCurve, L: int) -> bool:

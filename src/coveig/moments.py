@@ -23,13 +23,11 @@ from .errors import (
     IllConditionedResidueError,
     InputError,
 )
-from .model import true_moments  # noqa: F401  (re-exported for convenience)
 
 __all__ = [
     "MomentEstimates",
     "moments_by_quadrature",
     "moments_by_residues",
-    "true_moments",
 ]
 
 _SELF_CHECK_RTOL = 3e-11

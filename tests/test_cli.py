@@ -139,6 +139,19 @@ def test_density_outputs(tmp_path):
     values = np.array([[float(a), float(b)] for a, b in rows[1:]])
     assert values.shape[0] > 100
     assert np.all(values[:, 1] >= 0)
+    assert "threshold" not in data
+
+
+@pytest.mark.parametrize("step", ["-0.01", "0"])
+def test_density_rejects_bad_step(tmp_path, capsys, step):
+    model = _write_model(tmp_path)
+    rc = cli.main([
+        "density", "--model", model, "--step", step,
+        "--out-csv", str(tmp_path / "density.csv"),
+        "--out-json", str(tmp_path / "density.json"),
+    ])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_mse_sweep_csv(tmp_path):

@@ -7,9 +7,9 @@ from coveig import (
     InputError,
     PopulationModel,
     SeparabilityError,
-    density_curve,
     kernel_kappa,
     simulate_spectrum,
+    support_clusters,
     support_contours,
     theta_mestre,
     theta_moment_estimator,
@@ -45,7 +45,8 @@ def test_v_contour_independence():
     # the integrand is analytic between admissible contour pairs, so two
     # very different pairs must integrate to the same matrix
     V_a, _ = v_matrix(TWO_ATOM)
-    hull = density_curve(TWO_ATOM, 0.5).support_hull()
+    clusters = support_clusters(TWO_ATOM, 0.5)
+    hull = (clusters[0][0], clusters[-1][1])
     custom = support_contours(hull, 512, margins=(0.08, 0.2))
     V_b, _ = v_matrix(TWO_ATOM, contours=custom, nodes=512)
     np.testing.assert_allclose(V_a, V_b, rtol=1e-9, atol=1e-9)

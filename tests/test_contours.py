@@ -20,14 +20,13 @@ def _integrate(cont, f):
     return np.sum(f(cont.points()) * cont.dz())
 
 
-@pytest.mark.parametrize("shape,nodes", [("ellipse", 64), ("rectangle", 4096)])
+@pytest.mark.parametrize("shape,nodes", [("ellipse", 64)])
 def test_closed_curve_integrates_dz_to_zero(shape, nodes):
     cont = Contour(shape, center=2.0, half_width=1.5, half_height=0.6, nodes=nodes)
     assert abs(_integrate(cont, lambda z: np.ones_like(z))) < 1e-12
 
 
-@pytest.mark.parametrize("shape,nodes,tol", [("ellipse", 256, 1e-12),
-                                             ("rectangle", 8192, 1e-4)])
+@pytest.mark.parametrize("shape,nodes,tol", [("ellipse", 256, 1e-12)])
 def test_residue_of_simple_pole(shape, nodes, tol):
     cont = Contour(shape, center=2.0, half_width=1.5, half_height=0.6, nodes=nodes)
     for pole in [2.0, 1.2, 2.9, 2.0 + 0.2j]:
@@ -97,8 +96,6 @@ def test_with_nodes_and_scaled():
     dict(shape="ellipse", center=1.0, half_width=-1.0, half_height=0.5, nodes=64),
     dict(shape="ellipse", center=1.0, half_width=1.0, half_height=0.0, nodes=64),
     dict(shape="ellipse", center=1.0, half_width=1.0, half_height=0.5, nodes=8),
-    dict(shape="ellipse", center=1.0, half_width=1.0, half_height=0.5, nodes=64,
-         orientation="cw"),
 ])
 def test_invalid_contours_raise(kwargs):
     with pytest.raises(ContourError):

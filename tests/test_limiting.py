@@ -12,8 +12,13 @@ from coveig import (
     is_separable,
     m_underline_derivative,
     solve_m_underline,
+    support_clusters,
 )
-from coveig.limiting import solve_m_underline_grid
+from coveig.limiting import (
+    _continuous_density,
+    _solve_near_axis,
+    solve_m_underline_grid,
+)
 
 
 def _mp_closed_form(rho: float, c: float, z: complex) -> complex:
@@ -118,8 +123,8 @@ def test_mp_density_edges():
     curve = density_curve(model, 0.25)
     assert len(curve.clusters) == 1
     lo, hi = curve.clusters[0]
-    assert abs(lo - 0.25) < 1e-2
-    assert abs(hi - 2.25) < 1e-2
+    assert abs(lo - 0.25) < 1e-12
+    assert abs(hi - 2.25) < 1e-12
     assert np.all(curve.density >= 0)
     assert abs(curve.total_mass() - 1.0) < 0.02
     assert curve.mass_at_zero == 0.0
@@ -158,22 +163,67 @@ def test_density_grid_specs():
     model = PopulationModel(rho=(1.0,), weights=(1.0,), aspect=0.5)
     by_step = density_curve(model, 0.5, grid_spec=0.01)
     assert by_step.grid[1] - by_step.grid[0] == pytest.approx(0.01)
-    by_count = density_curve(model, 0.5, grid_spec=500)
-    assert by_count.grid.size == 500
-    by_tuple = density_curve(model, 0.5, grid_spec=(0.0, 4.0, 0.01))
-    assert by_tuple.grid[-1] == pytest.approx(4.0)
-    explicit = density_curve(model, 0.5, grid_spec=np.linspace(0, 4, 600))
-    assert explicit.grid.size == 600
-    with pytest.raises(InputError):
-        density_curve(model, 0.5, grid_spec=np.array([1.0]))
-    with pytest.raises(InputError):
-        density_curve(model, 0.5, epsilon=0.0)
+    for step in (0.0, -0.01, np.nan, np.inf):
+        with pytest.raises(InputError):
+            density_curve(model, 0.5, grid_spec=step)
+    for eps in (0.0, np.nan):
+        with pytest.raises(InputError):
+            density_curve(model, 0.5, epsilon=eps)
 
 
 def test_cluster_edges_sharper_than_grid():
-    # refinement should locate the MP edge far better than the coarse grid
+    # the clusters do not depend on the grid, however coarse
     model = PopulationModel(rho=(1.0,), weights=(1.0,), aspect=0.25)
     curve = density_curve(model, 0.25, grid_spec=0.05)
     lo, hi = curve.clusters[0]
     assert abs(lo - 0.25) < 5e-3
     assert abs(hi - 2.25) < 5e-3
+
+
+@pytest.mark.parametrize("c", [0.25, 1.0, 2.0])
+def test_support_clusters_mp_edges(c):
+    # N < M, N = M (lower edge at the origin) and N > M
+    (lo, hi), = support_clusters(
+        PopulationModel(rho=(1.0,), weights=(1.0,), aspect=c), c)
+    assert abs(lo - (1 - np.sqrt(c)) ** 2) < 1e-12
+    assert abs(hi - (1 + np.sqrt(c)) ** 2) < 1e-12
+
+
+SPLIT = PopulationModel(rho=(1.0, 3.0, 10.0), weights=(1 / 3, 1 / 3, 1 / 3),
+                        aspect=0.1)
+MERGED = PopulationModel(rho=(1.0, 3.0, 5.0), weights=(1 / 3, 1 / 3, 1 / 3),
+                         aspect=0.375)
+FIVE = PopulationModel(rho=(1.0, 2.0, 4.0, 8.0, 16.0), weights=(0.2,) * 5,
+                       aspect=0.05)
+
+
+@pytest.mark.parametrize("model,count", [(SPLIT, 3), (MERGED, 1), (FIVE, 5)])
+def test_support_clusters_count_and_bound_the_density(model, count):
+    clusters = support_clusters(model, model.aspect)
+    assert len(clusters) == count
+    edges = np.ravel(clusters)
+    assert np.all(edges > 0) and np.all(np.diff(edges) > 0)
+    # density as density_curve reads it, 1e-3 * edge to either side; a small
+    # epsilon keeps the smoothing outside the support well below that
+    eps = 1e-9
+    side = np.tile([-1.0, 1.0], len(clusters))  # outward direction
+    inside = edges * (1 - 1e-3 * side)
+    outside = edges * (1 + 1e-3 * side)
+    x = np.concatenate([inside, outside])
+    m = _solve_near_axis(model, model.aspect, x, eps)
+    dens = _continuous_density(m, x + 1j * eps, model.aspect)
+    d_in, d_out = dens[: edges.size], dens[edges.size:]
+    assert d_in.min() > 1e-3
+    assert d_out.max() < 1e-3 * d_in.min()
+
+
+def test_support_clusters_resolve_narrow_clusters():
+    # at c = 1e-6 cluster k is rho_k (1 +- 2 sqrt(c w_k)) + O(c), about 1e-3
+    # wide; close narrow clusters are where root-finding accuracy matters
+    rho = np.array([1.0, 1.1, 1.2, 1.3, 1.4])
+    c = 1e-6
+    clusters = support_clusters(
+        PopulationModel(rho=tuple(rho), weights=(0.2,) * 5, aspect=c), c)
+    half = 2 * rho * np.sqrt(c * 0.2)
+    np.testing.assert_allclose(clusters, np.c_[rho - half, rho + half],
+                               rtol=0, atol=2e-5)

@@ -166,15 +166,6 @@ def test_under_resolved_explicit_contour_raises():
     assert err.value.residual is not None
 
 
-def test_rectangle_contour_cannot_reach_tolerance():
-    # per-edge midpoint rules converge only quadratically, so the strict
-    # self-check rejects them; the ellipse is the supported route
-    spectrum = _fixed_spectrum()
-    rect = spectrum_contour(spectrum, shape="rectangle", nodes=4096)
-    with pytest.raises(ConvergenceError):
-        moments_by_quadrature(spectrum, 3, contour=rect)
-
-
 def test_repeated_eigenvalues_contribute_no_residue():
     # a doubled eigenvalue is an eigenvalue of the corrected matrix but not
     # a zero of the companion transform, so it must be skipped in the
