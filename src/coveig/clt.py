@@ -62,7 +62,7 @@ class CltCovariance:
 
 def _transform_on(model: PopulationModel, contour: Contour):
     z = contour.points()
-    m, _, _ = solve_m_underline_grid(model, model.aspect, z)
+    m, _ = solve_m_underline_grid(model, model.aspect, z)
     d = m_underline_derivative(model, model.aspect, m)
     return z, contour.dz(), m, d
 
@@ -78,7 +78,7 @@ def kernel_kappa(model: PopulationModel, z1: complex, z2: complex) -> complex:
     z1, z2 = complex(z1), complex(z2)
     if z1 == z2:
         raise InputError("kernel requires two distinct points")
-    m, _, _ = solve_m_underline_grid(model, model.aspect, np.array([z1, z2]))
+    m, _ = solve_m_underline_grid(model, model.aspect, np.array([z1, z2]))
     d = m_underline_derivative(model, model.aspect, m)
     return complex(
         d[0] * d[1] / (m[0] - m[1]) ** 2 - 1.0 / (z1 - z2) ** 2

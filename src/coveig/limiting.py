@@ -10,7 +10,12 @@ and the transform of the sample-covariance limit follows from
 
     m(z) = (1/c) m_u(z) - (1 - 1/c) / z.
 
-The density on the real line is recovered from Im m(x + i eps) / pi.
+Off the real axis m_u(z) is the one root of a degree-(L+1) equation with
+Im m_u of the sign of Im z; solve_m_underline_grid takes it as an
+eigenvalue of an (L+1) x (L+1) arrowhead matrix per point. The support
+edges are the values of the inverse map z(m_u) at its real critical
+points, the real eigenvalues of a 2L x 2L matrix (support_clusters). The
+density on the real line is read from Im m(x + i eps) / pi.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ class StieltjesValue:
     z: complex
     m_underline: complex
     m_value: complex
-    iterations: int
     residual: float
 
 
@@ -88,104 +92,54 @@ def _inverse_map_derivative(m, ratio, rho, w):
     return 1.0 / m**2 - ratio * s2
 
 
-def _poly_fallback(z: complex, ratio, rho, w):
-    """Solve the fixed-point equation as a degree L+1 polynomial in m.
+def solve_m_underline_grid(model: PopulationModel, n_over_m: float, z: np.ndarray):
+    """Companion transform at every point of z; returns (m_underline, residual).
 
-    Clearing denominators in z = c*sum w_k rho_k/(1+rho_k m) - 1/m gives
-    z*m*P(m) + P(m) - c*sum_k w_k rho_k m P_k(m) = 0 with
-    P = prod(1 + rho_j m) and P_k the product without factor k. The
-    physical branch is the unique root in the upper half plane.
-    """
-    L = len(rho)
-    full = np.poly(-1.0 / rho) * np.prod(rho)  # descending coeffs of P
-    acc = np.zeros(L + 2, dtype=complex)
-    acc[1:] += full
-    acc[:-1] += z * full
-    for k in range(L):
-        others = np.delete(rho, k)
-        pk = np.poly(-1.0 / others) * np.prod(others) if L > 1 else np.array([1.0])
-        term = w[k] * rho[k] * np.concatenate([pk, [0.0]])  # times m
-        acc[-term.size:] -= ratio * term
-    roots = np.roots(acc)
-    upper = roots[roots.imag > 0]
-    cands = upper if upper.size else roots
-    res = _residual(cands, z, ratio, rho, w)
-    return complex(cands[np.argmin(res)])
+    In v = -1/m_u the fixed-point equation reads
 
+        v - (z - c sum_k w_k rho_k) + sum_k b_k^2 / (v - rho_k) = 0,
 
-def solve_m_underline_grid(
-    model: PopulationModel,
-    n_over_m: float,
-    z: np.ndarray,
-    tol: float = 1e-12,
-    init: np.ndarray | None = None,
-    max_iter: int = 60000,
-):
-    """Vectorized fixed-point solve; returns (m_underline, iterations, residual).
-
-    Damped Picard iteration (the map preserves the upper half plane, so it
-    is globally safe) until within Newton range, then Newton steps on the
-    inverse relation. Stubborn nodes near support edges fall back to an
-    exact polynomial solve.
+    b_k = rho_k sqrt(c w_k), whose L+1 roots are the eigenvalues of the
+    arrowhead matrix [[z - c sum_k w_k rho_k, i b^T], [i b, diag(rho)]].
+    For Im z > 0 exactly one root has Im v > 0, which is Im m_u > 0
+    (Silverstein & Bai 1995); points with Im z < 0 are solved at conj(z)
+    and conjugated. A few guarded Newton steps on the inverse map then
+    polish the eigenvalue to full precision.
     """
     rho = model.rho_array()
     w = model.weights_array()
+    ratio = float(n_over_m)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(z == 0):
-        raise InputError("transform is not defined at z = 0")
-    m = -1.0 / z if init is None else np.array(init, dtype=complex)
-    iters = np.zeros(z.shape, dtype=np.int64)
-    res = _residual(m, z, ratio := float(n_over_m), rho, w)
+    if not np.all(np.isfinite(z) & (z.imag != 0)):
+        raise InputError("the transform needs finite z off the real axis")
+    lower = z.imag < 0
+    z = np.where(lower, z.conj(), z)
 
-    # Picard only needs to reach the Newton basin; finishing to tol is
-    # Newton's job and takes it a handful of quadratic steps
-    newton_gate = 1e-5
-    active = np.flatnonzero(res > max(tol, newton_gate))
-    alpha = np.full(z.shape, 0.5)
-    block = 40
-    done_picard = 0
+    L = rho.size
+    b = 1j * rho * np.sqrt(ratio * w)
+    arrow = np.zeros(z.shape + (L + 1, L + 1), dtype=complex)
+    arrow[..., 0, 0] = z - ratio * np.dot(w, rho)
+    arrow[..., 0, 1:] = b
+    arrow[..., 1:, 0] = b
+    diag = np.arange(1, L + 1)
+    arrow[..., diag, diag] = rho
+    v = np.linalg.eigvals(arrow)
+    v = np.take_along_axis(v, v.imag.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    m = -1.0 / v
+    res = _residual(m, z, ratio, rho, w)
+
+    # eigvals alone leaves residuals up to ~1e-7 (at the origin, say)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while active.size and done_picard < max_iter:
-            za, ma, aa = z[active], m[active], alpha[active]
-            before = res[active]
-            for _ in range(block):
-                ma = (1.0 - aa) * ma + aa * _fixed_point_map(ma, za, ratio, rho, w)
-            m[active] = ma
-            iters[active] += block
-            done_picard += block
-            res[active] = after = _residual(ma, za, ratio, rho, w)
-            # nodes that stalled get heavier damping, down to 1/16
-            stalled = after > 0.7 * before
-            alpha[active[stalled]] = np.maximum(aa[stalled] * 0.5, 1.0 / 16.0)
-            active = active[after > max(tol, newton_gate)]
+        for _ in range(3):
+            g = _inverse_map(m, ratio, rho, w) - z
+            cand = m - g / _inverse_map_derivative(m, ratio, rho, w)
+            cand_res = _residual(cand, z, ratio, rho, w)
+            take = (cand.imag > 0) & (cand_res < res)
+            m = np.where(take, cand, m)
+            res = np.where(take, cand_res, res)
 
-        active = np.flatnonzero(res > tol)
-        for _ in range(60):
-            if not active.size:
-                break
-            ma, za = m[active], z[active]
-            g = _inverse_map(ma, ratio, rho, w) - za
-            gp = _inverse_map_derivative(ma, ratio, rho, w)
-            step = np.where(gp != 0, g / gp, 0.0)
-            cand = ma - step
-            ok = np.isfinite(cand)
-            ok &= ~((za.imag > 0) & (cand.imag < 0))
-            new_res = np.where(
-                ok, _residual(np.where(ok, cand, ma), za, ratio, rho, w), np.inf
-            )
-            improved = new_res < res[active]
-            take = active[improved]
-            m[take] = cand[improved]
-            res[take] = new_res[improved]
-            iters[take] += 1
-            active = active[res[active] > tol]
-
-    for idx in np.flatnonzero(res > tol):
-        if z[idx].imag <= 0:
-            continue
-        m[idx] = _poly_fallback(complex(z[idx]), ratio, rho, w)
-        res[idx] = _residual(m[idx : idx + 1], z[idx : idx + 1], ratio, rho, w)[0]
-    bad = res > max(tol, 1e-10)
+    # a NaN residual or a root on the wrong side of the axis fails too
+    bad = ~((res <= 1e-10) & (m.imag > 0))
     if np.any(bad):
         worst = float(res.max())
         raise ConvergenceError(
@@ -193,24 +147,22 @@ def solve_m_underline_grid(
             f"points (worst residual {worst:.3e})",
             residual=worst,
         )
-    return m, iters, res
+    return np.where(lower, m.conj(), m), res
 
 
 def solve_m_underline(
-    model: PopulationModel, n_over_m: float, z: complex, tol: float = 1e-12
+    model: PopulationModel, n_over_m: float, z: complex
 ) -> StieltjesValue:
     """Companion transform m_u(z) and sample transform m(z) at one point.
 
-    z must have positive imaginary part, or be real and outside the support
-    (where the iteration still converges to the real boundary value).
+    z must be finite and off the real axis; Im m_u has the sign of Im z.
     """
-    m, iters, res = solve_m_underline_grid(model, n_over_m, [complex(z)], tol=tol)
+    m, res = solve_m_underline_grid(model, n_over_m, [complex(z)])
     mu = complex(m[0])
     return StieltjesValue(
         z=complex(z),
         m_underline=mu,
         m_value=m_from_companion(mu, complex(z), n_over_m),
-        iterations=int(iters[0]),
         residual=float(res[0]),
     )
 
@@ -236,6 +188,10 @@ def m_underline_derivative(model: PopulationModel, n_over_m: float, m_underline)
     return out if np.ndim(m_underline) else complex(out)
 
 
+# the solve holds an (L+1) x (L+1) complex matrix per grid point
+_MAX_GRID_POINTS = 10**6
+
+
 def _grid_from_spec(model, ratio, grid_spec) -> NDArray[np.float64]:
     """Grid from 0 to just past the largest possible support edge: 2501
     points when grid_spec is None, else spaced by the step grid_spec."""
@@ -245,25 +201,13 @@ def _grid_from_spec(model, ratio, grid_spec) -> NDArray[np.float64]:
     step = float(grid_spec)
     if not 0 < step < np.inf:
         raise InputError(f"grid step must be positive and finite, got {step!r}")
-    n = int(np.ceil(hi / step)) + 1
-    return np.arange(n) * step
-
-
-def _solve_near_axis(model, ratio, x, epsilon):
-    """Solve at x + i*epsilon by stepping epsilon down a decade at a time.
-
-    Picard contraction degrades like the distance to the support, so a cold
-    start just above the real axis crawls; warm-starting each decade from
-    the previous one keeps every point inside the Newton basin instead.
-    """
-    eps = max(epsilon, 1e-2)
-    init = None
-    while True:
-        m, _, _ = solve_m_underline_grid(model, ratio, x + 1j * eps, init=init)
-        if eps <= epsilon:
-            return m
-        eps = max(epsilon, 0.1 * eps)
-        init = m
+    n = np.ceil(hi / step) + 1
+    if n > _MAX_GRID_POINTS:
+        raise InputError(
+            f"grid step {step!r} needs {n:.3g} points; at most "
+            f"{_MAX_GRID_POINTS} are allowed"
+        )
+    return np.arange(int(n)) * step
 
 
 def _continuous_density(m, z, ratio):
@@ -325,7 +269,8 @@ def density_curve(
     """Limiting density on a real grid, with the exact support clusters.
 
     grid_spec is None for 2501 points from 0 to just past the upper edge
-    bound rho_L (1 + sqrt(c))^2, or a positive grid step. The density is
+    bound rho_L (1 + sqrt(c))^2, or a positive grid step that gives at most
+    10^6 points. The density is
     read at x + i*epsilon, so epsilon smooths it within about epsilon of
     the edges; the clusters come from support_clusters and depend on
     neither the grid nor epsilon.
@@ -334,10 +279,11 @@ def density_curve(
     if not 0 < epsilon < np.inf:
         raise InputError("epsilon must be positive and finite")
     grid = _grid_from_spec(model, ratio, grid_spec)
-    m = _solve_near_axis(model, ratio, grid, epsilon)
+    z = grid + 1j * epsilon
+    m, _ = solve_m_underline_grid(model, ratio, z)
     return DensityCurve(
         grid=grid,
-        density=_continuous_density(m, grid + 1j * epsilon, ratio),
+        density=_continuous_density(m, z, ratio),
         epsilon=float(epsilon),
         clusters=support_clusters(model, ratio),
         mass_at_zero=max(0.0, 1.0 - 1.0 / ratio),

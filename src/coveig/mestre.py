@@ -4,8 +4,8 @@ When the limiting support splits into one cluster per distinct eigenvalue,
 the k-th eigenvalue is consistently estimated by the scaled sum of
 lambda_hat - mu_hat over the k-th consecutive block of indices, with block
 sizes equal to the multiplicities. The estimator is exact in its own
-asymptotic regime but biased when clusters merge, which is what the MSE
-floor probe exposes.
+asymptotic regime but biased when clusters merge, where its MSE stops
+improving with size (run_mse_sweep with methods=("mestre",) shows it).
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .empirical import SecularRoots, secular_zeros
-from .ensemble import SampleSpectrum, simulate_spectrum, trial_seed
+from .ensemble import SampleSpectrum
 from .errors import DimensionError, InputError
-from .model import PopulationModel, multiplicities
 
-__all__ = ["ClusterAssignment", "cluster_assignment", "mestre_estimate",
-           "mestre_mse_floor_probe"]
+__all__ = ["ClusterAssignment", "cluster_assignment", "mestre_estimate"]
 
 
 @dataclass(frozen=True)
@@ -68,35 +66,3 @@ def mestre_estimate(
     return np.array([
         M / (b - a) * diff[a:b].sum() for a, b in assign.groups
     ])
-
-
-def mestre_mse_floor_probe(
-    model: PopulationModel,
-    sizes,
-    trials: int,
-    master_seed: int,
-) -> list[tuple[int, float]]:
-    """Mean squared error of the baseline across sizes, in dB.
-
-    Sizes may be N values (sample count then follows the model aspect) or
-    explicit (N, M) pairs. Demonstrates the bias floor: for models whose
-    clusters never separate at the given aspect, the MSE stops improving
-    as N grows.
-    """
-    rows = []
-    rho = model.rho_array()
-    for size in sizes:
-        if np.ndim(size) == 0:
-            N = int(size)
-            M = int(round(N / model.aspect))
-        else:
-            N, M = map(int, size)
-        counts = multiplicities(model, N)
-        errs = []
-        for t in range(trials):
-            seed = trial_seed(master_seed, t)
-            spectrum = simulate_spectrum(model, N, M, seed)
-            est = mestre_estimate(spectrum, counts)
-            errs.append(np.sum((est - rho) ** 2))
-        rows.append((N, float(10.0 * np.log10(np.mean(errs)))))
-    return rows

@@ -142,7 +142,7 @@ def test_density_outputs(tmp_path):
     assert "threshold" not in data
 
 
-@pytest.mark.parametrize("step", ["-0.01", "0"])
+@pytest.mark.parametrize("step", ["-0.01", "0", "1e-9"])
 def test_density_rejects_bad_step(tmp_path, capsys, step):
     model = _write_model(tmp_path)
     rc = cli.main([

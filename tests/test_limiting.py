@@ -14,11 +14,7 @@ from coveig import (
     solve_m_underline,
     support_clusters,
 )
-from coveig.limiting import (
-    _continuous_density,
-    _solve_near_axis,
-    solve_m_underline_grid,
-)
+from coveig.limiting import _continuous_density, solve_m_underline_grid
 
 
 def _mp_closed_form(rho: float, c: float, z: complex) -> complex:
@@ -90,32 +86,47 @@ def test_small_aspect_limit_recovers_population_resolvent():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.05, 3.0), st.floats(-5.0, 20.0),
-       st.floats(0.01, 3.0))
+       st.one_of(st.floats(-3.0, -0.01), st.floats(0.01, 3.0)))
 def test_herglotz_property(seed, aspect, x, y):
     rng = np.random.default_rng(seed)
     model = _random_model(rng)
     z = complex(x, y)
     val = solve_m_underline(model, aspect, z)
-    assert val.m_underline.imag > 0
-    assert val.m_value.imag > -1e-13
+    assert np.sign(val.m_underline.imag) == np.sign(y)
+    assert np.sign(y) * val.m_value.imag > -1e-13
     assert val.residual <= 1e-12
+
+
+@pytest.mark.parametrize("rho,weights,c,z", [
+    ((10.0, 1000.0, 1100.0), (0.3, 0.3, 0.4), 0.07, 1040.3 - 0.01j),
+    ((1.0, 100.0, 10000.0), (1 / 3, 1 / 3, 1 / 3), 0.05, 7587.2 - 1e-9j),
+])
+def test_lower_half_plane_is_the_conjugate(rho, weights, c, z):
+    # m_u(conj z) = conj m_u(z), so Im m_u < 0 below the axis
+    model = PopulationModel(rho=rho, weights=weights, aspect=c)
+    lower = solve_m_underline(model, c, z).m_underline
+    upper = solve_m_underline(model, c, np.conj(z)).m_underline
+    assert abs(lower - np.conj(upper)) <= 1e-12 * abs(upper)
+    assert lower.imag < 0
 
 
 def test_grid_solver_matches_scalar():
     model = PopulationModel(rho=(1.0, 4.0), weights=(0.3, 0.7), aspect=0.5)
     z = np.array([0.5 + 0.2j, 3 + 1j, 8 + 0.01j, -2 + 5j])
-    m, iters, res = solve_m_underline_grid(model, 0.5, z)
+    m, res = solve_m_underline_grid(model, 0.5, z)
     for i, zz in enumerate(z):
         one = solve_m_underline(model, 0.5, complex(zz))
         assert abs(m[i] - one.m_underline) < 1e-10
     assert res.max() <= 1e-12
-    assert np.all(iters >= 1)
 
 
 def test_solver_rejects_origin():
+    # and every other real or non-finite point: inside the support (2.0),
+    # outside it (3.5), NaN and infinity
     model = PopulationModel(rho=(1.0,), weights=(1.0,), aspect=0.5)
-    with pytest.raises(InputError):
-        solve_m_underline(model, 0.5, 0.0)
+    for z in (0.0, 2.0, 3.5, complex(np.nan, 1.0), np.inf):
+        with pytest.raises(InputError):
+            solve_m_underline(model, 0.5, z)
 
 
 def test_mp_density_edges():
@@ -210,7 +221,7 @@ def test_support_clusters_count_and_bound_the_density(model, count):
     inside = edges * (1 - 1e-3 * side)
     outside = edges * (1 + 1e-3 * side)
     x = np.concatenate([inside, outside])
-    m = _solve_near_axis(model, model.aspect, x, eps)
+    m, _ = solve_m_underline_grid(model, model.aspect, x + 1j * eps)
     dens = _continuous_density(m, x + 1j * eps, model.aspect)
     d_in, d_out = dens[: edges.size], dens[edges.size:]
     assert d_in.min() > 1e-3

@@ -5,13 +5,14 @@ import pytest
 
 from coveig import (
     DimensionError,
+    ExperimentConfig,
     InputError,
     PopulationModel,
     cluster_assignment,
     hermitian_eigenvalues,
     mestre_estimate,
-    mestre_mse_floor_probe,
     moments_by_residues,
+    run_mse_sweep,
     simulate_spectrum,
 )
 
@@ -89,29 +90,38 @@ def test_explicit_matrix_cross_check():
     np.testing.assert_allclose(est, [1.0, 5.0], rtol=0.1)
 
 
-def test_mse_floor_probe_shapes_and_determinism():
+def _mestre_sweep(model, sizes, trials, master_seed):
+    report = run_mse_sweep(ExperimentConfig(
+        model=model, sizes=sizes, trials=trials, master_seed=master_seed,
+        methods=("mestre",)))
+    return [(row.N, row.mse_db) for row in report.rows]
+
+
+def test_mestre_sweep_shapes_and_determinism():
     model = PopulationModel(rho=(1.0, 2.0), weights=(0.5, 0.5), aspect=0.5)
-    rows = mestre_mse_floor_probe(model, [16, 32], trials=8, master_seed=77)
-    again = mestre_mse_floor_probe(model, [16, 32], trials=8, master_seed=77)
+    rows = _mestre_sweep(model, [(16, 32), (32, 64)], trials=8, master_seed=77)
+    again = _mestre_sweep(model, [(16, 32), (32, 64)], trials=8, master_seed=77)
     assert rows == again
     assert [n for n, _ in rows] == [16, 32]
     assert all(np.isfinite(v) for _, v in rows)
-    pairs = mestre_mse_floor_probe(model, [(16, 32)], trials=4, master_seed=1)
+    pairs = _mestre_sweep(model, [(16, 32)], trials=4, master_seed=1)
     assert pairs[0][0] == 16
 
 
-def test_mse_floor_when_clusters_never_split():
+def test_mestre_sweep_floor_when_clusters_never_split():
     # closely packed eigenvalues at aspect 1/2 keep the support connected,
     # so the baseline's error stops shrinking while a split model keeps
     # improving over the same size range
     packed = PopulationModel(rho=(1.0, 1.5, 2.0),
                              weights=(1 / 3, 1 / 3, 1 / 3), aspect=0.5)
-    rows = mestre_mse_floor_probe(packed, [30, 150], trials=40, master_seed=3)
+    rows = _mestre_sweep(packed, [(30, 60), (150, 300)], trials=40,
+                         master_seed=3)
     improvement = rows[0][1] - rows[1][1]
     assert improvement < 3.0  # stuck near its floor, in dB
 
     split = PopulationModel(rho=(1.0, 3.0, 10.0),
                             weights=(1 / 3, 1 / 3, 1 / 3), aspect=0.1)
-    rows = mestre_mse_floor_probe(split, [30, 150], trials=40, master_seed=3)
+    rows = _mestre_sweep(split, [(30, 300), (150, 1500)], trials=40,
+                         master_seed=3)
     improvement = rows[0][1] - rows[1][1]
     assert improvement > 5.0  # genuinely consistent here
