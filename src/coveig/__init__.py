@@ -13,7 +13,6 @@ from .contours import (
     cluster_contour_pair,
     cluster_contours,
     spectrum_contour,
-    support_contours,
 )
 from .empirical import SecularRoots, empirical_m, secular_zeros
 from .ensemble import (
@@ -130,7 +129,6 @@ __all__ = [
     "solve_m_underline",
     "spectrum_contour",
     "support_clusters",
-    "support_contours",
     "theta_mestre",
     "theta_moment_estimator",
     "trial_seed",

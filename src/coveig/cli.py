@@ -70,7 +70,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     Y, seed = read_observations(args.obs)
-    spectrum = sample_spectrum(Y, seed=seed, derive_companion=True)
+    spectrum = sample_spectrum(Y, seed=seed)
     model = _load_model(args.model) if args.model else None
     L = args.L if args.L is not None else (model.L if model else None)
     if L is None:

@@ -6,11 +6,18 @@ Gaussian field with covariance kernel
     kappa(z1, z2) = m_u'(z1) m_u'(z2) / (m_u(z1) - m_u(z2))^2
                     - 1/(z1 - z2)^2,
 
-analytic wherever both arguments stay off the limiting support. Every
-covariance here is a double contour integral of kappa against powers of
-1/m_u; the two integration variables run on strictly nested (or disjoint)
-contours so the near-diagonal cancellation in kappa never has to be
-resolved numerically.
+analytic wherever both arguments stay off the limiting support and away
+from the origin. Every covariance here is a double contour integral of
+kappa against powers of 1/m_u, taken over one ellipse pair per support
+cluster: the integral over clusters k and l runs on the two disjoint
+cluster ellipses, and the one over cluster k with itself on a strictly
+nested pair. By Cauchy's theorem the sum over all pairs equals the
+integral over one contour pair around the whole support, without
+stretching one ellipse over clusters of very different scales. kappa is
+evaluated in a form that divides out the 1/(z1 - z2)^2 its two terms
+share, so nearby nodes lose no digits to cancellation. Each integral is
+checked against the half-resolution rule embedded in its nodes, and the
+node count doubles until the two agree.
 
 Normalization: all covariances refer to M * (estimate - truth).
 """
@@ -22,18 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .contours import (
-    Contour,
-    cluster_contour_pair,
-    cluster_contours,
-    support_contours,
-)
+from .contours import Contour, cluster_contour_pair
 from .errors import ConditioningError, ConvergenceError, InputError, SeparabilityError
-from .limiting import (
-    m_underline_derivative,
-    solve_m_underline_grid,
-    support_clusters,
-)
+from .limiting import solve_m_underline_grid, support_clusters
 from .model import PopulationModel
 
 __all__ = [
@@ -43,6 +41,10 @@ __all__ = [
     "theta_moment_estimator",
     "theta_mestre",
 ]
+
+_SELF_CHECK_RTOL = 1e-8
+_LEAKAGE_RTOL = 1e-6
+_MAX_DOUBLINGS = 2
 
 
 @dataclass(frozen=True)
@@ -61,16 +63,36 @@ class CltCovariance:
 
 
 def _transform_on(model: PopulationModel, contour: Contour):
-    z = contour.points()
-    m, _ = solve_m_underline_grid(model, model.aspect, z)
-    d = m_underline_derivative(model, model.aspect, m)
-    return z, contour.dz(), m, d
+    m, _ = solve_m_underline_grid(model, model.aspect, contour.points())
+    return contour.dz(), m
 
 
-def _kappa_matrix(z1, m1, d1, z2, m2, d2):
-    dm = m1[:, None] - m2[None, :]
-    dz = z1[:, None] - z2[None, :]
-    return d1[:, None] * d2[None, :] / dm**2 - 1.0 / dz**2
+def _kappa_matrix(model: PopulationModel, m1, m2):
+    """kappa at every pair (m1[i], m2[j]), in a form free of cancellation.
+
+    With t = (0, 1/rho_1..1/rho_L) and g = (1, -c w_1..-c w_L) the inverse
+    map is z(m) = -sum_i g_i / (m + t_i), so (z1 - z2) / (m1 - m2) =
+    D12 = sum_i g_i q_i with q_i = 1 / ((m1 + t_i)(m2 + t_i)), and
+    m_u' = 1 / D11. Both terms of kappa then carry 1 / (m1 - m2)^2, and
+    Lagrange's identity divides it out exactly:
+
+        kappa = -sum_{i<j} g_i g_j (t_i - t_j)^2 q_i^2 q_j^2 / (D11 D22 D12^2),
+
+    which stays accurate however close the two contours come.
+    """
+    t = np.concatenate([[0.0], 1.0 / model.rho_array()])
+    g = np.concatenate([[1.0], -model.aspect * model.weights_array()])
+    phi1 = 1.0 / (m1[:, None] + t)
+    phi2 = 1.0 / (m2[:, None] + t)
+    i, j = np.triu_indices(t.size, 1)
+    # every q_i^2 q_j^2 is an outer product, so the sum over pairs is one
+    # matrix product
+    num = ((phi1[:, i] * phi1[:, j]) ** 2 * (g[i] * g[j] * (t[i] - t[j]) ** 2)
+           ) @ ((phi2[:, i] * phi2[:, j]) ** 2).T
+    d12 = (phi1 * g) @ phi2.T
+    d11 = phi1**2 @ g
+    d22 = phi2**2 @ g
+    return -num / (d11[:, None] * d22[None, :] * d12**2)
 
 
 def kernel_kappa(model: PopulationModel, z1: complex, z2: complex) -> complex:
@@ -79,10 +101,9 @@ def kernel_kappa(model: PopulationModel, z1: complex, z2: complex) -> complex:
     if z1 == z2:
         raise InputError("kernel requires two distinct points")
     m, _ = solve_m_underline_grid(model, model.aspect, np.array([z1, z2]))
-    d = m_underline_derivative(model, model.aspect, m)
-    return complex(
-        d[0] * d[1] / (m[0] - m[1]) ** 2 - 1.0 / (z1 - z2) ** 2
-    )
+    # kappa is symmetric; one fixed argument order makes the value exactly so
+    a, b = sorted(m, key=lambda v: (v.real, v.imag))
+    return complex(_kappa_matrix(model, np.array([a]), np.array([b]))[0, 0])
 
 
 def _inverse_power_rows(m, weights, max_power: int):
@@ -96,79 +117,90 @@ def _inverse_power_rows(m, weights, max_power: int):
     return rows
 
 
-def _v_from_nodes(model, L, z1, w1, m1, d1, z2, w2, m2, d2):
-    K = _kappa_matrix(z1, m1, d1, z2, m2, d2)
-    P1 = _inverse_power_rows(m1, w1, 2 * L - 1)
-    P2 = _inverse_power_rows(m2, w2, 2 * L - 1)
-    I = P1 @ K @ P2.T
-    k = np.arange(1, 2 * L)
-    signs = (-1.0) ** (k[:, None] + k[None, :])
-    return -signs * I / (4.0 * np.pi**2 * model.aspect**2)
+def _blocks(model: PopulationModel, inner, outer, powers: int, step: int):
+    """P_k K P_l^T for every cluster pair, from every step-th node.
+
+    Every other node of the offset trapezoid rule is again a uniform rule,
+    so step 2 gives the embedded half-resolution rule.
+    """
+    def rows(nodes):
+        w, m = (a[::step] for a in nodes)
+        return m, _inverse_power_rows(m, step * w, powers)
+
+    ins = [rows(t) for t in inner]
+    outs = [rows(t) for t in outer]
+    B = np.empty((len(ins), len(ins), powers, powers), dtype=complex)
+    for k, (m1, P1) in enumerate(ins):
+        for l in range(k, len(ins)):
+            m2, P2 = outs[k] if l == k else ins[l]
+            B[k, l] = P1 @ _kappa_matrix(model, m1, m2) @ P2.T
+            # kappa is symmetric, so the transposed pair needs no new sum
+            B[l, k] = B[k, l].T
+    return B
 
 
-def v_matrix(
-    model: PopulationModel,
-    L: int | None = None,
-    contours: tuple[Contour, Contour] | None = None,
-    nodes: int = 256,
-    max_refinements: int = 2,
-):
+def _cluster_pair_integrals(model: PopulationModel, clusters, powers: int,
+                            nodes: int):
+    """Double integrals of kappa over every pair of support clusters.
+
+    Block (k, l) is -P_k K P_l^T / (4 pi^2 c^2), with P_k the rows
+    w m_u^-p (p = 1..powers) on cluster k's contour. A diagonal block
+    integrates over the nested pair of `cluster_contour_pair`; an
+    off-diagonal one over the two disjoint inner contours. The node count
+    doubles until the embedded half rule agrees. Returns
+    (blocks, nodes, self_check_delta, scale).
+    """
+    norm = -1.0 / (4.0 * np.pi**2 * model.aspect**2)
+    for attempt in range(_MAX_DOUBLINGS + 1):
+        if attempt:
+            nodes *= 2
+        pairs = [cluster_contour_pair(clusters, k, nodes)
+                 for k in range(len(clusters))]
+        inner = [_transform_on(model, a) for a, _ in pairs]
+        outer = [_transform_on(model, b) for _, b in pairs]
+        if min(np.abs(m).min() for _, m in inner + outer) < 1e-10:
+            raise ConvergenceError("companion transform vanishes on a contour")
+        full = norm * _blocks(model, inner, outer, powers, 1)
+        half = norm * _blocks(model, inner, outer, powers, 2)
+        delta = float(np.abs(full - half).max())
+        scale = 1.0 + float(np.abs(full).max())
+        if delta <= _SELF_CHECK_RTOL * scale:
+            return full, nodes, delta, scale
+    raise ConvergenceError(
+        f"CLT quadrature has not converged at {nodes} nodes "
+        f"(delta {delta:.3e})",
+        residual=delta,
+    )
+
+
+def v_matrix(model: PopulationModel, L: int | None = None, nodes: int = 256):
     """Covariance V of M * (gamma_hat_k - gamma_k), k = 1..2L-1.
 
-    Integrates kappa / (m_u(z1)^k m_u(z2)^l) over a nested contour pair
-    around the full limiting support. Returns (V, meta); V is symmetrized
+    Integrates kappa / (m_u(z1)^k m_u(z2)^l) over every pair of support
+    clusters and sums the blocks. Returns (V, meta); V is symmetrized
     after recording the raw asymmetry in meta.
     """
     if L is None:
         L = model.L
     if L < 1:
         raise InputError("L must be at least 1")
-    auto = contours is None
-    if auto:
-        clusters = support_clusters(model, model.aspect)
-        contours = support_contours((clusters[0][0], clusters[-1][1]), nodes)
-
-    for attempt in range(max_refinements + 1):
-        inner, outer = contours
-        z1, w1, m1, d1 = _transform_on(model, inner)
-        z2, w2, m2, d2 = _transform_on(model, outer)
-        if min(np.abs(m1).min(), np.abs(m2).min()) < 1e-10:
-            raise ConvergenceError("companion transform vanishes on a contour")
-        full = _v_from_nodes(model, L, z1, w1, m1, d1, z2, w2, m2, d2)
-        half = _v_from_nodes(
-            model, L,
-            z1[::2], 2 * w1[::2], m1[::2], d1[::2],
-            z2[::2], 2 * w2[::2], m2[::2], d2[::2],
-        )
-        delta = float(np.abs(full - half).max())
-        scale = 1.0 + float(np.abs(full).max())
-        if delta <= 1e-8 * scale:
-            break
-        if auto and attempt < max_refinements:
-            contours = (
-                inner.with_nodes(inner.nodes * 2),
-                outer.with_nodes(outer.nodes * 2),
-            )
-        else:
-            raise ConvergenceError(
-                f"V quadrature has not converged (delta {delta:.3e}); "
-                "double the node count",
-                residual=delta,
-            )
-
+    clusters = support_clusters(model, model.aspect)
+    blocks, nodes, delta, scale = _cluster_pair_integrals(
+        model, clusters, 2 * L - 1, nodes
+    )
+    k = np.arange(1, 2 * L)
+    full = (-1.0) ** (k[:, None] + k[None, :]) * blocks.sum(axis=(0, 1))
     leakage = float(np.abs(full.imag).max())
     V = full.real
     asym = float(np.abs(V - V.T).max())
     V = 0.5 * (V + V.T)
     meta = {
-        "inner": inner,
-        "outer": outer,
-        "nodes": inner.nodes,
+        "nodes": nodes,
         "self_check_delta": delta,
         "imag_leakage": leakage,
         "asymmetry": asym,
     }
-    if leakage > 1e-6 * scale:
+    if leakage > _LEAKAGE_RTOL * scale:
         raise ConvergenceError(f"V imaginary leakage {leakage:.3e} too large")
     return V, meta
 
@@ -187,9 +219,7 @@ def _jacobian(model: PopulationModel) -> NDArray[np.float64]:
 
 
 def theta_moment_estimator(
-    model: PopulationModel,
-    contours: tuple[Contour, Contour] | None = None,
-    nodes: int = 256,
+    model: PopulationModel, nodes: int = 256
 ) -> CltCovariance:
     """Asymptotic covariance of the full moment estimator.
 
@@ -198,7 +228,7 @@ def theta_moment_estimator(
     (c_1..c_L, rho_1..rho_L).
     """
     L = model.L
-    V, meta = v_matrix(model, L, contours=contours, nodes=nodes)
+    V, meta = v_matrix(model, L, nodes=nodes)
     W = np.zeros((2 * L, 2 * L))
     W[1:, 1:] = V
     J = _jacobian(model)
@@ -220,42 +250,19 @@ def theta_moment_estimator(
     return CltCovariance(M_matrix=J, V=V, W=W, Theta=Theta, contour_meta=meta)
 
 
-def theta_mestre(
-    model: PopulationModel,
-    L: int | None = None,
-    nodes: int = 256,
-) -> NDArray[np.float64]:
+def theta_mestre(model: PopulationModel, nodes: int = 256) -> NDArray[np.float64]:
     """Asymptotic covariance of the baseline cluster estimator.
 
     Requires a separable model: one support cluster per distinct
-    eigenvalue. Entry (k, l) integrates kappa / (m_u m_u) over the pair of
-    cluster contours; the diagonal uses a strictly nested pair around the
-    same cluster.
+    eigenvalue. Entry (k, l) integrates kappa / (m_u m_u) over the contours
+    of clusters k and l; the diagonal uses a strictly nested pair around
+    the same cluster.
     """
-    if L is None:
-        L = model.L
     clusters = support_clusters(model, model.aspect)
-    if len(clusters) != L:
-        raise SeparabilityError(f"support has {len(clusters)} clusters, need {L}")
+    if len(clusters) != model.L:
+        raise SeparabilityError(
+            f"support has {len(clusters)} clusters, need {model.L}"
+        )
+    blocks, *_ = _cluster_pair_integrals(model, clusters, 1, nodes)
     w = model.weights_array()
-    c = model.aspect
-
-    single = [
-        _transform_on(model, cluster_contours(clusters, k, nodes))
-        for k in range(L)
-    ]
-    Theta = np.empty((L, L))
-    for k in range(L):
-        inner, outer = cluster_contour_pair(clusters, k, nodes)
-        zk, wk, mk, dk = _transform_on(model, inner)
-        zo, wo, mo, do = _transform_on(model, outer)
-        K = _kappa_matrix(zk, mk, dk, zo, mo, do)
-        I = (wk / mk) @ K @ (wo / mo)
-        Theta[k, k] = -(I / (4.0 * np.pi**2 * c**2 * w[k] ** 2)).real
-        for l in range(k + 1, L):
-            zl, wl, ml, dl = single[l]
-            K = _kappa_matrix(zk, mk, dk, zl, ml, dl)
-            I = (wk / mk) @ K @ (wl / ml)
-            val = -(I / (4.0 * np.pi**2 * c**2 * w[k] * w[l])).real
-            Theta[k, l] = Theta[l, k] = val
-    return Theta
+    return blocks[:, :, 0, 0].real / np.outer(w, w)

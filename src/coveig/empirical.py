@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _MERGE_RTOL = 1e-12
+# a float64 bracket collapses to adjacent floats in well under 200 halvings
+_MAX_BISECTIONS = 200
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ def _merge_coincident(values: np.ndarray):
     return np.asarray(reps), np.asarray(counts, dtype=np.int64)
 
 
-def secular_zeros(spectrum: SampleSpectrum, max_iter: int = 200) -> SecularRoots:
+def secular_zeros(spectrum: SampleSpectrum) -> SecularRoots:
     """Solve the secular equation by bisection between consecutive poles.
 
     The rational function is strictly increasing between poles, so each
@@ -139,7 +141,7 @@ def secular_zeros(spectrum: SampleSpectrum, max_iter: int = 200) -> SecularRoots
         lo = np.asarray(lo_list)
         hi = np.asarray(hi_list)
         init = np.column_stack([lo, hi])
-        for _ in range(max_iter):
+        for _ in range(_MAX_BISECTIONS):
             mid = 0.5 * (lo + hi)
             stalled = (mid <= lo) | (mid >= hi)
             if stalled.all():

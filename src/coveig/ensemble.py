@@ -118,17 +118,11 @@ def hermitian_eigenvalues(A: np.ndarray) -> NDArray[np.float64]:
     return np.linalg.eigvalsh(A)
 
 
-def sample_spectrum(
-    observations: np.ndarray,
-    seed: int = 0,
-    derive_companion: bool = False,
-) -> SampleSpectrum:
+def sample_spectrum(observations: np.ndarray, seed: int = 0) -> SampleSpectrum:
     """Eigenvalues of (1/M) Y Y^H and of the companion (1/M) Y^H Y.
 
-    With ``derive_companion`` only the smaller Gram matrix is diagonalized
-    and the other spectrum is obtained by padding with structural zeros,
-    which is exact up to eigensolver roundoff and much cheaper when N and M
-    differ a lot.
+    Only the smaller Gram matrix is diagonalized; the other spectrum is the
+    same nonzero eigenvalues padded with structural zeros.
     """
     Y = np.asarray(observations)
     if Y.ndim != 2:
@@ -140,16 +134,12 @@ def sample_spectrum(
         raise InputError("observations contain non-finite entries")
     Y = Y.astype(np.complex128, copy=False)
 
-    if derive_companion:
-        if N <= M:
-            lam = _gram_eigenvalues(Y, M)
-            lam_comp = np.concatenate([np.zeros(M - N), lam])
-        else:
-            lam_comp = _gram_eigenvalues(Y.conj().T, M)
-            lam = np.concatenate([np.zeros(N - M), lam_comp])
-    else:
+    if N <= M:
         lam = _gram_eigenvalues(Y, M)
+        lam_comp = np.concatenate([np.zeros(M - N), lam])
+    else:
         lam_comp = _gram_eigenvalues(Y.conj().T, M)
+        lam = np.concatenate([np.zeros(N - M), lam_comp])
     return SampleSpectrum(
         N=N, M=M, lambda_hat=lam, lambda_hat_companion=lam_comp,
         seed=int(seed),
@@ -168,7 +158,7 @@ def simulate_spectrum(
 ) -> SampleSpectrum:
     """Draw observations for the model and return their sample spectrum."""
     Y = generate_observations(model, N, M, seed)
-    return sample_spectrum(Y, seed=seed, derive_companion=True)
+    return sample_spectrum(Y, seed=seed)
 
 
 def write_observations(path, observations: np.ndarray, seed: int = 0) -> None:

@@ -32,6 +32,7 @@ __all__ = [
 
 _SELF_CHECK_RTOL = 3e-11
 _LEAKAGE_RTOL = 1e-8
+_MAX_DOUBLINGS = 3
 
 
 @dataclass(frozen=True)
@@ -68,22 +69,11 @@ def _raw_quadrature(spectrum: SampleSpectrum, L: int, pts, weights):
     return raw
 
 
-def _halved(contour: Contour, pts, weights):
-    """Node set of the embedded half-resolution rule."""
-    if contour.shape == "ellipse":
-        # every other node of the offset trapezoid rule is again a valid
-        # uniform rule at half resolution
-        return pts[::2], 2.0 * weights[::2]
-    half = contour.with_nodes(max(16, contour.nodes // 2))
-    return half.points(), half.dz()
-
-
 def moments_by_quadrature(
     spectrum: SampleSpectrum,
     L: int,
     contour: Contour | None = None,
     secular: SecularRoots | None = None,
-    max_refinements: int = 3,
 ) -> MomentEstimates:
     """Moments by contour quadrature with an internal convergence check.
 
@@ -107,14 +97,16 @@ def moments_by_quadrature(
             raise ContourError("contour must exclude the origin")
         _check_clearance(contour, enclosed, spectrum.positive_eigenvalues()[-1])
 
-    for attempt in range(max_refinements + 1):
+    for attempt in range(_MAX_DOUBLINGS + 1):
         pts, weights = contour.points(), contour.dz()
         raw = _raw_quadrature(spectrum, L, pts, weights)
-        raw_half = _raw_quadrature(spectrum, L, *_halved(contour, pts, weights))
+        # every other node of the offset trapezoid rule is again a uniform
+        # rule at half resolution
+        raw_half = _raw_quadrature(spectrum, L, pts[::2], 2.0 * weights[::2])
         delta = np.abs(raw - raw_half) / (1.0 + np.abs(raw))
         if delta.max() <= _SELF_CHECK_RTOL:
             break
-        if auto and attempt < max_refinements:
+        if auto and attempt < _MAX_DOUBLINGS:
             contour = contour.with_nodes(contour.nodes * 2)
         else:
             raise ConvergenceError(

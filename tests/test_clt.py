@@ -4,21 +4,28 @@ import numpy as np
 import pytest
 
 from coveig import (
+    ConditioningError,
+    Contour,
+    ContourError,
     InputError,
     PopulationModel,
     SeparabilityError,
     kernel_kappa,
+    m_underline_derivative,
     simulate_spectrum,
     support_clusters,
-    support_contours,
     theta_mestre,
     theta_moment_estimator,
     v_matrix,
 )
+from coveig.limiting import solve_m_underline_grid
 
 TWO_ATOM = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.5)
 THREE_ATOM = PopulationModel(rho=(1.0, 3.0, 10.0),
                              weights=(1 / 3, 1 / 3, 1 / 3), aspect=0.1)
+# clusters four decades apart: no single ellipse resolves all of them
+WIDE_SCALES = PopulationModel(rho=(1.0, 100.0, 10000.0),
+                              weights=(1 / 3, 1 / 3, 1 / 3), aspect=0.05)
 
 
 @pytest.mark.parametrize("rho,aspect", [(1.0, 0.5), (2.0, 0.5), (3.0, 0.25)])
@@ -33,23 +40,61 @@ def test_v11_closed_form_single_atom(rho, aspect):
     assert meta["asymmetry"] < 1e-8 * (1 + abs(V).max())
 
 
-def test_v11_closed_form_two_atoms():
+@pytest.mark.parametrize(
+    "model,atol,rtol",
+    [(TWO_ATOM, 1e-7, 0.0), (WIDE_SCALES, 0.0, 1e-9)],
+    ids=["two_atoms", "wide_scales"],
+)
+def test_v11_closed_form_model_free(model, atol, rtol):
     # the same first-moment argument is model-free: V_11 = gamma_2 / c
-    V, _ = v_matrix(TWO_ATOM)
-    gamma2 = 0.5 * 1 + 0.5 * 9
-    assert abs(V[0, 0] - gamma2 / 0.5) < 1e-7
-    assert V.shape == (3, 3)
+    V, _ = v_matrix(model)
+    expected = np.dot(model.weights_array(), model.rho_array() ** 2) / model.aspect
+    assert abs(V[0, 0] - expected) <= atol + rtol * expected
+    assert V.shape == (2 * model.L - 1, 2 * model.L - 1)
 
 
 def test_v_contour_independence():
-    # the integrand is analytic between admissible contour pairs, so two
-    # very different pairs must integrate to the same matrix
-    V_a, _ = v_matrix(TWO_ATOM)
-    clusters = support_clusters(TWO_ATOM, 0.5)
-    hull = (clusters[0][0], clusters[-1][1])
-    custom = support_contours(hull, 512, margins=(0.08, 0.2))
-    V_b, _ = v_matrix(TWO_ATOM, contours=custom, nodes=512)
-    np.testing.assert_allclose(V_a, V_b, rtol=1e-9, atol=1e-9)
+    # kappa is analytic off the support, so one nested ellipse pair around
+    # the whole support must give the same V as the per-cluster layout
+    c = TWO_ATOM.aspect
+    clusters = support_clusters(TWO_ATOM, c)
+    lo, hi = clusters[0][0], clusters[-1][1]
+    x0, x1 = 0.5 * lo, hi + 0.1 * (hi - lo)
+    inner = Contour("ellipse", 0.5 * (x0 + x1), 0.5 * (x1 - x0),
+                    0.25 * (x1 - x0), 512)
+    grow = 0.4 * x0
+    outer = Contour("ellipse", inner.center, inner.half_width + grow,
+                    inner.half_height + grow, 512)
+
+    def on(cont):
+        z = cont.points()
+        m, _ = solve_m_underline_grid(TWO_ATOM, c, z)
+        return z, cont.dz(), m, m_underline_derivative(TWO_ATOM, c, m)
+
+    (z1, w1, m1, d1), (z2, w2, m2, d2) = on(inner), on(outer)
+    kappa = (d1[:, None] * d2[None, :] / (m1[:, None] - m2[None, :]) ** 2
+             - 1.0 / (z1[:, None] - z2[None, :]) ** 2)
+    p = np.arange(1, 2 * TWO_ATOM.L)[:, None]
+    I = (w1 * m1**-p) @ kappa @ (w2 * m2**-p).T
+    V_hull = -((-1.0) ** (p + p.T)) * I.real / (4.0 * np.pi**2 * c**2)
+    V, _ = v_matrix(TWO_ATOM)
+    np.testing.assert_allclose(V, 0.5 * (V_hull + V_hull.T),
+                               rtol=1e-9, atol=1e-9)
+
+
+def test_v_rejects_support_at_origin():
+    # at N = M the support starts at 0, which no contour can exclude
+    square = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=1.0)
+    assert support_clusters(square, 1.0)[0][0] == 0.0
+    with pytest.raises(ContourError, match="support reaches the origin"):
+        v_matrix(square)
+
+
+def test_theta_refuses_wide_scales_by_conditioning():
+    # V converges here; the refusal comes from the moment Jacobian, whose
+    # condition number is about 2e20
+    with pytest.raises(ConditioningError):
+        theta_moment_estimator(WIDE_SCALES)
 
 
 def test_v_matches_monte_carlo_first_moment():
@@ -70,6 +115,16 @@ def test_kernel_symmetries():
     assert abs(np.conj(k12) - conj) < 1e-12 * (1 + abs(k12))
     with pytest.raises(InputError):
         kernel_kappa(TWO_ATOM, z1, z1)
+
+
+def test_kernel_accurate_at_nearby_points():
+    # kappa is analytic across z1 = z2, although both of its terms blow up
+    # there; evaluated without cancellation it varies smoothly down to
+    # point distances where the two-term form has lost every digit
+    z = 2.0 + 0.3j
+    near = [kernel_kappa(TWO_ATOM, z, z + h) for h in (1e-5, 1e-7, 1e-9)]
+    assert abs(near[1] - near[0]) < 1e-4 * abs(near[0])
+    assert abs(near[2] - near[1]) < 1e-6 * abs(near[0])
 
 
 def test_theta_structure_single_atom():

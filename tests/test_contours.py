@@ -11,7 +11,6 @@ from coveig import (
     cluster_contours,
     simulate_spectrum,
     spectrum_contour,
-    support_contours,
 )
 from coveig.ensemble import SampleSpectrum
 
@@ -130,21 +129,6 @@ def _strictly_inside(inner, outer, tol=1e-9):
     u = (pts.real - outer.center) / outer.half_width
     v = pts.imag / outer.half_height
     return np.all(u**2 + v**2 < 1.0 - tol)
-
-
-def test_support_contours_are_nested_and_enclosing():
-    inner, outer = support_contours((0.5, 4.0))
-    for cont in (inner, outer):
-        assert cont.contains_real(np.array([0.5, 4.0])).all()
-        assert not cont.contains_real(0.0)
-    assert _strictly_inside(inner, outer)
-
-
-def test_support_contours_validation():
-    with pytest.raises(ContourError):
-        support_contours((3.0, 1.0))
-    with pytest.raises(ContourError):
-        support_contours((1.0, 2.0), margins=(0.2, 0.1))
 
 
 CLUSTERS = [(0.7, 1.4), (2.2, 3.4), (8.0, 12.0)]
