@@ -10,7 +10,6 @@ from .clt import (
 )
 from .contours import (
     Contour,
-    cluster_contour_pair,
     cluster_contours,
     spectrum_contour,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "SeparabilityError",
     "StieltjesValue",
     "SweepRow",
-    "cluster_contour_pair",
     "cluster_contours",
     "density_curve",
     "empirical_m",

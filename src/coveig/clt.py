@@ -7,15 +7,16 @@ Gaussian field with covariance kernel
                     - 1/(z1 - z2)^2,
 
 analytic wherever both arguments stay off the limiting support and away
-from the origin. Every covariance here is a double contour integral of
-kappa against powers of 1/m_u, taken over one ellipse pair per support
-cluster: the integral over clusters k and l runs on the two disjoint
-cluster ellipses, and the one over cluster k with itself on a strictly
-nested pair. By Cauchy's theorem the sum over all pairs equals the
-integral over one contour pair around the whole support, without
-stretching one ellipse over clusters of very different scales. kappa is
-evaluated in a form that divides out the 1/(z1 - z2)^2 its two terms
-share, so nearby nodes lose no digits to cancellation. Each integral is
+from the origin, z1 = z2 included: the double poles of its two terms
+cancel. Every covariance here is a double contour integral of kappa
+against powers of 1/m_u, taken over one ellipse per support cluster: the
+integral over clusters k and l runs on the two cluster ellipses, and the
+one over cluster k with itself on cluster k's ellipse in both variables.
+By Cauchy's theorem the sum over all pairs equals the integral over one
+contour pair around the whole support, without stretching one ellipse
+over clusters of very different scales. kappa is evaluated in a form
+that divides out the 1/(z1 - z2)^2 its two terms share, so nearby and
+coincident nodes lose no digits to cancellation. Each integral is
 checked against the half-resolution rule embedded in its nodes, and the
 node count doubles until the two agree.
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .contours import Contour, cluster_contour_pair
+from .contours import Contour, cluster_contours
 from .errors import ConditioningError, ConvergenceError, InputError, SeparabilityError
 from .limiting import solve_m_underline_grid, support_clusters
 from .model import PopulationModel
@@ -117,7 +118,7 @@ def _inverse_power_rows(m, weights, max_power: int):
     return rows
 
 
-def _blocks(model: PopulationModel, inner, outer, powers: int, step: int):
+def _blocks(model: PopulationModel, transforms, powers: int, step: int):
     """P_k K P_l^T for every cluster pair, from every step-th node.
 
     Every other node of the offset trapezoid rule is again a uniform rule,
@@ -127,12 +128,10 @@ def _blocks(model: PopulationModel, inner, outer, powers: int, step: int):
         w, m = (a[::step] for a in nodes)
         return m, _inverse_power_rows(m, step * w, powers)
 
-    ins = [rows(t) for t in inner]
-    outs = [rows(t) for t in outer]
-    B = np.empty((len(ins), len(ins), powers, powers), dtype=complex)
-    for k, (m1, P1) in enumerate(ins):
-        for l in range(k, len(ins)):
-            m2, P2 = outs[k] if l == k else ins[l]
+    clusters = [rows(t) for t in transforms]
+    B = np.empty((len(clusters), len(clusters), powers, powers), dtype=complex)
+    for k, (m1, P1) in enumerate(clusters):
+        for l, (m2, P2) in enumerate(clusters[k:], start=k):
             B[k, l] = P1 @ _kappa_matrix(model, m1, m2) @ P2.T
             # kappa is symmetric, so the transposed pair needs no new sum
             B[l, k] = B[k, l].T
@@ -144,24 +143,22 @@ def _cluster_pair_integrals(model: PopulationModel, clusters, powers: int,
     """Double integrals of kappa over every pair of support clusters.
 
     Block (k, l) is -P_k K P_l^T / (4 pi^2 c^2), with P_k the rows
-    w m_u^-p (p = 1..powers) on cluster k's contour. A diagonal block
-    integrates over the nested pair of `cluster_contour_pair`; an
-    off-diagonal one over the two disjoint inner contours. The node count
-    doubles until the embedded half rule agrees. Returns
-    (blocks, nodes, self_check_delta, scale).
+    w m_u^-p (p = 1..powers) on cluster k's contour. kappa has no
+    singularity at z1 = z2, so a diagonal block integrates over cluster k's
+    contour in both variables and an off-diagonal one over the two
+    disjoint cluster contours. The node count doubles until the embedded
+    half rule agrees. Returns (blocks, nodes, self_check_delta, scale).
     """
     norm = -1.0 / (4.0 * np.pi**2 * model.aspect**2)
     for attempt in range(_MAX_DOUBLINGS + 1):
         if attempt:
             nodes *= 2
-        pairs = [cluster_contour_pair(clusters, k, nodes)
-                 for k in range(len(clusters))]
-        inner = [_transform_on(model, a) for a, _ in pairs]
-        outer = [_transform_on(model, b) for _, b in pairs]
-        if min(np.abs(m).min() for _, m in inner + outer) < 1e-10:
+        transforms = [_transform_on(model, cluster_contours(clusters, k, nodes))
+                      for k in range(len(clusters))]
+        if min(np.abs(m).min() for _, m in transforms) < 1e-10:
             raise ConvergenceError("companion transform vanishes on a contour")
-        full = norm * _blocks(model, inner, outer, powers, 1)
-        half = norm * _blocks(model, inner, outer, powers, 2)
+        full = norm * _blocks(model, transforms, powers, 1)
+        half = norm * _blocks(model, transforms, powers, 2)
         delta = float(np.abs(full - half).max())
         scale = 1.0 + float(np.abs(full).max())
         if delta <= _SELF_CHECK_RTOL * scale:
@@ -255,8 +252,7 @@ def theta_mestre(model: PopulationModel, nodes: int = 256) -> NDArray[np.float64
 
     Requires a separable model: one support cluster per distinct
     eigenvalue. Entry (k, l) integrates kappa / (m_u m_u) over the contours
-    of clusters k and l; the diagonal uses a strictly nested pair around
-    the same cluster.
+    of clusters k and l; the diagonal uses cluster k's contour twice.
     """
     clusters = support_clusters(model, model.aspect)
     if len(clusters) != model.L:

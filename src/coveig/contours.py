@@ -19,7 +19,6 @@ __all__ = [
     "Contour",
     "spectrum_contour",
     "cluster_contours",
-    "cluster_contour_pair",
 ]
 
 
@@ -136,13 +135,6 @@ def _check_clearance(cont: Contour, enclosed: np.ndarray, lam_max: float):
         )
 
 
-def _cluster_window(clusters, k: int) -> tuple[float, float, float, float]:
-    lo, hi = clusters[k]
-    left_gap = lo - clusters[k - 1][1] if k > 0 else lo
-    right_gap = clusters[k + 1][0] - hi if k + 1 < len(clusters) else 0.6 * hi
-    return lo, hi, left_gap, right_gap
-
-
 def cluster_contours(clusters, k: int, nodes: int = 256) -> Contour:
     """Ellipse around cluster k only, clear of its neighbors and the origin.
 
@@ -151,7 +143,9 @@ def cluster_contours(clusters, k: int, nodes: int = 256) -> Contour:
     the wider clearance from the cluster edge speeds up the quadrature
     when the support starts close to the origin.
     """
-    lo, hi, left_gap, right_gap = _cluster_window(clusters, k)
+    lo, hi = clusters[k]
+    left_gap = lo - clusters[k - 1][1] if k > 0 else lo
+    right_gap = clusters[k + 1][0] - hi if k + 1 < len(clusters) else 0.6 * hi
     if k == 0 and lo <= 0:
         raise ContourError(
             "the support reaches the origin (as at N = M); no contour can "
@@ -162,25 +156,3 @@ def cluster_contours(clusters, k: int, nodes: int = 256) -> Contour:
     left = (0.65 if k == 0 else 0.35) * left_gap
     right = 0.35 * right_gap
     return _ellipse(lo - left, hi + right, min(left, right), nodes)
-
-
-def cluster_contour_pair(clusters, k: int, nodes: int = 256):
-    """Strictly nested ellipse pair around cluster k for double integrals."""
-    inner = cluster_contours(clusters, k, nodes)
-    _, _, left_gap, right_gap = _cluster_window(clusters, k)
-    grow = 0.25 * min(left_gap, right_gap)
-    outer = Contour(
-        "ellipse", inner.center, inner.half_width + grow,
-        inner.half_height + grow * inner.half_height / inner.half_width,
-        nodes,
-    )
-    for cont in (inner, outer):
-        left_edge = cont.center - cont.half_width
-        right_edge = cont.center + cont.half_width
-        if left_edge <= 0:
-            raise ContourError("cluster contour crosses the origin")
-        if k > 0 and left_edge <= clusters[k - 1][1]:
-            raise ContourError("cluster contour reaches the previous cluster")
-        if k + 1 < len(clusters) and right_edge >= clusters[k + 1][0]:
-            raise ContourError("cluster contour reaches the next cluster")
-    return inner, outer

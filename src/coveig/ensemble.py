@@ -5,6 +5,14 @@ circularly-symmetric complex Gaussians and R the realized diagonal population
 covariance. The sample covariance (1/M) Y Y^H and its M x M companion
 (1/M) Y^H Y share every nonzero eigenvalue; the larger one carries |N - M|
 structural zeros.
+
+Monte Carlo trials never build X. The spectrum depends on X only through
+the complex Wishart matrix X X^H, and Bartlett's decomposition (Bartlett
+1933; Goodman 1963 for the complex case) draws that exactly from the
+N x min(N, M) lower-trapezoidal factor of X = Lf Q, with about N^2/2
+random entries instead of N M. So `simulate_spectrum(model, N, M, seed)`
+has the law of the spectrum of `generate_observations(model, N, M, seed)`
+but is not its spectrum; only `generate_observations` writes a real Y.
 """
 
 from __future__ import annotations
@@ -92,12 +100,16 @@ def generate_observations(
     The realized covariance R is diagonal with eigenvalue rho_k repeated
     according to ``multiplicities(model, N)``.
     """
-    if N < 1 or M < 1:
-        raise DimensionError(f"need N >= 1 and M >= 1, got N={N}, M={M}")
-    counts = multiplicities(model, N)
-    scale = np.sqrt(np.repeat(model.rho_array(), counts))
+    scale = _realized_scale(model, N, M)
     x = complex_gaussian(_rng_for(seed), (N, M))
     return scale[:, None] * x
+
+
+def _realized_scale(model: PopulationModel, N: int, M: int) -> NDArray[np.float64]:
+    """R^(1/2) of the realized diagonal covariance, after checking N and M."""
+    if N < 1 or M < 1:
+        raise DimensionError(f"need N >= 1 and M >= 1, got N={N}, M={M}")
+    return np.sqrt(np.repeat(model.rho_array(), multiplicities(model, N)))
 
 
 def hermitian_eigenvalues(A: np.ndarray) -> NDArray[np.float64]:
@@ -133,32 +145,51 @@ def sample_spectrum(observations: np.ndarray, seed: int = 0) -> SampleSpectrum:
     if not np.all(np.isfinite(Y)):
         raise InputError("observations contain non-finite entries")
     Y = Y.astype(np.complex128, copy=False)
-
-    if N <= M:
-        lam = _gram_eigenvalues(Y, M)
-        lam_comp = np.concatenate([np.zeros(M - N), lam])
-    else:
-        lam_comp = _gram_eigenvalues(Y.conj().T, M)
-        lam = np.concatenate([np.zeros(N - M), lam_comp])
-    return SampleSpectrum(
-        N=N, M=M, lambda_hat=lam, lambda_hat_companion=lam_comp,
-        seed=int(seed),
-    )
+    small = Y if N <= M else Y.conj().T
+    return _padded_spectrum(small @ small.conj().T / M, N, M, seed)
 
 
-def _gram_eigenvalues(Y: np.ndarray, M: int) -> NDArray[np.float64]:
-    lam = np.linalg.eigvalsh(Y @ Y.conj().T / M)
+def _padded_spectrum(gram: np.ndarray, N: int, M: int, seed) -> SampleSpectrum:
+    """Spectrum from the min(N, M)-square Gram matrix that carries every
+    nonzero eigenvalue; the longer side gets |N - M| structural zeros."""
+    lam = np.linalg.eigvalsh(gram)
     # eigvalsh on a PSD Gram matrix can return tiny negatives
     np.clip(lam, 0.0, None, out=lam)
-    return lam
+    padded = np.concatenate([np.zeros(abs(N - M)), lam])
+    lam_n, lam_m = (lam, padded) if N <= M else (padded, lam)
+    return SampleSpectrum(
+        N=N, M=M, lambda_hat=lam_n, lambda_hat_companion=lam_m,
+        seed=int(seed),
+    )
 
 
 def simulate_spectrum(
     model: PopulationModel, N: int, M: int, seed: int
 ) -> SampleSpectrum:
-    """Draw observations for the model and return their sample spectrum."""
-    Y = generate_observations(model, N, M, seed)
-    return sample_spectrum(Y, seed=seed)
+    """Sample spectrum of the model's observations, drawn without X.
+
+    With n = min(N, M), X = Lf Q where Q (n x M) has orthonormal rows and
+    Lf (N x n) is lower trapezoidal with independent entries:
+
+        Lf_ii = sqrt(Gamma(M - i, 1))   for i = 0..n-1,
+        Lf_ij ~ CN(0, 1)                for j < min(i, n),
+
+    so rows i >= n (only when N > M) are i.i.d. CN(0, 1). With
+    B = R^(1/2) Lf, the nonzero eigenvalues of (1/M) Y Y^H are those of
+    the n x n matrix (1/M) B^H B. Draw order from the seed's generator:
+    the n diagonal gammas, then the strictly lower entries row by row in
+    one `complex_gaussian` call; a seed gives a bit-identical spectrum.
+    """
+    scale = _realized_scale(model, N, M)
+    n = min(N, M)
+    rng = _rng_for(seed)
+    factor = np.zeros((N, n), dtype=np.complex128)
+    i = np.arange(n)
+    factor[i, i] = np.sqrt(rng.standard_gamma(M - i))
+    below = np.tri(N, n, -1, dtype=bool)
+    factor[below] = complex_gaussian(rng, (int(below.sum()),))
+    factor *= scale[:, None]
+    return _padded_spectrum(factor.conj().T @ factor / M, N, M, seed)
 
 
 def write_observations(path, observations: np.ndarray, seed: int = 0) -> None:

@@ -7,7 +7,6 @@ from coveig import (
     Contour,
     ContourError,
     PopulationModel,
-    cluster_contour_pair,
     cluster_contours,
     simulate_spectrum,
     spectrum_contour,
@@ -124,13 +123,6 @@ def test_spectrum_contour_rejects_near_origin_support():
         spectrum_contour(spectrum)
 
 
-def _strictly_inside(inner, outer, tol=1e-9):
-    pts = inner.points()
-    u = (pts.real - outer.center) / outer.half_width
-    v = pts.imag / outer.half_height
-    return np.all(u**2 + v**2 < 1.0 - tol)
-
-
 CLUSTERS = [(0.7, 1.4), (2.2, 3.4), (8.0, 12.0)]
 
 
@@ -148,15 +140,3 @@ def test_cluster_contour_isolates_one_cluster(k):
 def test_cluster_contours_reject_overlap():
     with pytest.raises(ContourError):
         cluster_contours([(1.0, 2.0), (1.9, 3.0)], 1)
-
-
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_cluster_contour_pair_nested_and_isolated(k):
-    inner, outer = cluster_contour_pair(CLUSTERS, k)
-    assert _strictly_inside(inner, outer)
-    for cont in (inner, outer):
-        lo, hi = CLUSTERS[k]
-        assert cont.contains_real(np.array([lo, hi])).all()
-        for j, (a, b) in enumerate(CLUSTERS):
-            if j != k:
-                assert not cont.contains_real(np.array([a, b])).any()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from coveig import (
     DimensionError,
@@ -9,6 +10,7 @@ from coveig import (
     PopulationModel,
     generate_observations,
     hermitian_eigenvalues,
+    multiplicities,
     read_observations,
     sample_spectrum,
     simulate_spectrum,
@@ -143,6 +145,64 @@ def test_simulate_spectrum_reproducible():
     b = simulate_spectrum(model, 16, 32, seed=4)
     np.testing.assert_array_equal(a.lambda_hat, b.lambda_hat)
     assert a.seed == 4
+
+
+def test_simulate_spectrum_padding():
+    model = _model()
+    for N, M in [(8, 14), (14, 8), (9, 9)]:
+        spec = simulate_spectrum(model, N, M, seed=3)
+        k = min(N, M)
+        assert spec.lambda_hat.shape == (N,)
+        assert spec.lambda_hat_companion.shape == (M,)
+        np.testing.assert_array_equal(spec.lambda_hat[:N - k], 0.0)
+        np.testing.assert_array_equal(spec.lambda_hat_companion[:M - k], 0.0)
+        np.testing.assert_array_equal(
+            spec.lambda_hat[-k:], spec.lambda_hat_companion[-k:]
+        )
+        lam = spec.positive_eigenvalues()
+        assert lam.size == k and np.all(np.diff(lam) >= 0)
+
+
+def test_simulate_spectrum_rejects_empty():
+    for N, M in [(0, 5), (5, 0)]:
+        with pytest.raises(DimensionError):
+            simulate_spectrum(_model(), N, M, seed=0)
+
+
+@pytest.mark.parametrize("N,M", [(20, 50), (50, 20), (30, 30)])
+def test_simulate_spectrum_exact_wishart_moments(N, M):
+    # for S = (1/M) Y Y^H with Y = R^(1/2) X and X complex Gaussian,
+    # E tr S = tr R and E tr S^2 = tr R^2 + (tr R)^2 / M exactly
+    model = _model()
+    r = np.repeat(model.rho_array(), multiplicities(model, N))
+    draws = 2000
+    traces = np.empty((draws, 2))
+    for t in range(draws):
+        lam = simulate_spectrum(model, N, M, trial_seed(N * 1000 + M, t)).lambda_hat
+        traces[t] = lam.sum(), (lam**2).sum()
+    exact = np.array([r.sum(), (r**2).sum() + r.sum() ** 2 / M])
+    stderr = traces.std(axis=0, ddof=1) / np.sqrt(draws)
+    assert np.all(np.abs(traces.mean(axis=0) - exact) <= 4 * stderr)
+
+
+@pytest.mark.parametrize("N,M", [(20, 50), (50, 20)])
+def test_simulate_spectrum_matches_observation_spectrum_law(N, M):
+    # the Bartlett draw and the spectrum of a full Y are two samplers of
+    # one law; compare their extreme nonzero eigenvalues
+    model = _model()
+    draws = 600
+    fast = np.array([
+        simulate_spectrum(model, N, M, trial_seed(1, t)).positive_eigenvalues()
+        for t in range(draws)
+    ])
+    full = np.array([
+        sample_spectrum(
+            generate_observations(model, N, M, trial_seed(2, t))
+        ).positive_eigenvalues()
+        for t in range(draws)
+    ])
+    for col in (0, -1):
+        assert ks_2samp(fast[:, col], full[:, col]).pvalue > 0.01
 
 
 def test_trial_seed_distinct():

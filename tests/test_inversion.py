@@ -16,6 +16,7 @@ from coveig import (
     invert_moments_known_multiplicities,
     moments_by_quadrature,
     simulate_spectrum,
+    theta_moment_estimator,
     true_moments,
 )
 
@@ -215,11 +216,18 @@ def test_input_validation():
 def test_moment_estimates_object_accepted():
     model = PopulationModel(rho=(1.0, 3.0, 10.0),
                             weights=(1 / 3, 1 / 3, 1 / 3), aspect=0.1)
-    spectrum = simulate_spectrum(model, 240, 2400, seed=11)
+    M = 2400
+    spectrum = simulate_spectrum(model, 240, M, seed=11)
     est = moments_by_quadrature(spectrum, 3)
     res = invert_moments(est)  # L inferred from the estimate length
+    by_array = invert_moments(est.gamma_hat, L=3)
+    np.testing.assert_array_equal(res.rho_hat, by_array.rho_hat)
+    np.testing.assert_array_equal(res.c_hat, by_array.c_hat)
     assert res.rho_hat.shape == (3,)
-    np.testing.assert_allclose(res.rho_hat, [1.0, 3.0, 10.0], rtol=0.15)
+    # Theta is the covariance of M (estimate - truth), ordered (c, rho);
+    # one draw of the full estimator's rho lands within 5 standard deviations
+    sd_rho = np.sqrt(np.diag(theta_moment_estimator(model).Theta))[3:] / M
+    assert np.all(np.abs(res.rho_hat - model.rho_array()) <= 5 * sd_rho)
     np.testing.assert_allclose(res.c_hat, [1 / 3, 1 / 3, 1 / 3], atol=0.1)
     known = invert_moments_known_multiplicities(est, (1 / 3, 1 / 3, 1 / 3))
     np.testing.assert_allclose(known.rho_hat, [1.0, 3.0, 10.0], rtol=0.15)
