@@ -7,6 +7,12 @@ are exactly the solutions of
 
 which interlace the sample eigenvalues. They drive both the contour moment
 estimators and the baseline cluster estimator.
+
+Two root finders, chosen by the shape. For M > N the roots are the
+eigenvalues of Lambda - s s^T / M (s = sqrt(lambda)), and LAPACK's rank-one
+eigen-solver ``dlasd4`` (Li 1993) finds each one in a few iterations. For
+N >= M one sample eigenvalue is exactly zero, that rank-one form has no
+finite counterpart, and vectorized bisection between the poles is used.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg.lapack import dlasd4
 
 from .ensemble import SampleSpectrum
 from .errors import BracketError, InputError, PoleProximityError
@@ -95,6 +102,8 @@ def companion_transform_nodes(spectrum: SampleSpectrum, z: np.ndarray):
 
 def _merge_coincident(values: np.ndarray):
     """Group ascending positives whose relative gap is below 1e-12."""
+    if np.all(np.diff(values) > _MERGE_RTOL * values[1:]):
+        return values, np.ones(values.size, dtype=np.int64)
     reps, counts = [values[0]], [1]
     for v in values[1:]:
         if v - reps[-1] <= _MERGE_RTOL * max(abs(v), abs(reps[-1])):
@@ -107,15 +116,97 @@ def _merge_coincident(values: np.ndarray):
     return np.asarray(reps), np.asarray(counts, dtype=np.int64)
 
 
-def secular_zeros(spectrum: SampleSpectrum) -> SecularRoots:
-    """Solve the secular equation by bisection between consecutive poles.
+def _interlacing_brackets(dist: np.ndarray, wide: bool):
+    """Open intervals, one per secular root, between consecutive poles.
 
     The rational function is strictly increasing between poles, so each
-    open interval between distinct positive sample eigenvalues brackets
-    exactly one root. When M > N one extra root lies below the smallest
-    positive eigenvalue; when N >= M the convention adds N - M + 1 zeros
-    instead. Bisection runs until the bracket collapses to machine
-    resolution.
+    interval between distinct positive eigenvalues holds exactly one root;
+    when M > N (``wide``) one more lies below the smallest eigenvalue.
+    """
+    lo = np.nextafter(dist[:-1], np.inf)
+    hi = np.nextafter(dist[1:], 0.0)
+    if wide:
+        lo = np.concatenate([[dist[0] * 1e-15], lo])
+        hi = np.concatenate([[np.nextafter(dist[0], 0.0)], hi])
+    return lo, hi
+
+
+def _bisect(g, lo: np.ndarray, hi: np.ndarray):
+    """Vectorized bisection until every bracket is two adjacent floats."""
+    for _ in range(_MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        stalled = (mid <= lo) | (mid >= hi)
+        if stalled.all():
+            return lo, hi
+        up = g(mid) > 0
+        hi = np.where(up & ~stalled, mid, hi)
+        lo = np.where(~up & ~stalled, mid, lo)
+    raise BracketError("secular bisection hit the iteration cap")
+
+
+def _rank_one_roots(dist: np.ndarray, counts: np.ndarray, N: int, M: int):
+    """All K positive roots for M > N, one LAPACK ``dlasd4`` call each.
+
+    The roots are the eigenvalues of Lambda - s s^T / M with s = sqrt(lambda)
+    (matrix determinant lemma), so by Sherman-Morrison 1/mu are those of
+    diag(1/lambda) + u u^T / (M - N) with u = lambda^(-1/2). After deflation
+    that is LAPACK's positive rank-one problem diag(d)^2 + rho z z^T with
+    d = lambda^(-1/2) ascending, z_k proportional to sqrt(count_k / lambda_k)
+    and rho = sum(count_k / lambda_k) / (M - N), solved by Li's "middle way"
+    iteration (Li 1993, "Solving secular equations stably and efficiently").
+    ``dlasd4`` also returns t_k = d_k^2 - sigma^2 to high relative accuracy,
+    and lambda_k - mu = -t_k lambda_k mu; each root is read as that offset
+    from its nearer pole, or from the origin, so the rounding of d cancels.
+    """
+    K = dist.size
+    weight = counts / dist
+    d = np.sqrt(1.0 / dist[::-1])
+    z = np.sqrt(weight[::-1] / weight.sum())
+    rho = weight.sum() / (M - N)
+    # sigma_i ascends as mu descends: sigma_i gives root r = K - 1 - i, which
+    # lies between the poles dist[r - 1] (d index i + 1) and dist[r] (index i)
+    sigma2 = np.empty(K)
+    t_above = np.empty(K)
+    t_below = np.empty(K)
+    for i in range(K):
+        delta, sigma, work, info = dlasd4(i, d, z, rho)
+        if info:
+            raise BracketError(
+                f"dlasd4 did not converge on secular root {i} (info {info})"
+            )
+        r = K - 1 - i
+        sigma2[r] = sigma * sigma
+        t_above[r] = delta[i] * work[i]
+        if i + 1 < K:
+            t_below[r] = delta[i + 1] * work[i + 1]
+    if K == 1:
+        # LAPACK's n = 1 branch returns delta = work = 1; here sigma^2 = d^2 + rho
+        t_above[0] = -rho
+    mu = 1.0 / sigma2
+    below = np.concatenate([[0.0], dist[:-1]])
+    gap_above = -t_above * dist * mu
+    gap_below = t_below * below * mu
+    gap_below[0] = mu[0]  # the smallest root's lower neighbour is the origin
+    return np.where(
+        gap_above <= gap_below, dist - gap_above, below + gap_below
+    )
+
+
+def secular_zeros(spectrum: SampleSpectrum) -> SecularRoots:
+    """Solve the secular equation, one root between each pair of poles.
+
+    Each open interval between distinct positive sample eigenvalues holds
+    exactly one root; when M > N one extra root lies below the smallest
+    positive eigenvalue, and when N >= M the convention adds N - M + 1
+    zeros instead. Two solvers, chosen by the shape:
+
+    - M > N: the roots are the eigenvalues of a positive-definite rank-one
+      update of a diagonal matrix, found by LAPACK's ``dlasd4`` (see
+      ``_rank_one_roots``), then moved one float towards the root when
+      that lowers |g|.
+    - N >= M: one eigenvalue is exactly zero and no finite rank-one form
+      exists, so vectorized bisection runs until each bracket collapses to
+      two adjacent floats and keeps the one with the smaller |g|.
     """
     N, M = spectrum.N, spectrum.M
     pos = spectrum.positive_eigenvalues()
@@ -126,35 +217,24 @@ def secular_zeros(spectrum: SampleSpectrum) -> SecularRoots:
         terms = pos[None, :] / (pos[None, :] - mu[:, None])
         return terms.sum(axis=1) / N - M / N
 
-    lo_list, hi_list = [], []
-    if M > N:
-        lo_list.append(dist[0] * 1e-15)
-        hi_list.append(np.nextafter(dist[0], 0.0))
-    for a, b in zip(dist[:-1], dist[1:]):
-        lo_list.append(np.nextafter(a, np.inf))
-        hi_list.append(np.nextafter(b, 0.0))
-
-    roots = np.empty(0)
-    brackets = np.empty((0, 2))
-    residuals = np.empty(0)
-    if lo_list:
-        lo = np.asarray(lo_list)
-        hi = np.asarray(hi_list)
-        init = np.column_stack([lo, hi])
-        for _ in range(_MAX_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            stalled = (mid <= lo) | (mid >= hi)
-            if stalled.all():
-                break
-            up = g(mid) > 0
-            hi = np.where(up & ~stalled, mid, hi)
-            lo = np.where(~up & ~stalled, mid, lo)
+    lo, hi = _interlacing_brackets(dist, M > N)
+    roots = residuals = np.empty(0)
+    if lo.size:
+        if M > N:
+            a = np.clip(_rank_one_roots(dist, counts, N, M), lo, hi)
+            g_a = g(a)
+            # g increases between poles: only the neighbour on the side its
+            # sign points to can be closer to the root
+            b = np.clip(np.nextafter(a, np.where(g_a > 0, 0.0, np.inf)), lo, hi)
         else:
-            raise BracketError("secular bisection hit the iteration cap")
-        pick_lo = np.abs(g(lo)) <= np.abs(g(hi))
-        roots = np.where(pick_lo, lo, hi)
-        brackets = init
-        residuals = np.abs(g(roots)) * (N / M)
+            a, b = _bisect(g, lo, hi)
+            g_a = g(a)
+        g_b = g(b)
+        # keep whichever float has the smaller |g|; a wins ties
+        take_a = np.abs(g_a) <= np.abs(g_b)
+        roots = np.where(take_a, a, b)
+        residuals = np.abs(np.where(take_a, g_a, g_b)) * (N / M)
+    brackets = np.column_stack([lo, hi])
 
     # repeated eigenvalues are themselves roots, one copy fewer than their
     # multiplicity

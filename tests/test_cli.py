@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import coveig
 from coveig import cli
 
 
@@ -212,3 +216,28 @@ def test_model_file_missing_field(tmp_path, capsys):
     rc = cli.main(["estimate", "--obs", obs, "--model", str(bad)])
     assert rc == 1
     assert "missing model field" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # as in `coveig estimate ... | head -5`: the reader is gone before the
+    # JSON is written
+    model = _write_model(tmp_path)
+    obs = _simulate(tmp_path, model, N=20, M=40)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(coveig.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            # what the `coveig` console script runs
+            [sys.executable, "-c",
+             "import sys; from coveig.cli import main; sys.exit(main())",
+             "estimate", "--obs", obs, "--L", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

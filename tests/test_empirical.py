@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coveig import (
+    BracketError,
     PoleProximityError,
     PopulationModel,
     SampleSpectrum,
@@ -13,6 +16,7 @@ from coveig import (
     secular_zeros,
     simulate_spectrum,
 )
+from coveig import empirical
 
 
 def _spectrum(lam, N, M):
@@ -72,6 +76,26 @@ def _interlaces(mu, lam):
     return bool(np.all(pos_mu < pos_lam[hi]))
 
 
+def _residual_and_bound(spectrum, mu):
+    """|f(mu)| for f = (1/M) sum lambda / (lambda - mu) - 1, and its float floor.
+
+    The float nearest a root leaves |f| <= |f'(mu)| spacing(mu) / 2 in exact
+    arithmetic, and evaluating f in double precision adds about
+    eps (1/M) sum |lambda / (lambda - mu)|; the bound allows four times each.
+    """
+    lam = spectrum.positive_eigenvalues()
+    terms = lam[None, :] / (lam[None, :] - mu[:, None])
+    residual = np.abs(terms.sum(axis=1) / spectrum.M - 1.0)
+    slope = (terms**2 / lam[None, :]).sum(axis=1) / spectrum.M
+    floor = np.finfo(float).eps * np.abs(terms).sum(axis=1) / spectrum.M
+    return residual, 2.0 * slope * np.spacing(mu) + 4.0 * floor
+
+
+def _secular(roots):
+    # true secular roots: neither convention zeros nor repeated eigenvalues
+    return roots.brackets[:, 1] > roots.brackets[:, 0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 100_000), st.integers(2, 40), st.floats(0.2, 3.0))
 def test_secular_structure_random(seed, N, ratio):
@@ -83,7 +107,11 @@ def test_secular_structure_random(seed, N, ratio):
     assert np.all(np.diff(roots.mu_hat) >= 0)
     expected_zeros = N - M + 1 if N >= M else 0
     assert np.sum(roots.mu_hat == 0) == expected_zeros
-    assert roots.residuals.max() <= 1e-12
+    # each root is as close as its float spacing and the rounding of f allow
+    sec = _secular(roots)
+    residual, bound = _residual_and_bound(spectrum, roots.mu_hat[sec])
+    assert np.all(residual <= bound)
+    assert np.all(roots.residuals[sec] <= bound)
     lam_pos = spectrum.positive_eigenvalues()
     pos = roots.mu_hat[roots.mu_hat > 0]
     # every positive root lies strictly below the largest eigenvalue and
@@ -94,6 +122,102 @@ def test_secular_structure_random(seed, N, ratio):
     bracketed = roots.brackets[:, 1] > 0
     assert np.all(roots.mu_hat[bracketed] >= roots.brackets[bracketed, 0])
     assert np.all(roots.mu_hat[bracketed] <= roots.brackets[bracketed, 1])
+
+
+def _coarse_bisection(spectrum, lo, hi, halvings_short=10):
+    # bisection stopped while each bracket still spans 2**halvings_short
+    # floats, keeping the end with the smaller |f|
+    lam, M = spectrum.positive_eigenvalues(), spectrum.M
+
+    def f(mu):
+        return (lam[None, :] / (lam[None, :] - mu[:, None])).sum(axis=1) - M
+
+    while True:
+        mid = 0.5 * (lo + hi)
+        going = hi - lo > 2.0**halvings_short * np.spacing(mid)
+        if not going.any():
+            return np.where(np.abs(f(lo)) <= np.abs(f(hi)), lo, hi)
+        up = f(mid) > 0
+        hi = np.where(going & up, mid, hi)
+        lo = np.where(going & ~up, mid, lo)
+
+
+@pytest.mark.parametrize("N, M", [(30, 45), (38, 25), (40, 41)])
+def test_residual_bound_rejects_inexact_roots(N, M):
+    # negative controls for the bound of test_secular_structure_random
+    model = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=N / M)
+    spectrum = simulate_spectrum(model, N, M, seed=5)
+    roots = secular_zeros(spectrum)
+    sec = _secular(roots)
+    mu, lo, hi = roots.mu_hat[sec], roots.brackets[sec, 0], roots.brackets[sec, 1]
+    side = np.where(np.arange(mu.size) % 2, 1.0, -1.0)
+    pushed = np.clip(mu + 24 * side * np.spacing(mu), lo, hi)
+    residual, bound = _residual_and_bound(spectrum, pushed)
+    assert np.mean(residual > bound) > 0.75
+    residual, bound = _residual_and_bound(
+        spectrum, _coarse_bisection(spectrum, lo, hi)
+    )
+    assert np.mean(residual > bound) > 0.75
+
+
+def _dense_roots(lam, M):
+    # independent oracle: the positive eigenvalues of Lambda - s s^T / M
+    s = np.sqrt(lam)
+    ev = np.linalg.eigvalsh(np.diag(lam) - np.outer(s, s) / M)
+    return ev[ev > 0]
+
+
+def _brackets_exactly(lam, M, mu, rtol):
+    # the exact secular function changes sign across mu (1 -/+ rtol), so a
+    # root lies within rtol of mu; rational arithmetic, no rounding
+    lam = [Fraction(x) for x in lam]
+
+    def f(x):
+        x = Fraction(x)
+        return sum(l / (l - x) for l in lam) - M
+
+    return f(mu * (1 - rtol)) < 0 < f(mu * (1 + rtol))
+
+
+def _wide(rho, N, M):
+    model = PopulationModel(rho=rho, weights=(0.5, 0.5), aspect=N / M)
+    return simulate_spectrum(model, N, M, seed=0)
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [
+        _spectrum([2.0], N=1, M=2),
+        _spectrum([0.7], N=1, M=1000),
+        _wide((1.0, 3.0), 2, 3),
+        _wide((1.0, 3.0), 40, 41),
+        _wide((1.0, 1e4), 20, 80),
+        _wide((1.0, 1e4), 40, 60),
+        _spectrum([1.0, 2.0, 2.0, 5.0], N=4, M=8),
+    ],
+    ids=["N1", "N1-M1000", "M=N+1-small", "M=N+1", "rho1e4-wide",
+         "rho1e4", "tied"],
+)
+def test_rank_one_roots_match_oracles(spectrum):
+    lam, M = spectrum.positive_eigenvalues(), spectrum.M
+    roots = secular_zeros(spectrum)
+    mu = roots.positive()
+    # eigvalsh is accurate to a few eps * lambda_max in absolute terms only
+    atol = 8 * lam.size * np.finfo(float).eps * lam[-1]
+    np.testing.assert_allclose(mu, _dense_roots(lam, M), rtol=1e-12, atol=atol)
+    for root in mu[_secular(roots)[roots.mu_hat > 0]]:
+        assert _brackets_exactly(lam, M, root, rtol=1e-12)
+
+
+def test_rank_one_failure_raises_bracket_error(monkeypatch):
+    def no_convergence(i, d, z, rho):
+        return np.zeros_like(d), 0.0, np.zeros_like(d), 1
+
+    monkeypatch.setattr(empirical, "dlasd4", no_convergence)
+    with pytest.raises(BracketError, match="dlasd4"):
+        secular_zeros(_spectrum([1.0, 3.0], N=2, M=4))
+    # N >= M stays on bisection and never calls it
+    assert secular_zeros(_spectrum([1.0, 3.0], N=3, M=2)).mu_hat.shape == (3,)
 
 
 def test_secular_extra_root_below_smallest_when_wide():
