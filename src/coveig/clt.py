@@ -6,18 +6,25 @@ Gaussian field with covariance kernel
     kappa(z1, z2) = m_u'(z1) m_u'(z2) / (m_u(z1) - m_u(z2))^2
                     - 1/(z1 - z2)^2,
 
-analytic wherever both arguments stay off the limiting support and away
-from the origin, z1 = z2 included: the double poles of its two terms
-cancel. Every covariance here is a double contour integral of kappa
-against powers of 1/m_u, taken over one ellipse per support cluster: the
-integral over clusters k and l runs on the two cluster ellipses, and the
-one over cluster k with itself on cluster k's ellipse in both variables.
-By Cauchy's theorem the sum over all pairs equals the integral over one
-contour pair around the whole support, without stretching one ellipse
-over clusters of very different scales. kappa is evaluated in a form
-that divides out the 1/(z1 - z2)^2 its two terms share, so nearby and
-coincident nodes lose no digits to cancellation. Each integral is
-checked against the half-resolution rule embedded in its nodes, and the
+analytic wherever both arguments stay off the limiting support, z1 = z2
+included: the double poles of its two terms cancel. Every covariance here
+is a double contour integral of kappa against powers of 1/m_u, taken over
+one ellipse per support cluster: the integral over clusters k and l runs
+on the two cluster ellipses, and the one over cluster k with itself on
+cluster k's ellipse in both variables. By Cauchy's theorem the sum over
+all pairs equals the integral over one contour pair around the whole
+support, without stretching one ellipse over clusters of very different
+scales. kappa is evaluated in a form that divides out the 1/(z1 - z2)^2
+its two terms share, so nearby and coincident nodes lose no digits to
+cancellation.
+
+The first cluster's ellipse also holds the origin, which is no
+singularity of these integrands: for c < 1 m_u has a pole there and
+1/m_u vanishes, for c > 1 m_u(0) is finite and positive, and at c = 1
+the support itself starts at 0. So a support edge near the origin (N
+close to M) needs no thin ellipse. Each integral is checked against the
+half-resolution rule embedded in its nodes, entry by entry with every
+order (p, q) divided by s^(p+q), s the support's right edge, and the
 node count doubles until the two agree.
 
 Normalization: all covariances refer to M * (estimate - truth).
@@ -138,6 +145,22 @@ def _blocks(model: PopulationModel, transforms, powers: int, step: int):
     return B
 
 
+def _order_scale(clusters, powers: int):
+    """s^-(p + q) for orders p, q = 1..powers, s the support's right edge.
+
+    An entry of orders (p, q) grows like s^(p + q), so this brings every
+    order to a common size before a check compares them.
+    """
+    p = np.arange(1.0, powers + 1.0)
+    return float(clusters[-1][1]) ** -(p[:, None] + p[None, :])
+
+
+def _scaled_gap(a, b, scale) -> float:
+    """Largest entry-wise |a - b| against 1 + |a|, every entry of orders
+    (p, q) divided by s^(p + q) first (scale from _order_scale)."""
+    return float((np.abs(a - b) * scale / (1.0 + np.abs(a) * scale)).max())
+
+
 def _cluster_pair_integrals(model: PopulationModel, clusters, powers: int,
                             nodes: int):
     """Double integrals of kappa over every pair of support clusters.
@@ -147,9 +170,11 @@ def _cluster_pair_integrals(model: PopulationModel, clusters, powers: int,
     singularity at z1 = z2, so a diagonal block integrates over cluster k's
     contour in both variables and an off-diagonal one over the two
     disjoint cluster contours. The node count doubles until the embedded
-    half rule agrees. Returns (blocks, nodes, self_check_delta, scale).
+    half rule agrees entry by entry, each order scaled by _order_scale.
+    Returns (blocks, nodes, self_check_delta).
     """
     norm = -1.0 / (4.0 * np.pi**2 * model.aspect**2)
+    scale = _order_scale(clusters, powers)
     for attempt in range(_MAX_DOUBLINGS + 1):
         if attempt:
             nodes *= 2
@@ -159,13 +184,12 @@ def _cluster_pair_integrals(model: PopulationModel, clusters, powers: int,
             raise ConvergenceError("companion transform vanishes on a contour")
         full = norm * _blocks(model, transforms, powers, 1)
         half = norm * _blocks(model, transforms, powers, 2)
-        delta = float(np.abs(full - half).max())
-        scale = 1.0 + float(np.abs(full).max())
-        if delta <= _SELF_CHECK_RTOL * scale:
-            return full, nodes, delta, scale
+        delta = _scaled_gap(full, half, scale)
+        if delta <= _SELF_CHECK_RTOL:
+            return full, nodes, delta
     raise ConvergenceError(
         f"CLT quadrature has not converged at {nodes} nodes "
-        f"(delta {delta:.3e})",
+        f"(scaled delta {delta:.3e})",
         residual=delta,
     )
 
@@ -175,19 +199,22 @@ def v_matrix(model: PopulationModel, L: int | None = None, nodes: int = 256):
 
     Integrates kappa / (m_u(z1)^k m_u(z2)^l) over every pair of support
     clusters and sums the blocks. Returns (V, meta); V is symmetrized
-    after recording the raw asymmetry in meta.
+    after recording the raw asymmetry in meta. The imaginary leakage is
+    checked entry by entry, each order scaled by _order_scale.
     """
     if L is None:
         L = model.L
     if L < 1:
         raise InputError("L must be at least 1")
     clusters = support_clusters(model, model.aspect)
-    blocks, nodes, delta, scale = _cluster_pair_integrals(
+    blocks, nodes, delta = _cluster_pair_integrals(
         model, clusters, 2 * L - 1, nodes
     )
     k = np.arange(1, 2 * L)
     full = (-1.0) ** (k[:, None] + k[None, :]) * blocks.sum(axis=(0, 1))
     leakage = float(np.abs(full.imag).max())
+    scaled_leakage = _scaled_gap(full, full.real,
+                                 _order_scale(clusters, 2 * L - 1))
     V = full.real
     asym = float(np.abs(V - V.T).max())
     V = 0.5 * (V + V.T)
@@ -197,8 +224,10 @@ def v_matrix(model: PopulationModel, L: int | None = None, nodes: int = 256):
         "imag_leakage": leakage,
         "asymmetry": asym,
     }
-    if leakage > _LEAKAGE_RTOL * scale:
-        raise ConvergenceError(f"V imaginary leakage {leakage:.3e} too large")
+    if scaled_leakage > _LEAKAGE_RTOL:
+        raise ConvergenceError(
+            f"V imaginary leakage {scaled_leakage:.3e} (scaled) too large"
+        )
     return V, meta
 
 

@@ -4,6 +4,13 @@ Everything here is a counterclockwise ellipse centered on the real axis,
 discretized by the periodic trapezoid rule with nodes offset off the real
 axis, which converges geometrically for integrands analytic in a
 neighborhood of the curve.
+
+No moment or CLT integrand is singular at the origin: where the companion
+transform has a pole there (M > N) its reciprocal vanishes, and otherwise
+the transform is finite and positive there. So the ellipse around the
+whole spectrum, and the one around the first support cluster, cross the
+negative real axis instead of squeezing between zero and the smallest
+eigenvalue; that keeps them admissible at N = M and short on nodes.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Contour:
-    """Closed curve around part of the positive real axis.
+    """Closed curve around an interval of the real axis.
 
     half_width and half_height are the semi-axes around the real center;
     the curve runs counterclockwise. "ellipse" is the only shape.
@@ -71,12 +78,6 @@ class Contour:
         x = np.asarray(x, dtype=float)
         return np.abs(x - self.center) < self.half_width
 
-    def min_distance_to_real(self, x) -> float:
-        """Distance from real point(s) to the discretized curve."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        pts = self.points()
-        return float(np.abs(x[:, None] - pts[None, :]).min())
-
     def with_nodes(self, nodes: int) -> "Contour":
         return replace(self, nodes=int(nodes))
 
@@ -98,61 +99,30 @@ def _ellipse(x0: float, x1: float, clearance: float, nodes: int) -> Contour:
     return Contour("ellipse", center, a, b, nodes)
 
 
-def spectrum_contour(spectrum, secular=None, nodes: int = 1024) -> Contour:
-    """Contour enclosing every positive sample eigenvalue and every positive
-    secular root, excluding the origin.
+def spectrum_contour(spectrum, nodes: int = 128) -> Contour:
+    """Ellipse enclosing the origin, every positive sample eigenvalue and
+    every positive secular root.
 
-    The left crossing sits halfway between zero and the smallest enclosed
-    point; the right crossing sits at 1.5x the largest eigenvalue.
+    It crosses the real axis at -0.3 and 1.3 times the largest eigenvalue,
+    with half-height 0.56 times it. The secular roots interlace the
+    eigenvalues, so all of them lie below the largest one.
     """
-    from .empirical import secular_zeros
-
-    lam = spectrum.positive_eigenvalues()
-    if secular is None:
-        secular = secular_zeros(spectrum)
-    mu = secular.positive()
-    lo = min(lam[0], mu[0] if mu.size else lam[0])
-    hi = lam[-1]
-    x0 = 0.5 * lo
-    x1 = 1.5 * hi
-    if x0 < 1e-3 * hi:
-        raise ContourError(
-            f"smallest enclosed point {lo:.3e} is too close to the origin "
-            f"relative to lambda_max {hi:.3e}; no admissible contour"
-        )
-    cont = _ellipse(x0, x1, 0.5 * lo, nodes)
-    _check_clearance(cont, np.concatenate([lam, mu]), hi)
-    return cont
-
-
-def _check_clearance(cont: Contour, enclosed: np.ndarray, lam_max: float):
-    if np.any(~cont.contains_real(enclosed)):
-        raise ContourError("contour fails to enclose a required point")
-    if cont.min_distance_to_real(enclosed) < 1e-3 * lam_max:
-        raise ContourError(
-            "an eigenvalue or secular root lies within 1e-3 * lambda_max "
-            "of the contour"
-        )
+    hi = spectrum.positive_eigenvalues()[-1]
+    return Contour("ellipse", 0.5 * hi, 0.8 * hi, 0.56 * hi, nodes)
 
 
 def cluster_contours(clusters, k: int, nodes: int = 256) -> Contour:
-    """Ellipse around cluster k only, clear of its neighbors and the origin.
+    """Ellipse around cluster k only, clear of its neighbors.
 
-    The origin is no singularity of the CLT integrands, so the first
-    cluster's ellipse crosses nearer to it than to a neighboring cluster;
-    the wider clearance from the cluster edge speeds up the quadrature
-    when the support starts close to the origin.
+    The first cluster's ellipse also encloses the origin, which is no
+    singularity of the CLT integrands: it crosses the negative axis at
+    -0.3 times the cluster's right end, so a support that starts at or near
+    the origin (N close to M) stays well inside it.
     """
     lo, hi = clusters[k]
-    left_gap = lo - clusters[k - 1][1] if k > 0 else lo
+    x0 = -0.3 * hi if k == 0 else lo - 0.35 * (lo - clusters[k - 1][1])
     right_gap = clusters[k + 1][0] - hi if k + 1 < len(clusters) else 0.6 * hi
-    if k == 0 and lo <= 0:
-        raise ContourError(
-            "the support reaches the origin (as at N = M); no contour can "
-            "enclose it and exclude the origin"
-        )
-    if left_gap <= 0 or right_gap <= 0:
+    x1 = hi + 0.35 * right_gap
+    if x0 >= lo or x1 <= hi:
         raise ContourError("clusters overlap; cannot isolate one")
-    left = (0.65 if k == 0 else 0.35) * left_gap
-    right = 0.35 * right_gap
-    return _ellipse(lo - left, hi + right, min(left, right), nodes)
+    return _ellipse(x0, x1, min(lo - x0, x1 - hi), nodes)

@@ -3,8 +3,10 @@
 Both estimators evaluate the same contour integrals of the empirical
 companion transform m(z): the first moment comes from the log-derivative
 integrand z m'(z)/m(z), higher ones from 1/m(z)^(ell-1). The quadrature
-route discretizes an enclosing contour; the residue route sums the exact
-residues at the secular roots and serves as an independent cross-check.
+route discretizes one ellipse around the whole spectrum and the origin,
+where neither integrand is singular, so the same rule serves N < M, N = M
+and N > M; the residue route sums the exact residues at the secular roots
+and serves as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .contours import Contour, _check_clearance, spectrum_contour
+from .contours import Contour, spectrum_contour
 from .empirical import SecularRoots, companion_transform_nodes, secular_zeros
 from .ensemble import SampleSpectrum
 from .errors import (
@@ -45,15 +47,10 @@ class MomentEstimates:
     node_count: int
 
 
-def _raw_quadrature(spectrum: SampleSpectrum, L: int, pts, weights):
-    """Complex moment integrals on given nodes; gamma_hat_0 is exact."""
+def _raw_quadrature(spectrum: SampleSpectrum, L: int, pts, weights, m, m_prime):
+    """Complex moment integrals from the transform m, m' on the nodes pts;
+    gamma_hat_0 is exact."""
     N, M = spectrum.N, spectrum.M
-    m, m_prime = companion_transform_nodes(spectrum, pts)
-    if np.abs(m).min() < 1e-10:
-        raise ContourError(
-            "companion transform nearly vanishes on the contour; a secular "
-            "root must be grazing the curve"
-        )
     raw = np.empty(2 * L, dtype=complex)
     raw[0] = 1.0
     two_pi_i = 2j * np.pi
@@ -77,10 +74,12 @@ def moments_by_quadrature(
 ) -> MomentEstimates:
     """Moments by contour quadrature with an internal convergence check.
 
-    Each estimate is compared against the half-resolution rule embedded in
-    the same node set; with an auto-built contour the node count doubles
+    The default contour is `spectrum_contour` at 128 nodes. Each estimate
+    is compared against the half-resolution rule embedded in the same node
+    set; with an auto-built contour the node count doubles (up to 1024)
     until the two agree, otherwise disagreement raises with a suggestion
-    to double the nodes.
+    to double the nodes. A caller's contour must enclose every positive
+    eigenvalue and secular root; whether it holds the origin is immaterial.
     """
     if L < 1:
         raise InputError("L must be at least 1")
@@ -88,21 +87,27 @@ def moments_by_quadrature(
         secular = secular_zeros(spectrum)
     auto = contour is None
     if auto:
-        contour = spectrum_contour(spectrum, secular)
+        contour = spectrum_contour(spectrum)
     else:
         enclosed = np.concatenate(
             [spectrum.positive_eigenvalues(), secular.positive()]
         )
-        if contour.contains_real(0.0):
-            raise ContourError("contour must exclude the origin")
-        _check_clearance(contour, enclosed, spectrum.positive_eigenvalues()[-1])
+        if not contour.contains_real(enclosed).all():
+            raise ContourError("contour fails to enclose a required point")
 
     for attempt in range(_MAX_DOUBLINGS + 1):
         pts, weights = contour.points(), contour.dz()
-        raw = _raw_quadrature(spectrum, L, pts, weights)
+        m, m_prime = companion_transform_nodes(spectrum, pts)
+        if np.abs(m).min() < 1e-10:
+            raise ContourError(
+                "companion transform nearly vanishes on the contour; a "
+                "secular root must be grazing the curve"
+            )
+        raw = _raw_quadrature(spectrum, L, pts, weights, m, m_prime)
         # every other node of the offset trapezoid rule is again a uniform
-        # rule at half resolution
-        raw_half = _raw_quadrature(spectrum, L, pts[::2], 2.0 * weights[::2])
+        # rule at half resolution, on the transform already computed there
+        raw_half = _raw_quadrature(spectrum, L, pts[::2], 2.0 * weights[::2],
+                                   m[::2], m_prime[::2])
         delta = np.abs(raw - raw_half) / (1.0 + np.abs(raw))
         if delta.max() <= _SELF_CHECK_RTOL:
             break

@@ -6,10 +6,10 @@ import pytest
 from coveig import (
     ConditioningError,
     Contour,
-    ContourError,
     InputError,
     PopulationModel,
     SeparabilityError,
+    cluster_contours,
     kernel_kappa,
     m_underline_derivative,
     simulate_spectrum,
@@ -18,6 +18,7 @@ from coveig import (
     theta_moment_estimator,
     v_matrix,
 )
+from coveig import clt
 from coveig.limiting import solve_m_underline_grid
 
 TWO_ATOM = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.5)
@@ -82,12 +83,65 @@ def test_v_contour_independence():
                                rtol=1e-9, atol=1e-9)
 
 
-def test_v_rejects_support_at_origin():
-    # at N = M the support starts at 0, which no contour can exclude
-    square = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=1.0)
-    assert support_clusters(square, 1.0)[0][0] == 0.0
-    with pytest.raises(ContourError, match="support reaches the origin"):
-        v_matrix(square)
+NEAR_SQUARE_RHO = pytest.mark.parametrize(
+    "rho", [(1.0,), (1.0, 3.0), (1.0, 3.0, 10.0)],
+    ids=["one_atom", "two_atoms", "three_atoms"],
+)
+
+
+@NEAR_SQUARE_RHO
+def test_v_at_square_aspect_is_contour_independent(rho):
+    # at N = M the support starts at 0 and m_u has a branch point there, so
+    # the first ellipse must hold the origin; a second, differently sized
+    # first ellipse must give the same V, and V_11 its closed form
+    model = PopulationModel(rho=rho, weights=(1 / len(rho),) * len(rho),
+                            aspect=1.0)
+    clusters = support_clusters(model, 1.0)
+    assert clusters[0][0] == 0.0
+    V, meta = v_matrix(model)
+    assert meta["nodes"] == 256
+
+    def other(clusters, k, nodes):
+        if k:
+            return cluster_contours(clusters, k, nodes)
+        hi = clusters[0][1]
+        x1 = 0.5 * (hi + (clusters[1][0] if len(clusters) > 1 else 2 * hi))
+        return Contour("ellipse", 0.5 * (x1 - 0.8 * hi),
+                       0.5 * (x1 + 0.8 * hi), 0.3 * hi, nodes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clt, "cluster_contours", other)
+        V_other, _ = v_matrix(model)
+    np.testing.assert_allclose(V_other, V, rtol=1e-12, atol=0)
+    gamma2 = np.dot(model.weights_array(), model.rho_array() ** 2)
+    assert abs(V[0, 0] - gamma2) <= 1e-12 * gamma2
+
+
+@pytest.mark.parametrize("aspect", [0.9, 0.99, 1.0, 1.01, 1.1, 2.0])
+@NEAR_SQUARE_RHO
+def test_v11_closed_form_near_square(rho, aspect):
+    # V_11 = gamma_2 / c holds at every aspect; the first ellipse crosses
+    # the negative axis, so a support edge near the origin costs no nodes
+    model = PopulationModel(rho=rho, weights=(1 / len(rho),) * len(rho),
+                            aspect=aspect)
+    V, meta = v_matrix(model)
+    expected = np.dot(model.weights_array(), model.rho_array() ** 2) / aspect
+    assert abs(V[0, 0] - expected) <= 1e-12 * expected
+    assert meta["nodes"] == 256
+
+
+def test_scaled_self_check_sees_low_orders():
+    # on clusters four decades apart V runs from about 7e8 (order 1) to
+    # 1e41 (order 5); compared against 1 + the largest entry, a 1e-6
+    # relative error in V_11 passes unseen, compared order by order it fails
+    V, meta = v_matrix(WIDE_SCALES)
+    assert meta["self_check_delta"] <= clt._SELF_CHECK_RTOL
+    bumped = V.copy()
+    bumped[0, 0] *= 1.0 + 1e-6
+    scale = clt._order_scale(support_clusters(WIDE_SCALES, WIDE_SCALES.aspect),
+                             V.shape[0])
+    assert clt._scaled_gap(bumped, V, scale) > clt._SELF_CHECK_RTOL
+    assert np.abs(bumped - V).max() <= clt._SELF_CHECK_RTOL * (1 + np.abs(V).max())
 
 
 def test_theta_refuses_wide_scales_by_conditioning():

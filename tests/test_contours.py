@@ -8,6 +8,9 @@ from coveig import (
     ContourError,
     PopulationModel,
     cluster_contours,
+    moments_by_quadrature,
+    moments_by_residues,
+    secular_zeros,
     simulate_spectrum,
     spectrum_contour,
 )
@@ -76,8 +79,10 @@ def test_contains_and_distance():
     assert cont.contains_real(2.0)
     assert cont.contains_real(np.array([1.5, 2.5])).all()
     assert not cont.contains_real(3.5)
-    assert cont.min_distance_to_real(2.0) > 0.35
-    assert cont.min_distance_to_real(1.0) < 0.1
+    # distance from a real point to the discretized curve
+    dist = lambda x: np.abs(cont.points() - x).min()
+    assert dist(2.0) > 0.35
+    assert dist(1.0) < 0.1
 
 
 def test_with_nodes_and_scaled():
@@ -100,27 +105,35 @@ def test_invalid_contours_raise(kwargs):
         Contour(**kwargs)
 
 
-def test_spectrum_contour_encloses_everything_but_origin():
+@pytest.mark.parametrize("N,M", [(60, 600), (100, 100), (120, 60)])
+def test_spectrum_contour_encloses_spectrum_and_origin(N, M):
+    # no moment integrand is singular at the origin, so the contour crosses
+    # the negative axis, whatever the aspect, and holds every eigenvalue
+    # and secular root
     model = PopulationModel(rho=(1.0, 3.0, 10.0),
-                            weights=(1 / 3, 1 / 3, 1 / 3), aspect=0.1)
-    spectrum = simulate_spectrum(model, 60, 600, seed=5)
+                            weights=(1 / 3, 1 / 3, 1 / 3), aspect=N / M)
+    spectrum = simulate_spectrum(model, N, M, seed=5)
     cont = spectrum_contour(spectrum)
     lam = spectrum.positive_eigenvalues()
-    assert cont.contains_real(lam).all()
-    assert not cont.contains_real(0.0)
-    from coveig import secular_zeros
-
     mu = secular_zeros(spectrum).positive()
-    assert cont.contains_real(mu).all()
-    assert cont.min_distance_to_real(np.concatenate([lam, mu])) > 1e-3 * lam[-1]
+    assert cont.contains_real(np.concatenate([lam, mu, [0.0]])).all()
+    assert cont.nodes == 128
+    assert cont.center - cont.half_width == pytest.approx(-0.3 * lam[-1])
+    assert cont.center + cont.half_width == pytest.approx(1.3 * lam[-1])
 
 
-def test_spectrum_contour_rejects_near_origin_support():
+def test_spectrum_contour_admits_near_origin_support():
+    # an eigenvalue a millionth of the largest one used to leave no room
+    # between the origin and the spectrum; enclosing the origin, the
+    # quadrature agrees with the residues
     lam = np.array([1e-6, 1.0])
     spectrum = SampleSpectrum(N=2, M=2, lambda_hat=lam,
                               lambda_hat_companion=lam, seed=0)
-    with pytest.raises(ContourError):
-        spectrum_contour(spectrum)
+    cont = spectrum_contour(spectrum)
+    assert cont.contains_real(np.array([0.0, 1e-6, 1.0])).all()
+    np.testing.assert_allclose(moments_by_quadrature(spectrum, 2).gamma_hat,
+                               moments_by_residues(spectrum, 2).gamma_hat,
+                               rtol=0, atol=1e-12)
 
 
 CLUSTERS = [(0.7, 1.4), (2.2, 3.4), (8.0, 12.0)]
@@ -131,7 +144,8 @@ def test_cluster_contour_isolates_one_cluster(k):
     cont = cluster_contours(CLUSTERS, k)
     lo, hi = CLUSTERS[k]
     assert cont.contains_real(np.array([lo, hi])).all()
-    assert not cont.contains_real(0.0)
+    # only the first cluster's ellipse holds the origin
+    assert cont.contains_real(0.0) == (k == 0)
     for j, (a, b) in enumerate(CLUSTERS):
         if j != k:
             assert not cont.contains_real(np.array([a, b])).any()
@@ -140,3 +154,13 @@ def test_cluster_contour_isolates_one_cluster(k):
 def test_cluster_contours_reject_overlap():
     with pytest.raises(ContourError):
         cluster_contours([(1.0, 2.0), (1.9, 3.0)], 1)
+    with pytest.raises(ContourError):
+        cluster_contours([(1.0, 2.0), (1.9, 3.0)], 0)
+
+
+def test_first_cluster_contour_holds_support_at_origin():
+    # at N = M the support starts at 0; the first ellipse crosses the
+    # negative axis at -0.3 times the cluster's right end
+    cont = cluster_contours([(0.0, 4.0)], 0)
+    assert cont.center - cont.half_width == pytest.approx(-1.2)
+    assert cont.contains_real(np.array([0.0, 4.0])).all()

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy import stats
 
+import coveig
 from coveig import (
     CltHistogram,
     ExperimentConfig,
@@ -167,6 +174,48 @@ def test_clt_histogram_variance_roughly_matches_prediction():
                              method="moment_full")
     ratio = hist.empirical_var / hist.predicted_var
     assert np.all(ratio > 0.6) and np.all(ratio < 1.6)
+
+
+def test_clt_histogram_statistics_match_scipy_stats():
+    # the closed-form overlay and the KS distance from ndtr must be the
+    # values scipy.stats gives, without the package importing it
+    hist = run_clt_histogram(MODEL, 30, 60, trials=80, master_seed=8,
+                             method="moment_full", bins=10)
+    good = hist.deviations[~np.isnan(hist.deviations[:, 0])]
+    for k in range(MODEL.L):
+        sigma = np.sqrt(hist.predicted_var[k])
+        pdf = stats.norm.pdf(hist.overlay_x[k], scale=sigma)
+        np.testing.assert_allclose(hist.overlay_pdf[k], pdf, rtol=1e-15, atol=0)
+        z = (good[:, k] - good[:, k].mean()) / good[:, k].std(ddof=1)
+        ks = stats.kstest(z, "norm").statistic
+        assert abs(hist.ks_statistic[k] - ks) <= 1e-15
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(coveig.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, coveig; sys.exit('scipy.stats' in sys.modules)"],
+        env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+
+
+def test_clt_histogram_near_square_aspect():
+    # criterion 5 at aspect 0.95, where the first support cluster starts
+    # near the origin: variance ratios within 15%, widened by 5 standard
+    # errors at this trial count, and KS below 0.05 plus its 1e-6 tail
+    # quantile (Dvoretzky-Kiefer-Wolfowitz)
+    near = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.95)
+    hist = run_clt_histogram(near, 114, 120, trials=400, master_seed=95)
+    n = 400 - hist.failure_count
+    ratio = hist.empirical_var / hist.predicted_var
+    log_tol = math.log1p(0.15) + 5.0 * math.sqrt(2.0 / (n - 1))
+    ks_tol = 0.05 + math.sqrt(math.log(2.0 / 1e-6) / 2.0) / math.sqrt(n)
+    assert np.all(np.abs(np.log(ratio)) <= log_tol)
+    assert np.all(hist.ks_statistic <= ks_tol)
 
 
 def test_clt_histogram_rejects_unknown_method():

@@ -8,6 +8,7 @@ from coveig import (
     Contour,
     ContourError,
     ConvergenceError,
+    CoveigError,
     IllConditionedResidueError,
     InputError,
     PopulationModel,
@@ -138,12 +139,25 @@ def test_explicit_contour_accepted():
     assert est.node_count == 2048
 
 
-def test_contour_containing_origin_rejected():
+def test_contour_containing_origin_accepted():
+    # 1/m and z m'/m are regular at the origin (m has a pole there when
+    # M > N), so a caller's contour may enclose it and the moments agree
     spectrum = _fixed_spectrum()
-    bad = Contour("ellipse", center=1.5, half_width=2.0, half_height=0.8,
-                  nodes=512)
-    with pytest.raises(ContourError):
-        moments_by_quadrature(spectrum, 2, contour=bad)
+    wide = Contour("ellipse", center=1.5, half_width=2.0, half_height=0.8,
+                   nodes=512)
+    est = moments_by_quadrature(spectrum, 3, contour=wide)
+    np.testing.assert_allclose(est.gamma_hat, FROZEN, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+def test_contour_grazing_eigenvalue_raises(eps):
+    # the curve passes eps past the largest eigenvalue, a pole of the
+    # log-derivative integrand: the half-rule check must refuse it
+    spectrum = _fixed_spectrum()
+    grazing = Contour("ellipse", center=1.5, half_width=1.5 + eps,
+                      half_height=0.8, nodes=512)
+    with pytest.raises(CoveigError):
+        moments_by_quadrature(spectrum, 3, contour=grazing)
 
 
 def test_contour_missing_eigenvalue_rejected():
@@ -193,15 +207,29 @@ def test_residues_reject_squeezed_roots():
         moments_by_residues(spectrum, 2)
 
 
-def test_square_aspect_has_no_admissible_contour():
-    # at N = M the sample support touches the origin, so no contour can
-    # separate the spectrum from zero; the residue route still works
+def test_square_aspect_quadrature_matches_residues():
+    # at N = M the sample support reaches the origin, but m(0) is finite
+    # and positive, so the contour through the negative axis is admissible
     model = PopulationModel(rho=(1.0, 4.0), weights=(0.5, 0.5), aspect=1.0)
     spectrum = simulate_spectrum(model, 25, 25, seed=2)
-    with pytest.raises(ContourError):
-        moments_by_quadrature(spectrum, 1)
-    est = moments_by_residues(spectrum, 1)
-    assert abs(est.gamma_hat[1] - spectrum.lambda_hat.mean()) < 1e-12 * 3
+    q = moments_by_quadrature(spectrum, 2)
+    r = moments_by_residues(spectrum, 2)
+    np.testing.assert_allclose(q.gamma_hat, r.gamma_hat, rtol=1e-12)
+    assert abs(q.gamma_hat[1] - spectrum.lambda_hat.mean()) < 1e-12 * 3
+
+
+@pytest.mark.parametrize("aspect", [0.9, 0.99, 1.0, 1.01, 1.1, 2.0])
+def test_quadrature_matches_residues_near_square(aspect):
+    # the regime where dimension and sample count are of the same order;
+    # the first contour of 128 nodes passes the half-rule check
+    M = 200
+    model = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=aspect)
+    for seed in range(5):
+        spectrum = simulate_spectrum(model, round(aspect * M), M, seed)
+        q = moments_by_quadrature(spectrum, 2)
+        r = moments_by_residues(spectrum, 2)
+        np.testing.assert_allclose(q.gamma_hat, r.gamma_hat, rtol=1e-12)
+        assert q.node_count == 128
 
 
 def test_invalid_order_rejected():
