@@ -3,7 +3,6 @@ multiplicities from the spectrum of a large sample covariance matrix."""
 
 from .clt import (
     CltCovariance,
-    kernel_kappa,
     theta_mestre,
     theta_moment_estimator,
     v_matrix,
@@ -17,7 +16,6 @@ from .empirical import SecularRoots, empirical_m, secular_zeros
 from .ensemble import (
     SampleSpectrum,
     generate_observations,
-    hermitian_eigenvalues,
     read_observations,
     sample_spectrum,
     simulate_spectrum,
@@ -56,18 +54,11 @@ from .inversion import (
 )
 from .limiting import (
     DensityCurve,
-    StieltjesValue,
     density_curve,
     is_separable,
-    m_underline_derivative,
-    solve_m_underline,
     support_clusters,
 )
-from .mestre import (
-    ClusterAssignment,
-    cluster_assignment,
-    mestre_estimate,
-)
+from .mestre import mestre_estimate
 from .model import PopulationModel, multiplicities, true_moments
 from .moments import MomentEstimates, moments_by_quadrature, moments_by_residues
 
@@ -77,8 +68,6 @@ __all__ = [
     "BracketError",
     "CltCovariance",
     "CltHistogram",
-    "ClusterAssignment",
-    "cluster_assignment",
     "ConditioningError",
     "Contour",
     "ContourError",
@@ -102,18 +91,14 @@ __all__ = [
     "SampleSpectrum",
     "SecularRoots",
     "SeparabilityError",
-    "StieltjesValue",
     "SweepRow",
     "cluster_contours",
     "density_curve",
     "empirical_m",
     "generate_observations",
-    "hermitian_eigenvalues",
     "invert_moments",
     "invert_moments_known_multiplicities",
     "is_separable",
-    "kernel_kappa",
-    "m_underline_derivative",
     "mestre_estimate",
     "moments_by_quadrature",
     "moments_by_residues",
@@ -124,7 +109,6 @@ __all__ = [
     "sample_spectrum",
     "secular_zeros",
     "simulate_spectrum",
-    "solve_m_underline",
     "spectrum_contour",
     "support_clusters",
     "theta_mestre",

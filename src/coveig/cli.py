@@ -39,17 +39,23 @@ from .moments import moments_by_quadrature, moments_by_residues
 SCHEMA_VERSION = 1
 
 
-def _load_model(path) -> PopulationModel:
+def _model(raw) -> PopulationModel:
+    return PopulationModel(
+        rho=tuple(raw["rho"]),
+        weights=tuple(raw["weights"]),
+        aspect=float(raw["aspect"]),
+    )
+
+
+def _load(path, build=_model, kind="model"):
+    """build(raw) on the JSON document at path; a missing key is an
+    InputError naming the file and the key, not a KeyError traceback."""
     with open(path) as fh:
         raw = json.load(fh)
     try:
-        return PopulationModel(
-            rho=tuple(raw["rho"]),
-            weights=tuple(raw["weights"]),
-            aspect=float(raw["aspect"]),
-        )
+        return build(raw)
     except KeyError as exc:
-        raise InputError(f"{path}: missing model field {exc}") from exc
+        raise InputError(f"{path}: missing {kind} field {exc}") from exc
 
 
 def _dump_json(obj, path):
@@ -62,7 +68,7 @@ def _dump_json(obj, path):
 
 
 def _cmd_simulate(args) -> int:
-    model = _load_model(args.model)
+    model = _load(args.model)
     Y = generate_observations(model, args.N, args.M, args.seed)
     write_observations(args.out, Y, seed=args.seed)
     print(f"wrote {args.N} x {args.M} observations to {args.out}")
@@ -72,7 +78,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     Y, seed = read_observations(args.obs)
     spectrum = sample_spectrum(Y, seed=seed)
-    model = _load_model(args.model) if args.model else None
+    model = _load(args.model) if args.model else None
     L = args.L if args.L is not None else (model.L if model else None)
     if L is None:
         raise InputError("need --L or --model to fix the number of eigenvalues")
@@ -129,7 +135,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    model = _load_model(args.model)
+    model = _load(args.model)
     curve = density_curve(
         model, model.aspect, grid_spec=args.step, epsilon=args.epsilon
     )
@@ -166,15 +172,9 @@ def _sizes_from_config(raw, model) -> tuple[tuple[int, int], ...]:
     raise InputError("sweep config needs 'sizes' ([[N, M], ...]) or 'N' list")
 
 
-def _cmd_mse_sweep(args) -> int:
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    model = PopulationModel(
-        rho=tuple(raw["model"]["rho"]),
-        weights=tuple(raw["model"]["weights"]),
-        aspect=float(raw["model"]["aspect"]),
-    )
-    config = ExperimentConfig(
+def _sweep_config(raw) -> ExperimentConfig:
+    model = _model(raw["model"])
+    return ExperimentConfig(
         model=model,
         sizes=_sizes_from_config(raw, model),
         trials=int(raw["trials"]),
@@ -183,9 +183,13 @@ def _cmd_mse_sweep(args) -> int:
         infeasible=raw.get("infeasible", "exclude"),
         moment_route=raw.get("moment_route", "quadrature"),
     )
+
+
+def _cmd_mse_sweep(args) -> int:
+    config = _load(args.config, _sweep_config, "config")
     log = print if args.verbose else None
     report = run_mse_sweep(config, log=log)
-    L = model.L
+    L = config.model.L
     with open(args.out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["method", "N", "M", "mse_db", "failure_count",
@@ -204,16 +208,10 @@ def _cmd_mse_sweep(args) -> int:
     return 0
 
 
-def _cmd_clt_check(args) -> int:
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    model = PopulationModel(
-        rho=tuple(raw["model"]["rho"]),
-        weights=tuple(raw["model"]["weights"]),
-        aspect=float(raw["model"]["aspect"]),
-    )
-    hist = run_clt_histogram(
-        model,
+def _clt_config(raw) -> dict:
+    """Keyword arguments of run_clt_histogram."""
+    return dict(
+        model=_model(raw["model"]),
         N=int(raw["N"]),
         M=int(raw["M"]),
         trials=int(raw["trials"]),
@@ -221,12 +219,17 @@ def _cmd_clt_check(args) -> int:
         method=raw.get("method", "moment_full"),
         bins=int(raw.get("bins", 40)),
     )
+
+
+def _cmd_clt_check(args) -> int:
+    config = _load(args.config, _clt_config, "config")
+    hist = run_clt_histogram(**config)
     out = {
         "schema_version": SCHEMA_VERSION,
         "method": hist.method,
         "N": hist.N,
         "M": hist.M,
-        "trials": int(raw["trials"]),
+        "trials": config["trials"],
         "failure_count": hist.failure_count,
         "predicted_var": list(hist.predicted_var),
         "empirical_var": list(hist.empirical_var),

@@ -44,7 +44,6 @@ from .model import PopulationModel
 
 __all__ = [
     "CltCovariance",
-    "kernel_kappa",
     "v_matrix",
     "theta_moment_estimator",
     "theta_mestre",
@@ -101,17 +100,6 @@ def _kappa_matrix(model: PopulationModel, m1, m2):
     d11 = phi1**2 @ g
     d22 = phi2**2 @ g
     return -num / (d11[:, None] * d22[None, :] * d12**2)
-
-
-def kernel_kappa(model: PopulationModel, z1: complex, z2: complex) -> complex:
-    """Covariance kernel at one pair of points off the support (z1 != z2)."""
-    z1, z2 = complex(z1), complex(z2)
-    if z1 == z2:
-        raise InputError("kernel requires two distinct points")
-    m, _ = solve_m_underline_grid(model, model.aspect, np.array([z1, z2]))
-    # kappa is symmetric; one fixed argument order makes the value exactly so
-    a, b = sorted(m, key=lambda v: (v.real, v.imag))
-    return complex(_kappa_matrix(model, np.array([a]), np.array([b]))[0, 0])
 
 
 def _inverse_power_rows(m, weights, max_power: int):
@@ -180,7 +168,9 @@ def _cluster_pair_integrals(model: PopulationModel, clusters, powers: int,
             nodes *= 2
         transforms = [_transform_on(model, cluster_contours(clusters, k, nodes))
                       for k in range(len(clusters))]
-        if min(np.abs(m).min() for _, m in transforms) < 1e-10:
+        # |m_u| is about 1/|z| on a contour, so the floor is relative to
+        # the support's right edge
+        if min(np.abs(m).min() for _, m in transforms) * clusters[-1][1] < 1e-10:
             raise ConvergenceError("companion transform vanishes on a contour")
         full = norm * _blocks(model, transforms, powers, 1)
         half = norm * _blocks(model, transforms, powers, 2)

@@ -33,19 +33,16 @@ __all__ = [
 class Contour:
     """Closed curve around an interval of the real axis.
 
-    half_width and half_height are the semi-axes around the real center;
-    the curve runs counterclockwise. "ellipse" is the only shape.
+    An ellipse: half_width and half_height are the semi-axes around the
+    real center, and the curve runs counterclockwise.
     """
 
-    shape: str
     center: float
     half_width: float
     half_height: float
     nodes: int
 
     def __post_init__(self):
-        if self.shape != "ellipse":
-            raise ContourError(f"unknown contour shape {self.shape!r}")
         if self.half_width <= 0 or self.half_height <= 0:
             raise ContourError("contour extents must be positive")
         if self.nodes < 16:
@@ -81,13 +78,6 @@ class Contour:
     def with_nodes(self, nodes: int) -> "Contour":
         return replace(self, nodes=int(nodes))
 
-    def scaled(self, factor_w: float, factor_h: float) -> "Contour":
-        return replace(
-            self,
-            half_width=self.half_width * factor_w,
-            half_height=self.half_height * factor_h,
-        )
-
 
 def _ellipse(x0: float, x1: float, clearance: float, nodes: int) -> Contour:
     center = 0.5 * (x0 + x1)
@@ -96,7 +86,7 @@ def _ellipse(x0: float, x1: float, clearance: float, nodes: int) -> Contour:
     # margin above and below the real axis against the curve length
     b = np.sqrt(max(clearance, 1e-12 * a) * a)
     b = min(max(b, 0.02 * a), 0.75 * a)
-    return Contour("ellipse", center, a, b, nodes)
+    return Contour(center, a, b, nodes)
 
 
 def spectrum_contour(spectrum, nodes: int = 128) -> Contour:
@@ -108,7 +98,7 @@ def spectrum_contour(spectrum, nodes: int = 128) -> Contour:
     eigenvalues, so all of them lie below the largest one.
     """
     hi = spectrum.positive_eigenvalues()[-1]
-    return Contour("ellipse", 0.5 * hi, 0.8 * hi, 0.56 * hi, nodes)
+    return Contour(0.5 * hi, 0.8 * hi, 0.56 * hi, nodes)
 
 
 def cluster_contours(clusters, k: int, nodes: int = 256) -> Contour:

@@ -30,7 +30,6 @@ __all__ = [
     "SampleSpectrum",
     "complex_gaussian",
     "generate_observations",
-    "hermitian_eigenvalues",
     "sample_spectrum",
     "simulate_spectrum",
     "trial_seed",
@@ -110,24 +109,6 @@ def _realized_scale(model: PopulationModel, N: int, M: int) -> NDArray[np.float6
     if N < 1 or M < 1:
         raise DimensionError(f"need N >= 1 and M >= 1, got N={N}, M={M}")
     return np.sqrt(np.repeat(model.rho_array(), multiplicities(model, N)))
-
-
-def hermitian_eigenvalues(A: np.ndarray) -> NDArray[np.float64]:
-    """Ascending real eigenvalues of a Hermitian matrix.
-
-    Rejects inputs whose Hermitian defect exceeds 1e-12 relative to the
-    largest entry instead of silently symmetrizing them.
-    """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InputError("matrix has non-finite entries")
-    scale = np.abs(A).max() if A.size else 0.0
-    defect = np.abs(A - A.conj().T).max()
-    if defect > 1e-12 * (1.0 + scale):
-        raise InputError(f"matrix is not Hermitian (defect {defect:.3e})")
-    return np.linalg.eigvalsh(A)
 
 
 def sample_spectrum(observations: np.ndarray, seed: int = 0) -> SampleSpectrum:

@@ -3,8 +3,7 @@
 Reproduces the package's headline numbers: mean-squared-error sweeps of the
 competing estimators across problem sizes, and histogram checks of the
 asymptotic normality predictions. Every trial draws its seed from
-(master_seed, trial_index), so runs are reproducible and trivially
-splittable across processes.
+(master_seed, trial_index), so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = _METHODS
     infeasible: str = "exclude"
     moment_route: str = "quadrature"
-    trial_offset: int = 0
 
     def __post_init__(self):
         sizes = tuple((int(n), int(m)) for n, m in self.sizes)
@@ -153,7 +151,7 @@ def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
         moment_time = 0.0
 
         for t in range(config.trials):
-            seed = trial_seed(config.master_seed, config.trial_offset + t)
+            seed = trial_seed(config.master_seed, t)
             t0 = time.perf_counter()
             spectrum = simulate_spectrum(model, N, M, seed)
             secular = secular_zeros(spectrum)
@@ -269,7 +267,6 @@ def run_clt_histogram(
     master_seed: int,
     method: str = "moment_full",
     bins: int = 40,
-    nodes: int = 256,
 ) -> CltHistogram:
     """Histogram of M * (rho_hat - rho) against the predicted normal law.
 
@@ -286,9 +283,9 @@ def run_clt_histogram(
     rho = model.rho_array()
     counts_n = multiplicities(model, N)
     if method == "moment_full":
-        predicted = np.diag(theta_moment_estimator(model, nodes=nodes).Theta)[L:]
+        predicted = np.diag(theta_moment_estimator(model).Theta)[L:]
     else:
-        predicted = np.diag(theta_mestre(model, nodes=nodes))
+        predicted = np.diag(theta_mestre(model))
 
     dev = np.full((trials, L), np.nan)
     for t in range(trials):

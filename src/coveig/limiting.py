@@ -29,26 +29,12 @@ from .errors import ConvergenceError, InputError
 from .model import PopulationModel
 
 __all__ = [
-    "StieltjesValue",
     "DensityCurve",
-    "solve_m_underline",
     "solve_m_underline_grid",
-    "m_underline_derivative",
-    "m_from_companion",
     "density_curve",
     "support_clusters",
     "is_separable",
 ]
-
-
-@dataclass(frozen=True)
-class StieltjesValue:
-    """One evaluation of the limiting transforms at a point z."""
-
-    z: complex
-    m_underline: complex
-    m_value: complex
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -150,42 +136,10 @@ def solve_m_underline_grid(model: PopulationModel, n_over_m: float, z: np.ndarra
     return np.where(lower, m.conj(), m), res
 
 
-def solve_m_underline(
-    model: PopulationModel, n_over_m: float, z: complex
-) -> StieltjesValue:
-    """Companion transform m_u(z) and sample transform m(z) at one point.
-
-    z must be finite and off the real axis; Im m_u has the sign of Im z.
-    """
-    m, res = solve_m_underline_grid(model, n_over_m, [complex(z)])
-    mu = complex(m[0])
-    return StieltjesValue(
-        z=complex(z),
-        m_underline=mu,
-        m_value=m_from_companion(mu, complex(z), n_over_m),
-        residual=float(res[0]),
-    )
-
-
-def m_from_companion(m_underline, z, n_over_m: float):
+def _m_from_companion(m_underline, z, n_over_m: float):
     """Transform of the sample-covariance limit from the companion one."""
     r = float(n_over_m)
     return m_underline / r - (1.0 - 1.0 / r) / z
-
-
-def m_underline_derivative(model: PopulationModel, n_over_m: float, m_underline):
-    """d m_u / dz expressed through m_u itself.
-
-    Differentiating the fixed-point relation implicitly gives
-    m_u' = m_u^2 / (1 - c m_u^2 sum_k c_k rho_k^2 / (1 + rho_k m_u)^2),
-    which avoids any finite differencing on contours.
-    """
-    rho = model.rho_array()
-    w = model.weights_array()
-    m = np.asarray(m_underline, dtype=complex)
-    s2 = (w * rho**2 / (1.0 + np.multiply.outer(m, rho)) ** 2).sum(axis=-1)
-    out = m**2 / (1.0 - float(n_over_m) * m**2 * s2)
-    return out if np.ndim(m_underline) else complex(out)
 
 
 # the solve holds an (L+1) x (L+1) complex matrix per grid point
@@ -221,7 +175,7 @@ def _continuous_density(m, z, ratio):
     if ratio > 1:
         dens = m.imag / (ratio * np.pi)
     else:
-        dens = m_from_companion(m, z, ratio).imag / np.pi
+        dens = _m_from_companion(m, z, ratio).imag / np.pi
     return np.maximum(dens, 0.0)
 
 

@@ -10,8 +10,6 @@ improving with size (run_mse_sweep with methods=("mestre",) shows it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -19,27 +17,7 @@ from .empirical import SecularRoots, secular_zeros
 from .ensemble import SampleSpectrum
 from .errors import DimensionError, InputError
 
-__all__ = ["ClusterAssignment", "cluster_assignment", "mestre_estimate"]
-
-
-@dataclass(frozen=True)
-class ClusterAssignment:
-    """Consecutive index blocks, one per distinct eigenvalue, ascending."""
-
-    groups: tuple[tuple[int, int], ...]  # half-open index ranges
-    multiplicities: NDArray[np.int64]
-
-
-def cluster_assignment(counts) -> ClusterAssignment:
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 1 or np.any(counts < 1):
-        raise InputError("multiplicities must be positive integers")
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return ClusterAssignment(
-        groups=tuple((int(a), int(b)) for a, b in zip(starts, ends)),
-        multiplicities=counts,
-    )
+__all__ = ["mestre_estimate"]
 
 
 def mestre_estimate(
@@ -53,16 +31,18 @@ def mestre_estimate(
     they must sum to N. Both spectra enter ascending, secular roots with
     their convention zeros included.
     """
-    assign = cluster_assignment(counts)
-    if int(assign.multiplicities.sum()) != spectrum.N:
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 1 or np.any(counts < 1):
+        raise InputError("multiplicities must be positive integers")
+    if int(counts.sum()) != spectrum.N:
         raise DimensionError(
-            f"multiplicities sum to {int(assign.multiplicities.sum())}, "
-            f"but N = {spectrum.N}"
+            f"multiplicities sum to {int(counts.sum())}, but N = {spectrum.N}"
         )
     if secular is None:
         secular = secular_zeros(spectrum)
     diff = spectrum.lambda_hat - secular.mu_hat
     M = spectrum.M
+    ends = np.cumsum(counts)
     return np.array([
-        M / (b - a) * diff[a:b].sum() for a, b in assign.groups
+        M / (b - a) * diff[a:b].sum() for a, b in zip(ends - counts, ends)
     ])

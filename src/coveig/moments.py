@@ -95,10 +95,13 @@ def moments_by_quadrature(
         if not contour.contains_real(enclosed).all():
             raise ContourError("contour fails to enclose a required point")
 
+    # |m| is about 1/|z| on the contour, so the floor is relative to the
+    # largest eigenvalue
+    scale = spectrum.positive_eigenvalues()[-1]
     for attempt in range(_MAX_DOUBLINGS + 1):
         pts, weights = contour.points(), contour.dz()
         m, m_prime = companion_transform_nodes(spectrum, pts)
-        if np.abs(m).min() < 1e-10:
+        if np.abs(m).min() * scale < 1e-10:
             raise ContourError(
                 "companion transform nearly vanishes on the contour; a "
                 "secular root must be grazing the curve"

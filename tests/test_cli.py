@@ -218,6 +218,31 @@ def test_model_file_missing_field(tmp_path, capsys):
     assert "missing model field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key", [
+    ("mse-sweep", "aspect"), ("mse-sweep", "trials"),
+    ("clt-check", "aspect"), ("clt-check", "trials"),
+    ("clt-check", "N"), ("clt-check", "M"),
+])
+def test_config_missing_field_is_an_input_error(tmp_path, capsys, command, key):
+    raw = {
+        "model": {"rho": [1.0, 3.0], "weights": [0.5, 0.5], "aspect": 0.5},
+        "N": [20] if command == "mse-sweep" else 20, "M": 40, "trials": 4,
+    }
+    if key == "aspect":
+        del raw["model"]["aspect"]
+    else:
+        del raw[key]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = ["--out-csv", str(tmp_path / "out.csv")] if command == "mse-sweep" \
+        else ["--json", str(tmp_path / "out.json")]
+    rc = cli.main([command, "--config", str(config)] + out)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and f"missing config field '{key}'" in err
+    assert "Traceback" not in err
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     # as in `coveig estimate ... | head -5`: the reader is gone before the
     # JSON is written

@@ -10,15 +10,15 @@ from coveig import (
     PopulationModel,
     SeparabilityError,
     cluster_contours,
-    kernel_kappa,
-    m_underline_derivative,
+    moments_by_quadrature,
+    moments_by_residues,
     simulate_spectrum,
     support_clusters,
     theta_mestre,
     theta_moment_estimator,
     v_matrix,
 )
-from coveig import clt
+from coveig import clt, limiting
 from coveig.limiting import solve_m_underline_grid
 
 TWO_ATOM = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.5)
@@ -61,16 +61,17 @@ def test_v_contour_independence():
     clusters = support_clusters(TWO_ATOM, c)
     lo, hi = clusters[0][0], clusters[-1][1]
     x0, x1 = 0.5 * lo, hi + 0.1 * (hi - lo)
-    inner = Contour("ellipse", 0.5 * (x0 + x1), 0.5 * (x1 - x0),
-                    0.25 * (x1 - x0), 512)
+    inner = Contour(0.5 * (x0 + x1), 0.5 * (x1 - x0), 0.25 * (x1 - x0), 512)
     grow = 0.4 * x0
-    outer = Contour("ellipse", inner.center, inner.half_width + grow,
+    outer = Contour(inner.center, inner.half_width + grow,
                     inner.half_height + grow, 512)
 
     def on(cont):
         z = cont.points()
         m, _ = solve_m_underline_grid(TWO_ATOM, c, z)
-        return z, cont.dz(), m, m_underline_derivative(TWO_ATOM, c, m)
+        dm = 1.0 / limiting._inverse_map_derivative(
+            m, c, TWO_ATOM.rho_array(), TWO_ATOM.weights_array())
+        return z, cont.dz(), m, dm
 
     (z1, w1, m1, d1), (z2, w2, m2, d2) = on(inner), on(outer)
     kappa = (d1[:, None] * d2[None, :] / (m1[:, None] - m2[None, :]) ** 2
@@ -106,8 +107,8 @@ def test_v_at_square_aspect_is_contour_independent(rho):
             return cluster_contours(clusters, k, nodes)
         hi = clusters[0][1]
         x1 = 0.5 * (hi + (clusters[1][0] if len(clusters) > 1 else 2 * hi))
-        return Contour("ellipse", 0.5 * (x1 - 0.8 * hi),
-                       0.5 * (x1 + 0.8 * hi), 0.3 * hi, nodes)
+        return Contour(0.5 * (x1 - 0.8 * hi), 0.5 * (x1 + 0.8 * hi),
+                       0.3 * hi, nodes)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clt, "cluster_contours", other)
@@ -161,22 +162,32 @@ def test_v_matches_monte_carlo_first_moment():
     assert 0.8 < ratio < 1.2
 
 
+def _kappa(model, z1, z2):
+    """kappa at every pair (z1[i], z2[j]), as the CLT evaluates it."""
+    m1, _ = solve_m_underline_grid(model, model.aspect, z1)
+    m2, _ = solve_m_underline_grid(model, model.aspect, z2)
+    return clt._kappa_matrix(model, m1, m2)
+
+
 def test_kernel_symmetries():
-    z1, z2 = 1 + 1j, 2 + 0.5j
-    k12 = kernel_kappa(TWO_ATOM, z1, z2)
-    assert k12 == kernel_kappa(TWO_ATOM, z2, z1)
-    conj = kernel_kappa(TWO_ATOM, np.conj(z1), np.conj(z2))
-    assert abs(np.conj(k12) - conj) < 1e-12 * (1 + abs(k12))
-    with pytest.raises(InputError):
-        kernel_kappa(TWO_ATOM, z1, z1)
+    z = np.array([1 + 1j, 2 + 0.5j, 4 - 0.7j])
+    K = _kappa(TWO_ATOM, z, z)
+    np.testing.assert_allclose(K, K.T, rtol=1e-12)
+    np.testing.assert_allclose(_kappa(TWO_ATOM, z.conj(), z.conj()), K.conj(),
+                               rtol=1e-12)
+    # the diagonal blocks of the CLT integrals meet z1 == z2 at every node,
+    # where kappa is analytic and the cancellation-free form finite
+    near = _kappa(TWO_ATOM, z, z + 1e-9).diagonal()
+    assert np.all(np.isfinite(K.diagonal()))
+    assert np.all(np.abs(K.diagonal() - near) <= 1e-6 * np.abs(near))
 
 
 def test_kernel_accurate_at_nearby_points():
     # kappa is analytic across z1 = z2, although both of its terms blow up
     # there; evaluated without cancellation it varies smoothly down to
     # point distances where the two-term form has lost every digit
-    z = 2.0 + 0.3j
-    near = [kernel_kappa(TWO_ATOM, z, z + h) for h in (1e-5, 1e-7, 1e-9)]
+    z = np.array([2.0 + 0.3j])
+    near = [_kappa(TWO_ATOM, z, z + h)[0, 0] for h in (1e-5, 1e-7, 1e-9)]
     assert abs(near[1] - near[0]) < 1e-4 * abs(near[0])
     assert abs(near[2] - near[1]) < 1e-6 * abs(near[0])
 
@@ -242,3 +253,26 @@ def test_theta_mestre_requires_separability():
 def test_invalid_order():
     with pytest.raises(InputError):
         v_matrix(TWO_ATOM, L=0)
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10, 1e20])
+def test_quadratures_are_scale_invariant(scale):
+    # scaling the population by s scales every sample eigenvalue, secular
+    # root and support edge by s and m by 1/s; no floor of either
+    # quadrature may refuse a spectrum for its units
+    two = PopulationModel(rho=(scale, 3.0 * scale), weights=(0.5, 0.5),
+                          aspect=0.5)
+    spectrum = simulate_spectrum(two, 60, 120, seed=3)
+    np.testing.assert_allclose(moments_by_quadrature(spectrum, 2).gamma_hat,
+                               moments_by_residues(spectrum, 2).gamma_hat,
+                               rtol=1e-12, atol=0)
+    k = np.arange(1, 4)
+    np.testing.assert_allclose(
+        v_matrix(two)[0],
+        v_matrix(TWO_ATOM)[0] * scale ** (k[:, None] + k[None, :]),
+        rtol=1e-12, atol=0)
+    three = PopulationModel(rho=tuple(scale * r for r in THREE_ATOM.rho),
+                            weights=THREE_ATOM.weights, aspect=THREE_ATOM.aspect)
+    np.testing.assert_allclose(theta_mestre(three),
+                               theta_mestre(THREE_ATOM) * scale**2,
+                               rtol=1e-12, atol=0)

@@ -21,15 +21,14 @@ def _integrate(cont, f):
     return np.sum(f(cont.points()) * cont.dz())
 
 
-@pytest.mark.parametrize("shape,nodes", [("ellipse", 64)])
-def test_closed_curve_integrates_dz_to_zero(shape, nodes):
-    cont = Contour(shape, center=2.0, half_width=1.5, half_height=0.6, nodes=nodes)
+def test_closed_curve_integrates_dz_to_zero():
+    cont = Contour(center=2.0, half_width=1.5, half_height=0.6, nodes=64)
     assert abs(_integrate(cont, lambda z: np.ones_like(z))) < 1e-12
 
 
-@pytest.mark.parametrize("shape,nodes,tol", [("ellipse", 256, 1e-12)])
-def test_residue_of_simple_pole(shape, nodes, tol):
-    cont = Contour(shape, center=2.0, half_width=1.5, half_height=0.6, nodes=nodes)
+def test_residue_of_simple_pole():
+    cont = Contour(center=2.0, half_width=1.5, half_height=0.6, nodes=256)
+    tol = 1e-12
     for pole in [2.0, 1.2, 2.9, 2.0 + 0.2j]:
         val = _integrate(cont, lambda z: 1.0 / (z - pole))
         assert abs(val - 2j * np.pi) < tol * 2 * np.pi
@@ -40,20 +39,20 @@ def test_residue_of_simple_pole(shape, nodes, tol):
 
 
 def test_polynomials_integrate_to_zero():
-    cont = Contour("ellipse", center=1.0, half_width=0.8, half_height=0.3, nodes=128)
+    cont = Contour(center=1.0, half_width=0.8, half_height=0.3, nodes=128)
     for k in range(5):
         assert abs(_integrate(cont, lambda z: z**k)) < 1e-12
 
 
 def test_cauchy_formula_recovers_pole_location():
-    cont = Contour("ellipse", center=3.0, half_width=2.0, half_height=0.9, nodes=256)
+    cont = Contour(center=3.0, half_width=2.0, half_height=0.9, nodes=256)
     pole = 3.7
     val = _integrate(cont, lambda z: z / (z - pole)) / (2j * np.pi)
     assert abs(val - pole) < 1e-12
 
 
 def test_ellipse_nodes_avoid_real_axis_and_pair_up():
-    cont = Contour("ellipse", center=2.0, half_width=1.0, half_height=0.4, nodes=64)
+    cont = Contour(center=2.0, half_width=1.0, half_height=0.4, nodes=64)
     pts = cont.points()
     assert np.abs(pts.imag).min() > 1e-3
     # node set is closed under conjugation, so real integrands of conjugate
@@ -65,7 +64,7 @@ def test_ellipse_nodes_avoid_real_axis_and_pair_up():
 def test_halved_node_subset_is_consistent_rule():
     # taking every other node with doubled weights is the same family of
     # rule at half resolution; both must agree on an analytic integrand
-    cont = Contour("ellipse", center=2.0, half_width=1.2, half_height=0.5, nodes=512)
+    cont = Contour(center=2.0, half_width=1.2, half_height=0.5, nodes=512)
     pts, w = cont.points(), cont.dz()
     f = lambda z: 1.0 / (z - 1.7)
     full = np.sum(f(pts) * w)
@@ -75,7 +74,7 @@ def test_halved_node_subset_is_consistent_rule():
 
 
 def test_contains_and_distance():
-    cont = Contour("ellipse", center=2.0, half_width=1.0, half_height=0.4, nodes=128)
+    cont = Contour(center=2.0, half_width=1.0, half_height=0.4, nodes=128)
     assert cont.contains_real(2.0)
     assert cont.contains_real(np.array([1.5, 2.5])).all()
     assert not cont.contains_real(3.5)
@@ -85,20 +84,18 @@ def test_contains_and_distance():
     assert dist(1.0) < 0.1
 
 
-def test_with_nodes_and_scaled():
-    cont = Contour("ellipse", 2.0, 1.0, 0.4, 64)
-    assert cont.with_nodes(128).nodes == 128
-    grown = cont.scaled(2.0, 0.5)
-    assert grown.half_width == 2.0
-    assert grown.half_height == 0.2
-    assert grown.center == cont.center
+def test_with_nodes():
+    cont = Contour(2.0, 1.0, 0.4, 64)
+    finer = cont.with_nodes(128)
+    assert finer.nodes == 128
+    assert (finer.center, finer.half_width, finer.half_height) == (2.0, 1.0, 0.4)
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(shape="triangle", center=1.0, half_width=1.0, half_height=0.5, nodes=64),
-    dict(shape="ellipse", center=1.0, half_width=-1.0, half_height=0.5, nodes=64),
-    dict(shape="ellipse", center=1.0, half_width=1.0, half_height=0.0, nodes=64),
-    dict(shape="ellipse", center=1.0, half_width=1.0, half_height=0.5, nodes=8),
+    dict(center=1.0, half_width=0.0, half_height=0.5, nodes=64),
+    dict(center=1.0, half_width=-1.0, half_height=0.5, nodes=64),
+    dict(center=1.0, half_width=1.0, half_height=0.0, nodes=64),
+    dict(center=1.0, half_width=1.0, half_height=0.5, nodes=8),
 ])
 def test_invalid_contours_raise(kwargs):
     with pytest.raises(ContourError):

@@ -9,7 +9,6 @@ from coveig import (
     InputError,
     PopulationModel,
     generate_observations,
-    hermitian_eigenvalues,
     multiplicities,
     read_observations,
     sample_spectrum,
@@ -21,43 +20,6 @@ from coveig import (
 
 def _model():
     return PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.5)
-
-
-def test_hermitian_eigenvalues_diagonal():
-    np.testing.assert_allclose(
-        hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0]
-    )
-
-
-def test_hermitian_eigenvalues_pauli():
-    np.testing.assert_allclose(
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]])), [-1.0, 1.0]
-    )
-
-
-def test_hermitian_eigenvalues_char_poly_oracle():
-    # independent oracle: characteristic polynomial coefficients from the
-    # power-sum traces via Newton's identities, then polynomial roots
-    rng = np.random.default_rng(11)
-    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    A = A + A.conj().T
-    p = [np.trace(np.linalg.matrix_power(A, k)).real for k in range(1, 5)]
-    e = [1.0]
-    for k in range(1, 5):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += (-1.0) ** (j - 1) * e[k - j] * p[j - 1]
-        e.append(acc / k)
-    coeffs = [e[k] * (-1.0) ** k for k in range(5)]  # descending in lambda
-    oracle = np.sort(np.roots(coeffs).real)
-    np.testing.assert_allclose(hermitian_eigenvalues(A), oracle, rtol=1e-10)
-
-
-def test_hermitian_eigenvalues_rejects_non_hermitian():
-    with pytest.raises(InputError):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(DimensionError):
-        hermitian_eigenvalues(np.zeros((2, 3)))
 
 
 def test_complex_gaussian_moments():

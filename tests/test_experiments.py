@@ -70,16 +70,6 @@ def test_row_lookup():
         report.row("mestre", 999)
 
 
-def test_trial_offset_splits_the_run():
-    # one 8-trial run must equal the union of two 4-trial halves driven by
-    # trial_offset, which is what makes multi-process sweeps trustworthy
-    full = run_mse_sweep(_config(trials=8, methods=("mestre",)))
-    a = run_mse_sweep(_config(trials=4, methods=("mestre",)))
-    b = run_mse_sweep(_config(trials=4, trial_offset=4, methods=("mestre",)))
-    merged = np.vstack([a.estimates[("mestre", 20)], b.estimates[("mestre", 20)]])
-    np.testing.assert_array_equal(full.estimates[("mestre", 20)], merged)
-
-
 def test_methods_subset_respected():
     report = run_mse_sweep(_config(methods=("mestre",)))
     assert {r.method for r in report.rows} == {"mestre"}

@@ -8,21 +8,28 @@ from coveig import (
     ExperimentConfig,
     InputError,
     PopulationModel,
-    cluster_assignment,
-    hermitian_eigenvalues,
     mestre_estimate,
     moments_by_residues,
     run_mse_sweep,
+    sample_spectrum,
+    secular_zeros,
     simulate_spectrum,
 )
 
 
 def test_cluster_assignment_blocks():
-    assign = cluster_assignment([2, 3, 1])
-    assert assign.groups == ((0, 2), (2, 5), (5, 6))
-    np.testing.assert_array_equal(assign.multiplicities, [2, 3, 1])
+    # counts [2, 3, 1] are the index blocks [0, 2), [2, 5), [5, 6)
+    model = PopulationModel(rho=(1.0, 3.0, 10.0),
+                            weights=(1 / 3, 1 / 3, 1 / 3), aspect=0.1)
+    spectrum = simulate_spectrum(model, 6, 60, seed=1)
+    secular = secular_zeros(spectrum)
+    diff = spectrum.lambda_hat - secular.mu_hat
+    blocks = [60 / 2 * diff[0:2].sum(), 60 / 3 * diff[2:5].sum(),
+              60 / 1 * diff[5:6].sum()]
+    np.testing.assert_array_equal(
+        mestre_estimate(spectrum, [2, 3, 1], secular), blocks)
     with pytest.raises(InputError):
-        cluster_assignment([2, 0, 1])
+        mestre_estimate(spectrum, [2, 0, 4], secular)
 
 
 def test_counts_must_sum_to_dimension():
@@ -79,13 +86,7 @@ def test_explicit_matrix_cross_check():
     rho = np.repeat([1.0, 5.0], [15, 15])
     X = (rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M)))
     X *= np.sqrt(rho / 2)[:, None]
-    R = X @ X.conj().T / M
-    lam = hermitian_eigenvalues(R)
-    from coveig.ensemble import SampleSpectrum
-
-    comp = np.sort(np.concatenate([np.zeros(M - N), lam.clip(min=0)]))
-    spectrum = SampleSpectrum(N=N, M=M, lambda_hat=lam,
-                              lambda_hat_companion=comp, seed=0)
+    spectrum = sample_spectrum(X)
     est = mestre_estimate(spectrum, [15, 15])
     np.testing.assert_allclose(est, [1.0, 5.0], rtol=0.1)
 

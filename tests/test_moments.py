@@ -143,8 +143,7 @@ def test_contour_containing_origin_accepted():
     # 1/m and z m'/m are regular at the origin (m has a pole there when
     # M > N), so a caller's contour may enclose it and the moments agree
     spectrum = _fixed_spectrum()
-    wide = Contour("ellipse", center=1.5, half_width=2.0, half_height=0.8,
-                   nodes=512)
+    wide = Contour(center=1.5, half_width=2.0, half_height=0.8, nodes=512)
     est = moments_by_quadrature(spectrum, 3, contour=wide)
     np.testing.assert_allclose(est.gamma_hat, FROZEN, rtol=0, atol=1e-10)
 
@@ -154,7 +153,7 @@ def test_contour_grazing_eigenvalue_raises(eps):
     # the curve passes eps past the largest eigenvalue, a pole of the
     # log-derivative integrand: the half-rule check must refuse it
     spectrum = _fixed_spectrum()
-    grazing = Contour("ellipse", center=1.5, half_width=1.5 + eps,
+    grazing = Contour(center=1.5, half_width=1.5 + eps,
                       half_height=0.8, nodes=512)
     with pytest.raises(CoveigError):
         moments_by_quadrature(spectrum, 3, contour=grazing)
@@ -162,8 +161,7 @@ def test_contour_grazing_eigenvalue_raises(eps):
 
 def test_contour_missing_eigenvalue_rejected():
     spectrum = _fixed_spectrum()
-    bad = Contour("ellipse", center=1.0, half_width=0.7, half_height=0.3,
-                  nodes=512)
+    bad = Contour(center=1.0, half_width=0.7, half_height=0.3, nodes=512)
     with pytest.raises(ContourError):
         moments_by_quadrature(spectrum, 2, contour=bad)
 
