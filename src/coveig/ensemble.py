@@ -10,9 +10,13 @@ Monte Carlo trials never build X. The spectrum depends on X only through
 the complex Wishart matrix X X^H, and Bartlett's decomposition (Bartlett
 1933; Goodman 1963 for the complex case) draws that exactly from the
 N x min(N, M) lower-trapezoidal factor of X = Lf Q, with about N^2/2
-random entries instead of N M. So `simulate_spectrum(model, N, M, seed)`
-has the law of the spectrum of `generate_observations(model, N, M, seed)`
-but is not its spectrum; only `generate_observations` writes a real Y.
+random entries instead of N M. Those entries are ziggurat normals
+(`Generator.standard_normal`, two per complex entry), not the polar draw of
+`complex_gaussian`, and the Gram matrix of the scaled factor is a
+triangular LAPACK product, so the eigensolve is most of a draw's cost. So
+`simulate_spectrum(model, N, M, seed)` has the law of the spectrum of
+`generate_observations(model, N, M, seed)` but is not its spectrum; only
+`generate_observations` writes a real Y.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg import blas, lapack
 
 from .errors import DimensionError, InputError
 from .model import PopulationModel, multiplicities
@@ -132,7 +137,8 @@ def sample_spectrum(observations: np.ndarray, seed: int = 0) -> SampleSpectrum:
 
 def _padded_spectrum(gram: np.ndarray, N: int, M: int, seed) -> SampleSpectrum:
     """Spectrum from the min(N, M)-square Gram matrix that carries every
-    nonzero eigenvalue; the longer side gets |N - M| structural zeros."""
+    nonzero eigenvalue; the longer side gets |N - M| structural zeros.
+    Only the lower triangle of ``gram`` is read."""
     lam = np.linalg.eigvalsh(gram)
     # eigvalsh on a PSD Gram matrix can return tiny negatives
     np.clip(lam, 0.0, None, out=lam)
@@ -156,21 +162,33 @@ def simulate_spectrum(
         Lf_ij ~ CN(0, 1)                for j < min(i, n),
 
     so rows i >= n (only when N > M) are i.i.d. CN(0, 1). With
-    B = R^(1/2) Lf, the nonzero eigenvalues of (1/M) Y Y^H are those of
-    the n x n matrix (1/M) B^H B. Draw order from the seed's generator:
-    the n diagonal gammas, then the strictly lower entries row by row in
-    one `complex_gaussian` call; a seed gives a bit-identical spectrum.
+    B = R^(1/2) Lf / sqrt(M), the nonzero eigenvalues of (1/M) Y Y^H are
+    those of the n x n matrix B^H B. Draw order from the seed's generator:
+    the n diagonal gammas, then the strictly lower entries row by row, each
+    the real and imaginary parts of two consecutive `standard_normal` draws
+    scaled by sqrt(1/2); a seed gives a bit-identical spectrum.
+
+    B^H B is formed in its lower triangle only: LAPACK's `zlauum` multiplies
+    the triangular top n x n block by its adjoint, and when N > M `zherk`
+    adds the Gram matrix of the i.i.d. block below it.
     """
-    scale = _realized_scale(model, N, M)
+    scale = _realized_scale(model, N, M) / np.sqrt(M)
     n = min(N, M)
     rng = _rng_for(seed)
-    factor = np.zeros((N, n), dtype=np.complex128)
+    # column-major, so that for N <= M LAPACK works on the factor in place
+    factor = np.zeros((N, n), dtype=np.complex128, order="F")
     i = np.arange(n)
     factor[i, i] = np.sqrt(rng.standard_gamma(M - i))
     below = np.tri(N, n, -1, dtype=bool)
-    factor[below] = complex_gaussian(rng, (int(below.sum()),))
+    draws = rng.standard_normal(2 * int(below.sum()))
+    draws *= np.sqrt(0.5)
+    factor[below] = draws.view(np.complex128)
     factor *= scale[:, None]
-    return _padded_spectrum(factor.conj().T @ factor / M, N, M, seed)
+    gram, _ = lapack.zlauum(factor[:n], lower=1, overwrite_c=1)
+    if N > n:
+        gram = blas.zherk(1.0, factor[n:], beta=1.0, c=gram, trans=2,
+                          lower=1, overwrite_c=1)
+    return _padded_spectrum(gram, N, M, seed)
 
 
 def write_observations(path, observations: np.ndarray, seed: int = 0) -> None:

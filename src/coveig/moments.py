@@ -76,10 +76,12 @@ def moments_by_quadrature(
 
     The default contour is `spectrum_contour` at 128 nodes. Each estimate
     is compared against the half-resolution rule embedded in the same node
-    set; with an auto-built contour the node count doubles (up to 1024)
-    until the two agree, otherwise disagreement raises with a suggestion
-    to double the nodes. A caller's contour must enclose every positive
-    eigenvalue and secular root; whether it holds the origin is immaterial.
+    set, every order ell divided by lambda_max^ell first; with an
+    auto-built contour the node count doubles (up to 1024) until the two
+    agree, otherwise disagreement raises with a suggestion to double the
+    nodes. The imaginary-leakage check is scaled the same way. A caller's
+    contour must enclose every positive eigenvalue and secular root;
+    whether it holds the origin is immaterial.
     """
     if L < 1:
         raise InputError("L must be at least 1")
@@ -96,8 +98,10 @@ def moments_by_quadrature(
             raise ContourError("contour fails to enclose a required point")
 
     # |m| is about 1/|z| on the contour, so the floor is relative to the
-    # largest eigenvalue
+    # largest eigenvalue; gamma_ell grows like its ell-th power, so the
+    # checks divide order ell by it to bring every order to a common size
     scale = spectrum.positive_eigenvalues()[-1]
+    order_scale = scale ** -np.arange(2.0 * L)
     for attempt in range(_MAX_DOUBLINGS + 1):
         pts, weights = contour.points(), contour.dz()
         m, m_prime = companion_transform_nodes(spectrum, pts)
@@ -111,7 +115,8 @@ def moments_by_quadrature(
         # rule at half resolution, on the transform already computed there
         raw_half = _raw_quadrature(spectrum, L, pts[::2], 2.0 * weights[::2],
                                    m[::2], m_prime[::2])
-        delta = np.abs(raw - raw_half) / (1.0 + np.abs(raw))
+        delta = (np.abs(raw - raw_half) * order_scale
+                 / (1.0 + np.abs(raw) * order_scale))
         if delta.max() <= _SELF_CHECK_RTOL:
             break
         if auto and attempt < _MAX_DOUBLINGS:
@@ -125,11 +130,14 @@ def moments_by_quadrature(
 
     gamma = raw.real
     leakage = float(np.abs(raw.imag).max())
-    if leakage > _LEAKAGE_RTOL * (1.0 + np.abs(gamma).max()):
+    scaled_leakage = float((np.abs(raw.imag) * order_scale).max())
+    if scaled_leakage > _LEAKAGE_RTOL * (
+        1.0 + (np.abs(gamma) * order_scale).max()
+    ):
         raise ConvergenceError(
-            f"imaginary leakage {leakage:.3e} exceeds tolerance; "
-            "the contour is inadmissible or under-resolved",
-            residual=leakage,
+            f"imaginary leakage {scaled_leakage:.3e} (scaled) exceeds "
+            "tolerance; the contour is inadmissible or under-resolved",
+            residual=scaled_leakage,
         )
     return MomentEstimates(
         gamma_hat=gamma,

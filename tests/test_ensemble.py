@@ -101,12 +101,63 @@ def test_trace_identity():
     np.testing.assert_allclose(spec.lambda_hat.sum(), trace, rtol=1e-12)
 
 
+def test_generate_observations_golden():
+    # `coveig simulate` writes these draws; a change of the Monte Carlo
+    # sampler must not move them. Compared to within a few ulps, since the
+    # polar draw's log1p and exp may differ in the last bit across libms.
+    Y = generate_observations(_model(), 2, 3, seed=2026)
+    golden = np.array([
+        [-0.2274843020411523 - 0.3697159252692281j,
+         -0.03760413445789512 + 0.07059373572079793j,
+         0.40750416201877376 - 1.1505277258156925j],
+        [-0.8909377140496737 + 1.04635862190305j,
+         -1.411336309160366 + 1.0044046318184898j,
+         1.9736343447590317 + 0.9271451555943427j],
+    ])
+    np.testing.assert_allclose(Y, golden, rtol=1e-14, atol=0)
+
+
 def test_simulate_spectrum_reproducible():
     model = _model()
-    a = simulate_spectrum(model, 16, 32, seed=4)
-    b = simulate_spectrum(model, 16, 32, seed=4)
-    np.testing.assert_array_equal(a.lambda_hat, b.lambda_hat)
-    assert a.seed == 4
+    for N, M in [(16, 32), (20, 8), (9, 9)]:
+        a = simulate_spectrum(model, N, M, seed=4)
+        b = simulate_spectrum(model, N, M, seed=4)
+        np.testing.assert_array_equal(a.lambda_hat, b.lambda_hat)
+        np.testing.assert_array_equal(a.lambda_hat_companion,
+                                      b.lambda_hat_companion)
+        assert a.seed == 4
+
+
+def _bartlett_factor(model, N, M, seed):
+    """The factor R^(1/2) Lf in the documented draw order, built densely."""
+    n = min(N, M)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    factor = np.zeros((N, n), dtype=complex)
+    diag = np.sqrt(rng.standard_gamma(M - np.arange(n)))
+    count = sum(min(i, n) for i in range(N))
+    normals = rng.standard_normal(2 * count) * np.sqrt(0.5)
+    entries = iter(normals[0::2] + 1j * normals[1::2])
+    for i in range(N):
+        if i < n:
+            factor[i, i] = diag[i]
+        for j in range(min(i, n)):
+            factor[i, j] = next(entries)
+    r = np.repeat(model.rho_array(), multiplicities(model, N))
+    return np.sqrt(r)[:, None] * factor
+
+
+@pytest.mark.parametrize("N,M", [(8, 14), (30, 70), (9, 9), (25, 25),
+                                 (14, 8), (70, 30)])
+def test_simulate_spectrum_matches_dense_gram(N, M):
+    # oracle: the dense B^H B / M of the same factor; the triangular
+    # product and the herk block (N > M) change only the rounding
+    model = _model()
+    for seed in range(3):
+        B = _bartlett_factor(model, N, M, seed)
+        dense = np.linalg.eigvalsh(B.conj().T @ B / M)
+        fast = simulate_spectrum(model, N, M, seed).positive_eigenvalues()
+        np.testing.assert_allclose(fast, dense, rtol=1e-12,
+                                   atol=1e-14 * dense[-1])
 
 
 def test_simulate_spectrum_padding():

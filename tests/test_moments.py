@@ -178,6 +178,41 @@ def test_under_resolved_explicit_contour_raises():
     assert err.value.residual is not None
 
 
+def test_under_resolved_contour_raises_at_any_scale():
+    # gamma_ell grows like lambda_max^ell, and the half-rule check divides
+    # order ell by it: a 16-node ellipse fails alike on a spectrum near
+    # 1e-10, near 1 and near 1e10
+    residuals = []
+    for scale in (1e-10, 1.0, 1e10):
+        model = PopulationModel(rho=(scale, 3 * scale), weights=(0.5, 0.5),
+                                aspect=0.5)
+        spectrum = simulate_spectrum(model, 60, 120, seed=3)
+        cont = spectrum_contour(spectrum, nodes=16)
+        with pytest.raises(ConvergenceError) as err:
+            moments_by_quadrature(spectrum, 2, contour=cont)
+        residuals.append(err.value.residual)
+    np.testing.assert_allclose(residuals, residuals[1], rtol=1e-6)
+
+
+@pytest.mark.parametrize("rho,aspect,N,M,L", [
+    ((1.0, 3.0, 5.0), 0.375, 150, 400, 3),
+    ((1.0, 3.0, 10.0), 0.1, 240, 2400, 3),
+    ((1.0, 3.0), 0.5, 60, 120, 2),
+])
+@pytest.mark.parametrize("scale", [1e-10, 1.0])
+def test_default_contour_converges_first_time(rho, aspect, N, M, L, scale):
+    # the benchmark's three models: the scaled checks accept the first
+    # 128-node ellipse at the model's own scale and at 1e-10 of it
+    model = PopulationModel(rho=tuple(scale * r for r in rho),
+                            weights=(1 / len(rho),) * len(rho), aspect=aspect)
+    for seed in range(3):
+        spectrum = simulate_spectrum(model, N, M, seed)
+        q = moments_by_quadrature(spectrum, L)
+        r = moments_by_residues(spectrum, L)
+        assert q.node_count == 128
+        np.testing.assert_allclose(q.gamma_hat, r.gamma_hat, rtol=5e-9)
+
+
 def test_repeated_eigenvalues_contribute_no_residue():
     # a doubled eigenvalue is an eigenvalue of the corrected matrix but not
     # a zero of the companion transform, so it must be skipped in the
