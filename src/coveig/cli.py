@@ -8,7 +8,7 @@ Subcommands:
   clt-check   compare scaled-deviation histograms with the predicted law
 
 Model files are JSON: {"rho": [...], "weights": [...], "aspect": c}.
-All JSON outputs carry "schema_version": 1.
+All JSON outputs carry "schema_version": 2.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .mestre import mestre_estimate
 from .model import PopulationModel, multiplicities
 from .moments import moments_by_quadrature, moments_by_residues
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _model(raw) -> PopulationModel:

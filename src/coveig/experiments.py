@@ -4,10 +4,19 @@ Reproduces the package's headline numbers: mean-squared-error sweeps of the
 competing estimators across problem sizes, and histogram checks of the
 asymptotic normality predictions. Every trial draws its seed from
 (master_seed, trial_index), so runs are reproducible.
+
+On Linux, trials run in forked worker processes across the CPUs in the
+process's affinity mask (`taskset -c 0 ...` keeps them on one), once the
+first trial projects the rest to more than a tenth of a second. Pin BLAS
+to one thread (OPENBLAS_NUM_THREADS=1) so that workers do not oversubscribe
+the CPUs. Outputs do not depend on the worker count; `SweepRow.wall_time`
+(the CSV's wall_time_s) is busy time summed over trials, not elapsed time.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -22,6 +31,7 @@ from .errors import (
     ConditioningError,
     ContourError,
     ConvergenceError,
+    CoveigError,
     IllConditionedResidueError,
     InputError,
     InvalidRootsError,
@@ -50,6 +60,8 @@ _TRIAL_FAILURES = (
     ConvergenceError,
     ContourError,
 )
+# a smaller projected serial remainder is not worth forking workers for
+_PARALLEL_MIN_S = 0.1
 
 
 @dataclass(frozen=True)
@@ -118,10 +130,145 @@ class ExperimentReport:
         raise KeyError((method, N))
 
 
-def _estimate_moments(spectrum, L, secular, route):
-    if route == "residues":
-        return moments_by_residues(spectrum, L, secular=secular)
-    return moments_by_quadrature(spectrum, L, secular=secular)
+def _trial(model, N, M, counts, seed, methods, project=False,
+           route="quadrature"):
+    """One Monte Carlo trial of every method at (N, M).
+
+    Returns (estimates, projected, times): estimates is (methods, L) with
+    NaN rows where a method failed, projected flags projected inversions,
+    and times holds each method's own time, then the shared simulation and
+    secular-root time, then the moment-estimation time.
+    """
+    L = model.L
+    est = np.full((len(methods), L), np.nan)
+    projected = np.zeros(len(methods), dtype=bool)
+    times = np.zeros(len(methods) + 2)
+    t0 = time.perf_counter()
+    spectrum = simulate_spectrum(model, N, M, seed)
+    secular = secular_zeros(spectrum)
+    times[-2] = time.perf_counter() - t0
+
+    gamma = None
+    if any(m.startswith("moment") for m in methods):
+        t0 = time.perf_counter()
+        try:
+            if route == "residues":
+                gamma = moments_by_residues(spectrum, L, secular=secular)
+            else:
+                gamma = moments_by_quadrature(spectrum, L, secular=secular)
+        except _TRIAL_FAILURES:
+            pass  # every moment method's row stays NaN
+        times[-1] = time.perf_counter() - t0
+
+    for i, method in enumerate(methods):
+        t0 = time.perf_counter()
+        try:
+            if method == "mestre":
+                est[i] = mestre_estimate(spectrum, counts, secular)
+            elif gamma is not None:
+                if method == "moment_full":
+                    res = invert_moments(gamma, L, project=project)
+                else:
+                    res = invert_moments_known_multiplicities(
+                        gamma, counts / N, project=project
+                    )
+                est[i] = res.rho_hat
+                projected[i] = res.projected
+        except _TRIAL_FAILURES:
+            pass
+        times[i] = time.perf_counter() - t0
+    return est, projected, times
+
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 off Linux, where trials stay serial."""
+    if not sys.platform.startswith("linux"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_share(job, indices, conn):
+    """Forked worker: send [job(i) for i in indices], or the error job
+    raised instead."""
+    try:
+        conn.send([job(i) for i in indices])
+    except Exception as exc:
+        conn.send(exc)
+    finally:
+        conn.close()
+
+
+def _map_trials(job, n: int) -> list:
+    """[job(0), ..., job(n - 1)], spread over this process's CPUs.
+
+    job(0) runs here. When its time, times the n - 1 jobs left, exceeds
+    _PARALLEL_MIN_S and the process may run on more than one CPU, the rest
+    are dealt out strided to W = min(CPUs, n - 1) forked workers (worker k
+    runs jobs 1 + k, 1 + k + W, ...) and their results are put back in
+    index order. A job must depend on its index alone, so the results are
+    the serial loop's whatever the worker count. An error a job raises
+    reaches the caller as raised, after every worker has been stopped.
+    Forking is skipped in a daemonic process (which may have no children)
+    and in one running other threads (whose locks a fork would copy held).
+    """
+    if n < 1:
+        return []
+    t0 = time.perf_counter()
+    results = [job(0)]
+    rest = range(1, n)
+    workers = min(_cpus(), len(rest))
+    if workers < 2 or (time.perf_counter() - t0) * len(rest) <= _PARALLEL_MIN_S:
+        return results + [job(i) for i in rest]
+    import multiprocessing
+    import multiprocessing.connection
+    import threading
+
+    if multiprocessing.current_process().daemon or threading.active_count() > 1:
+        return results + [job(i) for i in rest]
+    # fork, not spawn: a spawned worker would import the package again,
+    # which costs more than most calls' share of trials
+    ctx = multiprocessing.get_context("fork")
+    procs, pending, shares = [], {}, [None] * workers
+    try:
+        for k in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            pending[recv] = k
+            proc = ctx.Process(target=_run_share, daemon=True,
+                               args=(job, rest[k::workers], send))
+            try:
+                proc.start()
+            finally:
+                # only the worker may hold the sending end, so that its
+                # death reads as end-of-file here
+                send.close()
+            procs.append(proc)
+        while pending:
+            for conn in multiprocessing.connection.wait(list(pending)):
+                k = pending.pop(conn)
+                try:
+                    got = conn.recv()
+                except EOFError:
+                    procs[k].join()
+                    raise CoveigError(
+                        f"trial worker {k} exited with code "
+                        f"{procs[k].exitcode} before sending its results"
+                    ) from None
+                finally:
+                    conn.close()
+                if isinstance(got, Exception):
+                    raise got
+                shares[k] = got
+    finally:
+        for conn in pending:
+            conn.close()
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+    ordered = [None] * len(rest)
+    for k, share in enumerate(shares):
+        ordered[k::workers] = share
+    return results + ordered
 
 
 def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
@@ -129,73 +276,45 @@ def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
 
     Trials failing a feasibility check are excluded from the cell's
     statistics and counted in failure_count (unless projection is on).
-    Shared per-trial work (simulation, secular roots, moment estimation) is
-    split evenly across the methods that consume it when attributing wall
-    time.
+    Every (size, trial) of the sweep is one job of `_map_trials`, so trials
+    may run in forked workers; the results do not depend on it. wall_time
+    is busy time: the sum of the cell's per-trial stage times, measured
+    where each trial ran, with the shared simulation and secular-root time
+    split evenly across the methods and the moment-estimation time across
+    the moment methods. It is not elapsed time when trials run in parallel.
     """
     model = config.model
     L = model.L
     rho = model.rho_array()
+    methods = config.methods
+    moment_methods = [m for m in methods if m.startswith("moment")]
     project = config.infeasible == "project"
-    moment_methods = [m for m in config.methods if m.startswith("moment")]
+    trials = config.trials
+    cells = [(N, M, multiplicities(model, N)) for N, M in config.sizes]
+
+    def job(j):
+        N, M, counts = cells[j // trials]
+        seed = trial_seed(config.master_seed, j % trials)
+        return _trial(model, N, M, counts, seed, methods, project,
+                      config.moment_route)
+
+    results = _map_trials(job, len(cells) * trials)
     rows = []
     estimates = {}
-
-    for N, M in config.sizes:
-        counts = multiplicities(model, N)
-        realized_w = counts / N
-        est = {m: np.full((config.trials, L), np.nan) for m in config.methods}
-        times = dict.fromkeys(config.methods, 0.0)
-        projected = dict.fromkeys(config.methods, 0)
-        shared_time = 0.0
-        moment_time = 0.0
-
-        for t in range(config.trials):
-            seed = trial_seed(config.master_seed, t)
-            t0 = time.perf_counter()
-            spectrum = simulate_spectrum(model, N, M, seed)
-            secular = secular_zeros(spectrum)
-            shared_time += time.perf_counter() - t0
-
-            gamma = None
-            if moment_methods:
-                t0 = time.perf_counter()
-                try:
-                    gamma = _estimate_moments(
-                        spectrum, L, secular, config.moment_route
-                    )
-                except _TRIAL_FAILURES:
-                    gamma = None
-                moment_time += time.perf_counter() - t0
-
-            for method in config.methods:
-                t0 = time.perf_counter()
-                try:
-                    if method == "mestre":
-                        est[method][t] = mestre_estimate(spectrum, counts, secular)
-                    elif gamma is None:
-                        pass  # moment estimation failed; row stays NaN
-                    elif method == "moment_full":
-                        res = invert_moments(gamma, L, project=project)
-                        est[method][t] = res.rho_hat
-                        projected[method] += res.projected
-                    else:
-                        res = invert_moments_known_multiplicities(
-                            gamma, realized_w, project=project
-                        )
-                        est[method][t] = res.rho_hat
-                        projected[method] += res.projected
-                except _TRIAL_FAILURES:
-                    pass
-                times[method] += time.perf_counter() - t0
-
-        for method in config.methods:
-            arr = est[method]
+    for c, (N, M, _) in enumerate(cells):
+        # (trials, methods, L), (trials, methods), (trials, methods + 2)
+        est, projected, times = (
+            np.array(part) for part in zip(*results[c * trials:(c + 1) * trials])
+        )
+        projected = projected.sum(axis=0)
+        times = times.sum(axis=0)
+        for i, method in enumerate(methods):
+            arr = est[:, i]
             ok = ~np.isnan(arr[:, 0])
             n_ok = int(ok.sum())
-            wall = times[method] + shared_time / len(config.methods)
+            wall = times[i] + times[-2] / len(methods)
             if method in moment_methods:
-                wall += moment_time / len(moment_methods)
+                wall += times[-1] / len(moment_methods)
             if n_ok:
                 err = arr[ok] - rho
                 mse_db = float(10.0 * np.log10(np.mean(np.sum(err**2, axis=1))))
@@ -217,9 +336,9 @@ def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
                 mse_db=mse_db,
                 bias=bias,
                 variance=variance,
-                failure_count=config.trials - n_ok,
-                projected_count=projected[method],
-                wall_time=wall,
+                failure_count=trials - n_ok,
+                projected_count=int(projected[i]),
+                wall_time=float(wall),
             )
             rows.append(row)
             estimates[(method, N)] = arr
@@ -287,21 +406,12 @@ def run_clt_histogram(
     else:
         predicted = np.diag(theta_mestre(model))
 
-    dev = np.full((trials, L), np.nan)
-    for t in range(trials):
-        seed = trial_seed(master_seed, t)
-        spectrum = simulate_spectrum(model, N, M, seed)
-        secular = secular_zeros(spectrum)
-        try:
-            if method == "mestre":
-                est = mestre_estimate(spectrum, counts_n, secular)
-            else:
-                gamma = moments_by_quadrature(spectrum, L, secular=secular)
-                est = invert_moments(gamma, L).rho_hat
-        except _TRIAL_FAILURES:
-            continue
-        dev[t] = M * (est - rho)
+    def job(t):
+        est = _trial(model, N, M, counts_n, trial_seed(master_seed, t),
+                     (method,))[0][0]
+        return M * (est - rho)
 
+    dev = np.reshape(_map_trials(job, trials), (-1, L))
     ok = ~np.isnan(dev[:, 0])
     good = dev[ok]
     if good.shape[0] < 2:

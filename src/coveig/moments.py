@@ -39,7 +39,12 @@ _MAX_DOUBLINGS = 3
 
 @dataclass(frozen=True)
 class MomentEstimates:
-    """Estimated moments gamma_hat[ell] for ell = 0 .. 2L-1."""
+    """Estimated moments gamma_hat[ell] for ell = 0 .. 2L-1.
+
+    imag_leakage is the largest |Im| of the quadrature's integrals with
+    order ell divided by lambda_max^ell, the value its check compares, so
+    it reads the same for a spectrum on any scale; 0 for residues.
+    """
 
     gamma_hat: NDArray[np.float64]
     method: str
@@ -79,9 +84,9 @@ def moments_by_quadrature(
     set, every order ell divided by lambda_max^ell first; with an
     auto-built contour the node count doubles (up to 1024) until the two
     agree, otherwise disagreement raises with a suggestion to double the
-    nodes. The imaginary-leakage check is scaled the same way. A caller's
-    contour must enclose every positive eigenvalue and secular root;
-    whether it holds the origin is immaterial.
+    nodes. The imaginary leakage is scaled the same way, then checked and
+    reported. A caller's contour must enclose every positive eigenvalue
+    and secular root; whether it holds the origin is immaterial.
     """
     if L < 1:
         raise InputError("L must be at least 1")
@@ -129,15 +134,12 @@ def moments_by_quadrature(
             )
 
     gamma = raw.real
-    leakage = float(np.abs(raw.imag).max())
-    scaled_leakage = float((np.abs(raw.imag) * order_scale).max())
-    if scaled_leakage > _LEAKAGE_RTOL * (
-        1.0 + (np.abs(gamma) * order_scale).max()
-    ):
+    leakage = float((np.abs(raw.imag) * order_scale).max())
+    if leakage > _LEAKAGE_RTOL * (1.0 + (np.abs(gamma) * order_scale).max()):
         raise ConvergenceError(
-            f"imaginary leakage {scaled_leakage:.3e} (scaled) exceeds "
+            f"imaginary leakage {leakage:.3e} (scaled) exceeds "
             "tolerance; the contour is inadmissible or under-resolved",
-            residual=scaled_leakage,
+            residual=leakage,
         )
     return MomentEstimates(
         gamma_hat=gamma,

@@ -40,7 +40,7 @@ def test_simulate_then_estimate_full(tmp_path):
     ])
     assert rc == 0
     data = json.loads(out.read_text())
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
     assert data["N"] == 60 and data["M"] == 120 and data["seed"] == 11
     assert data["method"] == "full"
     # moment orders 0 through 2L - 1 feed the full inversion
@@ -61,10 +61,27 @@ def test_estimate_writes_json_to_stdout_by_default(tmp_path, capsys):
     rc = cli.main(["estimate", "--obs", obs, "--L", "2", "--moments-only"])
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
     assert "gamma_hat" in data and "rho_hat" not in data
     assert data["moment_route"] == "quadrature"
+    # order l divided by lambda_max^l, as the quadrature's check compares
     assert data["imag_leakage"] < 1e-8
+
+
+
+def test_estimate_leakage_is_scale_free(tmp_path, capsys):
+    # the reported leakage is the scaled value the check compares, so rho
+    # (1e10, 3e10) reads at rounding level like rho (1, 3), not near 1e15
+    leakage = []
+    for scale in (1.0, 1e10):
+        model = _write_model(tmp_path, rho=(scale, 3.0 * scale))
+        obs = _simulate(tmp_path, model, seed=1)
+        capsys.readouterr()
+        rc = cli.main(["estimate", "--obs", obs, "--L", "2", "--moments-only"])
+        assert rc == 0
+        leakage.append(json.loads(capsys.readouterr().out)["imag_leakage"])
+    assert max(leakage) <= 1e-14
+    assert abs(leakage[0] - leakage[1]) <= 1e-14
 
 
 def test_estimate_routes_agree(tmp_path):
@@ -133,7 +150,7 @@ def test_density_outputs(tmp_path):
     ])
     assert rc == 0
     data = json.loads(out_json.read_text())
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
     assert len(data["clusters"]) == 3
     assert data["separable"] is True
     assert abs(data["total_mass"] - 1.0) < 0.01
@@ -192,7 +209,7 @@ def test_clt_check_json_and_csv(tmp_path):
                    "--json", str(out_json), "--hist-csv", str(hist_csv)])
     assert rc == 0
     data = json.loads(out_json.read_text())
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
     assert data["method"] == "moment_full"
     assert len(data["predicted_var"]) == 2
     assert len(data["ks_statistic"]) == 2

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from scipy import stats
 
 import coveig
 from coveig import (
+    BracketError,
     CltHistogram,
     ExperimentConfig,
     ExperimentReport,
@@ -19,6 +22,7 @@ from coveig import (
     run_clt_histogram,
     run_mse_sweep,
 )
+from coveig import experiments
 
 MODEL = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.5)
 
@@ -212,3 +216,153 @@ def test_clt_histogram_rejects_unknown_method():
     with pytest.raises(InputError):
         run_clt_histogram(MODEL, 40, 80, trials=10, master_seed=0,
                           method="moment_known_mult")
+
+
+# trial workers: the fork path is forced by claiming two CPUs and no
+# threshold, so these run the same on a one-CPU runner
+
+SPLIT = PopulationModel(rho=(1.0, 3.0, 10.0),
+                        weights=(1 / 3, 1 / 3, 1 / 3), aspect=0.1)
+CLOSE = PopulationModel(rho=(1.0, 1.5, 2.0),
+                        weights=(1 / 3, 1 / 3, 1 / 3), aspect=0.5)
+
+
+def _serial(monkeypatch):
+    monkeypatch.setattr(experiments, "_cpus", lambda: 1)
+
+
+def _forked(monkeypatch):
+    """Force two forked workers; returns the start methods asked for."""
+    monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_PARALLEL_MIN_S", 0.0)
+    asked = []
+    real = multiprocessing.get_context
+
+    def spy(method=None):
+        asked.append(method)
+        return real(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return asked
+
+
+@pytest.mark.parametrize("infeasible", ["exclude", "project"])
+def test_forked_sweep_is_bit_identical(monkeypatch, infeasible):
+    # two cells of 7 trials: 13 jobs dealt to 2 workers cross the cell edge
+    config = ExperimentConfig(model=CLOSE, sizes=((12, 24), (24, 48)),
+                              trials=7, master_seed=7, infeasible=infeasible)
+    runs = []
+    for mode in (_serial, _forked):
+        with monkeypatch.context() as m:
+            asked = mode(m)
+            lines = []
+            runs.append((run_mse_sweep(config, log=lines.append), lines))
+            assert asked in (None, ["fork"])
+    (serial, serial_log), (forked, forked_log) = runs
+    assert forked_log == serial_log
+    counted = "failure_count" if infeasible == "exclude" else "projected_count"
+    assert sum(getattr(r, counted) for r in serial.rows) > 0
+    for a, b in zip(serial.rows, forked.rows):
+        assert (a.method, a.N, a.M) == (b.method, b.N, b.M)
+        assert a.failure_count == b.failure_count
+        assert a.projected_count == b.projected_count
+        assert np.array_equal(a.mse_db, b.mse_db, equal_nan=True)
+        assert np.array_equal(a.bias, b.bias, equal_nan=True)
+        assert np.array_equal(a.variance, b.variance, equal_nan=True)
+        assert np.array_equal(serial.estimates[(a.method, a.N)],
+                              forked.estimates[(a.method, a.N)], equal_nan=True)
+
+
+@pytest.mark.parametrize("method,model,N,M", [
+    ("moment_full", MODEL, 20, 40),
+    ("mestre", SPLIT, 30, 300),
+])
+def test_forked_clt_histogram_is_bit_identical(monkeypatch, method, model, N, M):
+    hists = []
+    for mode in (_serial, _forked):
+        with monkeypatch.context() as m:
+            asked = mode(m)
+            hists.append(run_clt_histogram(model, N, M, trials=9,
+                                           master_seed=3, method=method))
+            assert asked in (None, ["fork"])
+    serial, forked = hists
+    assert np.array_equal(serial.deviations, forked.deviations, equal_nan=True)
+    assert serial.failure_count == forked.failure_count
+
+
+def _fail_at_trial(monkeypatch, master_seed, trial, fail):
+    real = experiments.secular_zeros
+    bad_seed = coveig.trial_seed(master_seed, trial)
+
+    def secular_zeros(spectrum):
+        if spectrum.seed == bad_seed:
+            fail()
+        return real(spectrum)
+
+    monkeypatch.setattr(experiments, "secular_zeros", secular_zeros)
+
+
+def test_worker_error_reaches_caller(monkeypatch):
+    def fail():
+        err = BracketError("bracket lost at trial 3")
+        err.trial = 3
+        raise err
+
+    asked = _forked(monkeypatch)
+    _fail_at_trial(monkeypatch, 42, 3, fail)
+    with pytest.raises(BracketError, match="^bracket lost at trial 3$") as exc:
+        run_mse_sweep(_config(trials=8, methods=("mestre",)))
+    assert exc.value.trial == 3
+    assert asked == ["fork"]
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_is_an_error(monkeypatch):
+    _forked(monkeypatch)
+    _fail_at_trial(monkeypatch, 42, 3, lambda: os._exit(3))
+    with pytest.raises(coveig.CoveigError, match="exited with code 3"):
+        run_mse_sweep(_config(trials=8, methods=("mestre",)))
+    assert multiprocessing.active_children() == []
+
+
+def _no_fork(monkeypatch):
+    def refuse(method=None):
+        raise AssertionError("must not fork")
+
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+
+
+def test_tiny_call_never_forks(monkeypatch):
+    _no_fork(monkeypatch)
+    hist = run_clt_histogram(MODEL, 20, 40, trials=4, master_seed=1)
+    assert hist.deviations.shape == (4, 2)
+
+
+def test_no_fork_while_other_threads_run(monkeypatch):
+    monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_PARALLEL_MIN_S", 0.0)
+    _no_fork(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        hist = run_clt_histogram(MODEL, 20, 40, trials=4, master_seed=1)
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert hist.deviations.shape == (4, 2)
+
+
+def _deviations_in_pool_worker():
+    return run_clt_histogram(MODEL, 20, 40, trials=6, master_seed=1).deviations
+
+
+def test_call_inside_daemonic_pool_worker(monkeypatch):
+    # a pool worker is daemonic and may have no children: trials run there
+    _serial(monkeypatch)
+    expected = _deviations_in_pool_worker()
+    _forked(monkeypatch)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply_async(_deviations_in_pool_worker).get(timeout=120)
+    assert np.array_equal(got, expected, equal_nan=True)
