@@ -21,7 +21,6 @@ import sys
 
 import numpy as np
 
-from .empirical import secular_zeros
 from .ensemble import (
     generate_observations,
     read_observations,
@@ -90,21 +89,20 @@ def _cmd_estimate(args) -> int:
         "seed": seed,
         "method": args.method,
     }
-    secular = secular_zeros(spectrum)
     if args.method == "mestre":
         if model is None:
             raise InputError("--method mestre needs --model for multiplicities")
         counts = multiplicities(model, spectrum.N)
-        rho_hat = mestre_estimate(spectrum, counts, secular)
+        rho_hat = mestre_estimate(spectrum, counts)
         out["rho_hat"] = list(rho_hat)
         out["multiplicities"] = [int(c) for c in counts]
         _dump_json(out, args.json)
         return 0
 
     if args.route == "residues":
-        est = moments_by_residues(spectrum, L, secular=secular)
+        est = moments_by_residues(spectrum, L)
     else:
-        est = moments_by_quadrature(spectrum, L, secular=secular)
+        est = moments_by_quadrature(spectrum, L)
     out["gamma_hat"] = list(est.gamma_hat)
     out["moment_route"] = est.method
     out["imag_leakage"] = est.imag_leakage

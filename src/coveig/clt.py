@@ -190,7 +190,8 @@ def v_matrix(model: PopulationModel, L: int | None = None, nodes: int = 256):
     Integrates kappa / (m_u(z1)^k m_u(z2)^l) over every pair of support
     clusters and sums the blocks. Returns (V, meta); V is symmetrized
     after recording the raw asymmetry in meta. The imaginary leakage is
-    checked entry by entry, each order scaled by _order_scale.
+    checked and reported entry by entry, each order scaled by
+    _order_scale, so it reads the same for a model on any scale.
     """
     if L is None:
         L = model.L
@@ -202,9 +203,7 @@ def v_matrix(model: PopulationModel, L: int | None = None, nodes: int = 256):
     )
     k = np.arange(1, 2 * L)
     full = (-1.0) ** (k[:, None] + k[None, :]) * blocks.sum(axis=(0, 1))
-    leakage = float(np.abs(full.imag).max())
-    scaled_leakage = _scaled_gap(full, full.real,
-                                 _order_scale(clusters, 2 * L - 1))
+    leakage = _scaled_gap(full, full.real, _order_scale(clusters, 2 * L - 1))
     V = full.real
     asym = float(np.abs(V - V.T).max())
     V = 0.5 * (V + V.T)
@@ -214,9 +213,9 @@ def v_matrix(model: PopulationModel, L: int | None = None, nodes: int = 256):
         "imag_leakage": leakage,
         "asymmetry": asym,
     }
-    if scaled_leakage > _LEAKAGE_RTOL:
+    if leakage > _LEAKAGE_RTOL:
         raise ConvergenceError(
-            f"V imaginary leakage {scaled_leakage:.3e} (scaled) too large"
+            f"V imaginary leakage {leakage:.3e} (scaled) too large"
         )
     return V, meta
 

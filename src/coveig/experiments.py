@@ -5,6 +5,11 @@ competing estimators across problem sizes, and histogram checks of the
 asymptotic normality predictions. Every trial draws its seed from
 (master_seed, trial_index), so runs are reproducible.
 
+A trial solves the secular equation only when a method reads its roots:
+Mestre's estimator does, and so do moments on the residue route. Moments by
+quadrature and both moment inversions do not, so a trial of the moment
+methods alone on the quadrature route skips the solve.
+
 On Linux, trials run in forked worker processes across the CPUs in the
 process's affinity mask (`taskset -c 0 ...` keeps them on one), once the
 first trial projects the rest to more than a tenth of a second. Pin BLAS
@@ -136,8 +141,9 @@ def _trial(model, N, M, counts, seed, methods, project=False,
 
     Returns (estimates, projected, times): estimates is (methods, L) with
     NaN rows where a method failed, projected flags projected inversions,
-    and times holds each method's own time, then the shared simulation and
-    secular-root time, then the moment-estimation time.
+    and times holds each method's own time, then the shared time of the
+    simulation plus the secular roots when a method reads them (Mestre,
+    or moments on the residue route), then the moment-estimation time.
     """
     L = model.L
     est = np.full((len(methods), L), np.nan)
@@ -145,7 +151,9 @@ def _trial(model, N, M, counts, seed, methods, project=False,
     times = np.zeros(len(methods) + 2)
     t0 = time.perf_counter()
     spectrum = simulate_spectrum(model, N, M, seed)
-    secular = secular_zeros(spectrum)
+    # quadrature moments do not read the secular roots
+    secular = (secular_zeros(spectrum)
+               if "mestre" in methods or route == "residues" else None)
     times[-2] = time.perf_counter() - t0
 
     gamma = None
@@ -155,7 +163,7 @@ def _trial(model, N, M, counts, seed, methods, project=False,
             if route == "residues":
                 gamma = moments_by_residues(spectrum, L, secular=secular)
             else:
-                gamma = moments_by_quadrature(spectrum, L, secular=secular)
+                gamma = moments_by_quadrature(spectrum, L)
         except _TRIAL_FAILURES:
             pass  # every moment method's row stays NaN
         times[-1] = time.perf_counter() - t0
@@ -277,11 +285,14 @@ def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
     Trials failing a feasibility check are excluded from the cell's
     statistics and counted in failure_count (unless projection is on).
     Every (size, trial) of the sweep is one job of `_map_trials`, so trials
-    may run in forked workers; the results do not depend on it. wall_time
-    is busy time: the sum of the cell's per-trial stage times, measured
-    where each trial ran, with the shared simulation and secular-root time
-    split evenly across the methods and the moment-estimation time across
-    the moment methods. It is not elapsed time when trials run in parallel.
+    may run in forked workers; the results do not depend on it. A trial
+    solves the secular equation only when "mestre" is among the methods or
+    the moment route is "residues". wall_time is busy time: the sum of the
+    cell's per-trial stage times, measured where each trial ran, with the
+    shared time (simulation, plus the secular roots when a method reads
+    them) split evenly across the methods and the moment-estimation time
+    across the moment methods. It is not elapsed time when trials run in
+    parallel.
     """
     model = config.model
     L = model.L

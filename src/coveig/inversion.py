@@ -20,7 +20,6 @@ from math import gcd, lcm
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import hankel
 
 from .errors import (
     ConditioningError,
@@ -92,6 +91,18 @@ def _moment_scale(gamma: NDArray[np.float64]) -> float:
     return s
 
 
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.polyval(coeffs, x) without its per-call overhead.
+
+    This is np.polyval's own recurrence, so its bits; on the 2- and 3-root
+    arrays of a Monte Carlo trial that overhead is most of np.polyval's cost.
+    """
+    y = np.zeros_like(x)
+    for coeff in coeffs:
+        y = y * x + coeff
+    return y
+
+
 def _polish_roots(poly: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Newton-polish eigenvalue-companion roots against the monic polynomial.
 
@@ -99,15 +110,18 @@ def _polish_roots(poly: np.ndarray, roots: np.ndarray) -> np.ndarray:
     a few guarded Newton sweeps restore them. Steps that do not reduce
     |p| are rejected, which keeps near-multiple roots stable.
     """
-    dpoly = np.polyder(poly)
+    dpoly = poly[:-1] * np.arange(poly.size - 1, 0, -1)  # np.polyder
+    val = _horner(poly, roots)
     for _ in range(3):
-        val = np.polyval(poly, roots)
-        slope = np.polyval(dpoly, roots)
+        slope = _horner(dpoly, roots)
         safe = np.abs(slope) > 0
         step = np.where(safe, val / np.where(safe, slope, 1.0), 0.0)
         cand = roots - step
-        better = np.abs(np.polyval(poly, cand)) <= np.abs(val)
+        cand_val = _horner(poly, cand)
+        better = np.abs(cand_val) <= np.abs(val)
         roots = np.where(better, cand, roots)
+        # p at the kept roots, without evaluating it there again
+        val = np.where(better, cand_val, val)
     return roots
 
 
@@ -230,7 +244,9 @@ def invert_moments(gamma_hat, L: int | None = None, project: bool = False) -> Es
     s = _moment_scale(gamma)
     g = gamma / s ** np.arange(2 * L)
 
-    G = hankel(g[:L], g[L - 1 : 2 * L - 1])
+    # both Hankel matrices, scaled and unscaled, index the moments by i + j
+    index = np.add.outer(np.arange(L), np.arange(L))
+    G = g[index]
     b = g[L : 2 * L]
     cond = float(np.linalg.cond(G))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -264,10 +280,10 @@ def invert_moments(gamma_hat, L: int | None = None, project: bool = False) -> Es
 
     if not projected:
         real, c = _moment_newton(real, c, gamma, s)
-    poly_res = np.abs(np.polyval(poly, real))
+    poly_res = np.abs(_horner(poly, real))
     rho = real * s
     system = HankelSystem(
-        Gamma=hankel(gamma[:L], gamma[L - 1 : 2 * L - 1]),
+        Gamma=gamma[index],
         b=gamma[L : 2 * L],
         s=np.poly(rho)[1:][::-1],
         cond=cond,
@@ -352,7 +368,7 @@ def invert_moments_known_multiplicities(
     _check_gaps(rho_scaled, project)
 
     rho = rho_scaled * s
-    poly_res = np.abs(np.polyval(coeffs, rho_scaled))
+    poly_res = np.abs(_horner(coeffs, rho_scaled))
     return EstimationResult(
         rho_hat=rho,
         c_hat=w.copy(),

@@ -86,16 +86,19 @@ def moments_by_quadrature(
     agree, otherwise disagreement raises with a suggestion to double the
     nodes. The imaginary leakage is scaled the same way, then checked and
     reported. A caller's contour must enclose every positive eigenvalue
-    and secular root; whether it holds the origin is immaterial.
+    and secular root; whether it holds the origin is immaterial. The
+    secular roots (`secular`, solved here when not given) are read only for
+    that check: the default contour depends on the largest eigenvalue
+    alone, so without a caller's contour no roots are solved or read.
     """
     if L < 1:
         raise InputError("L must be at least 1")
-    if secular is None:
-        secular = secular_zeros(spectrum)
     auto = contour is None
     if auto:
         contour = spectrum_contour(spectrum)
     else:
+        if secular is None:
+            secular = secular_zeros(spectrum)
         enclosed = np.concatenate(
             [spectrum.positive_eigenvalues(), secular.positive()]
         )

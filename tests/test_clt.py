@@ -276,3 +276,16 @@ def test_quadratures_are_scale_invariant(scale):
     np.testing.assert_allclose(theta_mestre(three),
                                theta_mestre(THREE_ATOM) * scale**2,
                                rtol=1e-12, atol=0)
+
+
+def test_v_leakage_is_scale_free():
+    # V's entry of orders (p, q) grows like s^(p + q), and so does its
+    # imaginary leakage; reported divided by that, as it is checked, the
+    # leakage reads at rounding level on any scale
+    leakage = []
+    for scale in (1.0, 1e10):
+        model = PopulationModel(rho=(scale, 3.0 * scale), weights=(0.5, 0.5),
+                                aspect=0.5)
+        leakage.append(v_matrix(model)[1]["imag_leakage"])
+    assert max(leakage) <= 1e-14
+    assert abs(leakage[0] - leakage[1]) <= 1e-14

@@ -22,7 +22,7 @@ from coveig import (
     run_clt_histogram,
     run_mse_sweep,
 )
-from coveig import experiments
+from coveig import experiments, moments
 
 MODEL = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.5)
 
@@ -366,3 +366,51 @@ def test_call_inside_daemonic_pool_worker(monkeypatch):
     with multiprocessing.get_context("fork").Pool(1) as pool:
         got = pool.apply_async(_deviations_in_pool_worker).get(timeout=120)
     assert np.array_equal(got, expected, equal_nan=True)
+
+
+def _count_secular(monkeypatch):
+    """Spy on secular_zeros where the harness and the moments call it;
+    returns the list of spectrum seeds it was called for."""
+    calls = []
+    real = experiments.secular_zeros
+
+    def spy(spectrum):
+        calls.append(spectrum.seed)
+        return real(spectrum)
+
+    monkeypatch.setattr(experiments, "secular_zeros", spy)
+    monkeypatch.setattr(moments, "secular_zeros", spy)
+    return calls
+
+
+@pytest.mark.parametrize("methods,route,solves", [
+    (("moment_full",), "quadrature", 0),
+    (("moment_known_mult",), "quadrature", 0),
+    (("moment_full", "moment_known_mult"), "quadrature", 0),
+    (("mestre",), "quadrature", 1),
+    (("moment_full", "mestre"), "quadrature", 1),
+    (("moment_full",), "residues", 1),
+])
+def test_secular_roots_solved_only_where_read(monkeypatch, methods, route,
+                                              solves):
+    # quadrature moments and both inversions never read the roots; Mestre
+    # and the residue route do, and share one solve per trial
+    calls = _count_secular(monkeypatch)
+    counts = coveig.multiplicities(MODEL, 20)
+    est, _, _ = experiments._trial(MODEL, 20, 40, counts, 5, methods,
+                                   route=route)
+    assert calls == [5] * solves
+    assert not np.isnan(est).any()
+
+
+def test_moment_trials_unchanged_by_the_roots():
+    # a moment trial that skips the secular solve estimates bit for bit
+    # what it does next to Mestre, which makes the solve
+    counts = coveig.multiplicities(MODEL, 20)
+    for seed in range(5):
+        alone, _, _ = experiments._trial(
+            MODEL, 20, 40, counts, seed, ("moment_full", "moment_known_mult"))
+        shared, _, _ = experiments._trial(
+            MODEL, 20, 40, counts, seed,
+            ("moment_full", "moment_known_mult", "mestre"))
+        assert np.array_equal(alone, shared[:2])

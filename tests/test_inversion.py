@@ -19,6 +19,7 @@ from coveig import (
     theta_moment_estimator,
     true_moments,
 )
+from coveig import inversion
 
 # moments of the two-atom measure with atoms (1, 3) and weights (1/2, 1/2);
 # every number below is checkable by hand
@@ -231,3 +232,89 @@ def test_moment_estimates_object_accepted():
     np.testing.assert_allclose(res.c_hat, [1 / 3, 1 / 3, 1 / 3], atol=0.1)
     known = invert_moments_known_multiplicities(est, (1 / 3, 1 / 3, 1 / 3))
     np.testing.assert_allclose(known.rho_hat, [1.0, 3.0, 10.0], rtol=0.15)
+
+
+def _polish_by_polyval(poly, roots):
+    """The root polish written with np.polyval: the reference for the
+    inline Horner loops of inversion._polish_roots."""
+    dpoly = np.polyder(poly)
+    for _ in range(3):
+        val = np.polyval(poly, roots)
+        slope = np.polyval(dpoly, roots)
+        safe = np.abs(slope) > 0
+        step = np.where(safe, val / np.where(safe, slope, 1.0), 0.0)
+        cand = roots - step
+        better = np.abs(np.polyval(poly, cand)) <= np.abs(val)
+        roots = np.where(better, cand, roots)
+    return roots
+
+
+def test_polish_is_polyval_arithmetic():
+    # real and complex starts, near-double roots and complex pairs: the
+    # polish must give np.polyval's bits, not merely close values
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        degree = 1 + trial % 5
+        atoms = rng.uniform(0.1, 4.0, degree)
+        if trial % 3 == 0 and degree > 1:
+            atoms[1] = atoms[0] * (1 + 1e-7)
+        poly = np.poly(atoms) + np.r_[0.0, 1e-3 * rng.standard_normal(degree)]
+        starts = np.roots(poly)
+        for roots in (starts, starts + 1e-6j * rng.standard_normal(degree)):
+            assert np.array_equal(inversion._polish_roots(poly, roots),
+                                  _polish_by_polyval(poly, roots))
+
+
+# Golden outputs of the inversion layer, as float.hex, for three fixed
+# moment vectors: A near atoms (1, 3) with equal weights, B near (1, 3, 5)
+# with weights (1/3, 1/3, 1/3), and C infeasible (gamma_2 < gamma_1^2), which
+# only a projection inverts. A change to the arithmetic of the moment
+# scaling, the Newton refinement, the projection's least-squares weights or
+# Newton-Girard shows up here as a changed bit. The vectors were picked
+# among many for bits that stay the same under every OpenBLAS kernel family
+# (Core2 through SkylakeX and Zen) and every numpy SIMD level: near the
+# last bit, many vectors round differently under different BLAS kernels.
+GOLDEN_MOMENTS = {
+    "A": [1.0, 1.971, 5.0398, 13.917],
+    "B": [1.0, 3.00327, 11.691, 50.9789, 235.283, 1123.78],
+    "C": [1.0, 1.63, 2.55, 3.8],
+}
+GOLDEN = [
+    # (vector, weights or None for the full inversion, project, projected,
+    #  rho_hat, c_hat)
+    ("A", None, False, False,
+     ["0x1.3e70fd468ba3bp-1", "0x1.69df706895fcfp+1"],
+     ["0x1.8d8e11ececc6bp-2", "0x1.3938f709899cbp-1"]),
+    ("B", None, False, False,
+     ["0x1.d9f63d563001fp-1", "0x1.8dcd0658c7158p+1", "0x1.4504074d39acap+2"],
+     ["0x1.4664b1461de71p-2", "0x1.86802399e6fc4p-2", "0x1.331b2b1ffb1cap-2"]),
+    ("C", None, True, True,
+     ["0x1.aaddc141db1dep+0", "0x1.aaddc141db1dep+0"],
+     ["0x1.fa1ed2229a0e1p-2", "0x1.fa1ed2229a0e3p-2"]),
+    ("A", (0.5, 0.5), False, False,
+     ["0x1.cae91ea3fb27dp-1", "0x1.85d92d136bb51p+1"],
+     ["0x1.0000000000000p-1", "0x1.0000000000000p-1"]),
+    ("B", (0.25, 0.25, 0.5), False, False,
+     ["0x1.96621f5a821f4p-1", "0x1.2240d249555f0p+1", "0x1.1e74d03789f05p+2"],
+     ["0x1.0000000000000p-2", "0x1.0000000000000p-2", "0x1.0000000000000p-1"]),
+    ("C", (0.5, 0.5), True, True,
+     ["0x1.a147ae147ae13p+0", "0x1.a147ae147ae13p+0"],
+     ["0x1.0000000000000p-1", "0x1.0000000000000p-1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "name,weights,project,projected,rho_hex,c_hex", GOLDEN,
+    ids=[f"{g[0]}-{'full' if g[1] is None else 'known'}" for g in GOLDEN],
+)
+def test_inversion_is_bit_stable(name, weights, project, projected,
+                                 rho_hex, c_hex):
+    gamma = GOLDEN_MOMENTS[name]
+    if weights is None:
+        res = invert_moments(gamma, project=project)
+    else:
+        res = invert_moments_known_multiplicities(gamma, weights,
+                                                  project=project)
+    assert res.projected is projected
+    assert [float(x).hex() for x in res.rho_hat] == rho_hex
+    assert [float(x).hex() for x in res.c_hat] == c_hex

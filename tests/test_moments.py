@@ -16,8 +16,10 @@ from coveig import (
     moments_by_residues,
     simulate_spectrum,
     spectrum_contour,
+    secular_zeros,
     true_moments,
 )
+from coveig import moments
 from coveig.ensemble import SampleSpectrum
 
 LAM = np.array([0.8, 1.1, 2.5, 3.0])
@@ -166,6 +168,41 @@ def test_contour_missing_eigenvalue_rejected():
     bad = Contour(center=1.0, half_width=0.7, half_height=0.3, nodes=512)
     with pytest.raises(ContourError):
         moments_by_quadrature(spectrum, 2, contour=bad)
+
+
+def _count_secular(monkeypatch):
+    """Spy on moments' secular_zeros; returns the list of spectra it got."""
+    calls = []
+
+    def spy(spectrum):
+        calls.append(spectrum)
+        return secular_zeros(spectrum)
+
+    monkeypatch.setattr(moments, "secular_zeros", spy)
+    return calls
+
+
+def test_default_contour_needs_no_secular_roots(monkeypatch):
+    # spectrum_contour is built from the largest eigenvalue alone
+    calls = _count_secular(monkeypatch)
+    est = moments_by_quadrature(_fixed_spectrum(), 3)
+    np.testing.assert_allclose(est.gamma_hat, FROZEN, rtol=0, atol=1e-10)
+    assert calls == []
+
+
+def test_contour_missing_secular_root_rejected(monkeypatch):
+    # the secular roots interlace the eigenvalues, the smallest lying below
+    # 0.8; a caller's contour from 0.7 to 3.3 holds every eigenvalue but
+    # not that root, and only the roots computed for the check can tell
+    spectrum = _fixed_spectrum()
+    assert 0.5 < secular_zeros(spectrum).positive()[0] < 0.7
+    calls = _count_secular(monkeypatch)
+    misses_root = Contour(center=2.0, half_width=1.3, half_height=0.8,
+                          nodes=512)
+    assert misses_root.contains_real(LAM).all()
+    with pytest.raises(ContourError, match="enclose"):
+        moments_by_quadrature(spectrum, 2, contour=misses_root)
+    assert calls == [spectrum]
 
 
 def test_under_resolved_explicit_contour_raises():
