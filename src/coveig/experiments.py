@@ -12,12 +12,10 @@ methods alone on the quadrature route skips the solve.
 
 On Linux, trials run in forked worker processes across the CPUs in the
 process's affinity mask (`taskset -c 0 ...` keeps them on one), once the
-first trial projects the rest to more than a tenth of a second. Trials run
-with each OpenBLAS the process has loaded pinned to one thread, and its
-thread count is restored afterwards; pin another BLAS through its own
-environment (MKL_NUM_THREADS=1, OMP_NUM_THREADS=1). Outputs do not depend
-on the worker count; `SweepRow.wall_time` (the CSV's wall_time_s) is busy
-time summed over trials, not elapsed time.
+first trial projects the rest to more than a tenth of a second. Pin BLAS
+to one thread (OPENBLAS_NUM_THREADS=1) so that workers do not oversubscribe
+the CPUs. Outputs do not depend on the worker count; `SweepRow.wall_time`
+(the CSV's wall_time_s) is busy time summed over trials, not elapsed time.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,61 +195,6 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-_OPENBLAS_THREAD_SYMBOLS = [
-    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
-    for prefix in ("openblas", "scipy_openblas") for suffix in ("", "64_")
-]
-_openblas_threads = None
-
-
-def _openblas_thread_controls() -> list:
-    """(get, set) thread-count functions of each OpenBLAS loaded in this
-    process; numpy and scipy may each bundle their own. Found once, through
-    /proc/self/maps on Linux; empty elsewhere and for other BLAS libraries."""
-    global _openblas_threads
-    if _openblas_threads is not None:
-        return _openblas_threads
-    _openblas_threads = []
-    if not sys.platform.startswith("linux"):
-        return _openblas_threads
-    import ctypes
-
-    with open("/proc/self/maps") as maps:
-        paths = {line.split(maxsplit=5)[-1].strip() for line in maps
-                 if "openblas" in line.rsplit("/", 1)[-1]}
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        # plain OpenBLAS, or the builds bundled with numpy and scipy wheels
-        # (scipy_ prefix; 64_ suffix on 64-bit-integer builds)
-        for get, set_ in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get) and hasattr(lib, set_):
-                _openblas_threads.append((getattr(lib, get), getattr(lib, set_)))
-                break
-    return _openblas_threads
-
-
-@contextmanager
-def _one_blas_thread():
-    """Pin each loaded OpenBLAS to one thread, then restore its count.
-
-    A trial's matrices are small: on a few cores, BLAS threads spinning
-    between them make a 20 x 40 trial some 20 times slower than one thread
-    does, and in forked workers they would oversubscribe the CPUs.
-    """
-    controls = _openblas_thread_controls()
-    before = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), count in zip(controls, before):
-            set_(count)
-
-
 def _run_share(job, indices, conn):
     """Forked worker: send [job(i) for i in indices], or the error job
     raised instead."""
@@ -276,70 +218,65 @@ def _map_trials(job, n: int) -> list:
     reaches the caller as raised, after every worker has been stopped.
     Forking is skipped in a daemonic process (which may have no children)
     and in one running other threads (whose locks a fork would copy held).
-    Every job, here or in a worker, runs with BLAS pinned to one thread
-    (see `_one_blas_thread`).
     """
     if n < 1:
         return []
-    with _one_blas_thread():
-        t0 = time.perf_counter()
-        results = [job(0)]
-        rest = range(1, n)
-        workers = min(_cpus(), len(rest))
-        projected = (time.perf_counter() - t0) * len(rest)
-        if workers < 2 or projected <= _PARALLEL_MIN_S:
-            return results + [job(i) for i in rest]
-        import multiprocessing
-        import multiprocessing.connection
-        import threading
+    t0 = time.perf_counter()
+    results = [job(0)]
+    rest = range(1, n)
+    workers = min(_cpus(), len(rest))
+    if workers < 2 or (time.perf_counter() - t0) * len(rest) <= _PARALLEL_MIN_S:
+        return results + [job(i) for i in rest]
+    import multiprocessing
+    import multiprocessing.connection
+    import threading
 
-        if (multiprocessing.current_process().daemon
-                or threading.active_count() > 1):
-            return results + [job(i) for i in rest]
-        # fork, not spawn: a spawned worker would import the package again,
-        # which costs more than most calls' share of trials
-        ctx = multiprocessing.get_context("fork")
-        procs, pending, shares = [], {}, [None] * workers
-        try:
-            for k in range(workers):
-                recv, send = ctx.Pipe(duplex=False)
-                pending[recv] = k
-                proc = ctx.Process(target=_run_share, daemon=True,
-                                   args=(job, rest[k::workers], send))
+    if multiprocessing.current_process().daemon or threading.active_count() > 1:
+        return results + [job(i) for i in rest]
+    # fork, not spawn: a spawned worker would import the package again,
+    # which costs more than most calls' share of trials
+    ctx = multiprocessing.get_context("fork")
+    procs, pending, shares = [], {}, [None] * workers
+    try:
+        for k in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            pending[recv] = k
+            proc = ctx.Process(target=_run_share, daemon=True,
+                               args=(job, rest[k::workers], send))
+            try:
+                proc.start()
+            finally:
+                # only the worker may hold the sending end, so that its
+                # death reads as end-of-file here
+                send.close()
+            procs.append(proc)
+        while pending:
+            for conn in multiprocessing.connection.wait(list(pending)):
+                k = pending.pop(conn)
                 try:
-                    proc.start()
+                    got = conn.recv()
+                except EOFError:
+                    procs[k].join()
+                    raise CoveigError(
+                        f"trial worker {k} exited with code "
+                        f"{procs[k].exitcode} before sending its results"
+                    ) from None
                 finally:
-                    # only the worker may hold the sending end, so that its
-                    # death reads as end-of-file here
-                    send.close()
-                procs.append(proc)
-            while pending:
-                for conn in multiprocessing.connection.wait(list(pending)):
-                    k = pending.pop(conn)
-                    try:
-                        got = conn.recv()
-                    except EOFError:
-                        procs[k].join()
-                        raise CoveigError(
-                            f"trial worker {k} exited with code "
-                            f"{procs[k].exitcode} before sending its results"
-                        ) from None
-                    finally:
-                        conn.close()
-                    if isinstance(got, Exception):
-                        raise got
-                    shares[k] = got
-        finally:
-            for conn in pending:
-                conn.close()
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-                proc.join()
-        ordered = [None] * len(rest)
-        for k, share in enumerate(shares):
-            ordered[k::workers] = share
-        return results + ordered
+                    conn.close()
+                if isinstance(got, Exception):
+                    raise got
+                shares[k] = got
+    finally:
+        for conn in pending:
+            conn.close()
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+    ordered = [None] * len(rest)
+    for k, share in enumerate(shares):
+        ordered[k::workers] = share
+    return results + ordered
 
 
 def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
