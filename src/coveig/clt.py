@@ -189,9 +189,10 @@ def v_matrix(model: PopulationModel, L: int | None = None, nodes: int = 256):
 
     Integrates kappa / (m_u(z1)^k m_u(z2)^l) over every pair of support
     clusters and sums the blocks. Returns (V, meta); V is symmetrized
-    after recording the raw asymmetry in meta. The imaginary leakage is
-    checked and reported entry by entry, each order scaled by
-    _order_scale, so it reads the same for a model on any scale.
+    after recording its asymmetry in meta. The imaginary leakage is
+    checked and reported, and the asymmetry reported, entry by entry, each
+    order scaled by _order_scale, so both read the same for a model on any
+    scale.
     """
     if L is None:
         L = model.L
@@ -203,9 +204,10 @@ def v_matrix(model: PopulationModel, L: int | None = None, nodes: int = 256):
     )
     k = np.arange(1, 2 * L)
     full = (-1.0) ** (k[:, None] + k[None, :]) * blocks.sum(axis=(0, 1))
-    leakage = _scaled_gap(full, full.real, _order_scale(clusters, 2 * L - 1))
+    scale = _order_scale(clusters, 2 * L - 1)
+    leakage = _scaled_gap(full, full.real, scale)
     V = full.real
-    asym = float(np.abs(V - V.T).max())
+    asym = _scaled_gap(V, V.T, scale)
     V = 0.5 * (V + V.T)
     meta = {
         "nodes": nodes,

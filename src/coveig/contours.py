@@ -28,6 +28,9 @@ __all__ = [
     "cluster_contours",
 ]
 
+# node count spectrum_contour starts the moment quadrature at
+SPECTRUM_NODES = 128
+
 
 @dataclass(frozen=True)
 class Contour:
@@ -49,27 +52,14 @@ class Contour:
             raise ContourError("need at least 16 quadrature nodes")
 
     def points(self) -> NDArray[np.complex128]:
-        theta = self._theta()
-        return (
-            self.center
-            + self.half_width * np.cos(theta)
-            + 1j * self.half_height * np.sin(theta)
-        )
+        return ellipse_nodes(self.center, self.half_width, self.half_height,
+                             self.nodes)[0]
 
     def dz(self) -> NDArray[np.complex128]:
         """Complex quadrature weights: sum(f(points) * dz) approximates the
         counterclockwise contour integral of f."""
-        theta = self._theta()
-        return (
-            (-self.half_width * np.sin(theta) + 1j * self.half_height * np.cos(theta))
-            * (2.0 * np.pi / self.nodes)
-        )
-
-    def _theta(self) -> NDArray[np.float64]:
-        # half-step offset keeps every node strictly off the real axis and
-        # the node set symmetric under conjugation
-        k = np.arange(self.nodes)
-        return 2.0 * np.pi * (k + 0.5) / self.nodes
+        return ellipse_nodes(self.center, self.half_width, self.half_height,
+                             self.nodes)[1]
 
     def contains_real(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -77,6 +67,27 @@ class Contour:
 
     def with_nodes(self, nodes: int) -> "Contour":
         return replace(self, nodes=int(nodes))
+
+
+def ellipse_nodes(center, half_width, half_height, nodes: int):
+    """Nodes and complex weights of the trapezoid rule on ellipses.
+
+    The node axis comes last and the parameters broadcast against it:
+    scalars give one ellipse, (T, 1) arrays a (T, nodes) stack whose row t
+    lies on ellipse t. The half-step offset keeps every node strictly off
+    the real axis and the node set symmetric under conjugation.
+    """
+    theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
+    cos, sin = np.cos(theta), np.sin(theta)
+    points = center + half_width * cos + 1j * half_height * sin
+    dz = (-half_width * sin + 1j * half_height * cos) * (2.0 * np.pi / nodes)
+    return points, dz
+
+
+def spectrum_ellipse(lambda_max):
+    """(center, half_width, half_height) of `spectrum_contour`'s ellipse for
+    the largest eigenvalue lambda_max, a scalar or an array of them."""
+    return 0.5 * lambda_max, 0.8 * lambda_max, 0.56 * lambda_max
 
 
 def _ellipse(x0: float, x1: float, clearance: float, nodes: int) -> Contour:
@@ -89,7 +100,7 @@ def _ellipse(x0: float, x1: float, clearance: float, nodes: int) -> Contour:
     return Contour(center, a, b, nodes)
 
 
-def spectrum_contour(spectrum, nodes: int = 128) -> Contour:
+def spectrum_contour(spectrum, nodes: int = SPECTRUM_NODES) -> Contour:
     """Ellipse enclosing the origin, every positive sample eigenvalue and
     every positive secular root.
 
@@ -97,8 +108,8 @@ def spectrum_contour(spectrum, nodes: int = 128) -> Contour:
     with half-height 0.56 times it. The secular roots interlace the
     eigenvalues, so all of them lie below the largest one.
     """
-    hi = spectrum.positive_eigenvalues()[-1]
-    return Contour(0.5 * hi, 0.8 * hi, 0.56 * hi, nodes)
+    return Contour(*spectrum_ellipse(spectrum.positive_eigenvalues()[-1]),
+                   nodes)
 
 
 def cluster_contours(clusters, k: int, nodes: int = 256) -> Contour:

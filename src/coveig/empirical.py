@@ -29,7 +29,7 @@ from .errors import BracketError, InputError, PoleProximityError
 __all__ = [
     "SecularRoots",
     "empirical_m",
-    "companion_transform_nodes",
+    "companion_transform_rows",
     "secular_zeros",
 ]
 
@@ -80,20 +80,33 @@ def empirical_m(spectrum: SampleSpectrum, z):
     return m_sample, m_comp
 
 
-def companion_transform_nodes(spectrum: SampleSpectrum, z: np.ndarray):
-    """Companion transform and its derivative on an array of points.
+# largest (rows, nodes, n) temporary of the companion transform, in entries
+_SLICE_ENTRIES = 2**15
 
-    Works from the min(N, M) positive eigenvalues plus the structural-zero
-    count, so derived spectra (exact zeros) and diagonalized ones behave
-    identically.
+
+def companion_transform_rows(pos, M: int, z):
+    """Companion transform m and its derivative for a stack of spectra.
+
+    pos is (T, n), the min(N, M) positive eigenvalues of each spectrum,
+    and z (T, K), the points of each row; the M - n structural zeros of
+    the companion enter as a count, so derived spectra (exact zeros) and
+    diagonalized ones behave identically. The sums run in slices of rows
+    (of points, when one row is too large) so that no (rows, K, n)
+    temporary exceeds _SLICE_ENTRIES; a row's values do not depend on the
+    rows beside it.
     """
-    z = np.asarray(z, dtype=complex)
-    pos = spectrum.positive_eigenvalues()
-    M = spectrum.M
-    zero_count = M - pos.size
-    diff = pos[None, :] - z[:, None]
-    m = (1.0 / diff).sum(axis=1)
-    m_prime = (1.0 / diff**2).sum(axis=1)
+    T, K = z.shape
+    n = pos.shape[1]
+    rows = max(1, _SLICE_ENTRIES // (K * n))
+    cols = K if rows > 1 else max(1, _SLICE_ENTRIES // n)
+    m = np.empty((T, K), dtype=complex)
+    m_prime = np.empty((T, K), dtype=complex)
+    for a in range(0, T, rows):
+        for b in range(0, K, cols):
+            diff = pos[a:a + rows, None, :] - z[a:a + rows, b:b + cols, None]
+            m[a:a + rows, b:b + cols] = (1.0 / diff).sum(axis=2)
+            m_prime[a:a + rows, b:b + cols] = (1.0 / diff**2).sum(axis=2)
+    zero_count = M - n
     if zero_count:
         m += zero_count * (-1.0 / z)
         m_prime += zero_count / z**2

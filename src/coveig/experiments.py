@@ -12,14 +12,23 @@ methods alone on the quadrature route skips the solve.
 
 On Linux, trials run in forked worker processes across the CPUs in the
 process's affinity mask (`taskset -c 0 ...` keeps them on one), once the
-first trial projects the rest to more than a tenth of a second. Pin BLAS
-to one thread (OPENBLAS_NUM_THREADS=1) so that workers do not oversubscribe
-the CPUs. Outputs do not depend on the worker count; `SweepRow.wall_time`
-(the CSV's wall_time_s) is busy time summed over trials, not elapsed time.
+first trial, run alone, projects the rest to more than a tenth of a
+second; the rest are dealt out strided, worker k of W taking trials 1 + k,
+1 + k + W, ... Pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) so that
+workers do not oversubscribe the CPUs. Each worker, or the serial loop,
+runs its trials in blocks of at most 25 trials of one (N, M): the draws,
+secular roots, residue moments and Mestre trial by trial, the quadrature
+moments and both inversions once per block, through the row kernels of
+`moments` and `inversion` on the block's stacked trials. A row of a kernel
+equals its one-row call bit for bit, so outputs depend neither on the
+worker count nor on the blocks. `SweepRow.wall_time` (the CSV's
+wall_time_s) is busy time summed over trials, not elapsed time; a block's
+kernel time is split evenly over its trials.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 import time
@@ -42,10 +51,10 @@ from .errors import (
     InvalidRootsError,
     InvalidWeightsError,
 )
-from .inversion import invert_moments, invert_moments_known_multiplicities
+from .inversion import invert_known_rows, invert_rows
 from .mestre import mestre_estimate
 from .model import PopulationModel, multiplicities
-from .moments import moments_by_quadrature, moments_by_residues
+from .moments import moments_by_residues, quadrature_rows
 
 __all__ = [
     "ExperimentConfig",
@@ -67,6 +76,8 @@ _TRIAL_FAILURES = (
 )
 # a smaller projected serial remainder is not worth forking workers for
 _PARALLEL_MIN_S = 0.1
+# most trials of one cell that go through the row kernels at once
+_BLOCK_TRIALS = 25
 
 
 @dataclass(frozen=True)
@@ -135,57 +146,84 @@ class ExperimentReport:
         raise KeyError((method, N))
 
 
-def _trial(model, N, M, counts, seed, methods, project=False,
-           route="quadrature"):
-    """One Monte Carlo trial of every method at (N, M).
+def _estimated(errors) -> np.ndarray:
+    """Mask of the rows a row kernel estimated, from its per-row errors. A
+    trial failure leaves its row NaN; any other error is raised, as the
+    one-row call would raise it."""
+    for err in errors:
+        if err is not None and not isinstance(err, _TRIAL_FAILURES):
+            raise err
+    return np.array([err is None for err in errors], dtype=bool)
 
-    Returns (estimates, projected, times): estimates is (methods, L) with
-    NaN rows where a method failed, projected flags projected inversions,
-    and times holds each method's own time, then the shared time of the
-    simulation plus the secular roots when a method reads them (Mestre,
-    or moments on the residue route), then the moment-estimation time.
+
+def _trials(model, N, M, counts, seeds, methods, project=False,
+            route="quadrature"):
+    """A block of Monte Carlo trials of every method at one (N, M).
+
+    Returns one (estimates, projected, times) per seed: estimates is
+    (methods, L) with NaN rows where a method failed, projected flags
+    projected inversions, and times holds each method's own time, then
+    the shared time of the simulation plus the secular roots when a method
+    reads them (Mestre, or moments on the residue route), then the
+    moment-estimation time. Draws, secular roots, residue moments and
+    Mestre run trial by trial; quadrature moments and both inversions run
+    once over the block's stacked rows, whose time is split evenly over
+    its trials. A trial's results do not depend on the block it is in.
     """
     L = model.L
-    est = np.full((len(methods), L), np.nan)
-    projected = np.zeros(len(methods), dtype=bool)
-    times = np.zeros(len(methods) + 2)
-    t0 = time.perf_counter()
-    spectrum = simulate_spectrum(model, N, M, seed)
+    T = len(seeds)
+    est = np.full((T, len(methods), L), np.nan)
+    projected = np.zeros((T, len(methods)), dtype=bool)
+    times = np.zeros((T, len(methods) + 2))
     # quadrature moments do not read the secular roots
-    secular = (secular_zeros(spectrum)
-               if "mestre" in methods or route == "residues" else None)
-    times[-2] = time.perf_counter() - t0
+    roots_read = "mestre" in methods or route == "residues"
+    spectra, secular = [], []
+    for t, seed in enumerate(seeds):
+        t0 = time.perf_counter()
+        spectra.append(simulate_spectrum(model, N, M, seed))
+        secular.append(secular_zeros(spectra[-1]) if roots_read else None)
+        times[t, -2] = time.perf_counter() - t0
 
     gamma = None
     if any(m.startswith("moment") for m in methods):
         t0 = time.perf_counter()
-        try:
-            if route == "residues":
-                gamma = moments_by_residues(spectrum, L, secular=secular)
-            else:
-                gamma = moments_by_quadrature(spectrum, L)
-        except _TRIAL_FAILURES:
-            pass  # every moment method's row stays NaN
-        times[-1] = time.perf_counter() - t0
+        if route == "residues":
+            gamma = np.empty((T, 2 * L))
+            errors = [None] * T
+            for t in range(T):
+                try:
+                    gamma[t] = moments_by_residues(
+                        spectra[t], L, secular=secular[t]).gamma_hat
+                except _TRIAL_FAILURES as exc:
+                    errors[t] = exc
+        else:
+            pos = np.stack([sp.positive_eigenvalues() for sp in spectra])
+            gamma, _, _, errors = quadrature_rows(pos, N, M, L)
+        # a failed trial leaves every moment method's row NaN
+        ok = np.flatnonzero(_estimated(errors))
+        times[:, -1] = (time.perf_counter() - t0) / T
 
     for i, method in enumerate(methods):
-        t0 = time.perf_counter()
-        try:
-            if method == "mestre":
-                est[i] = mestre_estimate(spectrum, counts, secular)
-            elif gamma is not None:
-                if method == "moment_full":
-                    res = invert_moments(gamma, L, project=project)
-                else:
-                    res = invert_moments_known_multiplicities(
-                        gamma, counts / N, project=project
-                    )
-                est[i] = res.rho_hat
-                projected[i] = res.projected
-        except _TRIAL_FAILURES:
-            pass
-        times[i] = time.perf_counter() - t0
-    return est, projected, times
+        if method == "mestre":
+            for t in range(T):
+                t0 = time.perf_counter()
+                try:
+                    est[t, i] = mestre_estimate(spectra[t], counts, secular[t])
+                except _TRIAL_FAILURES:
+                    pass
+                times[t, i] = time.perf_counter() - t0
+        elif gamma is not None and ok.size:
+            t0 = time.perf_counter()
+            if method == "moment_full":
+                rows = invert_rows(gamma[ok], L, project=project)
+            else:
+                rows = invert_known_rows(gamma[ok], counts / N,
+                                         project=project)
+            good = _estimated(rows.errors)
+            est[ok[good], i] = rows.rho_hat[good]
+            projected[ok[good], i] = rows.projected[good]
+            times[:, i] = (time.perf_counter() - t0) / T
+    return list(zip(est, projected, times))
 
 
 def _cpus() -> int:
@@ -195,44 +233,59 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_share(job, indices, conn):
-    """Forked worker: send [job(i) for i in indices], or the error job
-    raised instead."""
+def _in_blocks(run, indices, cell) -> list:
+    """run(block) over the indices, in blocks of at most _BLOCK_TRIALS
+    consecutive indices of one cell, results concatenated in order."""
+    results = []
+    for _, group in itertools.groupby(indices, cell):
+        group = list(group)
+        for a in range(0, len(group), _BLOCK_TRIALS):
+            results += run(group[a:a + _BLOCK_TRIALS])
+    return results
+
+
+def _run_share(run, indices, cell, conn):
+    """Forked worker: send _in_blocks(run, indices, cell), or the error
+    run raised instead."""
     try:
-        conn.send([job(i) for i in indices])
+        conn.send(_in_blocks(run, indices, cell))
     except Exception as exc:
         conn.send(exc)
     finally:
         conn.close()
 
 
-def _map_trials(job, n: int) -> list:
-    """[job(0), ..., job(n - 1)], spread over this process's CPUs.
+def _map_trials(run, n: int, cell=lambda i: 0) -> list:
+    """run(block) for the trial indices 0 .. n - 1, spread over this
+    process's CPUs; run takes a list of indices of one cell (cell(i) says
+    which) and returns one result per index.
 
-    job(0) runs here. When its time, times the n - 1 jobs left, exceeds
-    _PARALLEL_MIN_S and the process may run on more than one CPU, the rest
-    are dealt out strided to W = min(CPUs, n - 1) forked workers (worker k
-    runs jobs 1 + k, 1 + k + W, ...) and their results are put back in
-    index order. A job must depend on its index alone, so the results are
-    the serial loop's whatever the worker count. An error a job raises
-    reaches the caller as raised, after every worker has been stopped.
-    Forking is skipped in a daemonic process (which may have no children)
-    and in one running other threads (whose locks a fork would copy held).
+    Trial 0 runs alone here. When its time, times the n - 1 trials left,
+    exceeds _PARALLEL_MIN_S and the process may run on more than one CPU,
+    the rest are dealt out strided to W = min(CPUs, n - 1) forked workers
+    (worker k runs trials 1 + k, 1 + k + W, ...) and their results are put
+    back in index order. Each share, or the serial rest, runs in blocks of
+    at most _BLOCK_TRIALS trials of one cell. A result must depend on its
+    index alone, not on the block it ran in, so the results are the serial
+    loop's whatever the worker count. An error run raises reaches the
+    caller as raised, after every worker has been stopped. Forking is
+    skipped in a daemonic process (which may have no children) and in one
+    running other threads (whose locks a fork would copy held).
     """
     if n < 1:
         return []
     t0 = time.perf_counter()
-    results = [job(0)]
+    results = run([0])
     rest = range(1, n)
     workers = min(_cpus(), len(rest))
     if workers < 2 or (time.perf_counter() - t0) * len(rest) <= _PARALLEL_MIN_S:
-        return results + [job(i) for i in rest]
+        return results + _in_blocks(run, rest, cell)
     import multiprocessing
     import multiprocessing.connection
     import threading
 
     if multiprocessing.current_process().daemon or threading.active_count() > 1:
-        return results + [job(i) for i in rest]
+        return results + _in_blocks(run, rest, cell)
     # fork, not spawn: a spawned worker would import the package again,
     # which costs more than most calls' share of trials
     ctx = multiprocessing.get_context("fork")
@@ -242,7 +295,7 @@ def _map_trials(job, n: int) -> list:
             recv, send = ctx.Pipe(duplex=False)
             pending[recv] = k
             proc = ctx.Process(target=_run_share, daemon=True,
-                               args=(job, rest[k::workers], send))
+                               args=(run, rest[k::workers], cell, send))
             try:
                 proc.start()
             finally:
@@ -284,15 +337,17 @@ def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
 
     Trials failing a feasibility check are excluded from the cell's
     statistics and counted in failure_count (unless projection is on).
-    Every (size, trial) of the sweep is one job of `_map_trials`, so trials
-    may run in forked workers; the results do not depend on it. A trial
-    solves the secular equation only when "mestre" is among the methods or
-    the moment route is "residues". wall_time is busy time: the sum of the
-    cell's per-trial stage times, measured where each trial ran, with the
-    shared time (simulation, plus the secular roots when a method reads
-    them) split evenly across the methods and the moment-estimation time
-    across the moment methods. It is not elapsed time when trials run in
-    parallel.
+    Every (size, trial) of the sweep is one trial of `_map_trials`: trial
+    0 runs first and alone, the rest may be dealt out strided to forked
+    workers, and each share runs in blocks of at most 25 trials of one
+    size; the results depend on neither. A trial solves the secular
+    equation only when "mestre" is among the methods or the moment route
+    is "residues". wall_time is busy time: the sum of the cell's per-trial
+    stage times, measured where each trial ran (a block's moment and
+    inversion times split evenly over its trials), with the shared time
+    (simulation, plus the secular roots when a method reads them) split
+    evenly across the methods and the moment-estimation time across the
+    moment methods. It is not elapsed time when trials run in parallel.
     """
     model = config.model
     L = model.L
@@ -303,13 +358,13 @@ def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
     trials = config.trials
     cells = [(N, M, multiplicities(model, N)) for N, M in config.sizes]
 
-    def job(j):
-        N, M, counts = cells[j // trials]
-        seed = trial_seed(config.master_seed, j % trials)
-        return _trial(model, N, M, counts, seed, methods, project,
-                      config.moment_route)
+    def run(block):
+        N, M, counts = cells[block[0] // trials]
+        seeds = [trial_seed(config.master_seed, j % trials) for j in block]
+        return _trials(model, N, M, counts, seeds, methods, project,
+                       config.moment_route)
 
-    results = _map_trials(job, len(cells) * trials)
+    results = _map_trials(run, len(cells) * trials, lambda j: j // trials)
     rows = []
     estimates = {}
     for c, (N, M, _) in enumerate(cells):
@@ -417,12 +472,13 @@ def run_clt_histogram(
     else:
         predicted = np.diag(theta_mestre(model))
 
-    def job(t):
-        est = _trial(model, N, M, counts_n, trial_seed(master_seed, t),
-                     (method,))[0][0]
-        return M * (est - rho)
+    def run(block):
+        seeds = [trial_seed(master_seed, t) for t in block]
+        return [M * (est[0] - rho)
+                for est, _, _ in _trials(model, N, M, counts_n, seeds,
+                                         (method,))]
 
-    dev = np.reshape(_map_trials(job, trials), (-1, L))
+    dev = np.reshape(_map_trials(run, trials), (-1, L))
     ok = ~np.isnan(dev[:, 0])
     good = dev[ok]
     if good.shape[0] < 2:

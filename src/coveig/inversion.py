@@ -10,6 +10,13 @@ realizing the weights.
 Both routes internally rescale the measure by s = max |gamma_ell|^(1/ell)
 so the linear algebra runs near unit scale; atoms are scaled back at the
 end. Reported condition numbers refer to the scaled systems.
+
+Both routes are row kernels, `invert_rows` and `invert_known_rows`, over a
+(T, K) stack of moment vectors, so that a block of Monte Carlo trials pays
+numpy's per-call overhead once; `invert_moments` and
+`invert_moments_known_multiplicities` are their one-row calls. Each row of
+a block equals that call bit for bit, or carries the class and message of
+the error it raises.
 """
 
 from __future__ import annotations
@@ -69,26 +76,68 @@ class EstimationResult:
     hankel: HankelSystem | None = None
 
 
-def _gamma_array(gamma_hat, need: int) -> NDArray[np.float64]:
+@dataclass(frozen=True)
+class InversionRows:
+    """A row kernel's output: the fields of EstimationResult, one row per
+    moment vector of the stack, and per row None or the error the one-row
+    call raises. The rows of an error are undefined."""
+
+    rho_hat: NDArray[np.float64]
+    c_hat: NDArray[np.float64]
+    cond_gamma: NDArray[np.float64]
+    poly_residuals: NDArray[np.float64]
+    weight_residuals: NDArray[np.float64]
+    projected: NDArray[np.bool_]
+    errors: list
+
+
+def _moment_vector(gamma_hat) -> NDArray[np.float64]:
     if isinstance(gamma_hat, MomentEstimates):
         gamma_hat = gamma_hat.gamma_hat
-    gamma = np.asarray(gamma_hat, dtype=float)
-    if gamma.ndim != 1 or gamma.size < need:
-        raise InputError(f"need at least {need} moments, got shape {gamma.shape}")
-    if not np.all(np.isfinite(gamma)):
-        raise InputError("moments contain non-finite values")
-    if abs(gamma[0] - 1.0) > 1e-9:
-        raise InputError(f"gamma_0 must be 1, got {gamma[0]!r}")
-    return gamma
+    return np.asarray(gamma_hat, dtype=float)
 
 
-def _moment_scale(gamma: NDArray[np.float64]) -> float:
-    ells = np.arange(1, gamma.size)
-    mags = np.abs(gamma[1:]) ** (1.0 / ells)
-    s = float(mags.max(initial=0.0))
-    if s == 0.0:
-        raise InputError("all moments beyond gamma_0 vanish")
-    return s
+def _fail(errors: list, live: np.ndarray, bad: np.ndarray, make) -> np.ndarray:
+    """Give the live rows where bad holds the error make(t), t their index
+    in live, unless they have one already; returns ~bad, the rows that stay
+    live."""
+    for t in np.flatnonzero(bad):
+        if errors[live[t]] is None:
+            errors[live[t]] = make(t)
+    return ~bad
+
+
+def _checked_rows(gamma, need: int):
+    """The input screen of a (T, K) moment stack.
+
+    A malformed stack raises; otherwise returns (gamma, errors, live)
+    with the errors of rows that are non-finite or have gamma_0 != 1, and
+    the indices of the other rows.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.ndim != 2 or gamma.shape[1] < need:
+        raise InputError(
+            f"need at least {need} moments, got shape {gamma.shape[1:]}")
+    errors = [None] * gamma.shape[0]
+    live = np.arange(gamma.shape[0])
+    keep = _fail(errors, live, ~np.isfinite(gamma).all(axis=1),
+                 lambda t: InputError("moments contain non-finite values"))
+    live = live[keep]
+    keep = _fail(errors, live, np.abs(gamma[live, 0] - 1.0) > 1e-9,
+                 lambda t: InputError(
+                     f"gamma_0 must be 1, got {gamma[live[t], 0]!r}"))
+    return gamma, errors, live[keep]
+
+
+def _moment_scale(gamma: NDArray[np.float64], errors: list, live):
+    """Per row s = max |gamma_ell|^(1/ell) of a (T, K) stack; returns
+    (s, live) without the rows whose moments beyond gamma_0 all vanish."""
+    ells = np.arange(1, gamma.shape[1])
+    mags = np.abs(gamma[:, 1:]) ** (1.0 / ells)
+    s = mags.max(axis=1, initial=0.0)
+    keep = _fail(errors, live, s == 0.0,
+                 lambda t: InputError("all moments beyond gamma_0 vanish"))
+    return s[keep], live[keep]
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -96,11 +145,41 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     This is np.polyval's own recurrence, so its bits; on the 2- and 3-root
     arrays of a Monte Carlo trial that overhead is most of np.polyval's cost.
+    For a stack, row t of x is evaluated on row t of coeffs.
     """
     y = np.zeros_like(x)
-    for coeff in coeffs:
-        y = y * x + coeff
+    for k in range(coeffs.shape[-1]):
+        y = y * x + coeffs[..., k, None]
     return y
+
+
+def _roots(poly: np.ndarray):
+    """np.roots of every row of a (T, d + 1) stack of monic polynomials.
+
+    Returns complex (T, d) roots and a mask of the rows np.roots returns as
+    a real array (no root with a non-zero imaginary part), whose polish
+    runs in real arithmetic. The companion matrices are one stacked
+    eigvals call; a row with a zero constant term goes through np.roots,
+    which deflates it.
+    """
+    T, d = poly.shape[0], poly.shape[1] - 1
+    roots = np.empty((T, d), dtype=complex)
+    real = np.ones(T, dtype=bool)
+    zero = poly[:, -1] == 0
+    full = ~zero
+    if full.any():
+        # np.roots' companion matrix
+        A = np.zeros((int(full.sum()), d, d))
+        A[:, 1:, :-1] = np.eye(d - 1)
+        A[:, 0, :] = -poly[full, 1:] / poly[full, :1]
+        w = np.linalg.eigvals(A)
+        roots[full] = w
+        real[full] = np.all(np.imag(w) == 0, axis=1)
+    for t in np.flatnonzero(zero):
+        w = np.roots(poly[t])
+        roots[t] = w
+        real[t] = not np.iscomplexobj(w)
+    return roots, real
 
 
 def _polish_roots(poly: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -108,9 +187,10 @@ def _polish_roots(poly: np.ndarray, roots: np.ndarray) -> np.ndarray:
 
     np.roots loses several digits once the root condition number grows;
     a few guarded Newton sweeps restore them. Steps that do not reduce
-    |p| are rejected, which keeps near-multiple roots stable.
+    |p| are rejected, which keeps near-multiple roots stable. For a stack,
+    row t of roots is polished against row t of poly.
     """
-    dpoly = poly[:-1] * np.arange(poly.size - 1, 0, -1)  # np.polyder
+    dpoly = poly[..., :-1] * np.arange(poly.shape[-1] - 1, 0, -1)  # np.polyder
     val = _horner(poly, roots)
     for _ in range(3):
         slope = _horner(dpoly, roots)
@@ -130,28 +210,49 @@ def _eliminate(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     LAPACK has no extended-precision path, and at high map conditioning a
     double-precision solve wrecks the Newton step; the systems here are at
-    most 10 x 10, so hand elimination costs nothing.
+    most 10 x 10, so hand elimination costs nothing. A stack (..., n, n),
+    (..., n) is solved system by system in the same arithmetic; a zero
+    pivot in any system raises.
     """
-    A = A.copy()
-    b = b.copy()
-    n = b.size
+    shape = b.shape
+    n = shape[-1]
+    A = A.reshape(-1, n, n).copy()
+    b = b.reshape(-1, n).copy()
+    rows = np.arange(b.shape[0])
     for k in range(n):
-        p = k + int(np.abs(A[k:, k]).argmax())
-        if A[p, k] == 0:
+        p = k + np.abs(A[:, k:, k]).argmax(axis=1)
+        if np.any(A[rows, p, k] == 0):
             raise np.linalg.LinAlgError("singular Newton system")
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        factors = A[k + 1:, k] / A[k, k]
-        A[k + 1:, k:] -= factors[:, None] * A[k, k:]
-        b[k + 1:] -= factors * b[k]
+        A[rows, k], A[rows, p] = A[rows, p], A[rows, k].copy()
+        b[rows, k], b[rows, p] = b[rows, p], b[rows, k].copy()
+        factors = A[:, k + 1:, k] / A[:, k, k, None]
+        A[:, k + 1:, k:] -= factors[:, :, None] * A[:, k, None, k:]
+        b[:, k + 1:] -= factors * b[:, k, None]
     x = np.zeros_like(b)
     for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - A[k, k + 1:] @ x[k + 1:]) / A[k, k]
-    return x
+        dot = (A[:, k, None, k + 1:] @ x[:, k + 1:, None])[:, 0, 0]
+        x[:, k] = (b[:, k] - dot) / A[:, k, k]
+    return x.reshape(shape)
 
 
-def _moment_newton(real: np.ndarray, c: np.ndarray, gamma: np.ndarray, s: float):
+def _newton_steps(jac: np.ndarray, resid: np.ndarray):
+    """_eliminate over a stack, with a singular system failing only its own
+    row; returns (steps, solved)."""
+    try:
+        return _eliminate(jac, resid), np.ones(resid.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        steps = np.zeros_like(resid)
+        solved = np.zeros(resid.shape[0], dtype=bool)
+        for t in range(resid.shape[0]):
+            try:
+                steps[t] = _eliminate(jac[t], resid[t])
+                solved[t] = True
+            except np.linalg.LinAlgError:
+                pass
+        return steps, solved
+
+
+def _moment_newton(real: np.ndarray, c: np.ndarray, gamma: np.ndarray, s):
     """Refine (weights, atoms) against the scaled moment equations.
 
     The Hankel solve loses digits as its condition number grows even when
@@ -161,67 +262,165 @@ def _moment_newton(real: np.ndarray, c: np.ndarray, gamma: np.ndarray, s: float)
     data-scaling noise by the same factor as data noise, so any double
     rounding inside the loop (including forming the scaled moments) would
     stall well short of the attainable accuracy. Steps that do not reduce
-    the residual are rejected.
+    the residual are rejected, and a row stops at its first rejected,
+    singular or negligible step. Rows are (T, L) real and c, (T, 2L) gamma
+    and (T,) s; each row runs its own iteration.
     """
-    L = real.size
-    ells = np.arange(gamma.size, dtype=np.longdouble)[:, None]
-    g_ext = gamma.astype(np.longdouble) / np.longdouble(s) ** ells[:, 0]
+    L = real.shape[1]
+    ells = np.arange(gamma.shape[1], dtype=np.longdouble)[:, None]
+    g_ext = (gamma.astype(np.longdouble)
+             / s.astype(np.longdouble)[:, None] ** ells[:, 0])
     x_real = real.astype(np.longdouble)
     x_c = c.astype(np.longdouble)
-    resid = (x_real[None, :] ** ells) @ x_c - g_ext
-    scale = 1.0 + float(np.abs(real).max())
+    resid = ((x_real[:, None, :] ** ells) @ x_c[..., None])[..., 0] - g_ext
+    scale = 1.0 + np.abs(real).max(axis=1)
+    live = np.arange(real.shape[0])
     for _ in range(12):
-        powers = x_real[None, :] ** ells
-        dpow = ells * x_real[None, :] ** np.maximum(ells - 1, 0)
-        jac = np.concatenate([powers, dpow * x_c[None, :]], axis=1)
-        try:
-            step = _eliminate(jac, resid)
-        except np.linalg.LinAlgError:
+        xr, xc = x_real[live], x_c[live]
+        powers = xr[:, None, :] ** ells
+        dpow = ells * xr[:, None, :] ** np.maximum(ells - 1, 0)
+        jac = np.concatenate([powers, dpow * xc[:, None, :]], axis=2)
+        step, solved = _newton_steps(jac, resid[live])
+        live, step = live[solved], step[solved]
+        c_new = x_c[live] - step[:, :L]
+        real_new = x_real[live] - step[:, L:]
+        resid_new = (((real_new[:, None, :] ** ells) @ c_new[..., None])[..., 0]
+                     - g_ext[live])
+        better = ~(np.abs(resid_new).max(axis=1)
+                   >= np.abs(resid[live]).max(axis=1))
+        live, step = live[better], step[better]
+        x_c[live], x_real[live], resid[live] = (
+            c_new[better], real_new[better], resid_new[better])
+        live = live[~(np.abs(step).max(axis=1) <= 1e-15 * scale[live])]
+        if not live.size:
             break
-        c_new, real_new = x_c - step[:L], x_real - step[L:]
-        resid_new = (real_new[None, :] ** ells) @ c_new - g_ext
-        if np.abs(resid_new).max() >= np.abs(resid).max():
-            break
-        x_c, x_real, resid = c_new, real_new, resid_new
-        if np.abs(step).max() <= 1e-15 * scale:
-            break
-    order = np.argsort(x_real)
-    return (x_real[order].astype(np.float64), x_c[order].astype(np.float64))
+    order = np.argsort(x_real, axis=1)
+    return (np.take_along_axis(x_real, order, axis=1).astype(np.float64),
+            np.take_along_axis(x_c, order, axis=1).astype(np.float64))
 
 
-def _check_roots(roots: np.ndarray, project: bool):
-    """Feasibility screen; returns real ascending roots."""
+def _check_roots(roots: np.ndarray, project: bool, errors: list, live):
+    """Feasibility screen of a (T, d) stack of roots: imaginary parts, sign
+    and gaps. Returns the real ascending roots and the rows that pass; a
+    projection clips non-positive roots instead and passes every row."""
+    real = np.sort(roots.real, axis=1)
+    if project:
+        clip = real[:, 0] <= 0
+        real[clip] = np.maximum(real[clip], 1e-10)
+        return real, np.ones(live.size, dtype=bool)
     big_imag = np.abs(roots.imag) > _IMAG_RTOL * (1.0 + np.abs(roots))
-    if np.any(big_imag) and not project:
-        raise InvalidRootsError(
-            f"recovered roots have imaginary parts up to "
-            f"{np.abs(roots.imag).max():.3e}; moment vector is infeasible"
-        )
-    real = np.sort(roots.real)
-    if real[0] <= 0:
-        if not project:
-            raise InvalidRootsError(
-                f"recovered roots include non-positive value {real[0]:.6e}"
-            )
-        real = np.maximum(real, 1e-10)
-    return real
-
-
-def _check_gaps(values: np.ndarray, project: bool):
-    if values.size < 2:
-        return
-    gaps = np.diff(values) / np.maximum(np.abs(values[1:]), np.abs(values[:-1]))
-    if gaps.min() <= _GAP_RTOL and not project:
-        raise InvalidRootsError(
-            f"recovered roots nearly coincide (relative gap {gaps.min():.3e})"
-        )
+    keep = _fail(errors, live, big_imag.any(axis=1), lambda t: InvalidRootsError(
+        f"recovered roots have imaginary parts up to "
+        f"{np.abs(roots[t].imag).max():.3e}; moment vector is infeasible"))
+    keep &= _fail(errors, live, keep & (real[:, 0] <= 0),
+                  lambda t: InvalidRootsError(
+                      "recovered roots include non-positive value "
+                      f"{real[t, 0]:.6e}"))
+    if real.shape[1] > 1:
+        low = np.full(live.size, np.inf)
+        v = real[keep]
+        low[keep] = (np.diff(v, axis=1) / np.maximum(
+            np.abs(v[:, 1:]), np.abs(v[:, :-1]))).min(axis=1)
+        keep &= _fail(errors, live, low <= _GAP_RTOL, lambda t: InvalidRootsError(
+            f"recovered roots nearly coincide (relative gap {low[t]:.3e})"))
+    return real, keep
 
 
 def _reconstruction(
     rho: np.ndarray, c: np.ndarray, gamma: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    powers = rho[None, :] ** np.arange(gamma.size)[:, None]
-    return np.abs(powers @ c - gamma)
+    """|moments of the atoms rho with weights c - gamma| per row: rho (T, L),
+    c (T, L) or one (L,) for all rows, gamma (T, K)."""
+    powers = rho[:, None, :] ** np.arange(gamma.shape[1])[:, None]
+    return np.abs((powers @ c[..., None])[..., 0] - gamma)
+
+
+def invert_rows(gamma, L: int, project: bool = False) -> InversionRows:
+    """Full inversion of a (T, K) stack of moment vectors, K >= 2L.
+
+    The row kernel of `invert_moments`, which is its one-row call; every
+    row equals that call bit for bit. The screens run on the rows still
+    live: input, Hankel condition, roots, gaps, weights; the Newton
+    refinement runs on the rows not projected. The linear algebra is
+    stacked (`cond`, `solve`, `eigvals`), except `lstsq`, which cannot
+    take stacks, for projected weights.
+    """
+    if L < 1:
+        raise InputError("L must be at least 1")
+    gamma, errors, live = _checked_rows(gamma, 2 * L)
+    T = gamma.shape[0]
+    gamma = gamma[:, :2 * L]
+    rho = np.full((T, L), np.nan)
+    c_hat = np.full((T, L), np.nan)
+    cond_all = np.full(T, np.nan)
+    poly_res = np.full((T, L), np.nan)
+    weight_res = np.full((T, 2 * L), np.nan)
+    projected = np.zeros(T, dtype=bool)
+    out = InversionRows(rho, c_hat, cond_all, poly_res, weight_res,
+                        projected, errors)
+    s, live = _moment_scale(gamma[live], errors, live)
+    if not live.size:
+        return out
+    g = gamma[live] / s[:, None] ** np.arange(2 * L)
+
+    # both Hankel matrices, scaled and unscaled, index the moments by i + j
+    index = np.add.outer(np.arange(L), np.arange(L))
+    cond = np.linalg.cond(g[:, index])
+    cond_all[live] = cond
+    keep = _fail(errors, live, ~np.isfinite(cond) | (cond > _COND_LIMIT),
+                 lambda t: ConditioningError(
+                     f"Hankel system condition {cond[t]:.3e} exceeds 1e12",
+                     cond=float(cond[t])))
+    live, s, g = live[keep], s[keep], g[keep]
+    if not live.size:
+        return out
+    # coeffs[:, i] multiplies X^i
+    coeffs = np.linalg.solve(g[:, index], -g[:, L:2 * L, None])[..., 0]
+    poly = np.concatenate([np.ones((live.size, 1)), coeffs[:, ::-1]], axis=1)
+    roots, real_rows = _roots(poly)
+    for sel in (real_rows, ~real_rows):
+        if sel.any():
+            start = roots[sel].real if sel is real_rows else roots[sel]
+            roots[sel] = _polish_roots(poly[sel], start)
+    real, keep = _check_roots(roots, project, errors, live)
+    live, s, g, poly, roots, real = (
+        a[keep] for a in (live, s, g, poly, roots, real))
+    if not live.size:
+        return out
+    moved = (np.any(np.abs(roots.imag) > _IMAG_RTOL * (1.0 + np.abs(roots)),
+                    axis=1)
+             | np.any(np.sort(roots.real, axis=1) != real, axis=1))
+
+    vand = real[:, None, :] ** np.arange(L)[:, None]
+    if project:
+        c = np.stack([np.linalg.lstsq(v, gt[:L], rcond=None)[0]
+                      for v, gt in zip(vand, g)])
+    else:
+        c = np.linalg.solve(vand, g[:, :L, None])[..., 0]
+    outside = np.any(c < -_WEIGHT_SLACK, axis=1) | np.any(
+        c > 1.0 + _WEIGHT_SLACK, axis=1)
+    if project:
+        for t in np.flatnonzero(outside):
+            clipped = np.clip(c[t], 0.0, 1.0)
+            c[t] = (clipped / clipped.sum() if clipped.sum() > 0
+                    else np.full(L, 1.0 / L))
+        moved |= outside
+    else:
+        keep = _fail(errors, live, outside, lambda t: InvalidWeightsError(
+            f"weights {c[t]} fall outside [-0.05, 1.05]"))
+        live, s, poly, real, c, moved = (
+            a[keep] for a in (live, s, poly, real, c, moved))
+
+    newton = ~moved
+    if newton.any():
+        real[newton], c[newton] = _moment_newton(
+            real[newton], c[newton], gamma[live[newton]], s[newton])
+    rho[live] = real * s[:, None]
+    c_hat[live] = c
+    poly_res[live] = np.abs(_horner(poly, real))
+    weight_res[live] = _reconstruction(rho[live], c, gamma[live])
+    projected[live] = moved & project
+    return out
 
 
 def invert_moments(gamma_hat, L: int | None = None, project: bool = False) -> EstimationResult:
@@ -232,7 +431,7 @@ def invert_moments(gamma_hat, L: int | None = None, project: bool = False) -> Es
     (complex, non-positive or coincident) raise unless ``project`` is set,
     in which case real parts are clipped and sorted and the result is
     flagged. A scaled Hankel condition number above 1e12 raises
-    ConditioningError.
+    ConditioningError. This is the one-row call of `invert_rows`.
     """
     if isinstance(gamma_hat, MomentEstimates) and L is None:
         L = gamma_hat.gamma_hat.size // 2
@@ -240,63 +439,28 @@ def invert_moments(gamma_hat, L: int | None = None, project: bool = False) -> Es
         L = np.asarray(gamma_hat).size // 2
     if L < 1:
         raise InputError("L must be at least 1")
-    gamma = _gamma_array(gamma_hat, 2 * L)[: 2 * L]
-    s = _moment_scale(gamma)
-    g = gamma / s ** np.arange(2 * L)
-
-    # both Hankel matrices, scaled and unscaled, index the moments by i + j
+    gamma = _moment_vector(gamma_hat)
+    rows = invert_rows(gamma[None], L, project)
+    if rows.errors[0] is not None:
+        raise rows.errors[0]
+    gamma = gamma[: 2 * L]
+    rho = rows.rho_hat[0]
     index = np.add.outer(np.arange(L), np.arange(L))
-    G = g[index]
-    b = g[L : 2 * L]
-    cond = float(np.linalg.cond(G))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise ConditioningError(
-            f"Hankel system condition {cond:.3e} exceeds 1e12", cond=cond
-        )
-    coeffs = np.linalg.solve(G, -b)  # coeffs[i] multiplies X^i
-
-    poly = np.concatenate([[1.0], coeffs[::-1]])
-    roots = _polish_roots(poly, np.roots(poly))
-    real = _check_roots(roots, project)
-    _check_gaps(real, project)
-    projected = bool(
-        np.any(np.abs(roots.imag) > _IMAG_RTOL * (1.0 + np.abs(roots)))
-        or np.any(np.sort(roots.real) != real)
-    )
-
-    vand = real[None, :] ** np.arange(L)[:, None]
-    if project:
-        c, *_ = np.linalg.lstsq(vand, g[:L], rcond=None)
-    else:
-        c = np.linalg.solve(vand, g[:L])
-    if np.any(c < -_WEIGHT_SLACK) or np.any(c > 1.0 + _WEIGHT_SLACK):
-        if not project:
-            raise InvalidWeightsError(
-                f"weights {c} fall outside [-0.05, 1.05]"
-            )
-        c = np.clip(c, 0.0, 1.0)
-        c = c / c.sum() if c.sum() > 0 else np.full(L, 1.0 / L)
-        projected = True
-
-    if not projected:
-        real, c = _moment_newton(real, c, gamma, s)
-    poly_res = np.abs(_horner(poly, real))
-    rho = real * s
-    system = HankelSystem(
-        Gamma=gamma[index],
-        b=gamma[L : 2 * L],
-        s=np.poly(rho)[1:][::-1],
-        cond=cond,
-    )
+    cond = float(rows.cond_gamma[0])
     return EstimationResult(
         rho_hat=rho,
-        c_hat=c,
+        c_hat=rows.c_hat[0],
         cond_gamma=cond,
-        poly_residuals=poly_res,
-        weight_residuals=_reconstruction(rho, c, gamma),
+        poly_residuals=rows.poly_residuals[0],
+        weight_residuals=rows.weight_residuals[0],
         method="moment_full",
-        projected=projected and project,
-        hankel=system,
+        projected=bool(rows.projected[0]),
+        hankel=HankelSystem(
+            Gamma=gamma[index],
+            b=gamma[L : 2 * L],
+            s=np.poly(rho)[1:][::-1],
+            cond=cond,
+        ),
     )
 
 
@@ -327,6 +491,72 @@ def _integer_multiset(weights: np.ndarray, max_denominator: int = 24):
     return counts, total
 
 
+def invert_known_rows(gamma, weights, project: bool = False) -> InversionRows:
+    """Known-multiplicity inversion of a (T, K) stack of moment vectors.
+
+    The row kernel of `invert_moments_known_multiplicities`, which is its
+    one-row call; every row equals that call bit for bit. The weights, and
+    so the integer multiset, are the same for every row: invalid weights
+    raise for the whole stack. Each row needs K >= d + 1 moments.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.size < 1:
+        raise InputError("weights must be a 1-D array")
+    if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
+        raise InvalidWeightsError("weights must be positive and sum to one")
+    counts, d = _integer_multiset(w)
+    L = w.size
+    gamma, errors, live = _checked_rows(gamma, d + 1)
+    T = gamma.shape[0]
+    gamma = gamma[:, : d + 1]
+    rho = np.full((T, L), np.nan)
+    poly_res = np.full((T, L), np.nan)
+    weight_res = np.full((T, d + 1), np.nan)
+    projected = np.zeros(T, dtype=bool)
+    out = InversionRows(rho, np.tile(w, (T, 1)), np.full(T, np.nan),
+                        poly_res, weight_res, projected, errors)
+    s, live = _moment_scale(gamma[live], errors, live)
+    if not live.size:
+        return out
+    p = d * gamma[live, 1:] / s[:, None] ** np.arange(1, d + 1)
+
+    # Newton-Girard: power sums to elementary symmetric polynomials
+    e = np.zeros((live.size, d + 1))
+    e[:, 0] = 1.0
+    for k in range(1, d + 1):
+        acc = np.zeros(live.size)
+        for j in range(1, k + 1):
+            acc += (-1.0) ** (j - 1) * e[:, k - j] * p[:, j - 1]
+        e[:, k] = acc / k
+    coeffs = e * (-1.0) ** np.arange(d + 1)  # descending: X^d, X^(d-1), ...
+
+    roots, real_rows = _roots(coeffs)
+    # a multiplicity-m root comes back as a cluster splayed by eps^(1/m),
+    # with spurious imaginary parts; its centroid is first-order accurate,
+    # so blocks are averaged before any feasibility screening
+    roots = np.take_along_axis(roots, np.argsort(roots.real, axis=1), axis=1)
+    ends = np.cumsum(counts)
+    centers = np.empty((live.size, L), dtype=complex)
+    for sel in (real_rows, ~real_rows):
+        if sel.any():
+            part = roots[sel].real if sel is real_rows else roots[sel]
+            centers[sel] = np.stack(
+                [part[:, a:b].mean(axis=1) for a, b in zip(ends - counts, ends)],
+                axis=1)
+    rho_scaled, keep = _check_roots(centers, project, errors, live)
+    live, s, coeffs, centers, rho_scaled = (
+        a[keep] for a in (live, s, coeffs, centers, rho_scaled))
+
+    rho[live] = rho_scaled * s[:, None]
+    poly_res[live] = np.abs(_horner(coeffs, rho_scaled))
+    weight_res[live] = _reconstruction(rho[live], w, gamma[live])
+    projected[live] = project & (
+        np.any(np.abs(centers.imag) > _IMAG_RTOL * (1.0 + np.abs(centers)),
+               axis=1)
+        | np.any(centers.real != rho_scaled, axis=1))
+    return out
+
+
 def invert_moments_known_multiplicities(
     gamma_hat, weights, project: bool = False
 ) -> EstimationResult:
@@ -337,48 +567,17 @@ def invert_moments_known_multiplicities(
     turns those into elementary symmetric polynomials, the degree-d
     polynomial is solved, and each atom is the mean of its block of d roots.
     Only gamma_1..gamma_d are consumed, so equal weights need exactly L
-    estimated moments.
+    estimated moments. This is the one-row call of `invert_known_rows`.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size < 1:
-        raise InputError("weights must be a 1-D array")
-    if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
-        raise InvalidWeightsError("weights must be positive and sum to one")
-    counts, d = _integer_multiset(w)
-    gamma = _gamma_array(gamma_hat, d + 1)
-    s = _moment_scale(gamma[: d + 1])
-    p = d * gamma[1 : d + 1] / s ** np.arange(1, d + 1)
-
-    e = np.zeros(d + 1)
-    e[0] = 1.0
-    for k in range(1, d + 1):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += (-1.0) ** (j - 1) * e[k - j] * p[j - 1]
-        e[k] = acc / k
-    coeffs = e * (-1.0) ** np.arange(d + 1)  # descending: X^d, X^(d-1), ...
-
-    roots = np.roots(coeffs)
-    # a multiplicity-m root comes back as a cluster splayed by eps^(1/m),
-    # with spurious imaginary parts; its centroid is first-order accurate,
-    # so blocks are averaged before any feasibility screening
-    blocks = np.split(roots[np.argsort(roots.real)], np.cumsum(counts)[:-1])
-    centers = np.array([blk.mean() for blk in blocks])
-    rho_scaled = _check_roots(centers, project)
-    _check_gaps(rho_scaled, project)
-
-    rho = rho_scaled * s
-    poly_res = np.abs(_horner(coeffs, rho_scaled))
+    rows = invert_known_rows(_moment_vector(gamma_hat)[None], weights, project)
+    if rows.errors[0] is not None:
+        raise rows.errors[0]
     return EstimationResult(
-        rho_hat=rho,
-        c_hat=w.copy(),
+        rho_hat=rows.rho_hat[0],
+        c_hat=rows.c_hat[0],
         cond_gamma=float("nan"),
-        poly_residuals=poly_res,
-        weight_residuals=_reconstruction(rho, w, gamma[: d + 1]),
+        poly_residuals=rows.poly_residuals[0],
+        weight_residuals=rows.weight_residuals[0],
         method="moment_known_mult",
-        projected=project
-        and bool(
-            np.any(np.abs(centers.imag) > _IMAG_RTOL * (1.0 + np.abs(centers)))
-            or np.any(centers.real != rho_scaled)
-        ),
+        projected=bool(rows.projected[0]),
     )

@@ -7,6 +7,11 @@ route discretizes one ellipse around the whole spectrum and the origin,
 where neither integrand is singular, so the same rule serves N < M, N = M
 and N > M; the residue route sums the exact residues at the secular roots
 and serves as an independent cross-check.
+
+The quadrature is a row kernel, `quadrature_rows`, over a stack of spectra
+of one (N, M), so that a block of Monte Carlo trials pays numpy's per-call
+overhead once; `moments_by_quadrature` is its one-row call, and each row of
+a block equals that call bit for bit, or carries the error it raises.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .contours import Contour, spectrum_contour
-from .empirical import SecularRoots, companion_transform_nodes, secular_zeros
+from .contours import SPECTRUM_NODES, Contour, ellipse_nodes, spectrum_ellipse
+from .empirical import SecularRoots, companion_transform_rows, secular_zeros
 from .ensemble import SampleSpectrum
 from .errors import (
     ContourError,
@@ -52,23 +57,103 @@ class MomentEstimates:
     node_count: int
 
 
-def _raw_quadrature(spectrum: SampleSpectrum, L: int, pts, weights, m, m_prime):
-    """Complex moment integrals from the transform m, m' on the nodes pts;
-    gamma_hat_0 is exact."""
-    N, M = spectrum.N, spectrum.M
-    raw = np.empty(2 * L, dtype=complex)
-    raw[0] = 1.0
+def _raw_quadrature(N: int, M: int, L: int, pts, weights, m, m_prime):
+    """Complex moment integrals, one row per row of the (T, K) nodes pts
+    and the transform m, m' there; gamma_hat_0 is exact."""
+    raw = np.empty((pts.shape[0], 2 * L), dtype=complex)
+    raw[:, 0] = 1.0
     two_pi_i = 2j * np.pi
-    raw[1] = -(M / N) * np.sum(weights * pts * m_prime / m) / two_pi_i
+    raw[:, 1] = (-(M / N) * np.sum(weights * pts * m_prime / m, axis=1)
+                 / two_pi_i)
     inv = 1.0 / m
     power = inv.copy()  # 1/m^(ell-1), starting at ell = 2
     for ell in range(2, 2 * L):
-        raw[ell] = (
+        raw[:, ell] = (
             (M / N) * (-1.0) ** ell / (ell - 1)
-            * np.sum(weights * power) / two_pi_i
+            * np.sum(weights * power, axis=1) / two_pi_i
         )
         power *= inv
     return raw
+
+
+def quadrature_rows(pos, N: int, M: int, L: int, ellipse=None,
+                    nodes: int = SPECTRUM_NODES):
+    """Moments of a stack of spectra of one (N, M), one row per spectrum.
+
+    The row kernel of `moments_by_quadrature`, which is its one-row call:
+    pos is (T, n), the positive eigenvalues of each spectrum, ascending.
+    ellipse is None for each row's `spectrum_contour`, whose node count
+    doubles until the self-check passes, or (center, half_width,
+    half_height), (T,) arrays of fixed ellipses with the given node count.
+    Returns (gamma, leakage, node_count, errors): gamma (T, 2L), the
+    scaled leakage and the node count of each row, and per row None or the
+    error the one-row call raises. Every row equals its one-row call bit
+    for bit; the rows of an error are undefined.
+    """
+    pos = np.asarray(pos, dtype=float)
+    T = pos.shape[0]
+    auto = ellipse is None
+    # |m| is about 1/|z| on the contour, so the floor is relative to the
+    # largest eigenvalue; gamma_ell grows like its ell-th power, so the
+    # checks divide order ell by it to bring every order to a common size
+    scale = pos[:, -1]
+    if auto:
+        ellipse = spectrum_ellipse(scale)
+    center, half_width, half_height = (np.asarray(v, dtype=float)[:, None]
+                                       for v in ellipse)
+    order_scale = scale[:, None] ** -np.arange(2.0 * L)
+    raw = np.full((T, 2 * L), np.nan, dtype=complex)
+    node_count = np.zeros(T, dtype=int)
+    errors = [None] * T
+    live = np.arange(T)
+    for attempt in range(_MAX_DOUBLINGS + 1):
+        pts, weights = ellipse_nodes(center[live], half_width[live],
+                                     half_height[live], nodes)
+        m, m_prime = companion_transform_rows(pos[live], M, pts)
+        grazed = np.abs(m).min(axis=1) * scale[live] < 1e-10
+        for r in live[grazed]:
+            errors[r] = ContourError(
+                "companion transform nearly vanishes on the contour; a "
+                "secular root must be grazing the curve"
+            )
+        keep = ~grazed
+        live, pts, weights, m, m_prime = (
+            a[keep] for a in (live, pts, weights, m, m_prime))
+        full = _raw_quadrature(N, M, L, pts, weights, m, m_prime)
+        # every other node of the offset trapezoid rule is again a uniform
+        # rule at half resolution, on the transform already computed there
+        half = _raw_quadrature(N, M, L, pts[:, ::2], 2.0 * weights[:, ::2],
+                               m[:, ::2], m_prime[:, ::2])
+        s = order_scale[live]
+        delta = (np.abs(full - half) * s / (1.0 + np.abs(full) * s)).max(axis=1)
+        done = delta <= _SELF_CHECK_RTOL
+        raw[live[done]] = full[done]
+        node_count[live[done]] = nodes
+        live, delta = live[~done], delta[~done]
+        if not live.size:
+            break
+        if not (auto and attempt < _MAX_DOUBLINGS):
+            for r, d in zip(live, delta):
+                errors[r] = ConvergenceError(
+                    "contour quadrature has not converged (self-check "
+                    f"discrepancy {d:.3e}); double the node count",
+                    residual=float(d),
+                )
+            break
+        nodes *= 2
+
+    gamma = raw.real
+    leakage = (np.abs(raw.imag) * order_scale).max(axis=1)
+    leaky = leakage > _LEAKAGE_RTOL * (
+        1.0 + (np.abs(gamma) * order_scale).max(axis=1))
+    for r in np.flatnonzero(leaky):
+        if errors[r] is None:
+            errors[r] = ConvergenceError(
+                f"imaginary leakage {leakage[r]:.3e} (scaled) exceeds "
+                "tolerance; the contour is inadmissible or under-resolved",
+                residual=float(leakage[r]),
+            )
+    return gamma, leakage, node_count, errors
 
 
 def moments_by_quadrature(
@@ -90,13 +175,12 @@ def moments_by_quadrature(
     secular roots (`secular`, solved here when not given) are read only for
     that check: the default contour depends on the largest eigenvalue
     alone, so without a caller's contour no roots are solved or read.
+    This is the one-row call of `quadrature_rows`.
     """
     if L < 1:
         raise InputError("L must be at least 1")
-    auto = contour is None
-    if auto:
-        contour = spectrum_contour(spectrum)
-    else:
+    ellipse, nodes = None, SPECTRUM_NODES
+    if contour is not None:
         if secular is None:
             secular = secular_zeros(spectrum)
         enclosed = np.concatenate(
@@ -104,51 +188,19 @@ def moments_by_quadrature(
         )
         if not contour.contains_real(enclosed).all():
             raise ContourError("contour fails to enclose a required point")
-
-    # |m| is about 1/|z| on the contour, so the floor is relative to the
-    # largest eigenvalue; gamma_ell grows like its ell-th power, so the
-    # checks divide order ell by it to bring every order to a common size
-    scale = spectrum.positive_eigenvalues()[-1]
-    order_scale = scale ** -np.arange(2.0 * L)
-    for attempt in range(_MAX_DOUBLINGS + 1):
-        pts, weights = contour.points(), contour.dz()
-        m, m_prime = companion_transform_nodes(spectrum, pts)
-        if np.abs(m).min() * scale < 1e-10:
-            raise ContourError(
-                "companion transform nearly vanishes on the contour; a "
-                "secular root must be grazing the curve"
-            )
-        raw = _raw_quadrature(spectrum, L, pts, weights, m, m_prime)
-        # every other node of the offset trapezoid rule is again a uniform
-        # rule at half resolution, on the transform already computed there
-        raw_half = _raw_quadrature(spectrum, L, pts[::2], 2.0 * weights[::2],
-                                   m[::2], m_prime[::2])
-        delta = (np.abs(raw - raw_half) * order_scale
-                 / (1.0 + np.abs(raw) * order_scale))
-        if delta.max() <= _SELF_CHECK_RTOL:
-            break
-        if auto and attempt < _MAX_DOUBLINGS:
-            contour = contour.with_nodes(contour.nodes * 2)
-        else:
-            raise ConvergenceError(
-                "contour quadrature has not converged (self-check "
-                f"discrepancy {delta.max():.3e}); double the node count",
-                residual=float(delta.max()),
-            )
-
-    gamma = raw.real
-    leakage = float((np.abs(raw.imag) * order_scale).max())
-    if leakage > _LEAKAGE_RTOL * (1.0 + (np.abs(gamma) * order_scale).max()):
-        raise ConvergenceError(
-            f"imaginary leakage {leakage:.3e} (scaled) exceeds "
-            "tolerance; the contour is inadmissible or under-resolved",
-            residual=leakage,
-        )
+        ellipse = ([contour.center], [contour.half_width],
+                   [contour.half_height])
+        nodes = contour.nodes
+    gamma, leakage, node_count, errors = quadrature_rows(
+        spectrum.positive_eigenvalues()[None], spectrum.N, spectrum.M, L,
+        ellipse, nodes)
+    if errors[0] is not None:
+        raise errors[0]
     return MomentEstimates(
-        gamma_hat=gamma,
+        gamma_hat=gamma[0],
         method="quadrature",
-        imag_leakage=leakage,
-        node_count=contour.nodes,
+        imag_leakage=float(leakage[0]),
+        node_count=int(node_count[0]),
     )
 
 

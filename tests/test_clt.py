@@ -38,7 +38,7 @@ def test_v11_closed_form_single_atom(rho, aspect):
     V, meta = v_matrix(model)
     assert abs(V[0, 0] - rho**2 / aspect) < 1e-8 * (1 + rho**2 / aspect)
     assert meta["imag_leakage"] < 1e-8 * (1 + abs(V).max())
-    assert meta["asymmetry"] < 1e-8 * (1 + abs(V).max())
+    assert meta["asymmetry"] <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -289,3 +289,15 @@ def test_v_leakage_is_scale_free():
         leakage.append(v_matrix(model)[1]["imag_leakage"])
     assert max(leakage) <= 1e-14
     assert abs(leakage[0] - leakage[1]) <= 1e-14
+
+
+def test_v_asymmetry_is_scale_free():
+    # the asymmetry V - V^T is reported scaled like the leakage: unscaled
+    # it read 6.8e-13 on rho (1, 3) and 1.06e38 on rho (1e10, 3e10)
+    asymmetry = []
+    for scale in (1.0, 1e10):
+        model = PopulationModel(rho=(scale, 3.0 * scale), weights=(0.5, 0.5),
+                                aspect=0.5)
+        asymmetry.append(v_matrix(model)[1]["asymmetry"])
+    assert max(asymmetry) <= 1e-14
+    assert abs(asymmetry[0] - asymmetry[1]) <= 1e-14

@@ -397,8 +397,8 @@ def test_secular_roots_solved_only_where_read(monkeypatch, methods, route,
     # and the residue route do, and share one solve per trial
     calls = _count_secular(monkeypatch)
     counts = coveig.multiplicities(MODEL, 20)
-    est, _, _ = experiments._trial(MODEL, 20, 40, counts, 5, methods,
-                                   route=route)
+    (est, _, _), = experiments._trials(MODEL, 20, 40, counts, [5], methods,
+                                       route=route)
     assert calls == [5] * solves
     assert not np.isnan(est).any()
 
@@ -407,10 +407,91 @@ def test_moment_trials_unchanged_by_the_roots():
     # a moment trial that skips the secular solve estimates bit for bit
     # what it does next to Mestre, which makes the solve
     counts = coveig.multiplicities(MODEL, 20)
-    for seed in range(5):
-        alone, _, _ = experiments._trial(
-            MODEL, 20, 40, counts, seed, ("moment_full", "moment_known_mult"))
-        shared, _, _ = experiments._trial(
-            MODEL, 20, 40, counts, seed,
-            ("moment_full", "moment_known_mult", "mestre"))
-        assert np.array_equal(alone, shared[:2])
+    seeds = list(range(5))
+    alone = experiments._trials(MODEL, 20, 40, counts, seeds,
+                                ("moment_full", "moment_known_mult"))
+    shared = experiments._trials(MODEL, 20, 40, counts, seeds,
+                                 ("moment_full", "moment_known_mult", "mestre"))
+    for (a, _, _), (b, _, _) in zip(alone, shared):
+        assert np.array_equal(a, b[:2])
+
+
+def _scalar_trial(model, N, M, seed, methods, project):
+    """One trial through the public per-trial functions, as `coveig
+    estimate` runs them: (estimates, projected), NaN rows for failures."""
+    L = model.L
+    counts = coveig.multiplicities(model, N)
+    spectrum = coveig.simulate_spectrum(model, N, M, seed)
+    est = np.full((len(methods), L), np.nan)
+    projected = np.zeros(len(methods), dtype=bool)
+    try:
+        gamma = coveig.moments_by_quadrature(spectrum, L)
+    except experiments._TRIAL_FAILURES:
+        gamma = None
+    for i, method in enumerate(methods):
+        try:
+            if method == "mestre":
+                est[i] = coveig.mestre_estimate(spectrum, counts)
+                continue
+            if gamma is None:
+                continue
+            if method == "moment_full":
+                res = coveig.invert_moments(gamma, L, project=project)
+            else:
+                res = coveig.invert_moments_known_multiplicities(
+                    gamma, counts / N, project=project)
+            est[i], projected[i] = res.rho_hat, res.projected
+        except experiments._TRIAL_FAILURES:
+            pass
+    return est, projected
+
+
+@pytest.mark.parametrize("infeasible", ["exclude", "project"])
+def test_sweep_independent_of_blocks_and_workers(monkeypatch, infeasible):
+    # 37 trials per cell: serial blocks of 25 + 11 after trial 0, forked
+    # shares that cross the cell edge; both must give the scalar loop's bits
+    sizes = ((12, 24), (24, 48))
+    config = ExperimentConfig(model=CLOSE, sizes=sizes, trials=37,
+                              master_seed=11, infeasible=infeasible)
+    reports = []
+    for mode in (_serial, _forked):
+        with monkeypatch.context() as m:
+            mode(m)
+            reports.append(run_mse_sweep(config))
+    serial, forked = reports
+    for a, b in zip(serial.rows, forked.rows):
+        assert (a.failure_count, a.projected_count) == (
+            b.failure_count, b.projected_count)
+        for field in ("mse_db", "bias", "variance"):
+            assert np.array_equal(getattr(a, field), getattr(b, field),
+                                  equal_nan=True)
+    project = infeasible == "project"
+    for N, M in sizes:
+        loop = [_scalar_trial(CLOSE, N, M, coveig.trial_seed(11, t),
+                              config.methods, project) for t in range(37)]
+        est = np.array([e for e, _ in loop])
+        projected = np.array([p for _, p in loop]).sum(axis=0)
+        assert 0 < np.isnan(est[:, :, 0]).sum() or projected.sum() > 0
+        for i, method in enumerate(config.methods):
+            for report in (serial, forked):
+                assert np.array_equal(report.estimates[(method, N)],
+                                      est[:, i], equal_nan=True)
+                assert report.row(method, N).projected_count == projected[i]
+
+
+def test_clt_histogram_independent_of_blocks_and_workers(monkeypatch):
+    hists = []
+    for mode in (_serial, _forked):
+        with monkeypatch.context() as m:
+            mode(m)
+            hists.append(run_clt_histogram(CLOSE, 24, 48, trials=53,
+                                           master_seed=4))
+    rho = CLOSE.rho_array()
+    loop = np.array([
+        48 * (_scalar_trial(CLOSE, 24, 48, coveig.trial_seed(4, t),
+                            ("moment_full",), False)[0][0] - rho)
+        for t in range(53)])
+    assert np.isnan(loop[:, 0]).any() and not np.isnan(loop[:, 0]).all()
+    for hist in hists:
+        assert np.array_equal(hist.deviations, loop, equal_nan=True)
+        assert hist.failure_count == int(np.isnan(loop[:, 0]).sum())
