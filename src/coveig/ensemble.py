@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _MAGIC = b"COVEIG01"
+# most complex entries of the Gram matrices one eigvalsh call diagonalizes
+_EIG_SLICE_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -132,22 +134,78 @@ def sample_spectrum(observations: np.ndarray, seed: int = 0) -> SampleSpectrum:
         raise InputError("observations contain non-finite entries")
     Y = Y.astype(np.complex128, copy=False)
     small = Y if N <= M else Y.conj().T
-    return _padded_spectrum(small @ small.conj().T / M, N, M, seed)
+    return padded_spectrum(_gram_eigenvalues(small @ small.conj().T / M),
+                            N, M, seed)
 
 
-def _padded_spectrum(gram: np.ndarray, N: int, M: int, seed) -> SampleSpectrum:
-    """Spectrum from the min(N, M)-square Gram matrix that carries every
-    nonzero eigenvalue; the longer side gets |N - M| structural zeros.
-    Only the lower triangle of ``gram`` is read."""
-    lam = np.linalg.eigvalsh(gram)
-    # eigvalsh on a PSD Gram matrix can return tiny negatives
-    np.clip(lam, 0.0, None, out=lam)
+def padded_spectrum(lam: np.ndarray, N: int, M: int, seed) -> SampleSpectrum:
+    """Spectrum from the min(N, M) nonzero-carrying eigenvalues, ascending;
+    the longer side gets |N - M| structural zeros."""
     padded = np.concatenate([np.zeros(abs(N - M)), lam])
     lam_n, lam_m = (lam, padded) if N <= M else (padded, lam)
     return SampleSpectrum(
         N=N, M=M, lambda_hat=lam_n, lambda_hat_companion=lam_m,
         seed=int(seed),
     )
+
+
+def _gram_eigenvalues(gram: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a (stack of) PSD Gram matrices, from the lower
+    triangle only, with eigvalsh's tiny negatives clipped to zero."""
+    lam = np.linalg.eigvalsh(gram)
+    np.clip(lam, 0.0, None, out=lam)
+    return lam
+
+
+def simulate_rows(model: PopulationModel, N: int, M: int,
+                  seeds) -> NDArray[np.float64]:
+    """Eigenvalues of the smaller Gram matrix, one row per seed.
+
+    The row kernel of `simulate_spectrum`, which is its one-row call:
+    returns a (len(seeds), min(N, M)) array whose row t holds, ascending,
+    the eigenvalues that ``simulate_spectrum(model, N, M, seeds[t])``
+    reports as positive, bit for bit. The scale, the strictly-lower index
+    and the buffers are set up once; each seed is drawn and its Gram matrix
+    formed as in `simulate_spectrum`, and the matrices are diagonalized by
+    one `eigvalsh` call per slice of at most _EIG_SLICE_ENTRIES entries, so
+    memory does not grow with the number of seeds.
+    """
+    scale = _realized_scale(model, N, M) / np.sqrt(M)
+    n = min(N, M)
+    seeds = list(seeds)
+    out = np.empty((len(seeds), n))
+    diag = np.arange(n)
+    lower = np.tri(n, n, -1, dtype=bool)
+    below = n * (n - 1) // 2  # entries below the diagonal of the top block
+    root_half = np.sqrt(0.5)
+    per = max(1, _EIG_SLICE_ENTRIES // (n * n))
+    # column-major slots, so that LAPACK forms each Gram matrix in place
+    # from the top n x n block of the factor, which it overwrites
+    stack = np.zeros((min(per, len(seeds)), n, n),
+                     dtype=np.complex128).transpose(0, 2, 1)
+    # the i.i.d. rows below that block, when N > M
+    tail = np.empty((N - n, n), dtype=np.complex128, order="F")
+    for a in range(0, len(seeds), per):
+        chunk = seeds[a:a + per]
+        for k, seed in enumerate(chunk):
+            rng = _rng_for(seed)
+            top = stack[k]
+            top[diag, diag] = np.sqrt(rng.standard_gamma(M - diag))
+            draws = rng.standard_normal(2 * (below + tail.size))
+            draws *= root_half
+            draws = draws.view(np.complex128)
+            top[lower] = draws[:below]
+            top *= scale[:n, None]
+            gram, _ = lapack.zlauum(top, lower=1, overwrite_c=1)
+            if tail.size:
+                tail[:] = draws[below:].reshape(tail.shape)
+                tail *= scale[n:, None]
+                gram = blas.zherk(1.0, tail, beta=1.0, c=gram, trans=2,
+                                  lower=1, overwrite_c=1)
+            if gram is not top:
+                top[:] = gram
+        out[a:a + len(chunk)] = _gram_eigenvalues(stack[:len(chunk)])
+    return out
 
 
 def simulate_spectrum(
@@ -170,25 +228,11 @@ def simulate_spectrum(
 
     B^H B is formed in its lower triangle only: LAPACK's `zlauum` multiplies
     the triangular top n x n block by its adjoint, and when N > M `zherk`
-    adds the Gram matrix of the i.i.d. block below it.
+    adds the Gram matrix of the i.i.d. block below it. This is the one-row
+    call of `simulate_rows`.
     """
-    scale = _realized_scale(model, N, M) / np.sqrt(M)
-    n = min(N, M)
-    rng = _rng_for(seed)
-    # column-major, so that for N <= M LAPACK works on the factor in place
-    factor = np.zeros((N, n), dtype=np.complex128, order="F")
-    i = np.arange(n)
-    factor[i, i] = np.sqrt(rng.standard_gamma(M - i))
-    below = np.tri(N, n, -1, dtype=bool)
-    draws = rng.standard_normal(2 * int(below.sum()))
-    draws *= np.sqrt(0.5)
-    factor[below] = draws.view(np.complex128)
-    factor *= scale[:, None]
-    gram, _ = lapack.zlauum(factor[:n], lower=1, overwrite_c=1)
-    if N > n:
-        gram = blas.zherk(1.0, factor[n:], beta=1.0, c=gram, trans=2,
-                          lower=1, overwrite_c=1)
-    return _padded_spectrum(gram, N, M, seed)
+    lam = simulate_rows(model, N, M, [seed])[0]
+    return padded_spectrum(lam, N, M, seed)
 
 
 def write_observations(path, observations: np.ndarray, seed: int = 0) -> None:

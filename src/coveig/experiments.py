@@ -10,25 +10,33 @@ Mestre's estimator does, and so do moments on the residue route. Moments by
 quadrature and both moment inversions do not, so a trial of the moment
 methods alone on the quadrature route skips the solve.
 
-On Linux, trials run in forked worker processes across the CPUs in the
-process's affinity mask (`taskset -c 0 ...` keeps them on one), once the
-first trial, run alone, projects the rest to more than a tenth of a
-second; the rest are dealt out strided, worker k of W taking trials 1 + k,
-1 + k + W, ... Pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) so that
-workers do not oversubscribe the CPUs. Each worker, or the serial loop,
-runs its trials in blocks of at most 25 trials of one (N, M): the draws,
-secular roots, residue moments and Mestre trial by trial, the quadrature
-moments and both inversions once per block, through the row kernels of
-`moments` and `inversion` on the block's stacked trials. A row of a kernel
-equals its one-row call bit for bit, so outputs depend neither on the
-worker count nor on the blocks. `SweepRow.wall_time` (the CSV's
-wall_time_s) is busy time summed over trials, not elapsed time; a block's
-kernel time is split evenly over its trials.
+Trials run in chunks of consecutive trials of one (N, M). Trial 0 runs
+alone first. On Linux, when its time projects the rest to more than a
+tenth of a second, the calling process forks one worker per further CPU in
+its affinity mask (`taskset -c 0 ...` keeps it on one) and runs the
+set-up of the call, such as a CLT covariance, while they start; then it
+and the workers each take the next chunk of a guided plan (guided
+self-scheduling, Polychronopoulos & Kuck 1987) from one shared
+counter until none is left. A chunk holds ceil(remaining / 2W) trials for
+W processes, never fewer than about 10 ms of trial 0's time nor more than
+64, so chunks shrink toward the end and a slow process holds up the others
+for at most one small chunk. Serially the same plan runs with W = 1. Pin
+BLAS to one thread (OPENBLAS_NUM_THREADS=1) so that the processes do not
+oversubscribe the CPUs. A chunk runs through the row kernels: the draws
+and their eigenvalues through `ensemble.simulate_rows`, the quadrature
+moments and both inversions through those of `moments` and `inversion`;
+secular roots, residue moments and Mestre run trial by trial. A row of a
+kernel equals its one-row call bit for bit, so outputs depend neither on
+the worker count nor on the chunks. `SweepRow.wall_time` (the CSV's
+wall_time_s) is busy time summed over trials, not elapsed time; a chunk's
+kernel time, the sampling included, is split evenly over its trials.
 """
 
 from __future__ import annotations
 
-import itertools
+import contextlib
+import math
+import mmap
 import os
 import sys
 import time
@@ -39,7 +47,7 @@ from numpy.typing import NDArray
 from scipy.special import ndtr
 
 from .clt import theta_mestre, theta_moment_estimator
-from .ensemble import simulate_spectrum, trial_seed
+from .ensemble import padded_spectrum, simulate_rows, trial_seed
 from .empirical import secular_zeros
 from .errors import (
     ConditioningError,
@@ -76,8 +84,12 @@ _TRIAL_FAILURES = (
 )
 # a smaller projected serial remainder is not worth forking workers for
 _PARALLEL_MIN_S = 0.1
-# most trials of one cell that go through the row kernels at once
-_BLOCK_TRIALS = 25
+# a chunk of trials takes at least this long, by trial 0's time, so that
+# the row kernels' per-call overhead stays small beside it
+_CHUNK_MIN_S = 0.01
+# most trials of one chunk, which go through the row kernels at once; it
+# bounds the memory a chunk takes
+_CHUNK_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -129,6 +141,9 @@ class SweepRow:
     variance: NDArray[np.float64]  # empirical variance of M * (est - true)
     failure_count: int
     projected_count: int
+    # busy seconds summed over the cell's trials, wherever each ran; a
+    # chunk's kernel time (sampling included) is split evenly over its
+    # trials, so this is not elapsed time
     wall_time: float
 
 
@@ -163,12 +178,13 @@ def _trials(model, N, M, counts, seeds, methods, project=False,
     Returns one (estimates, projected, times) per seed: estimates is
     (methods, L) with NaN rows where a method failed, projected flags
     projected inversions, and times holds each method's own time, then
-    the shared time of the simulation plus the secular roots when a method
+    the shared time of the sampling plus the secular roots when a method
     reads them (Mestre, or moments on the residue route), then the
-    moment-estimation time. Draws, secular roots, residue moments and
-    Mestre run trial by trial; quadrature moments and both inversions run
-    once over the block's stacked rows, whose time is split evenly over
-    its trials. A trial's results do not depend on the block it is in.
+    moment-estimation time. The draws and their eigenvalues, quadrature
+    moments and both inversions run once over the block's stacked rows,
+    whose time is split evenly over its trials; secular roots, residue
+    moments and Mestre run trial by trial, on spectra built only for them.
+    A trial's results do not depend on the block it is in.
     """
     L = model.L
     T = len(seeds)
@@ -177,12 +193,17 @@ def _trials(model, N, M, counts, seeds, methods, project=False,
     times = np.zeros((T, len(methods) + 2))
     # quadrature moments do not read the secular roots
     roots_read = "mestre" in methods or route == "residues"
-    spectra, secular = [], []
-    for t, seed in enumerate(seeds):
-        t0 = time.perf_counter()
-        spectra.append(simulate_spectrum(model, N, M, seed))
-        secular.append(secular_zeros(spectra[-1]) if roots_read else None)
-        times[t, -2] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    lam = simulate_rows(model, N, M, seeds)
+    times[:, -2] = (time.perf_counter() - t0) / T
+    spectra = secular = [None] * T
+    if roots_read:
+        spectra, secular = [], []
+        for t, seed in enumerate(seeds):
+            t0 = time.perf_counter()
+            spectra.append(padded_spectrum(lam[t], N, M, seed))
+            secular.append(secular_zeros(spectra[-1]))
+            times[t, -2] += time.perf_counter() - t0
 
     gamma = None
     if any(m.startswith("moment") for m in methods):
@@ -197,8 +218,9 @@ def _trials(model, N, M, counts, seeds, methods, project=False,
                 except _TRIAL_FAILURES as exc:
                     errors[t] = exc
         else:
-            pos = np.stack([sp.positive_eigenvalues() for sp in spectra])
-            gamma, _, _, errors = quadrature_rows(pos, N, M, L)
+            if (lam[:, 0] <= 0).any():
+                raise InputError("sample spectrum is rank deficient")
+            gamma, _, _, errors = quadrature_rows(lam, N, M, L)
         # a failed trial leaves every moment method's row NaN
         ok = np.flatnonzero(_estimated(errors))
         times[:, -1] = (time.perf_counter() - t0) / T
@@ -233,69 +255,108 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _in_blocks(run, indices, cell) -> list:
-    """run(block) over the indices, in blocks of at most _BLOCK_TRIALS
-    consecutive indices of one cell, results concatenated in order."""
-    results = []
-    for _, group in itertools.groupby(indices, cell):
-        group = list(group)
-        for a in range(0, len(group), _BLOCK_TRIALS):
-            results += run(group[a:a + _BLOCK_TRIALS])
-    return results
+def _chunk_end(start: int, n: int, takers: int, floor: int,
+               cell_size: int) -> int:
+    """End of the chunk of the guided plan that begins at trial start:
+    ceil(remaining / (2 takers)) trials, never fewer than floor nor more
+    than _CHUNK_MAX, cut at the end of start's cell. The plan depends on
+    the start alone, not on who takes the chunk."""
+    size = min(_CHUNK_MAX, max(floor, -(-(n - start) // (2 * takers))))
+    return min(n, start + size, (start // cell_size + 1) * cell_size)
 
 
-def _run_share(run, indices, cell, conn):
-    """Forked worker: send _in_blocks(run, indices, cell), or the error
-    run raised instead."""
+def _take_chunks(run, take) -> dict:
+    """run(chunk) for every chunk take() hands out until it hands out an
+    empty one; returns {chunk start: its results}."""
+    done = {}
+    while chunk := take():
+        done[chunk.start] = run(list(chunk))
+    return done
+
+
+def _worker(run, take, stop, conn):
+    """Forked worker: send _take_chunks(run, take), or the error run raised
+    instead, after stopping the plan so that no one takes another chunk."""
     try:
-        conn.send(_in_blocks(run, indices, cell))
+        conn.send(_take_chunks(run, take))
     except Exception as exc:
+        stop()
         conn.send(exc)
     finally:
         conn.close()
 
 
-def _map_trials(run, n: int, cell=lambda i: 0) -> list:
-    """run(block) for the trial indices 0 .. n - 1, spread over this
-    process's CPUs; run takes a list of indices of one cell (cell(i) says
-    which) and returns one result per index.
+def _may_fork() -> bool:
+    """False in a daemonic process, which may have no children, and in one
+    running other threads, whose locks a fork would copy held."""
+    import multiprocessing
+    import threading
+
+    return not (multiprocessing.current_process().daemon
+                or threading.active_count() > 1)
+
+
+def _map_trials(run, n: int, cell_size: int, setup=lambda: None):
+    """run(chunk) for the trial indices 0 .. n - 1, spread over this
+    process's CPUs, and setup() once in this process; returns (setup(),
+    the results in index order). run takes a list of consecutive indices of
+    one cell (indices j with one j // cell_size) and returns one result per
+    index.
 
     Trial 0 runs alone here. When its time, times the n - 1 trials left,
     exceeds _PARALLEL_MIN_S and the process may run on more than one CPU,
-    the rest are dealt out strided to W = min(CPUs, n - 1) forked workers
-    (worker k runs trials 1 + k, 1 + k + W, ...) and their results are put
-    back in index order. Each share, or the serial rest, runs in blocks of
-    at most _BLOCK_TRIALS trials of one cell. A result must depend on its
-    index alone, not on the block it ran in, so the results are the serial
-    loop's whatever the worker count. An error run raises reaches the
-    caller as raised, after every worker has been stopped. Forking is
-    skipped in a daemonic process (which may have no children) and in one
-    running other threads (whose locks a fork would copy held).
+    W = min(CPUs, n - 1) processes take the rest: this one and W - 1
+    forked workers, which start while this one runs setup(). Each takes the
+    next chunk of the guided plan (`_chunk_end`, with a floor of
+    _CHUNK_MIN_S of trial 0's time) from one shared counter until none is
+    left, so a slow process takes fewer chunks and none waits long for the
+    last. Serially the same plan runs with W = 1. A result must depend on
+    its index alone, not on the chunk it ran in, so the results are the
+    serial loop's whatever the worker count. An error run or setup raises
+    reaches the caller as raised, after every worker has been stopped.
+    Forking is skipped where `_may_fork` says no.
     """
     if n < 1:
-        return []
+        return setup(), []
     t0 = time.perf_counter()
-    results = run([0])
-    rest = range(1, n)
-    workers = min(_cpus(), len(rest))
-    if workers < 2 or (time.perf_counter() - t0) * len(rest) <= _PARALLEL_MIN_S:
-        return results + _in_blocks(run, rest, cell)
-    import multiprocessing
-    import multiprocessing.connection
-    import threading
+    done = {0: run([0])}
+    elapsed = time.perf_counter() - t0
+    floor = max(1, math.ceil(_CHUNK_MIN_S / max(elapsed, 1e-9)))
+    takers = min(_cpus(), n - 1)
+    if takers < 2 or elapsed * (n - 1) <= _PARALLEL_MIN_S or not _may_fork():
+        takers = 1
+    # the next trial to take, in memory that forked workers share
+    next_trial = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+    next_trial[0] = 1
+    lock = contextlib.nullcontext()
+    if takers > 1:
+        import multiprocessing
+        import multiprocessing.connection
 
-    if multiprocessing.current_process().daemon or threading.active_count() > 1:
-        return results + _in_blocks(run, rest, cell)
-    # fork, not spawn: a spawned worker would import the package again,
-    # which costs more than most calls' share of trials
-    ctx = multiprocessing.get_context("fork")
-    procs, pending, shares = [], {}, [None] * workers
+        # fork, not spawn: a spawned worker would import the package again,
+        # which costs more than most calls' share of trials
+        ctx = multiprocessing.get_context("fork")
+        lock = ctx.Lock()
+
+    def take():
+        with lock:
+            start = int(next_trial[0])
+            end = (_chunk_end(start, n, takers, floor, cell_size)
+                   if start < n else n)
+            next_trial[0] = end
+        return range(start, end)
+
+    def stop():
+        with lock:
+            next_trial[0] = n
+
+    procs, pending = [], {}
     try:
-        for k in range(workers):
+        for k in range(takers - 1):
             recv, send = ctx.Pipe(duplex=False)
             pending[recv] = k
-            proc = ctx.Process(target=_run_share, daemon=True,
-                               args=(run, rest[k::workers], cell, send))
+            proc = ctx.Process(target=_worker, daemon=True,
+                               args=(run, take, stop, send))
             try:
                 proc.start()
             finally:
@@ -303,6 +364,8 @@ def _map_trials(run, n: int, cell=lambda i: 0) -> list:
                 # death reads as end-of-file here
                 send.close()
             procs.append(proc)
+        made = setup()
+        done.update(_take_chunks(run, take))
         while pending:
             for conn in multiprocessing.connection.wait(list(pending)):
                 k = pending.pop(conn)
@@ -318,7 +381,7 @@ def _map_trials(run, n: int, cell=lambda i: 0) -> list:
                     conn.close()
                 if isinstance(got, Exception):
                     raise got
-                shares[k] = got
+                done.update(got)
     finally:
         for conn in pending:
             conn.close()
@@ -326,10 +389,7 @@ def _map_trials(run, n: int, cell=lambda i: 0) -> list:
             if proc.is_alive():
                 proc.terminate()
             proc.join()
-    ordered = [None] * len(rest)
-    for k, share in enumerate(shares):
-        ordered[k::workers] = share
-    return results + ordered
+    return made, [r for k in sorted(done) for r in done[k]]
 
 
 def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
@@ -338,16 +398,16 @@ def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
     Trials failing a feasibility check are excluded from the cell's
     statistics and counted in failure_count (unless projection is on).
     Every (size, trial) of the sweep is one trial of `_map_trials`: trial
-    0 runs first and alone, the rest may be dealt out strided to forked
-    workers, and each share runs in blocks of at most 25 trials of one
-    size; the results depend on neither. A trial solves the secular
-    equation only when "mestre" is among the methods or the moment route
-    is "residues". wall_time is busy time: the sum of the cell's per-trial
-    stage times, measured where each trial ran (a block's moment and
-    inversion times split evenly over its trials), with the shared time
-    (simulation, plus the secular roots when a method reads them) split
-    evenly across the methods and the moment-estimation time across the
-    moment methods. It is not elapsed time when trials run in parallel.
+    0 runs first and alone, the rest in chunks of trials of one size,
+    taken by this process and any forked workers; the results depend on
+    neither. A trial solves the secular equation only when "mestre" is
+    among the methods or the moment route is "residues". wall_time is busy
+    time: the sum of the cell's per-trial stage times, measured where each
+    trial ran (a chunk's sampling, moment and inversion times split evenly
+    over its trials), with the shared time (sampling, plus the secular
+    roots when a method reads them) split evenly across the methods and the
+    moment-estimation time across the moment methods. It is not elapsed
+    time when trials run in parallel.
     """
     model = config.model
     L = model.L
@@ -364,7 +424,7 @@ def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
         return _trials(model, N, M, counts, seeds, methods, project,
                        config.moment_route)
 
-    results = _map_trials(run, len(cells) * trials, lambda j: j // trials)
+    _, results = _map_trials(run, len(cells) * trials, trials)
     rows = []
     estimates = {}
     for c, (N, M, _) in enumerate(cells):
@@ -467,10 +527,11 @@ def run_clt_histogram(
     L = model.L
     rho = model.rho_array()
     counts_n = multiplicities(model, N)
-    if method == "moment_full":
-        predicted = np.diag(theta_moment_estimator(model).Theta)[L:]
-    else:
-        predicted = np.diag(theta_mestre(model))
+
+    def setup():
+        if method == "moment_full":
+            return np.diag(theta_moment_estimator(model).Theta)[L:]
+        return np.diag(theta_mestre(model))
 
     def run(block):
         seeds = [trial_seed(master_seed, t) for t in block]
@@ -478,7 +539,8 @@ def run_clt_histogram(
                 for est, _, _ in _trials(model, N, M, counts_n, seeds,
                                          (method,))]
 
-    dev = np.reshape(_map_trials(run, trials), (-1, L))
+    predicted, dev = _map_trials(run, trials, trials, setup)
+    dev = np.reshape(dev, (-1, L))
     ok = ~np.isnan(dev[:, 0])
     good = dev[ok]
     if good.shape[0] < 2:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -317,11 +318,99 @@ def test_worker_error_reaches_caller(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _slowed(monkeypatch, side, seconds=0.02, worker=None):
+    """Make each block of trials sleep first in the calling process
+    (side "caller") or in forked workers (side "worker"), told apart by
+    os.getpid(); worker, when given, replaces the sleep in a worker."""
+    caller = os.getpid()
+    real = experiments.simulate_rows
+
+    def simulate_rows(*args):
+        in_caller = os.getpid() == caller
+        if not in_caller and worker is not None:
+            worker()
+        elif in_caller == (side == "caller"):
+            time.sleep(seconds)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "simulate_rows", simulate_rows)
+
+
 def test_dead_worker_is_an_error(monkeypatch):
+    # the caller takes chunks too, so only a forked worker is killed; the
+    # caller's trials sleep, so the worker takes a chunk before it is done
     _forked(monkeypatch)
-    _fail_at_trial(monkeypatch, 42, 3, lambda: os._exit(3))
+    _slowed(monkeypatch, "caller", 0.05, worker=lambda: os._exit(3))
     with pytest.raises(coveig.CoveigError, match="exited with code 3"):
         run_mse_sweep(_config(trials=8, methods=("mestre",)))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("side", ["caller", "worker"])
+def test_forked_runs_with_a_slow_side_are_bit_identical(monkeypatch, side):
+    # whoever is slow takes fewer chunks; the results must not move
+    config = ExperimentConfig(model=CLOSE, sizes=((12, 24), (24, 48)),
+                              trials=9, master_seed=7)
+    runs = []
+    for mode in (_serial, _forked):
+        with monkeypatch.context() as m:
+            asked = mode(m)
+            if mode is _forked:
+                _slowed(m, side)
+            runs.append((run_mse_sweep(config),
+                         run_clt_histogram(MODEL, 20, 40, trials=11,
+                                           master_seed=3)))
+            assert asked in (None, ["fork", "fork"])
+            assert multiprocessing.active_children() == []
+    (sweep, hist), (forked_sweep, forked_hist) = runs
+    for a, b in zip(sweep.rows, forked_sweep.rows):
+        assert (a.failure_count, a.projected_count) == (
+            b.failure_count, b.projected_count)
+        assert np.array_equal(sweep.estimates[(a.method, a.N)],
+                              forked_sweep.estimates[(a.method, a.N)],
+                              equal_nan=True)
+    assert np.array_equal(hist.deviations, forked_hist.deviations,
+                          equal_nan=True)
+    assert np.array_equal(hist.predicted_var, forked_hist.predicted_var)
+
+
+def test_setup_error_reaches_caller_while_workers_run(monkeypatch):
+    # the covariance set-up runs in the caller after the workers start
+    asked = _forked(monkeypatch)
+    _slowed(monkeypatch, "worker", 0.05)
+    children = []
+
+    def theta_moment_estimator(model):
+        children.append(len(multiprocessing.active_children()))
+        raise coveig.ConvergenceError("set-up failed")
+
+    monkeypatch.setattr(experiments, "theta_moment_estimator",
+                        theta_moment_estimator)
+    with pytest.raises(coveig.ConvergenceError, match="^set-up failed$"):
+        run_clt_histogram(MODEL, 20, 40, trials=12, master_seed=1)
+    assert asked == ["fork"]
+    assert children == [1]
+    assert multiprocessing.active_children() == []
+
+
+def test_each_trial_taken_once_by_racing_workers(monkeypatch, tmp_path):
+    # more processes than CPUs race for chunks of at most 7 trials: every
+    # index must run exactly once, which a lost update of the shared
+    # counter breaks, and come back in its place
+    monkeypatch.setattr(experiments, "_cpus", lambda: 6)
+    monkeypatch.setattr(experiments, "_PARALLEL_MIN_S", 0.0)
+    monkeypatch.setattr(experiments, "_CHUNK_MIN_S", 0.0)
+    log = tmp_path / "runs"
+
+    def run(block):
+        with open(log, "a") as fh:
+            fh.write("".join(f"{j}\n" for j in block))
+        return [(j, os.getpid()) for j in block]
+
+    _, results = experiments._map_trials(run, 20000, cell_size=7)
+    assert [j for j, _ in results] == list(range(20000))
+    assert sorted(map(int, log.read_text().split())) == list(range(20000))
+    assert len({pid for _, pid in results}) > 1
     assert multiprocessing.active_children() == []
 
 
@@ -448,8 +537,8 @@ def _scalar_trial(model, N, M, seed, methods, project):
 
 @pytest.mark.parametrize("infeasible", ["exclude", "project"])
 def test_sweep_independent_of_blocks_and_workers(monkeypatch, infeasible):
-    # 37 trials per cell: serial blocks of 25 + 11 after trial 0, forked
-    # shares that cross the cell edge; both must give the scalar loop's bits
+    # 37 trials per cell: chunks of the guided plan, serial or taken by
+    # the caller and a forked worker; both must give the scalar loop's bits
     sizes = ((12, 24), (24, 48))
     config = ExperimentConfig(model=CLOSE, sizes=sizes, trials=37,
                               master_seed=11, infeasible=infeasible)

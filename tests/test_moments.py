@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -20,7 +22,7 @@ from coveig import (
     true_moments,
 )
 from coveig import moments
-from coveig.ensemble import SampleSpectrum
+from coveig.ensemble import SampleSpectrum, padded_spectrum
 
 LAM = np.array([0.8, 1.1, 2.5, 3.0])
 
@@ -302,6 +304,54 @@ def test_quadrature_matches_residues_near_square(aspect):
         r = moments_by_residues(spectrum, 2)
         np.testing.assert_allclose(q.gamma_hat, r.gamma_hat, rtol=1e-12)
         assert q.node_count == 128
+
+
+def _exact_moments(lam, N: int, M: int, L: int) -> np.ndarray:
+    """The default contour's moments in exact rational arithmetic.
+
+    The ellipse encloses every singularity of both integrands, so each
+    integral is minus the residue at infinity, which depends only on the
+    power sums p_k = (1/M) sum lambda^k: gamma_1 = (M/N) p_1 and
+    gamma_ell = -(M / (N (ell - 1))) [w^ell] P(w)^-(ell - 1) for ell >= 2,
+    with P(w) = 1 + sum_k p_k w^k.
+    """
+    degree = 2 * L
+    lam = [Fraction(float(x)) for x in lam]
+    p = [Fraction(1)] + [sum(x**k for x in lam) / M for k in range(1, degree)]
+    inverse = [Fraction(1)] + [Fraction(0)] * (degree - 1)  # 1 / P
+    for j in range(1, degree):
+        inverse[j] = -sum(p[k] * inverse[j - k] for k in range(1, j + 1))
+    gamma = [1.0, float(Fraction(M, N) * p[1])]
+    power = [Fraction(1)] + [Fraction(0)] * (degree - 1)
+    for ell in range(2, degree):
+        power = [sum(power[k] * inverse[j - k] for k in range(j + 1))
+                 for j in range(degree)]
+        gamma.append(float(-Fraction(M, N * (ell - 1)) * power[ell]))
+    return np.array(gamma)
+
+
+def test_tall_rank_deficient_spectra_estimate_by_quadrature():
+    # rank 1-3 at M/N of 1e6 and more: each moment is what is left when
+    # sums about M/N times larger cancel, so the two halves of the rule
+    # differ by their rounding, which no node count lowers and the
+    # self-check discounts. The quadrature stays within 2e-10 of the exact
+    # moments; the residue route's sum of eigenvalues minus roots cancels
+    # alike and rounds to about 1e-9 here, so it is held to 2e-9
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        N = int(rng.integers(1, 4))
+        M = int(rng.integers(2_000_000, 3_200_001))
+        L = int(rng.integers(2, 6))
+        lam = np.sort(10.0 ** rng.uniform(-6, 7, N))
+        spectrum = padded_spectrum(lam, N, M, 0)
+        q = moments_by_quadrature(spectrum, L)
+        r = moments_by_residues(spectrum, L).gamma_hat
+        exact = _exact_moments(lam, N, M, L)
+        s = lam[-1] ** -np.arange(2.0 * L)
+        assert q.node_count == 128
+        for ref, tol in ((exact, 2e-10), (r, 2e-9)):
+            gap = np.abs(q.gamma_hat - ref) * s / (1.0 + np.abs(ref) * s)
+            assert gap.max() <= tol, (N, M, L, lam, gap.max())
 
 
 def test_invalid_order_rejected():

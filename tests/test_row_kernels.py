@@ -1,11 +1,11 @@
-"""The row kernels of the moment and inversion layers against their
-one-row calls.
+"""The row kernels of the sampling, moment and inversion layers against
+their one-row calls.
 
-quadrature_rows, invert_rows and invert_known_rows take a stack of trials of
-one (N, M); moments_by_quadrature, invert_moments and
-invert_moments_known_multiplicities are their one-row calls. Every row of a
-block must equal the one-row call on that trial alone, bit for bit, or
-carry the error class and message that call raises.
+simulate_rows, quadrature_rows, invert_rows and invert_known_rows take a
+stack of trials of one (N, M); simulate_spectrum, moments_by_quadrature,
+invert_moments and invert_moments_known_multiplicities are their one-row
+calls. Every row of a block must equal the one-row call on that trial
+alone, bit for bit, or carry the error class and message that call raises.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import blas, lapack
 
 from coveig import (
     CoveigError,
@@ -27,8 +29,9 @@ from coveig import (
     simulate_spectrum,
     trial_seed,
 )
-from coveig import experiments
+from coveig import ensemble, experiments
 from coveig.contours import Contour, spectrum_ellipse
+from coveig.ensemble import simulate_rows
 from coveig.inversion import invert_known_rows, invert_rows
 from coveig.moments import quadrature_rows
 
@@ -141,13 +144,62 @@ def test_block_rows_equal_one_row_calls(seed, shape, L, project, size, nodes,
         for g in stack])
 
 
+def _one_seed_draw(model, N, M, seed):
+    """simulate_spectrum's documented steps for one seed on fresh buffers,
+    with one eigvalsh call: the reference every kernel row must equal."""
+    scale = (np.sqrt(np.repeat(model.rho_array(), multiplicities(model, N)))
+             / np.sqrt(M))
+    n = min(N, M)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    factor = np.zeros((N, n), dtype=np.complex128, order="F")
+    i = np.arange(n)
+    factor[i, i] = np.sqrt(rng.standard_gamma(M - i))
+    below = np.tri(N, n, -1, dtype=bool)
+    draws = rng.standard_normal(2 * int(below.sum()))
+    draws *= np.sqrt(0.5)
+    factor[below] = draws.view(np.complex128)
+    factor *= scale[:, None]
+    gram, _ = lapack.zlauum(factor[:n], lower=1, overwrite_c=1)
+    if N > n:
+        gram = blas.zherk(1.0, factor[n:], beta=1.0, c=gram, trans=2,
+                          lower=1, overwrite_c=1)
+    return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+
+
+@pytest.mark.parametrize("N,M", [(24, 60), (30, 30), (40, 20), (70, 140)])
+def test_simulate_rows_equal_one_seed_draws(N, M):
+    # N < M, N = M and N > M (the zherk block); at 70 x 140 one eigvalsh
+    # call takes 13 Gram matrices, so the block of 25 runs in slices
+    model = PopulationModel(rho=(1.0, 2.0, 4.0), weights=(1 / 3,) * 3,
+                            aspect=N / M)
+    for size in (1, 7, 25):
+        seeds = [trial_seed(size, t) for t in range(size)]
+        rows = simulate_rows(model, N, M, seeds)
+        assert rows.shape == (size, min(N, M))
+        for t, seed in enumerate(seeds):
+            reference = _bits(_one_seed_draw(model, N, M, seed))
+            assert _bits(rows[t]) == reference
+            spectrum = simulate_spectrum(model, N, M, seed)
+            assert _bits(spectrum.positive_eigenvalues()) == reference
+    assert ensemble._EIG_SLICE_ENTRIES // 70**2 < 25
+
+
 def test_block_memory_is_bounded():
-    # the companion transform of a 25-trial block at 150 x 400 runs in
-    # slices; whole, each (25, 128, 150) complex temporary takes 7.7 MB
+    # the largest chunk the trial plan hands out, as in a serial 1000-trial
+    # call at 150 x 400, runs as one block. The eigensolve and the
+    # companion transform run in slices; whole, each (64, 128, 150) complex
+    # temporary of the transform would take 19.7 MB
+    n = 1000
+    start, chunks = 1, []
+    while start < n:
+        end = experiments._chunk_end(start, n, 1, 1, n)
+        chunks.append(end - start)
+        start = end
+    largest = max(chunks)
     model = PopulationModel(rho=(1.0, 3.0, 5.0), weights=(1 / 3,) * 3,
                             aspect=0.375)
     counts = multiplicities(model, 150)
-    seeds = [trial_seed(2026, t) for t in range(25)]
+    seeds = [trial_seed(2026, t) for t in range(largest)]
     methods = ("moment_full", "moment_known_mult")
     experiments._trials(model, 150, 400, counts, seeds[:1], methods)
     tracemalloc.start()
@@ -156,5 +208,5 @@ def test_block_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(block) == 25
+    assert len(block) == largest
     assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
