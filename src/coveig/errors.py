@@ -81,7 +81,11 @@ class InvalidWeightsError(CoveigError, RuntimeError):
 
 
 class IllConditionedResidueError(CoveigError, RuntimeError):
-    """Residue summation unreliable because secular roots nearly coincide."""
+    """Residue summation unreliable because secular roots nearly coincide.
+
+    coveig no longer raises it: the residue route reads power sums, not
+    secular roots. The class stays for callers that still name it.
+    """
 
 
 class SeparabilityError(CoveigError, RuntimeError):

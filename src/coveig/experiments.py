@@ -5,10 +5,9 @@ competing estimators across problem sizes, and histogram checks of the
 asymptotic normality predictions. Every trial draws its seed from
 (master_seed, trial_index), so runs are reproducible.
 
-A trial solves the secular equation only when a method reads its roots:
-Mestre's estimator does, and so do moments on the residue route. Moments by
-quadrature and both moment inversions do not, so a trial of the moment
-methods alone on the quadrature route skips the solve.
+A trial solves the secular equation only for Mestre's estimator, the one
+method that reads its roots. Moments on either route and both moment
+inversions do not, so a trial of the moment methods alone skips the solve.
 
 Trials run in chunks of consecutive trials of one (N, M). Trial 0 runs
 alone first. On Linux, when its time projects the rest to more than a
@@ -23,9 +22,9 @@ W processes, never fewer than about 10 ms of trial 0's time nor more than
 for at most one small chunk. Serially the same plan runs with W = 1. Pin
 BLAS to one thread (OPENBLAS_NUM_THREADS=1) so that the processes do not
 oversubscribe the CPUs. A chunk runs through the row kernels: the draws
-and their eigenvalues through `ensemble.simulate_rows`, the quadrature
-moments and both inversions through those of `moments` and `inversion`;
-secular roots, residue moments and Mestre run trial by trial. A row of a
+and their eigenvalues through `ensemble.simulate_rows`, the moments on
+either route and both inversions through those of `moments` and
+`inversion`; secular roots and Mestre run trial by trial. A row of a
 kernel equals its one-row call bit for bit, so outputs depend neither on
 the worker count nor on the chunks. `SweepRow.wall_time` (the CSV's
 wall_time_s) is busy time summed over trials, not elapsed time; a chunk's
@@ -54,7 +53,6 @@ from .errors import (
     ContourError,
     ConvergenceError,
     CoveigError,
-    IllConditionedResidueError,
     InputError,
     InvalidRootsError,
     InvalidWeightsError,
@@ -62,7 +60,7 @@ from .errors import (
 from .inversion import invert_known_rows, invert_rows
 from .mestre import mestre_estimate
 from .model import PopulationModel, multiplicities
-from .moments import moments_by_residues, quadrature_rows
+from .moments import quadrature_rows, residue_rows
 
 __all__ = [
     "ExperimentConfig",
@@ -78,7 +76,6 @@ _TRIAL_FAILURES = (
     InvalidRootsError,
     InvalidWeightsError,
     ConditioningError,
-    IllConditionedResidueError,
     ConvergenceError,
     ContourError,
 )
@@ -178,26 +175,23 @@ def _trials(model, N, M, counts, seeds, methods, project=False,
     Returns one (estimates, projected, times) per seed: estimates is
     (methods, L) with NaN rows where a method failed, projected flags
     projected inversions, and times holds each method's own time, then
-    the shared time of the sampling plus the secular roots when a method
-    reads them (Mestre, or moments on the residue route), then the
-    moment-estimation time. The draws and their eigenvalues, quadrature
-    moments and both inversions run once over the block's stacked rows,
-    whose time is split evenly over its trials; secular roots, residue
-    moments and Mestre run trial by trial, on spectra built only for them.
-    A trial's results do not depend on the block it is in.
+    the shared time of the sampling plus the secular roots when Mestre
+    reads them, then the moment-estimation time. The draws and their
+    eigenvalues, the moments on either route and both inversions run once
+    over the block's stacked rows, whose time is split evenly over its
+    trials; secular roots and Mestre run trial by trial, on spectra built
+    only for them. A trial's results do not depend on the block it is in.
     """
     L = model.L
     T = len(seeds)
     est = np.full((T, len(methods), L), np.nan)
     projected = np.zeros((T, len(methods)), dtype=bool)
     times = np.zeros((T, len(methods) + 2))
-    # quadrature moments do not read the secular roots
-    roots_read = "mestre" in methods or route == "residues"
     t0 = time.perf_counter()
     lam = simulate_rows(model, N, M, seeds)
     times[:, -2] = (time.perf_counter() - t0) / T
-    spectra = secular = [None] * T
-    if roots_read:
+    # only Mestre reads the secular roots
+    if "mestre" in methods:
         spectra, secular = [], []
         for t, seed in enumerate(seeds):
             t0 = time.perf_counter()
@@ -208,18 +202,11 @@ def _trials(model, N, M, counts, seeds, methods, project=False,
     gamma = None
     if any(m.startswith("moment") for m in methods):
         t0 = time.perf_counter()
+        if (lam[:, 0] <= 0).any():
+            raise InputError("sample spectrum is rank deficient")
         if route == "residues":
-            gamma = np.empty((T, 2 * L))
-            errors = [None] * T
-            for t in range(T):
-                try:
-                    gamma[t] = moments_by_residues(
-                        spectra[t], L, secular=secular[t]).gamma_hat
-                except _TRIAL_FAILURES as exc:
-                    errors[t] = exc
+            gamma, errors = residue_rows(lam, N, M, L), [None] * T
         else:
-            if (lam[:, 0] <= 0).any():
-                raise InputError("sample spectrum is rank deficient")
             gamma, _, _, errors = quadrature_rows(lam, N, M, L)
         # a failed trial leaves every moment method's row NaN
         ok = np.flatnonzero(_estimated(errors))
@@ -401,11 +388,11 @@ def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
     0 runs first and alone, the rest in chunks of trials of one size,
     taken by this process and any forked workers; the results depend on
     neither. A trial solves the secular equation only when "mestre" is
-    among the methods or the moment route is "residues". wall_time is busy
-    time: the sum of the cell's per-trial stage times, measured where each
-    trial ran (a chunk's sampling, moment and inversion times split evenly
-    over its trials), with the shared time (sampling, plus the secular
-    roots when a method reads them) split evenly across the methods and the
+    among the methods, whichever the moment route. wall_time is busy time:
+    the sum of the cell's per-trial stage times, measured where each trial
+    ran (a chunk's sampling, moment and inversion times split evenly over
+    its trials), with the shared time (sampling, plus the secular roots
+    when Mestre reads them) split evenly across the methods and the
     moment-estimation time across the moment methods. It is not elapsed
     time when trials run in parallel.
     """

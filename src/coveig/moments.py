@@ -5,13 +5,16 @@ companion transform m(z): the first moment comes from the log-derivative
 integrand z m'(z)/m(z), higher ones from 1/m(z)^(ell-1). The quadrature
 route discretizes one ellipse around the whole spectrum and the origin,
 where neither integrand is singular, so the same rule serves N < M, N = M
-and N > M; the residue route sums the exact residues at the secular roots
-and serves as an independent cross-check.
+and N > M. Since that ellipse encloses every singularity of both
+integrands, each integral is also minus the residue at z = infinity, which
+depends only on the power sums of the positive eigenvalues; the residue
+route evaluates it exactly and serves as an independent cross-check.
 
-The quadrature is a row kernel, `quadrature_rows`, over a stack of spectra
-of one (N, M), so that a block of Monte Carlo trials pays numpy's per-call
-overhead once; `moments_by_quadrature` is its one-row call, and each row of
-a block equals that call bit for bit, or carries the error it raises.
+Each route is a row kernel, `quadrature_rows` and `residue_rows`, over a
+stack of spectra of one (N, M), so that a block of Monte Carlo trials pays
+numpy's per-call overhead once; `moments_by_quadrature` and
+`moments_by_residues` are their one-row calls, and each row of a block
+equals that call bit for bit, or carries the error it raises.
 """
 
 from __future__ import annotations
@@ -24,12 +27,7 @@ from numpy.typing import NDArray
 from .contours import SPECTRUM_NODES, Contour, ellipse_nodes, spectrum_ellipse
 from .empirical import SecularRoots, companion_transform_rows, secular_zeros
 from .ensemble import SampleSpectrum
-from .errors import (
-    ContourError,
-    ConvergenceError,
-    IllConditionedResidueError,
-    InputError,
-)
+from .errors import ContourError, ConvergenceError, InputError
 
 __all__ = [
     "MomentEstimates",
@@ -217,26 +215,44 @@ def moments_by_quadrature(
     )
 
 
-def _series_coefficients(spectrum: SampleSpectrum, roots, count: int):
-    """Taylor coefficients a_j, j = 1..count, of m around each secular root.
+def residue_rows(pos, N: int, M: int, L: int):
+    """Moments of a stack of spectra of one (N, M), one row per spectrum,
+    as minus the residue at infinity.
 
-    a_j[r] = (1/M) sum_i (lambda_i - mu_r)^-(j+1), with structural zeros of
-    the companion entering as lambda = 0 terms.
+    The row kernel of `moments_by_residues`, which is its one-row call: pos
+    is (T, n), the positive eigenvalues of each spectrum, ascending; returns
+    gamma (T, 2L). With lambda scaled by lambda_max, p_k = (1/M) sum
+    lambda^k and P(w) = 1 + sum_k p_k w^k, gamma_1 = (M/N) p_1 and
+    gamma_ell = -(M / (N (ell - 1))) [w^ell] P(w)^-(ell - 1) for ell >= 2;
+    order ell is then multiplied back by lambda_max^ell. Every row equals
+    its one-row call bit for bit.
     """
-    pos = spectrum.positive_eigenvalues()
-    M = spectrum.M
-    zero_count = M - pos.size
-    diff = pos[None, :] - roots[:, None]
-    inv = 1.0 / diff
-    inv_zero = -1.0 / roots
-    a = np.empty((count, roots.size))
-    base = inv**2
-    base_zero = inv_zero**2
-    for j in range(1, count + 1):
-        a[j - 1] = (base.sum(axis=1) + zero_count * base_zero) / M
-        base *= inv
-        base_zero *= inv_zero
-    return a
+    pos = np.asarray(pos, dtype=float)
+    T = pos.shape[0]
+    degree = 2 * L
+    scale = pos[:, -1:]
+    x = pos / scale
+    p = np.empty((T, degree))
+    p[:, 0] = 1.0
+    power = x.copy()
+    for k in range(1, degree):
+        p[:, k] = power.sum(axis=1) / M
+        power *= x
+    # h[:, i, n] = [w^n] P(w)^-(ell - 1) for ell = i + 2, by the
+    # power-of-a-series recurrence: for (1 + u)^a, h_0 = 1 and
+    # h_n = (1/n) sum_{k=1..n} ((a + 1) k - n) u_k h_{n-k}
+    ell = np.arange(2, degree)
+    h = np.zeros((T, ell.size, degree))
+    h[:, :, 0] = 1.0
+    for n in range(1, degree):
+        coefficient = (2 - ell[:, None]) * np.arange(1, n + 1) - n
+        h[:, :, n] = (coefficient * p[:, None, 1:n + 1]
+                      * h[:, :, n - 1::-1]).sum(axis=2) / n
+    gamma = np.empty((T, degree))
+    gamma[:, 0] = 1.0
+    gamma[:, 1] = (M / N) * p[:, 1]
+    gamma[:, 2:] = -(M / (N * (ell - 1))) * h[:, ell - 2, ell]
+    return gamma * scale ** np.arange(degree)
 
 
 def moments_by_residues(
@@ -244,61 +260,22 @@ def moments_by_residues(
     L: int,
     secular: SecularRoots | None = None,
 ) -> MomentEstimates:
-    """Moments by exact residue summation at the secular roots.
+    """Moments as minus the residue at infinity, from power sums.
 
-    gamma_hat_1 reduces to the weighted eigenvalue-root difference; for
-    ell >= 2 the integrand 1/m^(ell-1) has a pole of order ell-1 at each
-    positive root and the residue follows from the local Taylor expansion
-    of m. No quadrature error enters, so this is the reference the contour
-    route is checked against.
+    The default contour of the quadrature route encloses every singularity
+    of both integrands, so each of its integrals equals minus the residue
+    at z = infinity, which depends only on the power sums of the positive
+    eigenvalues (`residue_rows`, of which this is the one-row call). No
+    quadrature error and no secular root enters, so this is the reference
+    the contour route is checked against; at finite N it is the
+    free-deconvolution moment estimator. secular is accepted and unused,
+    kept for callers that still pass it. A rank-deficient spectrum raises
+    InputError, as on the quadrature route.
     """
     if L < 1:
         raise InputError("L must be at least 1")
-    if secular is None:
-        secular = secular_zeros(spectrum)
-    N, M = spectrum.N, spectrum.M
-    gamma = np.empty(2 * L)
-    gamma[0] = 1.0
-    gamma[1] = (M / N) * (spectrum.lambda_hat.sum() - secular.mu_hat.sum())
-
-    if L > 1:
-        # roots planted by repeated eigenvalues are eigenvalues of the
-        # corrected matrix but not zeros of m (m has a pole there), so the
-        # integrand 1/m^(ell-1) is regular at them: no residue. They are
-        # marked by their degenerate brackets.
-        genuine = (secular.mu_hat > 0) & (
-            secular.brackets[:, 0] < secular.brackets[:, 1]
-        )
-        roots = secular.mu_hat[genuine]
-        gaps = np.diff(roots) / np.maximum(roots[1:], roots[:-1])
-        if roots.size > 1 and gaps.min() <= 1e-10:
-            raise IllConditionedResidueError(
-                f"secular roots nearly coincide (relative gap {gaps.min():.3e})"
-            )
-        pos = spectrum.positive_eigenvalues()
-        prox = np.abs(roots[:, None] - pos[None, :]).min(axis=1)
-        if np.any(prox <= 1e-10 * roots):
-            raise IllConditionedResidueError(
-                "a zero of the companion transform is squeezed against an "
-                "eigenvalue; the local expansion is numerically useless"
-            )
-        count = max(1, 2 * L - 2)
-        a = _series_coefficients(spectrum, roots, count)
-        u = a[1:] / a[0]  # u_k = a_{k+1}/a_1
-        for ell in range(2, 2 * L):
-            p = ell - 1
-            # h = (1 + u)^(-p) truncated at degree p-1, by the standard
-            # power-of-a-series recurrence
-            h = np.zeros((p, roots.size))
-            h[0] = 1.0
-            for n in range(1, p):
-                acc = np.zeros(roots.size)
-                for k in range(1, n + 1):
-                    acc += (-p * k - (n - k)) * u[k - 1] * h[n - k]
-                h[n] = acc / n
-            residues = a[0] ** (-p) * h[p - 1]
-            gamma[ell] = (M / N) * (-1.0) ** ell / (ell - 1) * residues.sum()
-
+    gamma = residue_rows(spectrum.positive_eigenvalues()[None], spectrum.N,
+                         spectrum.M, L)
     return MomentEstimates(
-        gamma_hat=gamma, method="residues", imag_leakage=0.0, node_count=0
+        gamma_hat=gamma[0], method="residues", imag_leakage=0.0, node_count=0
     )

@@ -478,12 +478,13 @@ def _count_secular(monkeypatch):
     (("moment_full", "moment_known_mult"), "quadrature", 0),
     (("mestre",), "quadrature", 1),
     (("moment_full", "mestre"), "quadrature", 1),
-    (("moment_full",), "residues", 1),
+    (("moment_full",), "residues", 0),
+    (("moment_full", "mestre"), "residues", 1),
 ])
 def test_secular_roots_solved_only_where_read(monkeypatch, methods, route,
                                               solves):
-    # quadrature moments and both inversions never read the roots; Mestre
-    # and the residue route do, and share one solve per trial
+    # moments on either route and both inversions never read the roots;
+    # Mestre does, with one solve per trial
     calls = _count_secular(monkeypatch)
     counts = coveig.multiplicities(MODEL, 20)
     (est, _, _), = experiments._trials(MODEL, 20, 40, counts, [5], methods,
@@ -505,7 +506,7 @@ def test_moment_trials_unchanged_by_the_roots():
         assert np.array_equal(a, b[:2])
 
 
-def _scalar_trial(model, N, M, seed, methods, project):
+def _scalar_trial(model, N, M, seed, methods, project, route="quadrature"):
     """One trial through the public per-trial functions, as `coveig
     estimate` runs them: (estimates, projected), NaN rows for failures."""
     L = model.L
@@ -513,8 +514,10 @@ def _scalar_trial(model, N, M, seed, methods, project):
     spectrum = coveig.simulate_spectrum(model, N, M, seed)
     est = np.full((len(methods), L), np.nan)
     projected = np.zeros(len(methods), dtype=bool)
+    moments_by = (coveig.moments_by_residues if route == "residues"
+                  else coveig.moments_by_quadrature)
     try:
-        gamma = coveig.moments_by_quadrature(spectrum, L)
+        gamma = moments_by(spectrum, L)
     except experiments._TRIAL_FAILURES:
         gamma = None
     for i, method in enumerate(methods):
@@ -535,13 +538,19 @@ def _scalar_trial(model, N, M, seed, methods, project):
     return est, projected
 
 
-@pytest.mark.parametrize("infeasible", ["exclude", "project"])
-def test_sweep_independent_of_blocks_and_workers(monkeypatch, infeasible):
+@pytest.mark.parametrize("infeasible,route", [
+    pytest.param("exclude", "quadrature", id="exclude"),
+    pytest.param("project", "quadrature", id="project"),
+    pytest.param("exclude", "residues", id="residues"),
+])
+def test_sweep_independent_of_blocks_and_workers(monkeypatch, infeasible,
+                                                 route):
     # 37 trials per cell: chunks of the guided plan, serial or taken by
     # the caller and a forked worker; both must give the scalar loop's bits
     sizes = ((12, 24), (24, 48))
     config = ExperimentConfig(model=CLOSE, sizes=sizes, trials=37,
-                              master_seed=11, infeasible=infeasible)
+                              master_seed=11, infeasible=infeasible,
+                              moment_route=route)
     reports = []
     for mode in (_serial, _forked):
         with monkeypatch.context() as m:
@@ -557,7 +566,8 @@ def test_sweep_independent_of_blocks_and_workers(monkeypatch, infeasible):
     project = infeasible == "project"
     for N, M in sizes:
         loop = [_scalar_trial(CLOSE, N, M, coveig.trial_seed(11, t),
-                              config.methods, project) for t in range(37)]
+                              config.methods, project, route)
+                for t in range(37)]
         est = np.array([e for e, _ in loop])
         projected = np.array([p for _, p in loop]).sum(axis=0)
         assert 0 < np.isnan(est[:, :, 0]).sum() or projected.sum() > 0

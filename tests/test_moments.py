@@ -11,7 +11,6 @@ from coveig import (
     ContourError,
     ConvergenceError,
     CoveigError,
-    IllConditionedResidueError,
     InputError,
     PopulationModel,
     moments_by_quadrature,
@@ -185,10 +184,12 @@ def _count_secular(monkeypatch):
 
 
 def test_default_contour_needs_no_secular_roots(monkeypatch):
-    # spectrum_contour is built from the largest eigenvalue alone
+    # spectrum_contour is built from the largest eigenvalue alone, and the
+    # residue at infinity from the power sums
     calls = _count_secular(monkeypatch)
-    est = moments_by_quadrature(_fixed_spectrum(), 3)
-    np.testing.assert_allclose(est.gamma_hat, FROZEN, rtol=0, atol=1e-10)
+    for est in (moments_by_quadrature(_fixed_spectrum(), 3),
+                moments_by_residues(_fixed_spectrum(), 3)):
+        np.testing.assert_allclose(est.gamma_hat, FROZEN, rtol=0, atol=1e-10)
     assert calls == []
 
 
@@ -256,8 +257,9 @@ def test_default_contour_converges_first_time(rho, aspect, N, M, L, scale):
 
 def test_repeated_eigenvalues_contribute_no_residue():
     # a doubled eigenvalue is an eigenvalue of the corrected matrix but not
-    # a zero of the companion transform, so it must be skipped in the
-    # residue sum; both routes then agree and match the closed second moment
+    # a zero of the companion transform, so no residue sits there; the
+    # power sums count it twice like any other eigenvalue, and both routes
+    # agree and match the closed second moment
     lam = np.array([1.0, 2.0, 2.0, 5.0])
     comp = np.sort(np.concatenate([np.zeros(4), lam]))
     spectrum = SampleSpectrum(N=4, M=8, lambda_hat=lam,
@@ -270,15 +272,20 @@ def test_repeated_eigenvalues_contribute_no_residue():
     assert abs(r[2] - 2 * (s2 - s1**2)) < 1e-12
 
 
-def test_residues_reject_squeezed_roots():
-    # eigenvalues a hair apart squeeze a transform zero against a pole;
-    # the local expansion is hopeless and must refuse rather than return
+def test_residues_estimate_nearly_coincident_eigenvalues():
+    # eigenvalues a hair apart squeeze a transform zero against a pole,
+    # which no local expansion there survives; the residue at infinity
+    # reads only the power sums, which a tiny gap leaves well conditioned
     lam = np.array([1.0, 2.0, 2.0 + 1e-11, 5.0])
     comp = np.sort(np.concatenate([np.zeros(4), lam]))
     spectrum = SampleSpectrum(N=4, M=8, lambda_hat=lam,
                               lambda_hat_companion=comp, seed=0)
-    with pytest.raises(IllConditionedResidueError):
-        moments_by_residues(spectrum, 2)
+    r = moments_by_residues(spectrum, 2).gamma_hat
+    q = moments_by_quadrature(spectrum, 2).gamma_hat
+    exact = _exact_moments(lam, 4, 8, 2)
+    s = lam[-1] ** -np.arange(4.0)
+    assert (np.abs(r - exact) * s / (1.0 + np.abs(exact) * s)).max() <= 1e-12
+    np.testing.assert_allclose(r, q, rtol=1e-12)
 
 
 def test_square_aspect_quadrature_matches_residues():
@@ -331,12 +338,12 @@ def _exact_moments(lam, N: int, M: int, L: int) -> np.ndarray:
 
 
 def test_tall_rank_deficient_spectra_estimate_by_quadrature():
-    # rank 1-3 at M/N of 1e6 and more: each moment is what is left when
-    # sums about M/N times larger cancel, so the two halves of the rule
-    # differ by their rounding, which no node count lowers and the
+    # rank 1-3 at M/N of 1e6 and more: each quadrature moment is what is
+    # left when sums about M/N times larger cancel, so the two halves of
+    # the rule differ by their rounding, which no node count lowers and the
     # self-check discounts. The quadrature stays within 2e-10 of the exact
-    # moments; the residue route's sum of eigenvalues minus roots cancels
-    # alike and rounds to about 1e-9 here, so it is held to 2e-9
+    # moments, and so of the residue route: its power sums cancel nothing,
+    # and it stays within 1e-14 of them
     rng = np.random.default_rng(0)
     for _ in range(100):
         N = int(rng.integers(1, 4))
@@ -349,8 +356,9 @@ def test_tall_rank_deficient_spectra_estimate_by_quadrature():
         exact = _exact_moments(lam, N, M, L)
         s = lam[-1] ** -np.arange(2.0 * L)
         assert q.node_count == 128
-        for ref, tol in ((exact, 2e-10), (r, 2e-9)):
-            gap = np.abs(q.gamma_hat - ref) * s / (1.0 + np.abs(ref) * s)
+        for got, ref, tol in ((q.gamma_hat, exact, 2e-10),
+                              (q.gamma_hat, r, 2e-10), (r, exact, 1e-14)):
+            gap = np.abs(got - ref) * s / (1.0 + np.abs(ref) * s)
             assert gap.max() <= tol, (N, M, L, lam, gap.max())
 
 

@@ -1,11 +1,12 @@
 """The row kernels of the sampling, moment and inversion layers against
 their one-row calls.
 
-simulate_rows, quadrature_rows, invert_rows and invert_known_rows take a
-stack of trials of one (N, M); simulate_spectrum, moments_by_quadrature,
-invert_moments and invert_moments_known_multiplicities are their one-row
-calls. Every row of a block must equal the one-row call on that trial
-alone, bit for bit, or carry the error class and message that call raises.
+simulate_rows, quadrature_rows, residue_rows, invert_rows and
+invert_known_rows take a stack of trials of one (N, M); simulate_spectrum,
+moments_by_quadrature, moments_by_residues, invert_moments and
+invert_moments_known_multiplicities are their one-row calls. Every row of a
+block must equal the one-row call on that trial alone, bit for bit, or
+carry the error class and message that call raises.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from coveig import (
     invert_moments,
     invert_moments_known_multiplicities,
     moments_by_quadrature,
+    moments_by_residues,
     multiplicities,
     secular_zeros,
     simulate_spectrum,
@@ -33,7 +35,7 @@ from coveig import ensemble, experiments
 from coveig.contours import Contour, spectrum_ellipse
 from coveig.ensemble import simulate_rows
 from coveig.inversion import invert_known_rows, invert_rows
-from coveig.moments import quadrature_rows
+from coveig.moments import quadrature_rows, residue_rows
 
 
 def _bits(value) -> tuple:
@@ -115,6 +117,11 @@ def test_block_rows_equal_one_row_calls(seed, shape, L, project, size, nodes,
 
     _check([_row(errors, t, (gamma, leakage, count)) for t in range(size)],
            [_outcome(lambda: one_moment(t)) for t in range(size)])
+
+    # the residue route refuses no row
+    residues = residue_rows(pos, N, M, L)
+    _check([_bits(row) for row in residues],
+           [_bits(moments_by_residues(sp, L).gamma_hat) for sp in spectra])
 
     # inversions on every row the moments gave, plus an unusable one
     stack = np.array([gamma[t] for t in range(size) if errors[t] is None]
