@@ -1,31 +1,32 @@
-"""Asymptotic covariances of the estimators, by double contour quadrature.
+"""Asymptotic covariances of the estimators.
 
 Scaled fluctuations of the empirical companion transform converge to a
-Gaussian field with covariance kernel
+Gaussian field with covariance kernel (Bai & Silverstein 2004)
 
     kappa(z1, z2) = m_u'(z1) m_u'(z2) / (m_u(z1) - m_u(z2))^2
                     - 1/(z1 - z2)^2,
 
 analytic wherever both arguments stay off the limiting support, z1 = z2
 included: the double poles of its two terms cancel. Every covariance here
-is a double contour integral of kappa against powers of 1/m_u, taken over
-one ellipse per support cluster: the integral over clusters k and l runs
-on the two cluster ellipses, and the one over cluster k with itself on
-cluster k's ellipse in both variables. By Cauchy's theorem the sum over
-all pairs equals the integral over one contour pair around the whole
-support, without stretching one ellipse over clusters of very different
-scales. kappa is evaluated in a form that divides out the 1/(z1 - z2)^2
-its two terms share, so nearby and coincident nodes lose no digits to
-cancellation.
+is a double contour integral of kappa against powers of 1/m_u.
 
-The first cluster's ellipse also holds the origin, which is no
-singularity of these integrands: for c < 1 m_u has a pole there and
-1/m_u vanishes, for c > 1 m_u(0) is finite and positive, and at c = 1
-the support itself starts at 0. So a support edge near the origin (N
-close to M) needs no thin ellipse. Each integral is checked against the
-half-resolution rule embedded in its nodes, entry by entry with every
-order (p, q) divided by s^(p+q), s the support's right edge, and the
-node count doubles until the two agree.
+The moment estimator's V integrates over two contours that both enclose
+the whole support and the origin, so V is the residue at z1 = z2 =
+infinity: a polynomial in c and the population moments, with no nodes
+(v_matrix).
+
+Mestre's estimator reads one cluster per eigenvalue, so its covariance
+integrates over one ellipse per support cluster: the integral over
+clusters k and l runs on the two cluster ellipses, and the one over
+cluster k with itself on cluster k's ellipse in both variables. kappa is
+evaluated in a form that divides out the 1/(z1 - z2)^2 its two terms
+share, so nearby and coincident nodes lose no digits to cancellation. The
+first cluster's ellipse also holds the origin, which is no singularity of
+the integrand: for c < 1 m_u has a pole there and 1/m_u vanishes, for
+c > 1 m_u(0) is finite and positive, and at c = 1 the support itself
+starts at 0. Each integral is checked against the half-resolution rule
+embedded in its nodes, entry by entry divided by s^2, s the support's
+right edge, and the node count doubles until the two agree.
 
 Normalization: all covariances refer to M * (estimate - truth).
 """
@@ -40,7 +41,7 @@ from numpy.typing import NDArray
 from .contours import Contour, cluster_contours
 from .errors import ConditioningError, ConvergenceError, InputError, SeparabilityError
 from .limiting import solve_m_underline_grid, support_clusters
-from .model import PopulationModel
+from .model import PopulationModel, true_moments
 
 __all__ = [
     "CltCovariance",
@@ -50,7 +51,6 @@ __all__ = [
 ]
 
 _SELF_CHECK_RTOL = 1e-8
-_LEAKAGE_RTOL = 1e-6
 _MAX_DOUBLINGS = 2
 
 
@@ -102,67 +102,44 @@ def _kappa_matrix(model: PopulationModel, m1, m2):
     return -num / (d11[:, None] * d22[None, :] * d12**2)
 
 
-def _inverse_power_rows(m, weights, max_power: int):
-    """Rows k = 1..max_power of weights * m^-k."""
-    rows = np.empty((max_power, m.size), dtype=complex)
-    inv = 1.0 / m
-    acc = inv.copy()
-    for k in range(max_power):
-        rows[k] = weights * acc
-        acc *= inv
-    return rows
-
-
-def _blocks(model: PopulationModel, transforms, powers: int, step: int):
-    """P_k K P_l^T for every cluster pair, from every step-th node.
+def _blocks(model: PopulationModel, transforms, step: int):
+    """Sum of w1 w2 kappa / (m1 m2) for every cluster pair, from every
+    step-th node.
 
     Every other node of the offset trapezoid rule is again a uniform rule,
     so step 2 gives the embedded half-resolution rule.
     """
-    def rows(nodes):
-        w, m = (a[::step] for a in nodes)
-        return m, _inverse_power_rows(m, step * w, powers)
+    def rows(w, m):
+        w, m = w[::step], m[::step]
+        return m, step * w * (1.0 / m)
 
-    clusters = [rows(t) for t in transforms]
-    B = np.empty((len(clusters), len(clusters), powers, powers), dtype=complex)
-    for k, (m1, P1) in enumerate(clusters):
-        for l, (m2, P2) in enumerate(clusters[k:], start=k):
-            B[k, l] = P1 @ _kappa_matrix(model, m1, m2) @ P2.T
+    clusters = [rows(*t) for t in transforms]
+    B = np.empty((len(clusters), len(clusters)), dtype=complex)
+    for k, (m1, p1) in enumerate(clusters):
+        for l, (m2, p2) in enumerate(clusters[k:], start=k):
             # kappa is symmetric, so the transposed pair needs no new sum
-            B[l, k] = B[k, l].T
+            B[k, l] = B[l, k] = p1 @ _kappa_matrix(model, m1, m2) @ p2
     return B
 
 
-def _order_scale(clusters, powers: int):
-    """s^-(p + q) for orders p, q = 1..powers, s the support's right edge.
-
-    An entry of orders (p, q) grows like s^(p + q), so this brings every
-    order to a common size before a check compares them.
-    """
-    p = np.arange(1.0, powers + 1.0)
-    return float(clusters[-1][1]) ** -(p[:, None] + p[None, :])
-
-
-def _scaled_gap(a, b, scale) -> float:
-    """Largest entry-wise |a - b| against 1 + |a|, every entry of orders
-    (p, q) divided by s^(p + q) first (scale from _order_scale)."""
+def _scaled_gap(a, b, scale: float) -> float:
+    """Largest entry-wise |a - b| against 1 + |a|, every entry divided by
+    scale first."""
     return float((np.abs(a - b) * scale / (1.0 + np.abs(a) * scale)).max())
 
 
-def _cluster_pair_integrals(model: PopulationModel, clusters, powers: int,
-                            nodes: int):
-    """Double integrals of kappa over every pair of support clusters.
+def _cluster_pair_integrals(model: PopulationModel, clusters, nodes: int):
+    """Double integrals of kappa / (m_u m_u) over every pair of clusters.
 
-    Block (k, l) is -P_k K P_l^T / (4 pi^2 c^2), with P_k the rows
-    w m_u^-p (p = 1..powers) on cluster k's contour. kappa has no
-    singularity at z1 = z2, so a diagonal block integrates over cluster k's
-    contour in both variables and an off-diagonal one over the two
-    disjoint cluster contours. The node count doubles until the embedded
-    half rule agrees entry by entry, each order scaled by _order_scale.
-    Returns (blocks, nodes, self_check_delta).
+    Entry (k, l) is -p_k K p_l^T / (4 pi^2 c^2), with p_k the row w / m_u
+    on cluster k's contour. kappa has no singularity at z1 = z2, so a
+    diagonal entry integrates over cluster k's contour in both variables
+    and an off-diagonal one over the two disjoint cluster contours. The
+    node count doubles until the embedded half rule agrees entry by entry,
+    each divided by s^2 with s the support's right edge.
     """
     norm = -1.0 / (4.0 * np.pi**2 * model.aspect**2)
-    scale = _order_scale(clusters, powers)
+    scale = float(clusters[-1][1]) ** -2.0
     for attempt in range(_MAX_DOUBLINGS + 1):
         if attempt:
             nodes *= 2
@@ -172,11 +149,11 @@ def _cluster_pair_integrals(model: PopulationModel, clusters, powers: int,
         # the support's right edge
         if min(np.abs(m).min() for _, m in transforms) * clusters[-1][1] < 1e-10:
             raise ConvergenceError("companion transform vanishes on a contour")
-        full = norm * _blocks(model, transforms, powers, 1)
-        half = norm * _blocks(model, transforms, powers, 2)
+        full = norm * _blocks(model, transforms, 1)
+        half = norm * _blocks(model, transforms, 2)
         delta = _scaled_gap(full, half, scale)
         if delta <= _SELF_CHECK_RTOL:
-            return full, nodes, delta
+            return full
     raise ConvergenceError(
         f"CLT quadrature has not converged at {nodes} nodes "
         f"(scaled delta {delta:.3e})",
@@ -184,42 +161,55 @@ def _cluster_pair_integrals(model: PopulationModel, clusters, powers: int,
     )
 
 
-def v_matrix(model: PopulationModel, L: int | None = None, nodes: int = 256):
-    """Covariance V of M * (gamma_hat_k - gamma_k), k = 1..2L-1.
+def _truncated_product(A, B):
+    """Product of two series in (m1, m2), coefficient [a, b] of m1^a m2^b,
+    truncated at the arrays' degree in each variable."""
+    n = A.shape[0]
+    C = np.zeros_like(A)
+    for a, b in zip(*np.nonzero(A)):
+        C[a:, b:] += A[a, b] * B[: n - a, : n - b]
+    return C
 
-    Integrates kappa / (m_u(z1)^k m_u(z2)^l) over every pair of support
-    clusters and sums the blocks. Returns (V, meta); V is symmetrized
-    after recording its asymmetry in meta. The imaginary leakage is
-    checked and reported, and the asymmetry reported, entry by entry, each
-    order scaled by _order_scale, so both read the same for a model on any
-    scale.
+
+def v_matrix(model: PopulationModel, L: int | None = None, nodes: int = 256):
+    """Covariance V of M * (gamma_hat_k - gamma_k), k = 1..P = 2L-1.
+
+    Both contours enclose the support and the origin, so V is the residue
+    at z1 = z2 = infinity. There m_u = -1/z + ..., the inverse map is
+    z(m) = -1/m + c sum_{j>=0} (-1)^j gamma_{j+1} m^j, and kappa dz1 dz2
+    becomes -d1 d2 log(1 + c T) dm1 dm2 with T = sum_{a,b>=1}
+    -(-1)^(a+b) gamma_(a+b) m1^a m2^b. So V_pq = -(-1)^(p+q) (p q / c^2)
+    [m1^p m2^q] log(1 + c T), a polynomial in c and gamma_2..gamma_2P.
+
+    The moments are those of rho / rho_max, and order (p, q) is scaled
+    back by rho_max^(p+q). Returns (V, meta); V is symmetrized after
+    recording in meta its asymmetry, taken before that scaling so it reads
+    the same for a model on any scale. nodes is accepted and unused, and
+    meta's "nodes" reads 0: there is no quadrature.
     """
     if L is None:
         L = model.L
     if L < 1:
         raise InputError("L must be at least 1")
-    clusters = support_clusters(model, model.aspect)
-    blocks, nodes, delta = _cluster_pair_integrals(
-        model, clusters, 2 * L - 1, nodes
-    )
-    k = np.arange(1, 2 * L)
-    full = (-1.0) ** (k[:, None] + k[None, :]) * blocks.sum(axis=(0, 1))
-    scale = _order_scale(clusters, 2 * L - 1)
-    leakage = _scaled_gap(full, full.real, scale)
-    V = full.real
-    asym = _scaled_gap(V, V.T, scale)
-    V = 0.5 * (V + V.T)
-    meta = {
-        "nodes": nodes,
-        "self_check_delta": delta,
-        "imag_leakage": leakage,
-        "asymmetry": asym,
-    }
-    if leakage > _LEAKAGE_RTOL:
-        raise ConvergenceError(
-            f"V imaginary leakage {leakage:.3e} (scaled) too large"
-        )
-    return V, meta
+    P = 2 * L - 1
+    s = max(model.rho)
+    scaled = PopulationModel(rho=tuple(r / s for r in model.rho),
+                             weights=model.weights, aspect=model.aspect)
+    gamma = true_moments(scaled, 2 * P)
+    c = model.aspect
+    k = np.arange(P + 1)
+    sign = (-1.0) ** (k[:, None] + k[None, :])
+    cT = -c * sign * gamma[k[:, None] + k[None, :]]
+    cT[0] = cT[:, 0] = 0.0
+    log = np.zeros_like(cT)
+    power = cT
+    for n in range(1, P + 1):
+        log += (-1) ** (n + 1) / n * power
+        power = _truncated_product(power, cT)
+    U = (-sign * np.outer(k, k) / c**2 * log)[1:, 1:]
+    asym = _scaled_gap(U, U.T, 1.0)
+    V = 0.5 * (U + U.T) * s ** (k[1:, None] + k[None, 1:])
+    return V, {"nodes": 0, "asymmetry": asym}
 
 
 def _jacobian(model: PopulationModel) -> NDArray[np.float64]:
@@ -242,10 +232,11 @@ def theta_moment_estimator(
 
     W embeds V with a zero row and column for the deterministic
     gamma_hat_0; Theta = J^-1 W J^-T with J the moment Jacobian, ordered
-    (c_1..c_L, rho_1..rho_L).
+    (c_1..c_L, rho_1..rho_L). nodes is accepted and unused: V is in closed
+    form (v_matrix).
     """
     L = model.L
-    V, meta = v_matrix(model, L, nodes=nodes)
+    V, meta = v_matrix(model, L)
     W = np.zeros((2 * L, 2 * L))
     W[1:, 1:] = V
     J = _jacobian(model)
@@ -279,6 +270,5 @@ def theta_mestre(model: PopulationModel, nodes: int = 256) -> NDArray[np.float64
         raise SeparabilityError(
             f"support has {len(clusters)} clusters, need {model.L}"
         )
-    blocks, *_ = _cluster_pair_integrals(model, clusters, 1, nodes)
     w = model.weights_array()
-    return blocks[:, :, 0, 0].real / np.outer(w, w)
+    return _cluster_pair_integrals(model, clusters, nodes).real / np.outer(w, w)

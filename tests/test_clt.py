@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coveig import (
     ConditioningError,
@@ -9,7 +13,6 @@ from coveig import (
     InputError,
     PopulationModel,
     SeparabilityError,
-    cluster_contours,
     moments_by_quadrature,
     moments_by_residues,
     simulate_spectrum,
@@ -37,7 +40,6 @@ def test_v11_closed_form_single_atom(rho, aspect):
     model = PopulationModel(rho=(rho,), weights=(1.0,), aspect=aspect)
     V, meta = v_matrix(model)
     assert abs(V[0, 0] - rho**2 / aspect) < 1e-8 * (1 + rho**2 / aspect)
-    assert meta["imag_leakage"] < 1e-8 * (1 + abs(V).max())
     assert meta["asymmetry"] <= 1e-10
 
 
@@ -54,34 +56,91 @@ def test_v11_closed_form_model_free(model, atol, rtol):
     assert V.shape == (2 * model.L - 1, 2 * model.L - 1)
 
 
-def test_v_contour_independence():
-    # kappa is analytic off the support, so one nested ellipse pair around
-    # the whole support must give the same V as the per-cluster layout
-    c = TWO_ATOM.aspect
-    clusters = support_clusters(TWO_ATOM, c)
+# clusters near merging, where a quadrature over per-cluster ellipses of
+# V does not converge at 1024 nodes
+MERGING_TWO = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.27)
+MERGING_FIVE = PopulationModel(rho=(1.0, 2.0, 4.0, 8.0, 16.0),
+                               weights=(0.2,) * 5, aspect=0.23)
+
+
+def _hull_v(model, nodes):
+    """V by quadrature of kappa in its two-term form over one nested
+    ellipse pair around the whole support (aspect below 1)."""
+    c = model.aspect
+    clusters = support_clusters(model, c)
     lo, hi = clusters[0][0], clusters[-1][1]
     x0, x1 = 0.5 * lo, hi + 0.1 * (hi - lo)
-    inner = Contour(0.5 * (x0 + x1), 0.5 * (x1 - x0), 0.25 * (x1 - x0), 512)
+    inner = Contour(0.5 * (x0 + x1), 0.5 * (x1 - x0), 0.25 * (x1 - x0), nodes)
     grow = 0.4 * x0
     outer = Contour(inner.center, inner.half_width + grow,
-                    inner.half_height + grow, 512)
+                    inner.half_height + grow, nodes)
 
     def on(cont):
         z = cont.points()
-        m, _ = solve_m_underline_grid(TWO_ATOM, c, z)
+        m, _ = solve_m_underline_grid(model, c, z)
         dm = 1.0 / limiting._inverse_map_derivative(
-            m, c, TWO_ATOM.rho_array(), TWO_ATOM.weights_array())
+            m, c, model.rho_array(), model.weights_array())
         return z, cont.dz(), m, dm
 
     (z1, w1, m1, d1), (z2, w2, m2, d2) = on(inner), on(outer)
     kappa = (d1[:, None] * d2[None, :] / (m1[:, None] - m2[None, :]) ** 2
              - 1.0 / (z1[:, None] - z2[None, :]) ** 2)
-    p = np.arange(1, 2 * TWO_ATOM.L)[:, None]
+    p = np.arange(1, 2 * model.L)[:, None]
     I = (w1 * m1**-p) @ kappa @ (w2 * m2**-p).T
     V_hull = -((-1.0) ** (p + p.T)) * I.real / (4.0 * np.pi**2 * c**2)
-    V, _ = v_matrix(TWO_ATOM)
-    np.testing.assert_allclose(V, 0.5 * (V_hull + V_hull.T),
-                               rtol=1e-9, atol=1e-9)
+    return 0.5 * (V_hull + V_hull.T)
+
+
+@pytest.mark.parametrize(
+    "model", [TWO_ATOM, THREE_ATOM, MERGING_TWO, MERGING_FIVE],
+    ids=["two_atoms", "three_atoms", "merging_two", "merging_five"],
+)
+def test_v_contour_independence(model):
+    # kappa is analytic off the support, so a double integral over one
+    # nested ellipse pair around the whole support must give the residue
+    # at infinity, also where clusters nearly merge
+    np.testing.assert_allclose(v_matrix(model)[0], _hull_v(model, 1024),
+                               rtol=1e-12, atol=0)
+
+
+def _exact_v(model):
+    """The series of v_matrix in rational arithmetic, from the model's
+    floats taken as exact."""
+    P = 2 * model.L - 1
+    s, c = Fraction(max(model.rho)), Fraction(model.aspect)
+    rho = [Fraction(r) / s for r in model.rho]
+    gamma = [sum(Fraction(w) * r**k for w, r in zip(model.weights, rho))
+             for k in range(2 * P + 1)]
+    keys = [(a, b) for a in range(1, P + 1) for b in range(1, P + 1)]
+    cT = {(a, b): -c * (-1) ** (a + b) * gamma[a + b] for a, b in keys}
+    log = dict.fromkeys(keys, Fraction(0))
+    power = cT
+    for n in range(1, P + 1):
+        for key, x in power.items():
+            log[key] += Fraction((-1) ** (n + 1), n) * x
+        product = {}
+        for (a, b), x in power.items():
+            for (d, e), y in cT.items():
+                if a + d <= P and b + e <= P:
+                    product[a + d, b + e] = product.get((a + d, b + e), 0) + x * y
+        power = product
+    return [[float(-(-1) ** (p + q) * p * q / c**2 * log[p, q] * s ** (p + q))
+             for q in range(1, P + 1)] for p in range(1, P + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_v_matches_exact_arithmetic(seed):
+    # the truncated series in floats against the same series in rationals
+    rng = np.random.default_rng(seed)
+    L = int(rng.integers(1, 6))
+    rho = np.sort(10.0 ** rng.uniform(0.0, 4.0, L))
+    assume(np.all(np.diff(rho) > 0))
+    w = rng.uniform(0.1, 1.0, L)
+    model = PopulationModel(rho=tuple(rho), weights=tuple(w / w.sum()),
+                            aspect=10.0 ** rng.uniform(-2.0, np.log10(5.0)))
+    np.testing.assert_allclose(v_matrix(model)[0], _exact_v(model),
+                               rtol=1e-13, atol=0)
 
 
 NEAR_SQUARE_RHO = pytest.mark.parametrize(
@@ -91,29 +150,14 @@ NEAR_SQUARE_RHO = pytest.mark.parametrize(
 
 
 @NEAR_SQUARE_RHO
-def test_v_at_square_aspect_is_contour_independent(rho):
-    # at N = M the support starts at 0 and m_u has a branch point there, so
-    # the first ellipse must hold the origin; a second, differently sized
-    # first ellipse must give the same V, and V_11 its closed form
+def test_v11_at_square_aspect(rho):
+    # at N = M the support starts at 0, where m_u has a branch point; the
+    # residue at infinity does not see it, and V_11 keeps its closed form
     model = PopulationModel(rho=rho, weights=(1 / len(rho),) * len(rho),
                             aspect=1.0)
-    clusters = support_clusters(model, 1.0)
-    assert clusters[0][0] == 0.0
+    assert support_clusters(model, 1.0)[0][0] == 0.0
     V, meta = v_matrix(model)
-    assert meta["nodes"] == 256
-
-    def other(clusters, k, nodes):
-        if k:
-            return cluster_contours(clusters, k, nodes)
-        hi = clusters[0][1]
-        x1 = 0.5 * (hi + (clusters[1][0] if len(clusters) > 1 else 2 * hi))
-        return Contour(0.5 * (x1 - 0.8 * hi), 0.5 * (x1 + 0.8 * hi),
-                       0.3 * hi, nodes)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clt, "cluster_contours", other)
-        V_other, _ = v_matrix(model)
-    np.testing.assert_allclose(V_other, V, rtol=1e-12, atol=0)
+    assert meta["nodes"] == 0
     gamma2 = np.dot(model.weights_array(), model.rho_array() ** 2)
     assert abs(V[0, 0] - gamma2) <= 1e-12 * gamma2
 
@@ -128,21 +172,7 @@ def test_v11_closed_form_near_square(rho, aspect):
     V, meta = v_matrix(model)
     expected = np.dot(model.weights_array(), model.rho_array() ** 2) / aspect
     assert abs(V[0, 0] - expected) <= 1e-12 * expected
-    assert meta["nodes"] == 256
-
-
-def test_scaled_self_check_sees_low_orders():
-    # on clusters four decades apart V runs from about 7e8 (order 1) to
-    # 1e41 (order 5); compared against 1 + the largest entry, a 1e-6
-    # relative error in V_11 passes unseen, compared order by order it fails
-    V, meta = v_matrix(WIDE_SCALES)
-    assert meta["self_check_delta"] <= clt._SELF_CHECK_RTOL
-    bumped = V.copy()
-    bumped[0, 0] *= 1.0 + 1e-6
-    scale = clt._order_scale(support_clusters(WIDE_SCALES, WIDE_SCALES.aspect),
-                             V.shape[0])
-    assert clt._scaled_gap(bumped, V, scale) > clt._SELF_CHECK_RTOL
-    assert np.abs(bumped - V).max() <= clt._SELF_CHECK_RTOL * (1 + np.abs(V).max())
+    assert meta["nodes"] == 0
 
 
 def test_theta_refuses_wide_scales_by_conditioning():
@@ -276,19 +306,6 @@ def test_quadratures_are_scale_invariant(scale):
     np.testing.assert_allclose(theta_mestre(three),
                                theta_mestre(THREE_ATOM) * scale**2,
                                rtol=1e-12, atol=0)
-
-
-def test_v_leakage_is_scale_free():
-    # V's entry of orders (p, q) grows like s^(p + q), and so does its
-    # imaginary leakage; reported divided by that, as it is checked, the
-    # leakage reads at rounding level on any scale
-    leakage = []
-    for scale in (1.0, 1e10):
-        model = PopulationModel(rho=(scale, 3.0 * scale), weights=(0.5, 0.5),
-                                aspect=0.5)
-        leakage.append(v_matrix(model)[1]["imag_leakage"])
-    assert max(leakage) <= 1e-14
-    assert abs(leakage[0] - leakage[1]) <= 1e-14
 
 
 def test_v_asymmetry_is_scale_free():
