@@ -8,11 +8,12 @@ are exactly the solutions of
 which interlace the sample eigenvalues. They drive both the contour moment
 estimators and the baseline cluster estimator.
 
-Two root finders, chosen by the shape. For M > N the roots are the
-eigenvalues of Lambda - s s^T / M (s = sqrt(lambda)), and LAPACK's rank-one
-eigen-solver ``dlasd4`` (Li 1993) finds each one in a few iterations. For
-N >= M one sample eigenvalue is exactly zero, that rank-one form has no
-finite counterpart, and vectorized bisection between the poles is used.
+One root finder serves every shape. With n = min(N, M) positive sample
+eigenvalues the equation reads sum_k mu / (lambda_k - mu) = M - n, and in
+nu = 1/mu it is a positive rank-one eigenproblem that LAPACK's ``dlasd4``
+(Li 1993) solves root by root. For N >= M the right side is zero; a tiny
+constant stands in for it, and the one root that then runs to the origin,
+the convention zero, is never asked for.
 """
 
 from __future__ import annotations
@@ -34,8 +35,11 @@ __all__ = [
 ]
 
 _MERGE_RTOL = 1e-12
-# a float64 bracket collapses to adjacent floats in well under 200 halvings
-_MAX_BISECTIONS = 200
+# stands in for M - n = 0 when N >= M; every root then lies above
+# lambda_min, so the substitution moves a root by at most about
+# _DELTA (lambda_max / lambda_min)^2 relative, under one float while
+# lambda_max / lambda_min < 1e12
+_DELTA = 1e-40
 
 
 @dataclass(frozen=True)
@@ -144,44 +148,38 @@ def _interlacing_brackets(dist: np.ndarray, wide: bool):
     return lo, hi
 
 
-def _bisect(g, lo: np.ndarray, hi: np.ndarray):
-    """Vectorized bisection until every bracket is two adjacent floats."""
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        stalled = (mid <= lo) | (mid >= hi)
-        if stalled.all():
-            return lo, hi
-        up = g(mid) > 0
-        hi = np.where(up & ~stalled, mid, hi)
-        lo = np.where(~up & ~stalled, mid, lo)
-    raise BracketError("secular bisection hit the iteration cap")
-
-
 def _rank_one_roots(dist: np.ndarray, counts: np.ndarray, N: int, M: int):
-    """All K positive roots for M > N, one LAPACK ``dlasd4`` call each.
+    """The secular roots in their brackets, one LAPACK ``dlasd4`` call each.
 
-    The roots are the eigenvalues of Lambda - s s^T / M with s = sqrt(lambda)
-    (matrix determinant lemma), so by Sherman-Morrison 1/mu are those of
-    diag(1/lambda) + u u^T / (M - N) with u = lambda^(-1/2). After deflation
-    that is LAPACK's positive rank-one problem diag(d)^2 + rho z z^T with
+    With n = min(N, M) the equation reads sum_k count_k mu / (lambda_k - mu)
+    = M - n, so by the matrix determinant lemma 1/mu are the eigenvalues of
+    diag(1/lambda) + u u^T / (M - n) with u_k = sqrt(count_k / lambda_k).
+    That is LAPACK's positive rank-one problem diag(d)^2 + rho z z^T with
     d = lambda^(-1/2) ascending, z_k proportional to sqrt(count_k / lambda_k)
-    and rho = sum(count_k / lambda_k) / (M - N), solved by Li's "middle way"
+    and rho = sum(count_k / lambda_k) / (M - n), solved by Li's "middle way"
     iteration (Li 1993, "Solving secular equations stably and efficiently").
+    For N >= M, M - n = 0 becomes _DELTA: the largest sigma then runs off
+    to infinity and its mu to the convention zero. ``dlasd4`` does not
+    converge on that root, so it is never asked for, and the K - 1 roots
+    between the poles remain; for M > N all K are kept.
     ``dlasd4`` also returns t_k = d_k^2 - sigma^2 to high relative accuracy,
     and lambda_k - mu = -t_k lambda_k mu; each root is read as that offset
     from its nearer pole, or from the origin, so the rounding of d cancels.
     """
     K = dist.size
+    wide = M > N
     weight = counts / dist
     d = np.sqrt(1.0 / dist[::-1])
     z = np.sqrt(weight[::-1] / weight.sum())
-    rho = weight.sum() / (M - N)
+    rho = weight.sum() / (M - N if wide else _DELTA)
     # sigma_i ascends as mu descends: sigma_i gives root r = K - 1 - i, which
-    # lies between the poles dist[r - 1] (d index i + 1) and dist[r] (index i)
+    # lies between the poles dist[r - 1] (d index i + 1) and dist[r] (index i);
+    # for N >= M root r = 0 is the convention zero and is skipped
+    first = 0 if wide else 1
     sigma2 = np.empty(K)
     t_above = np.empty(K)
     t_below = np.empty(K)
-    for i in range(K):
+    for i in range(K - first):
         delta, sigma, work, info = dlasd4(i, d, z, rho)
         if info:
             raise BracketError(
@@ -195,13 +193,15 @@ def _rank_one_roots(dist: np.ndarray, counts: np.ndarray, N: int, M: int):
     if K == 1:
         # LAPACK's n = 1 branch returns delta = work = 1; here sigma^2 = d^2 + rho
         t_above[0] = -rho
-    mu = 1.0 / sigma2
-    below = np.concatenate([[0.0], dist[:-1]])
-    gap_above = -t_above * dist * mu
-    gap_below = t_below * below * mu
-    gap_below[0] = mu[0]  # the smallest root's lower neighbour is the origin
+    mu = 1.0 / sigma2[first:]
+    above = dist[first:]
+    below = np.concatenate([[0.0], dist[:-1]])[first:]
+    gap_above = -t_above[first:] * above * mu
+    gap_below = t_below[first:] * below * mu
+    if wide:
+        gap_below[0] = mu[0]  # the smallest root's lower neighbour is the origin
     return np.where(
-        gap_above <= gap_below, dist - gap_above, below + gap_below
+        gap_above <= gap_below, above - gap_above, below + gap_below
     )
 
 
@@ -211,15 +211,12 @@ def secular_zeros(spectrum: SampleSpectrum) -> SecularRoots:
     Each open interval between distinct positive sample eigenvalues holds
     exactly one root; when M > N one extra root lies below the smallest
     positive eigenvalue, and when N >= M the convention adds N - M + 1
-    zeros instead. Two solvers, chosen by the shape:
-
-    - M > N: the roots are the eigenvalues of a positive-definite rank-one
-      update of a diagonal matrix, found by LAPACK's ``dlasd4`` (see
-      ``_rank_one_roots``), then moved one float towards the root when
-      that lowers |g|.
-    - N >= M: one eigenvalue is exactly zero and no finite rank-one form
-      exists, so vectorized bisection runs until each bracket collapses to
-      two adjacent floats and keeps the one with the smaller |g|.
+    zeros instead. At every shape the roots are the eigenvalues of a
+    positive-definite rank-one update of a diagonal matrix, found by
+    LAPACK's ``dlasd4`` (see ``_rank_one_roots``; with n = min(N, M) the
+    update is scaled by 1 / (M - n), and by 1 / _DELTA when that is zero),
+    clipped to their brackets, then moved one float towards the root when
+    that lowers |g|.
     """
     N, M = spectrum.N, spectrum.M
     pos = spectrum.positive_eigenvalues()
@@ -233,15 +230,11 @@ def secular_zeros(spectrum: SampleSpectrum) -> SecularRoots:
     lo, hi = _interlacing_brackets(dist, M > N)
     roots = residuals = np.empty(0)
     if lo.size:
-        if M > N:
-            a = np.clip(_rank_one_roots(dist, counts, N, M), lo, hi)
-            g_a = g(a)
-            # g increases between poles: only the neighbour on the side its
-            # sign points to can be closer to the root
-            b = np.clip(np.nextafter(a, np.where(g_a > 0, 0.0, np.inf)), lo, hi)
-        else:
-            a, b = _bisect(g, lo, hi)
-            g_a = g(a)
+        a = np.clip(_rank_one_roots(dist, counts, N, M), lo, hi)
+        g_a = g(a)
+        # g increases between poles: only the neighbour on the side its
+        # sign points to can be closer to the root
+        b = np.clip(np.nextafter(a, np.where(g_a > 0, 0.0, np.inf)), lo, hi)
         g_b = g(b)
         # keep whichever float has the smaller |g|; a wins ties
         take_a = np.abs(g_a) <= np.abs(g_b)

@@ -161,10 +161,12 @@ def test_residual_bound_rejects_inexact_roots(N, M):
 
 
 def _dense_roots(lam, M):
-    # independent oracle: the positive eigenvalues of Lambda - s s^T / M
+    # independent oracle: the positive eigenvalues of Lambda - s s^T / M;
+    # for N >= M (lam.size == M) one of them is exactly zero, and eigvalsh
+    # rounds it to about +-eps * lambda_max, so the smallest is dropped
     s = np.sqrt(lam)
     ev = np.linalg.eigvalsh(np.diag(lam) - np.outer(s, s) / M)
-    return ev[ev > 0]
+    return ev[1:] if lam.size == M else ev[ev > 0]
 
 
 def _brackets_exactly(lam, M, mu, rtol):
@@ -179,7 +181,7 @@ def _brackets_exactly(lam, M, mu, rtol):
     return f(mu * (1 - rtol)) < 0 < f(mu * (1 + rtol))
 
 
-def _wide(rho, N, M):
+def _simulated(rho, N, M):
     model = PopulationModel(rho=rho, weights=(0.5, 0.5), aspect=N / M)
     return simulate_spectrum(model, N, M, seed=0)
 
@@ -189,14 +191,20 @@ def _wide(rho, N, M):
     [
         _spectrum([2.0], N=1, M=2),
         _spectrum([0.7], N=1, M=1000),
-        _wide((1.0, 3.0), 2, 3),
-        _wide((1.0, 3.0), 40, 41),
-        _wide((1.0, 1e4), 20, 80),
-        _wide((1.0, 1e4), 40, 60),
+        _simulated((1.0, 3.0), 2, 3),
+        _simulated((1.0, 3.0), 40, 41),
+        _simulated((1.0, 1e4), 20, 80),
+        _simulated((1.0, 1e4), 40, 60),
         _spectrum([1.0, 2.0, 2.0, 5.0], N=4, M=8),
+        _simulated((1.0, 3.0), 60, 60),
+        _simulated((1.0, 3.0), 41, 40),
+        _simulated((1.0, 3.0), 200, 20),
+        _simulated((1.0, 1e4), 80, 20),
+        _spectrum([1.0, 2.0, 2.0, 5.0], N=6, M=4),
     ],
     ids=["N1", "N1-M1000", "M=N+1-small", "M=N+1", "rho1e4-wide",
-         "rho1e4", "tied"],
+         "rho1e4", "tied", "N=M", "N=M+1", "N>>M", "rho1e4-tall",
+         "tied-tall"],
 )
 def test_rank_one_roots_match_oracles(spectrum):
     lam, M = spectrum.positive_eigenvalues(), spectrum.M
@@ -210,14 +218,28 @@ def test_rank_one_roots_match_oracles(spectrum):
 
 
 def test_rank_one_failure_raises_bracket_error(monkeypatch):
+    solve, asked = empirical.dlasd4, []
+
+    def spy(i, d, z, rho):
+        asked.append(i)
+        return solve(i, d, z, rho)
+
+    # at N >= M the largest sigma (index K - 1) is the root that runs to
+    # mu = 0, the convention zero: it is never asked for, every other index is
+    monkeypatch.setattr(empirical, "dlasd4", spy)
+    for N in (4, 7):
+        asked.clear()
+        roots = secular_zeros(_spectrum([1.0, 2.0, 3.0, 5.0], N=N, M=4))
+        assert asked == [0, 1, 2]
+        assert np.sum(roots.mu_hat == 0) == N - 4 + 1
+
     def no_convergence(i, d, z, rho):
         return np.zeros_like(d), 0.0, np.zeros_like(d), 1
 
     monkeypatch.setattr(empirical, "dlasd4", no_convergence)
-    with pytest.raises(BracketError, match="dlasd4"):
-        secular_zeros(_spectrum([1.0, 3.0], N=2, M=4))
-    # N >= M stays on bisection and never calls it
-    assert secular_zeros(_spectrum([1.0, 3.0], N=3, M=2)).mu_hat.shape == (3,)
+    for N, M in [(2, 4), (3, 2)]:
+        with pytest.raises(BracketError, match="dlasd4"):
+            secular_zeros(_spectrum([1.0, 3.0], N=N, M=M))
 
 
 def test_secular_extra_root_below_smallest_when_wide():

@@ -10,6 +10,7 @@ from coveig import (
     PopulationModel,
     mestre_estimate,
     moments_by_residues,
+    multiplicities,
     run_mse_sweep,
     sample_spectrum,
     secular_zeros,
@@ -39,13 +40,15 @@ def test_counts_must_sum_to_dimension():
         mestre_estimate(spectrum, [10, 11])
 
 
-def test_block_sums_reproduce_first_moment():
+@pytest.mark.parametrize("N, M", [(60, 600), (60, 60), (120, 60)])
+def test_block_sums_reproduce_first_moment(N, M):
     # the multiplicity-weighted average of the block estimates telescopes
-    # back to the full sum of lambda_hat - mu_hat, i.e. the first moment
+    # back to the full sum of lambda_hat - mu_hat, i.e. the first moment;
+    # at N >= M too, since tr(Lambda - s s^T / M) = sum lambda (1 - 1/M)
     model = PopulationModel(rho=(1.0, 3.0, 10.0),
-                            weights=(1 / 3, 1 / 3, 1 / 3), aspect=0.1)
-    spectrum = simulate_spectrum(model, 60, 600, seed=4)
-    counts = np.array([20, 20, 20])
+                            weights=(1 / 3, 1 / 3, 1 / 3), aspect=N / M)
+    spectrum = simulate_spectrum(model, N, M, seed=4)
+    counts = multiplicities(model, N)
     est = mestre_estimate(spectrum, counts)
     weighted = np.sum(counts / spectrum.N * est)
     gamma1 = moments_by_residues(spectrum, 1).gamma_hat[1]
