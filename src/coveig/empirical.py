@@ -165,9 +165,16 @@ def _rank_one_roots(dist: np.ndarray, counts: np.ndarray, N: int, M: int):
     ``dlasd4`` also returns t_k = d_k^2 - sigma^2 to high relative accuracy,
     and lambda_k - mu = -t_k lambda_k mu; each root is read as that offset
     from its nearer pole, or from the origin, so the rounding of d cancels.
+    ``dlasd4`` fails on a problem far from unit scale, so the eigenvalues
+    are first divided by 4^k, with 2k the even part of lambda_max's binary
+    exponent, which puts lambda_max in [1/2, 2), and the roots are
+    multiplied back by 4^k: both steps are exact, and d = lambda^(-1/2)
+    only gains the exact factor 2^k.
     """
     K = dist.size
     wide = M > N
+    two_k = 2 * (int(np.frexp(dist[-1])[1]) // 2)
+    dist = np.ldexp(dist, -two_k)
     weight = counts / dist
     d = np.sqrt(1.0 / dist[::-1])
     z = np.sqrt(weight[::-1] / weight.sum())
@@ -200,9 +207,9 @@ def _rank_one_roots(dist: np.ndarray, counts: np.ndarray, N: int, M: int):
     gap_below = t_below[first:] * below * mu
     if wide:
         gap_below[0] = mu[0]  # the smallest root's lower neighbour is the origin
-    return np.where(
+    return np.ldexp(np.where(
         gap_above <= gap_below, above - gap_above, below + gap_below
-    )
+    ), two_k)
 
 
 def secular_zeros(spectrum: SampleSpectrum) -> SecularRoots:

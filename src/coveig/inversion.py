@@ -2,10 +2,12 @@
 
 The moments gamma_0..gamma_{2L-1} of an L-atom measure determine it: the
 atoms are the roots of the monic polynomial whose coefficients solve the
-L x L Hankel system, and the weights follow from a Vandermonde solve. When
-the multiplicities are known in advance, the atoms come instead from
-Newton-Girard recursion on the power sums of the smallest integer multiset
-realizing the weights.
+L x L Hankel system, and the weights follow from a Vandermonde solve.
+Unless a projection moves them, the companion-matrix roots and the weights
+are then refined once, by Newton iteration on the full moment system in
+extended precision. When the multiplicities are known in advance, the
+atoms come instead from Newton-Girard recursion on the power sums of the
+smallest integer multiset realizing the weights.
 
 Both routes internally rescale the measure by s = max |gamma_ell|^(1/ell)
 so the linear algebra runs near unit scale; atoms are scaled back at the
@@ -69,7 +71,6 @@ class EstimationResult:
     rho_hat: NDArray[np.float64]
     c_hat: NDArray[np.float64]
     cond_gamma: float
-    poly_residuals: NDArray[np.float64]
     weight_residuals: NDArray[np.float64]
     method: str
     projected: bool = False
@@ -85,7 +86,6 @@ class InversionRows:
     rho_hat: NDArray[np.float64]
     c_hat: NDArray[np.float64]
     cond_gamma: NDArray[np.float64]
-    poly_residuals: NDArray[np.float64]
     weight_residuals: NDArray[np.float64]
     projected: NDArray[np.bool_]
     errors: list
@@ -140,31 +140,15 @@ def _moment_scale(gamma: NDArray[np.float64], errors: list, live):
     return s[keep], live[keep]
 
 
-def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """np.polyval(coeffs, x) without its per-call overhead.
+def _roots(poly: np.ndarray) -> np.ndarray:
+    """np.roots of every row of a (T, d + 1) stack of monic polynomials,
+    as complex (T, d) roots.
 
-    This is np.polyval's own recurrence, so its bits; on the 2- and 3-root
-    arrays of a Monte Carlo trial that overhead is most of np.polyval's cost.
-    For a stack, row t of x is evaluated on row t of coeffs.
-    """
-    y = np.zeros_like(x)
-    for k in range(coeffs.shape[-1]):
-        y = y * x + coeffs[..., k, None]
-    return y
-
-
-def _roots(poly: np.ndarray):
-    """np.roots of every row of a (T, d + 1) stack of monic polynomials.
-
-    Returns complex (T, d) roots and a mask of the rows np.roots returns as
-    a real array (no root with a non-zero imaginary part), whose polish
-    runs in real arithmetic. The companion matrices are one stacked
-    eigvals call; a row with a zero constant term goes through np.roots,
-    which deflates it.
+    The companion matrices are one stacked eigvals call; a row with a zero
+    constant term goes through np.roots, which deflates it.
     """
     T, d = poly.shape[0], poly.shape[1] - 1
     roots = np.empty((T, d), dtype=complex)
-    real = np.ones(T, dtype=bool)
     zero = poly[:, -1] == 0
     full = ~zero
     if full.any():
@@ -172,36 +156,9 @@ def _roots(poly: np.ndarray):
         A = np.zeros((int(full.sum()), d, d))
         A[:, 1:, :-1] = np.eye(d - 1)
         A[:, 0, :] = -poly[full, 1:] / poly[full, :1]
-        w = np.linalg.eigvals(A)
-        roots[full] = w
-        real[full] = np.all(np.imag(w) == 0, axis=1)
+        roots[full] = np.linalg.eigvals(A)
     for t in np.flatnonzero(zero):
-        w = np.roots(poly[t])
-        roots[t] = w
-        real[t] = not np.iscomplexobj(w)
-    return roots, real
-
-
-def _polish_roots(poly: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Newton-polish eigenvalue-companion roots against the monic polynomial.
-
-    np.roots loses several digits once the root condition number grows;
-    a few guarded Newton sweeps restore them. Steps that do not reduce
-    |p| are rejected, which keeps near-multiple roots stable. For a stack,
-    row t of roots is polished against row t of poly.
-    """
-    dpoly = poly[..., :-1] * np.arange(poly.shape[-1] - 1, 0, -1)  # np.polyder
-    val = _horner(poly, roots)
-    for _ in range(3):
-        slope = _horner(dpoly, roots)
-        safe = np.abs(slope) > 0
-        step = np.where(safe, val / np.where(safe, slope, 1.0), 0.0)
-        cand = roots - step
-        cand_val = _horner(poly, cand)
-        better = np.abs(cand_val) <= np.abs(val)
-        roots = np.where(better, cand, roots)
-        # p at the kept roots, without evaluating it there again
-        val = np.where(better, cand_val, val)
+        roots[t] = np.roots(poly[t])
     return roots
 
 
@@ -353,11 +310,9 @@ def invert_rows(gamma, L: int, project: bool = False) -> InversionRows:
     rho = np.full((T, L), np.nan)
     c_hat = np.full((T, L), np.nan)
     cond_all = np.full(T, np.nan)
-    poly_res = np.full((T, L), np.nan)
     weight_res = np.full((T, 2 * L), np.nan)
     projected = np.zeros(T, dtype=bool)
-    out = InversionRows(rho, c_hat, cond_all, poly_res, weight_res,
-                        projected, errors)
+    out = InversionRows(rho, c_hat, cond_all, weight_res, projected, errors)
     s, live = _moment_scale(gamma[live], errors, live)
     if not live.size:
         return out
@@ -377,14 +332,9 @@ def invert_rows(gamma, L: int, project: bool = False) -> InversionRows:
     # coeffs[:, i] multiplies X^i
     coeffs = np.linalg.solve(g[:, index], -g[:, L:2 * L, None])[..., 0]
     poly = np.concatenate([np.ones((live.size, 1)), coeffs[:, ::-1]], axis=1)
-    roots, real_rows = _roots(poly)
-    for sel in (real_rows, ~real_rows):
-        if sel.any():
-            start = roots[sel].real if sel is real_rows else roots[sel]
-            roots[sel] = _polish_roots(poly[sel], start)
+    roots = _roots(poly)
     real, keep = _check_roots(roots, project, errors, live)
-    live, s, g, poly, roots, real = (
-        a[keep] for a in (live, s, g, poly, roots, real))
+    live, s, g, roots, real = (a[keep] for a in (live, s, g, roots, real))
     if not live.size:
         return out
     moved = (np.any(np.abs(roots.imag) > _IMAG_RTOL * (1.0 + np.abs(roots)),
@@ -408,8 +358,7 @@ def invert_rows(gamma, L: int, project: bool = False) -> InversionRows:
     else:
         keep = _fail(errors, live, outside, lambda t: InvalidWeightsError(
             f"weights {c[t]} fall outside [-0.05, 1.05]"))
-        live, s, poly, real, c, moved = (
-            a[keep] for a in (live, s, poly, real, c, moved))
+        live, s, real, c, moved = (a[keep] for a in (live, s, real, c, moved))
 
     newton = ~moved
     if newton.any():
@@ -417,7 +366,6 @@ def invert_rows(gamma, L: int, project: bool = False) -> InversionRows:
             real[newton], c[newton], gamma[live[newton]], s[newton])
     rho[live] = real * s[:, None]
     c_hat[live] = c
-    poly_res[live] = np.abs(_horner(poly, real))
     weight_res[live] = _reconstruction(rho[live], c, gamma[live])
     projected[live] = moved & project
     return out
@@ -427,11 +375,12 @@ def invert_moments(gamma_hat, L: int | None = None, project: bool = False) -> Es
     """Full inversion: L atoms and L weights from gamma_0..gamma_{2L-1}.
 
     The atoms are companion-matrix roots of the Hankel-system polynomial,
-    Newton-polished against that polynomial. Infeasible root configurations
-    (complex, non-positive or coincident) raise unless ``project`` is set,
-    in which case real parts are clipped and sorted and the result is
-    flagged. A scaled Hankel condition number above 1e12 raises
-    ConditioningError. This is the one-row call of `invert_rows`.
+    refined with the weights by Newton iteration on the moment equations.
+    Infeasible root configurations (complex, non-positive or coincident)
+    raise unless ``project`` is set, in which case real parts are clipped
+    and sorted and the result is flagged, and the Newton step is skipped.
+    A scaled Hankel condition number above 1e12 raises ConditioningError.
+    This is the one-row call of `invert_rows`.
     """
     if isinstance(gamma_hat, MomentEstimates) and L is None:
         L = gamma_hat.gamma_hat.size // 2
@@ -451,7 +400,6 @@ def invert_moments(gamma_hat, L: int | None = None, project: bool = False) -> Es
         rho_hat=rho,
         c_hat=rows.c_hat[0],
         cond_gamma=cond,
-        poly_residuals=rows.poly_residuals[0],
         weight_residuals=rows.weight_residuals[0],
         method="moment_full",
         projected=bool(rows.projected[0]),
@@ -510,11 +458,10 @@ def invert_known_rows(gamma, weights, project: bool = False) -> InversionRows:
     T = gamma.shape[0]
     gamma = gamma[:, : d + 1]
     rho = np.full((T, L), np.nan)
-    poly_res = np.full((T, L), np.nan)
     weight_res = np.full((T, d + 1), np.nan)
     projected = np.zeros(T, dtype=bool)
     out = InversionRows(rho, np.tile(w, (T, 1)), np.full(T, np.nan),
-                        poly_res, weight_res, projected, errors)
+                        weight_res, projected, errors)
     s, live = _moment_scale(gamma[live], errors, live)
     if not live.size:
         return out
@@ -530,25 +477,20 @@ def invert_known_rows(gamma, weights, project: bool = False) -> InversionRows:
         e[:, k] = acc / k
     coeffs = e * (-1.0) ** np.arange(d + 1)  # descending: X^d, X^(d-1), ...
 
-    roots, real_rows = _roots(coeffs)
+    roots = _roots(coeffs)
     # a multiplicity-m root comes back as a cluster splayed by eps^(1/m),
     # with spurious imaginary parts; its centroid is first-order accurate,
     # so blocks are averaged before any feasibility screening
     roots = np.take_along_axis(roots, np.argsort(roots.real, axis=1), axis=1)
     ends = np.cumsum(counts)
-    centers = np.empty((live.size, L), dtype=complex)
-    for sel in (real_rows, ~real_rows):
-        if sel.any():
-            part = roots[sel].real if sel is real_rows else roots[sel]
-            centers[sel] = np.stack(
-                [part[:, a:b].mean(axis=1) for a, b in zip(ends - counts, ends)],
-                axis=1)
+    centers = np.stack(
+        [roots[:, a:b].mean(axis=1) for a, b in zip(ends - counts, ends)],
+        axis=1)
     rho_scaled, keep = _check_roots(centers, project, errors, live)
-    live, s, coeffs, centers, rho_scaled = (
-        a[keep] for a in (live, s, coeffs, centers, rho_scaled))
+    live, s, centers, rho_scaled = (
+        a[keep] for a in (live, s, centers, rho_scaled))
 
     rho[live] = rho_scaled * s[:, None]
-    poly_res[live] = np.abs(_horner(coeffs, rho_scaled))
     weight_res[live] = _reconstruction(rho[live], w, gamma[live])
     projected[live] = project & (
         np.any(np.abs(centers.imag) > _IMAG_RTOL * (1.0 + np.abs(centers)),
@@ -576,7 +518,6 @@ def invert_moments_known_multiplicities(
         rho_hat=rows.rho_hat[0],
         c_hat=rows.c_hat[0],
         cond_gamma=float("nan"),
-        poly_residuals=rows.poly_residuals[0],
         weight_residuals=rows.weight_residuals[0],
         method="moment_known_mult",
         projected=bool(rows.projected[0]),

@@ -242,6 +242,25 @@ def test_rank_one_failure_raises_bracket_error(monkeypatch):
             secular_zeros(_spectrum([1.0, 3.0], N=N, M=M))
 
 
+@pytest.mark.parametrize("N, M", [(40, 80), (60, 60), (60, 40)])
+def test_secular_roots_are_scale_free(N, M):
+    # dlasd4 alone stops converging once the spectrum's scale passes about
+    # 1e+-155; with the prescale by a power of 4 the roots of a scaled
+    # spectrum are the scaled roots: bit for bit under a power of 4, to the
+    # rounding of the scaled eigenvalues under any other factor
+    spectrum = _simulated((1.0, 3.0), N, M)
+    lam = spectrum.positive_eigenvalues()
+    base = secular_zeros(spectrum)
+    for j in (-498, -80, 80, 500):
+        f = 4.0**j
+        roots = secular_zeros(_spectrum(f * lam, N, M))
+        assert np.array_equal(roots.mu_hat, f * base.mu_hat)
+        assert np.array_equal(roots.residuals, base.residuals)
+    for f in (1e-300, 1e-160, 1e160, 1e300):
+        roots = secular_zeros(_spectrum(f * lam, N, M))
+        np.testing.assert_allclose(roots.mu_hat, f * base.mu_hat, rtol=4e-15)
+
+
 def test_secular_extra_root_below_smallest_when_wide():
     model = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.25)
     spectrum = simulate_spectrum(model, 12, 48, seed=3)

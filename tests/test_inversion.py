@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,7 +43,6 @@ def test_two_atom_hand_example():
         res.hankel.Gamma @ res.hankel.s, -res.hankel.b, atol=1e-12
     )
     assert np.isfinite(res.cond_gamma)
-    assert res.poly_residuals.max() < 1e-12
     assert res.weight_residuals.max() < 1e-12
 
 
@@ -234,35 +235,119 @@ def test_moment_estimates_object_accepted():
     np.testing.assert_allclose(known.rho_hat, [1.0, 3.0, 10.0], rtol=0.15)
 
 
-def _polish_by_polyval(poly, roots):
-    """The root polish written with np.polyval: the reference for the
-    inline Horner loops of inversion._polish_roots."""
-    dpoly = np.polyder(poly)
-    for _ in range(3):
-        val = np.polyval(poly, roots)
-        slope = np.polyval(dpoly, roots)
-        safe = np.abs(slope) > 0
-        step = np.where(safe, val / np.where(safe, slope, 1.0), 0.0)
-        cand = roots - step
-        better = np.abs(np.polyval(poly, cand)) <= np.abs(val)
-        roots = np.where(better, cand, roots)
-    return roots
+def _exact_solve(A, b):
+    """A x = b in Fraction arithmetic, by Gauss-Jordan elimination."""
+    n = len(b)
+    rows = [list(row) + [x] for row, x in zip(A, b)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k] != 0)
+        rows[k], rows[p] = rows[p], rows[k]
+        for i in range(n):
+            if i != k and rows[i][k] != 0:
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
 
 
-def test_polish_is_polyval_arithmetic():
-    # real and complex starts, near-double roots and complex pairs: the
-    # polish must give np.polyval's bits, not merely close values
-    rng = np.random.default_rng(5)
-    for trial in range(200):
-        degree = 1 + trial % 5
-        atoms = rng.uniform(0.1, 4.0, degree)
-        if trial % 3 == 0 and degree > 1:
-            atoms[1] = atoms[0] * (1 + 1e-7)
-        poly = np.poly(atoms) + np.r_[0.0, 1e-3 * rng.standard_normal(degree)]
-        starts = np.roots(poly)
-        for roots in (starts, starts + 1e-6j * rng.standard_normal(degree)):
-            assert np.array_equal(inversion._polish_roots(poly, roots),
-                                  _polish_by_polyval(poly, roots))
+def _exact_hankel_poly(gamma, L):
+    """Coefficients, ascending and monic, of the Hankel-system polynomial of
+    the exact rationals gamma."""
+    coeffs = _exact_solve([[gamma[i + j] for j in range(L)] for i in range(L)],
+                          [-gamma[i + L] for i in range(L)])
+    return coeffs + [Fraction(1)]
+
+
+def _exact_sign(poly, x):
+    value = Fraction(0)
+    for coeff in reversed(poly):
+        value = value * x + coeff
+    return value > 0
+
+
+def _exact_root(poly, guess):
+    """The root of poly within 1e-6 relative of guess, by exact-sign
+    bisection to 1e-30 relative; the sign change proves a root inside."""
+    lo = Fraction(guess) * (1 - Fraction(1, 10**6))
+    hi = Fraction(guess) * (1 + Fraction(1, 10**6))
+    sign_lo = _exact_sign(poly, lo)
+    assert sign_lo != _exact_sign(poly, hi)
+    while hi - lo > Fraction(1, 10**30) * lo:
+        mid = (lo + hi) / 2
+        if _exact_sign(poly, mid) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def _rational_moments(atoms, weights):
+    """Moments 0..2L-1 of a rational measure, each rounded once to a float."""
+    return [float(sum(Fraction(w) * Fraction(a) ** k
+                      for a, w in zip(atoms, weights)))
+            for k in range(2 * len(atoms))]
+
+
+F = Fraction
+CERTIFIED = {
+    "L2": ((1, 3), (F(1, 2), F(1, 2))),
+    "L3": ((1, 3, 5), (F(1, 3), F(1, 3), F(1, 3))),
+    "L4": ((F(1, 2), 2, 5, 9), (F(1, 4),) * 4),
+    "L5-geometric": ((1, 2, 4, 8, 16), (F(1, 5),) * 5),
+    "L5": ((1, F(5, 2), 6, 11, 20),
+           (F(1, 10), F(2, 10), F(3, 10), F(15, 100), F(25, 100))),
+    "L2-weights-projected": ((1, 3), (F(-1, 5), F(6, 5))),
+    "L3-weights-projected": ((1, F(5, 2), 6), (F(1, 2), F(-1, 10), F(6, 10))),
+}
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_full_inversion_meets_exact_solution(name):
+    # the whole inversion of a float moment vector in exact arithmetic:
+    # Hankel solve, roots by exact-sign bisection, Vandermonde solve. A
+    # row's relative atom error and absolute weight error stay within eps
+    # times its scaled Hankel condition number (measured: at most 0.12 of
+    # it), on Newton-refined rows and on weight-projected rows, which keep
+    # the companion roots unrefined
+    gamma = _rational_moments(*CERTIFIED[name])
+    L = len(gamma) // 2
+    exact = [Fraction(x) for x in gamma]
+    poly = _exact_hankel_poly(exact, L)
+    guesses = np.sort(np.roots([float(a) for a in reversed(poly)]).real)
+    roots = [_exact_root(poly, x) for x in guesses]
+    weights = _exact_solve([[r**ell for r in roots] for ell in range(L)],
+                           exact[:L])
+    projected = "projected" in name
+    if projected:
+        clipped = [min(max(w, 0), 1) for w in weights]
+        weights = [w / sum(clipped) for w in clipped]
+    rows = inversion.invert_rows(np.array([gamma]), L, project=projected)
+    assert rows.errors[0] is None
+    assert bool(rows.projected[0]) is projected
+    bound = Fraction(np.finfo(float).eps * rows.cond_gamma[0])
+    for got, want in zip(rows.rho_hat[0], roots):
+        assert abs(Fraction(float(got)) - want) <= bound * want
+    for got, want in zip(rows.c_hat[0], weights):
+        assert abs(Fraction(float(got)) - want) <= bound
+
+
+def test_projected_conjugate_pair_meets_exact_solution():
+    # golden vector C has a conjugate pair of roots, whose real part is
+    # exactly -a_1 / 2 for X^2 + a_1 X + a_0; the projection returns it
+    # twice, with the minimum-norm least-squares weights of the doubled
+    # atom at the scaled moments g_ell = gamma_ell / s^ell
+    gamma = GOLDEN_MOMENTS["C"]
+    exact = [Fraction(x) for x in gamma]
+    atom = -_exact_hankel_poly(exact, 2)[1] / 2
+    s = Fraction(float(np.max(np.abs(gamma[1:]) ** (1.0 / np.arange(1, 4)))))
+    r = atom / s
+    weight = (1 + r * exact[1] / s) / (2 * (1 + r * r))
+    rows = inversion.invert_rows(np.array([gamma]), 2, project=True)
+    assert rows.errors[0] is None and rows.projected[0]
+    bound = Fraction(np.finfo(float).eps * rows.cond_gamma[0])
+    for got in rows.rho_hat[0]:
+        assert abs(Fraction(float(got)) - atom) <= bound * atom
+    for got in rows.c_hat[0]:
+        assert abs(Fraction(float(got)) - weight) <= bound
 
 
 # Golden outputs of the inversion layer, as float.hex, for three fixed
@@ -287,10 +372,10 @@ GOLDEN = [
      ["0x1.8d8e11ececc6bp-2", "0x1.3938f709899cbp-1"]),
     ("B", None, False, False,
      ["0x1.d9f63d563001fp-1", "0x1.8dcd0658c7158p+1", "0x1.4504074d39acap+2"],
-     ["0x1.4664b1461de71p-2", "0x1.86802399e6fc4p-2", "0x1.331b2b1ffb1cap-2"]),
+     ["0x1.4664b1461de71p-2", "0x1.86802399e6fc4p-2", "0x1.331b2b1ffb1cbp-2"]),
     ("C", None, True, True,
-     ["0x1.aaddc141db1dep+0", "0x1.aaddc141db1dep+0"],
-     ["0x1.fa1ed2229a0e1p-2", "0x1.fa1ed2229a0e3p-2"]),
+     ["0x1.aaddc141db1dfp+0", "0x1.aaddc141db1dfp+0"],
+     ["0x1.fa1ed2229a0dcp-2", "0x1.fa1ed2229a0e1p-2"]),
     ("A", (0.5, 0.5), False, False,
      ["0x1.cae91ea3fb27dp-1", "0x1.85d92d136bb51p+1"],
      ["0x1.0000000000000p-1", "0x1.0000000000000p-1"]),

@@ -131,13 +131,13 @@ def test_block_rows_equal_one_row_calls(seed, shape, L, project, size, nodes,
 
     def fields(res):
         return tuple(_bits(f) for f in (
-            res.rho_hat, res.c_hat, res.cond_gamma, res.poly_residuals,
-            res.weight_residuals, res.projected))
+            res.rho_hat, res.c_hat, res.cond_gamma, res.weight_residuals,
+            res.projected))
 
     def block_rows(rows):
         return [_row(rows.errors, t, (
-            rows.rho_hat, rows.c_hat, rows.cond_gamma, rows.poly_residuals,
-            rows.weight_residuals, rows.projected)) for t in range(len(stack))]
+            rows.rho_hat, rows.c_hat, rows.cond_gamma, rows.weight_residuals,
+            rows.projected)) for t in range(len(stack))]
 
     full = invert_rows(stack, L, project)
     _check(block_rows(full), [
