@@ -7,11 +7,6 @@ from .clt import (
     theta_moment_estimator,
     v_matrix,
 )
-from .contours import (
-    Contour,
-    cluster_contours,
-    spectrum_contour,
-)
 from .empirical import SecularRoots, empirical_m, secular_zeros
 from .ensemble import (
     SampleSpectrum,
@@ -69,7 +64,6 @@ __all__ = [
     "CltCovariance",
     "CltHistogram",
     "ConditioningError",
-    "Contour",
     "ContourError",
     "ConvergenceError",
     "CoveigError",
@@ -92,7 +86,6 @@ __all__ = [
     "SecularRoots",
     "SeparabilityError",
     "SweepRow",
-    "cluster_contours",
     "density_curve",
     "empirical_m",
     "generate_observations",
@@ -109,7 +102,6 @@ __all__ = [
     "sample_spectrum",
     "secular_zeros",
     "simulate_spectrum",
-    "spectrum_contour",
     "support_clusters",
     "theta_mestre",
     "theta_moment_estimator",

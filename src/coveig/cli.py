@@ -47,14 +47,18 @@ def _model(raw) -> PopulationModel:
 
 
 def _load(path, build=_model, kind="model"):
-    """build(raw) on the JSON document at path; a missing key is an
-    InputError naming the file and the key, not a KeyError traceback."""
+    """build(raw) on the JSON document at path. A missing key, malformed
+    JSON or a value of the wrong type is an InputError naming the file,
+    not a traceback; a CoveigError of build passes unchanged."""
     with open(path) as fh:
-        raw = json.load(fh)
-    try:
-        return build(raw)
-    except KeyError as exc:
-        raise InputError(f"{path}: missing {kind} field {exc}") from exc
+        try:
+            return build(json.load(fh))
+        except CoveigError:
+            raise
+        except KeyError as exc:
+            raise InputError(f"{path}: missing {kind} field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}: malformed {kind}: {exc}") from exc
 
 
 def _dump_json(obj, path):
@@ -177,7 +181,7 @@ def _sweep_config(raw) -> ExperimentConfig:
         sizes=_sizes_from_config(raw, model),
         trials=int(raw["trials"]),
         master_seed=int(raw.get("master_seed", 0)),
-        methods=tuple(raw.get("methods", ["moment_full", "mestre"])),
+        methods=raw.get("methods", ("moment_full", "mestre")),
         infeasible=raw.get("infeasible", "exclude"),
         moment_route=raw.get("moment_route", "quadrature"),
     )
@@ -324,6 +328,10 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 1
+    except OSError as exc:
+        # after BrokenPipeError, an OSError too: a missing or unwritable file
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

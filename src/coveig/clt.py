@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .contours import Contour, cluster_contours
+from .contours import cluster_ellipse, ellipse_nodes
 from .errors import ConditioningError, ConvergenceError, InputError, SeparabilityError
 from .limiting import solve_m_underline_grid, support_clusters
 from .model import PopulationModel, true_moments
@@ -69,9 +69,11 @@ class CltCovariance:
     contour_meta: dict
 
 
-def _transform_on(model: PopulationModel, contour: Contour):
-    m, _ = solve_m_underline_grid(model, model.aspect, contour.points())
-    return contour.dz(), m
+def _transform_on(model: PopulationModel, ellipse, nodes: int):
+    """Weights on an ellipse's nodes and the companion transform there."""
+    points, dz = ellipse_nodes(*ellipse, nodes)
+    m, _ = solve_m_underline_grid(model, model.aspect, points)
+    return dz, m
 
 
 def _kappa_matrix(model: PopulationModel, m1, m2):
@@ -140,11 +142,11 @@ def _cluster_pair_integrals(model: PopulationModel, clusters, nodes: int):
     """
     norm = -1.0 / (4.0 * np.pi**2 * model.aspect**2)
     scale = float(clusters[-1][1]) ** -2.0
+    ellipses = [cluster_ellipse(clusters, k) for k in range(len(clusters))]
     for attempt in range(_MAX_DOUBLINGS + 1):
         if attempt:
             nodes *= 2
-        transforms = [_transform_on(model, cluster_contours(clusters, k, nodes))
-                      for k in range(len(clusters))]
+        transforms = [_transform_on(model, e, nodes) for e in ellipses]
         # |m_u| is about 1/|z| on a contour, so the floor is relative to
         # the support's right edge
         if min(np.abs(m).min() for _, m in transforms) * clusters[-1][1] < 1e-10:

@@ -56,9 +56,6 @@ class SecularRoots:
     brackets: NDArray[np.float64]
     residuals: NDArray[np.float64]
 
-    def positive(self) -> NDArray[np.float64]:
-        return self.mu_hat[self.mu_hat > 0]
-
 
 def empirical_m(spectrum: SampleSpectrum, z):
     """Empirical transforms (m_sample, m_companion) at z.

@@ -108,6 +108,9 @@ class ExperimentConfig:
     moment_route: str = "quadrature"
 
     def __post_init__(self):
+        if isinstance(self.methods, str):
+            raise InputError("methods must be a list of method names, "
+                             f"not the string {self.methods!r}")
         sizes = tuple((int(n), int(m)) for n, m in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -511,6 +514,8 @@ def run_clt_histogram(
     """
     if method not in ("moment_full", "mestre"):
         raise InputError("method must be 'moment_full' or 'mestre'")
+    if bins < 1:
+        raise InputError("need at least one histogram bin")
     L = model.L
     rho = model.rho_array()
     counts_n = multiplicities(model, N)

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .contours import SPECTRUM_NODES, Contour, ellipse_nodes, spectrum_ellipse
-from .empirical import SecularRoots, companion_transform_rows, secular_zeros
+from .contours import ellipse_nodes, spectrum_ellipse
+from .empirical import SecularRoots, companion_transform_rows
 from .ensemble import SampleSpectrum
-from .errors import ContourError, ConvergenceError, InputError
+from .errors import ConvergenceError, InputError
 
 __all__ = [
     "MomentEstimates",
@@ -40,6 +40,8 @@ _SELF_CHECK_RTOL = 3e-11
 # eps times sum |t_k|; the half-rule check discounts it
 _ROUNDING_EPS = 8
 _LEAKAGE_RTOL = 1e-8
+# node count of the first rule, doubled up to _MAX_DOUBLINGS times
+_START_NODES = 128
 _MAX_DOUBLINGS = 3
 
 
@@ -82,49 +84,33 @@ def _raw_quadrature(N: int, M: int, L: int, pts, weights, m, m_prime):
     return raw, size
 
 
-def quadrature_rows(pos, N: int, M: int, L: int, ellipse=None,
-                    nodes: int = SPECTRUM_NODES):
+def quadrature_rows(pos, N: int, M: int, L: int):
     """Moments of a stack of spectra of one (N, M), one row per spectrum.
 
     The row kernel of `moments_by_quadrature`, which is its one-row call:
     pos is (T, n), the positive eigenvalues of each spectrum, ascending.
-    ellipse is None for each row's `spectrum_contour`, whose node count
-    doubles until the self-check passes, or (center, half_width,
-    half_height), (T,) arrays of fixed ellipses with the given node count.
-    Returns (gamma, leakage, node_count, errors): gamma (T, 2L), the
-    scaled leakage and the node count of each row, and per row None or the
-    error the one-row call raises. Every row equals its one-row call bit
-    for bit; the rows of an error are undefined.
+    Each row integrates on its own `spectrum_ellipse`, at 128 nodes first,
+    doubling the node count until the self-check passes. Returns (gamma,
+    leakage, node_count, errors): gamma (T, 2L), the scaled leakage and the
+    node count of each row, and per row None or the error the one-row call
+    raises. Every row equals its one-row call bit for bit; the rows of an
+    error are undefined.
     """
     pos = np.asarray(pos, dtype=float)
     T = pos.shape[0]
-    auto = ellipse is None
-    # |m| is about 1/|z| on the contour, so the floor is relative to the
-    # largest eigenvalue; gamma_ell grows like its ell-th power, so the
-    # checks divide order ell by it to bring every order to a common size
+    # gamma_ell grows like lambda_max^ell, so the checks divide order ell
+    # by it to bring every order to a common size
     scale = pos[:, -1]
-    if auto:
-        ellipse = spectrum_ellipse(scale)
-    center, half_width, half_height = (np.asarray(v, dtype=float)[:, None]
-                                       for v in ellipse)
+    ellipse = [v[:, None] for v in spectrum_ellipse(scale)]
     order_scale = scale[:, None] ** -np.arange(2.0 * L)
     raw = np.full((T, 2 * L), np.nan, dtype=complex)
     node_count = np.zeros(T, dtype=int)
     errors = [None] * T
     live = np.arange(T)
     for attempt in range(_MAX_DOUBLINGS + 1):
-        pts, weights = ellipse_nodes(center[live], half_width[live],
-                                     half_height[live], nodes)
+        nodes = _START_NODES << attempt
+        pts, weights = ellipse_nodes(*(v[live] for v in ellipse), nodes)
         m, m_prime = companion_transform_rows(pos[live], M, pts)
-        grazed = np.abs(m).min(axis=1) * scale[live] < 1e-10
-        for r in live[grazed]:
-            errors[r] = ContourError(
-                "companion transform nearly vanishes on the contour; a "
-                "secular root must be grazing the curve"
-            )
-        keep = ~grazed
-        live, pts, weights, m, m_prime = (
-            a[keep] for a in (live, pts, weights, m, m_prime))
         full, size = _raw_quadrature(N, M, L, pts, weights, m, m_prime)
         # every other node of the offset trapezoid rule is again a uniform
         # rule at half resolution, on the transform already computed there
@@ -143,15 +129,14 @@ def quadrature_rows(pos, N: int, M: int, L: int, ellipse=None,
         live, delta = live[~done], delta[~done]
         if not live.size:
             break
-        if not (auto and attempt < _MAX_DOUBLINGS):
+        if attempt == _MAX_DOUBLINGS:
             for r, d in zip(live, delta):
                 errors[r] = ConvergenceError(
-                    "contour quadrature has not converged (self-check "
-                    f"discrepancy {d:.3e}); double the node count",
+                    f"contour quadrature has not converged at {nodes} nodes "
+                    f"(self-check discrepancy {d:.3e})",
                     residual=float(d),
                 )
             break
-        nodes *= 2
 
     gamma = raw.real
     leakage = (np.abs(raw.imag) * order_scale).max(axis=1)
@@ -161,7 +146,7 @@ def quadrature_rows(pos, N: int, M: int, L: int, ellipse=None,
         if errors[r] is None:
             errors[r] = ConvergenceError(
                 f"imaginary leakage {leakage[r]:.3e} (scaled) exceeds "
-                "tolerance; the contour is inadmissible or under-resolved",
+                "tolerance; the quadrature is under-resolved",
                 residual=float(leakage[r]),
             )
     return gamma, leakage, node_count, errors
@@ -170,41 +155,25 @@ def quadrature_rows(pos, N: int, M: int, L: int, ellipse=None,
 def moments_by_quadrature(
     spectrum: SampleSpectrum,
     L: int,
-    contour: Contour | None = None,
     secular: SecularRoots | None = None,
 ) -> MomentEstimates:
     """Moments by contour quadrature with an internal convergence check.
 
-    The default contour is `spectrum_contour` at 128 nodes. Each estimate
-    is compared against the half-resolution rule embedded in the same node
-    set, every order ell divided by lambda_max^ell first; with an
-    auto-built contour the node count doubles (up to 1024) until the two
-    agree beyond the rounding error of their sums, otherwise disagreement
-    raises with a suggestion to double the nodes. The imaginary leakage is scaled the same way, then checked and
-    reported. A caller's contour must enclose every positive eigenvalue
-    and secular root; whether it holds the origin is immaterial. The
-    secular roots (`secular`, solved here when not given) are read only for
-    that check: the default contour depends on the largest eigenvalue
-    alone, so without a caller's contour no roots are solved or read.
-    This is the one-row call of `quadrature_rows`.
+    The contour is the `spectrum_ellipse` of the largest eigenvalue, at
+    128 nodes first. Each estimate is compared against the half-resolution
+    rule embedded in the same node set, every order ell divided by
+    lambda_max^ell first, and the node count doubles (up to 1024) until the
+    two agree beyond the rounding error of their sums; disagreement at 1024
+    nodes raises ConvergenceError. The imaginary leakage is scaled the same
+    way, then checked and reported. secular is accepted and unused, kept
+    for callers that still pass it: the ellipse depends on the largest
+    eigenvalue alone, so no secular root is solved or read. This is the
+    one-row call of `quadrature_rows`.
     """
     if L < 1:
         raise InputError("L must be at least 1")
-    ellipse, nodes = None, SPECTRUM_NODES
-    if contour is not None:
-        if secular is None:
-            secular = secular_zeros(spectrum)
-        enclosed = np.concatenate(
-            [spectrum.positive_eigenvalues(), secular.positive()]
-        )
-        if not contour.contains_real(enclosed).all():
-            raise ContourError("contour fails to enclose a required point")
-        ellipse = ([contour.center], [contour.half_width],
-                   [contour.half_height])
-        nodes = contour.nodes
     gamma, leakage, node_count, errors = quadrature_rows(
-        spectrum.positive_eigenvalues()[None], spectrum.N, spectrum.M, L,
-        ellipse, nodes)
+        spectrum.positive_eigenvalues()[None], spectrum.N, spectrum.M, L)
     if errors[0] is not None:
         raise errors[0]
     return MomentEstimates(

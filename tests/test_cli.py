@@ -283,3 +283,44 @@ def test_closed_stdout_exits_quietly(tmp_path):
     err = proc.stderr.decode()
     assert proc.returncode == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+SWEEP = {"model": {"rho": [1.0, 3.0], "weights": [0.5, 0.5], "aspect": 0.5},
+         "N": [20], "trials": 4, "methods": ["mestre"]}
+CLT = {"model": SWEEP["model"], "N": 20, "M": 40, "trials": 4}
+
+
+@pytest.mark.parametrize("command,config,expected", [
+    ("mse-sweep", dict(SWEEP, trials="ten"), "malformed config"),
+    ("mse-sweep", dict(SWEEP, model=dict(SWEEP["model"], rho=3)),
+     "malformed config"),
+    ("mse-sweep", CLT, "malformed config"),  # a clt-check config
+    ("mse-sweep", '{"model": {"rho": [1.0', "malformed config"),
+    ("mse-sweep", None, "No such file"),
+    ("mse-sweep", dict(SWEEP, methods="mestre"), "not the string 'mestre'"),
+    ("clt-check", dict(CLT, bins=0), "histogram bin"),
+    ("estimate", None, "No such file"),
+    ("unwritable", SWEEP, "No such file"),
+], ids=["trials-text", "rho-scalar", "clt-config", "truncated-json",
+        "missing-config", "methods-string", "zero-bins", "missing-obs",
+        "unwritable-out-csv"])
+def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, command,
+                                                     config, expected):
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(config if isinstance(config, str)
+                        else json.dumps(config))
+    out_csv = str(tmp_path / "out.csv")
+    args = {
+        "mse-sweep": ["mse-sweep", "--config", str(path), "--out-csv", out_csv],
+        "unwritable": ["mse-sweep", "--config", str(path), "--out-csv",
+                       str(tmp_path / "missing" / "out.csv")],
+        "clt-check": ["clt-check", "--config", str(path), "--json", "-"],
+        "estimate": ["estimate", "--obs", str(tmp_path / "obs.bin"),
+                     "--L", "2"],
+    }[command]
+    rc = cli.main(args)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and expected in err
+    assert "Traceback" not in err

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from coveig import (
     ConditioningError,
-    Contour,
     InputError,
     PopulationModel,
     SeparabilityError,
@@ -22,6 +21,7 @@ from coveig import (
     v_matrix,
 )
 from coveig import clt, limiting
+from coveig.contours import ellipse_nodes
 from coveig.limiting import solve_m_underline_grid
 
 TWO_ATOM = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.5)
@@ -70,19 +70,17 @@ def _hull_v(model, nodes):
     clusters = support_clusters(model, c)
     lo, hi = clusters[0][0], clusters[-1][1]
     x0, x1 = 0.5 * lo, hi + 0.1 * (hi - lo)
-    inner = Contour(0.5 * (x0 + x1), 0.5 * (x1 - x0), 0.25 * (x1 - x0), nodes)
+    center, a, b = 0.5 * (x0 + x1), 0.5 * (x1 - x0), 0.25 * (x1 - x0)
     grow = 0.4 * x0
-    outer = Contour(inner.center, inner.half_width + grow,
-                    inner.half_height + grow, nodes)
 
-    def on(cont):
-        z = cont.points()
+    def on(half_width, half_height):
+        z, dz = ellipse_nodes(center, half_width, half_height, nodes)
         m, _ = solve_m_underline_grid(model, c, z)
         dm = 1.0 / limiting._inverse_map_derivative(
             m, c, model.rho_array(), model.weights_array())
-        return z, cont.dz(), m, dm
+        return z, dz, m, dm
 
-    (z1, w1, m1, d1), (z2, w2, m2, d2) = on(inner), on(outer)
+    (z1, w1, m1, d1), (z2, w2, m2, d2) = on(a, b), on(a + grow, b + grow)
     kappa = (d1[:, None] * d2[None, :] / (m1[:, None] - m2[None, :]) ** 2
              - 1.0 / (z1[:, None] - z2[None, :]) ** 2)
     p = np.arange(1, 2 * model.L)[:, None]

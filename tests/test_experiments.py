@@ -23,7 +23,7 @@ from coveig import (
     run_clt_histogram,
     run_mse_sweep,
 )
-from coveig import experiments, moments
+from coveig import experiments
 
 MODEL = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.5)
 
@@ -458,8 +458,8 @@ def test_call_inside_daemonic_pool_worker(monkeypatch):
 
 
 def _count_secular(monkeypatch):
-    """Spy on secular_zeros where the harness and the moments call it;
-    returns the list of spectrum seeds it was called for."""
+    """Spy on secular_zeros where the harness calls it; returns the list
+    of spectrum seeds it was called for."""
     calls = []
     real = experiments.secular_zeros
 
@@ -468,7 +468,6 @@ def _count_secular(monkeypatch):
         return real(spectrum)
 
     monkeypatch.setattr(experiments, "secular_zeros", spy)
-    monkeypatch.setattr(moments, "secular_zeros", spy)
     return calls
 
 

@@ -7,20 +7,17 @@ import pytest
 from scipy.integrate import quad
 
 from coveig import (
-    Contour,
-    ContourError,
     ConvergenceError,
-    CoveigError,
     InputError,
     PopulationModel,
     moments_by_quadrature,
     moments_by_residues,
     simulate_spectrum,
-    spectrum_contour,
-    secular_zeros,
     true_moments,
 )
-from coveig import moments
+from coveig import empirical, moments
+from coveig.contours import ellipse_nodes, spectrum_ellipse
+from coveig.empirical import companion_transform_rows
 from coveig.ensemble import SampleSpectrum, padded_spectrum
 
 LAM = np.array([0.8, 1.1, 2.5, 3.0])
@@ -136,102 +133,94 @@ def test_moments_consistent_for_large_samples():
                                rtol=0.05)
 
 
-def test_explicit_contour_accepted():
-    spectrum = _fixed_spectrum()
-    cont = spectrum_contour(spectrum, nodes=2048)
-    est = moments_by_quadrature(spectrum, 3, contour=cont)
-    np.testing.assert_allclose(est.gamma_hat, FROZEN, rtol=0, atol=1e-10)
-    assert est.node_count == 2048
-
-
-def test_contour_containing_origin_accepted():
-    # 1/m and z m'/m are regular at the origin (m has a pole there when
-    # M > N), so a caller's contour may enclose it and the moments agree
-    spectrum = _fixed_spectrum()
-    wide = Contour(center=1.5, half_width=2.0, half_height=0.8, nodes=512)
-    est = moments_by_quadrature(spectrum, 3, contour=wide)
-    np.testing.assert_allclose(est.gamma_hat, FROZEN, rtol=0, atol=1e-10)
-
-
-@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
-def test_contour_grazing_eigenvalue_raises(eps):
-    # the curve passes eps past the largest eigenvalue, a pole of the
-    # log-derivative integrand: the half-rule check must refuse it
-    spectrum = _fixed_spectrum()
-    grazing = Contour(center=1.5, half_width=1.5 + eps,
-                      half_height=0.8, nodes=512)
-    with pytest.raises(CoveigError):
-        moments_by_quadrature(spectrum, 3, contour=grazing)
-
-
-def test_contour_missing_eigenvalue_rejected():
-    spectrum = _fixed_spectrum()
-    bad = Contour(center=1.0, half_width=0.7, half_height=0.3, nodes=512)
-    with pytest.raises(ContourError):
-        moments_by_quadrature(spectrum, 2, contour=bad)
-
-
 def _count_secular(monkeypatch):
-    """Spy on moments' secular_zeros; returns the list of spectra it got."""
+    """Spy on the rank-one solver behind every secular root; returns the
+    list of calls it got."""
     calls = []
+    real = empirical._rank_one_roots
 
-    def spy(spectrum):
-        calls.append(spectrum)
-        return secular_zeros(spectrum)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(moments, "secular_zeros", spy)
+    monkeypatch.setattr(empirical, "_rank_one_roots", spy)
     return calls
 
 
 def test_default_contour_needs_no_secular_roots(monkeypatch):
-    # spectrum_contour is built from the largest eigenvalue alone, and the
+    # the ellipse is built from the largest eigenvalue alone, and the
     # residue at infinity from the power sums
     calls = _count_secular(monkeypatch)
     for est in (moments_by_quadrature(_fixed_spectrum(), 3),
                 moments_by_residues(_fixed_spectrum(), 3)):
         np.testing.assert_allclose(est.gamma_hat, FROZEN, rtol=0, atol=1e-10)
     assert calls == []
+    # the spy does see a secular solve
+    empirical.secular_zeros(_fixed_spectrum())
+    assert len(calls) == 1
 
 
-def test_contour_missing_secular_root_rejected(monkeypatch):
-    # the secular roots interlace the eigenvalues, the smallest lying below
-    # 0.8; a caller's contour from 0.7 to 3.3 holds every eigenvalue but
-    # not that root, and only the roots computed for the check can tell
-    spectrum = _fixed_spectrum()
-    assert 0.5 < secular_zeros(spectrum).positive()[0] < 0.7
-    calls = _count_secular(monkeypatch)
-    misses_root = Contour(center=2.0, half_width=1.3, half_height=0.8,
-                          nodes=512)
-    assert misses_root.contains_real(LAM).all()
-    with pytest.raises(ContourError, match="enclose"):
-        moments_by_quadrature(spectrum, 2, contour=misses_root)
-    assert calls == [spectrum]
+def _guard_cases():
+    """(positive eigenvalues, M) of spectra of every shape and scale."""
+    model = PopulationModel(rho=(1.0, 3.0, 10.0),
+                            weights=(1 / 3, 1 / 3, 1 / 3), aspect=1.0)
+    for N, M in ((30, 90), (60, 60), (90, 30)):
+        for seed in range(3):
+            pos = simulate_spectrum(model, N, M, seed).positive_eigenvalues()
+            yield pos, M
+            for scale in (1e-300, 1e300):
+                yield scale * pos, M
+    for M in (10_000, 1_000_000):
+        yield np.array([2.5]), M  # rank one at M/N of 1e4 and 1e6
+    tied = np.array([1.0, 2.0, 2.0, 2.0, 5.0, 5.0])
+    for scale in (1e-300, 1.0, 1e300):
+        yield scale * tied, 6
+        yield scale * tied, 60
 
 
-def test_under_resolved_explicit_contour_raises():
-    # a fixed contour is never auto-refined; the embedded half-rule check
-    # must fail loudly instead of returning a bad number
+@pytest.mark.parametrize("nodes", [128, 1024])
+def test_default_ellipse_keeps_transform_off_zero(nodes):
+    # m(z) is a mean of 1/(t - z) over t in [0, lambda_max], and the
+    # ellipse stays 0.3 lambda_max clear of that segment, so |m| lambda_max
+    # stays of order one on it: no secular root can come near the curve
+    for pos, M in _guard_cases():
+        pts, _ = ellipse_nodes(*spectrum_ellipse(pos[-1]), nodes)
+        with np.errstate(over="ignore", under="ignore", divide="ignore",
+                         invalid="ignore"):
+            m, _ = companion_transform_rows(pos[None], M, pts[None])
+        assert np.abs(m).min() * pos[-1] >= 0.5, (pos.size, M, pos[-1])
+
+
+def _cap_nodes(monkeypatch, nodes: int):
+    """Make the quadrature stop at a first rule of the given node count."""
+    monkeypatch.setattr(moments, "_START_NODES", nodes)
+    monkeypatch.setattr(moments, "_MAX_DOUBLINGS", 0)
+
+
+def test_under_resolved_explicit_contour_raises(monkeypatch):
+    # with no doubling left, the embedded half-rule check must fail loudly
+    # instead of returning a bad number
     model = PopulationModel(rho=(1.0, 3.0, 10.0),
                             weights=(1 / 3, 1 / 3, 1 / 3), aspect=0.25)
     spectrum = simulate_spectrum(model, 40, 160, seed=7)
-    cont = spectrum_contour(spectrum, nodes=32)
+    _cap_nodes(monkeypatch, 32)
     with pytest.raises(ConvergenceError) as err:
-        moments_by_quadrature(spectrum, 4, contour=cont)
+        moments_by_quadrature(spectrum, 4)
     assert err.value.residual is not None
 
 
-def test_under_resolved_contour_raises_at_any_scale():
+def test_under_resolved_contour_raises_at_any_scale(monkeypatch):
     # gamma_ell grows like lambda_max^ell, and the half-rule check divides
     # order ell by it: a 16-node ellipse fails alike on a spectrum near
     # 1e-10, near 1 and near 1e10
+    _cap_nodes(monkeypatch, 16)
     residuals = []
     for scale in (1e-10, 1.0, 1e10):
         model = PopulationModel(rho=(scale, 3 * scale), weights=(0.5, 0.5),
                                 aspect=0.5)
         spectrum = simulate_spectrum(model, 60, 120, seed=3)
-        cont = spectrum_contour(spectrum, nodes=16)
         with pytest.raises(ConvergenceError) as err:
-            moments_by_quadrature(spectrum, 2, contour=cont)
+            moments_by_quadrature(spectrum, 2)
         residuals.append(err.value.residual)
     np.testing.assert_allclose(residuals, residuals[1], rtol=1e-6)
 

@@ -12,6 +12,7 @@ carry the error class and message that call raises.
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,12 +28,10 @@ from coveig import (
     moments_by_quadrature,
     moments_by_residues,
     multiplicities,
-    secular_zeros,
     simulate_spectrum,
     trial_seed,
 )
-from coveig import ensemble, experiments
-from coveig.contours import Contour, spectrum_ellipse
+from coveig import ensemble, experiments, moments
 from coveig.ensemble import simulate_rows
 from coveig.inversion import invert_known_rows, invert_rows
 from coveig.moments import quadrature_rows, residue_rows
@@ -96,27 +95,22 @@ def test_block_rows_equal_one_row_calls(seed, shape, L, project, size, nodes,
                for t in range(size)]
     pos = np.stack([sp.positive_eigenvalues() for sp in spectra])
 
-    # moments: each row's default contour, or a fixed ellipse of its shape
-    # at a node count that may be too small, which must fail row by row
-    if nodes is None:
-        ellipse, contours = None, [None] * size
-        gamma, leakage, count, errors = quadrature_rows(pos, N, M, L)
-    else:
-        ellipse = spectrum_ellipse(pos[:, -1])
-        contours = [Contour(*(float(v[t]) for v in ellipse), nodes)
-                    for t in range(size)]
-        gamma, leakage, count, errors = quadrature_rows(pos, N, M, L, ellipse,
-                                                        nodes)
-
+    # moments: each row's ellipse as the quadrature runs it, or capped at
+    # one rule of a node count that may be too small, which must fail row
+    # by row
     def one_moment(t):
-        est = moments_by_quadrature(spectra[t], L, contour=contours[t],
-                                    secular=secular_zeros(spectra[t])
-                                    if contours[t] else None)
+        est = moments_by_quadrature(spectra[t], L)
         return tuple(_bits(f) for f in
                      (est.gamma_hat, est.imag_leakage, est.node_count))
 
+    start, doublings = ((moments._START_NODES, moments._MAX_DOUBLINGS)
+                        if nodes is None else (nodes, 0))
+    with mock.patch.object(moments, "_START_NODES", start), \
+            mock.patch.object(moments, "_MAX_DOUBLINGS", doublings):
+        gamma, leakage, count, errors = quadrature_rows(pos, N, M, L)
+        single = [_outcome(lambda: one_moment(t)) for t in range(size)]
     _check([_row(errors, t, (gamma, leakage, count)) for t in range(size)],
-           [_outcome(lambda: one_moment(t)) for t in range(size)])
+           single)
 
     # the residue route refuses no row
     residues = residue_rows(pos, N, M, L)

@@ -12,6 +12,9 @@ REMOVED = (
     "hermitian_eigenvalues",
     "cluster_assignment",
     "ClusterAssignment",
+    "Contour",
+    "spectrum_contour",
+    "cluster_contours",
 )
 
 # what perfbench/mirror.py and perfbench/worker.py take from coveig; the
