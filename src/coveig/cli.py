@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -61,13 +62,18 @@ def _load(path, build=_model, kind="model"):
             raise InputError(f"{path}: malformed {kind}: {exc}") from exc
 
 
-def _dump_json(obj, path):
-    text = json.dumps(obj, indent=2)
+def _open_output(stack: ExitStack, path):
+    """path opened for writing on stack, or None for stdout ("-" or no
+    path). Commands open every output before they start work, so that an
+    unwritable path fails at once instead of after every trial has run."""
     if path in (None, "-"):
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        return None
+    return stack.enter_context(open(path, "w", newline=""))
+
+
+def _dump_json(obj, fh):
+    """obj as indented JSON on the file fh, or on stdout for None."""
+    print(json.dumps(obj, indent=2), file=fh)
 
 
 def _cmd_simulate(args) -> int:
@@ -79,6 +85,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    with ExitStack() as stack:
+        fh = _open_output(stack, args.json)
+        _dump_json(_estimate(args), fh)
+    return 0
+
+
+def _estimate(args) -> dict:
     Y, seed = read_observations(args.obs)
     spectrum = sample_spectrum(Y, seed=seed)
     model = _load(args.model) if args.model else None
@@ -100,8 +113,7 @@ def _cmd_estimate(args) -> int:
         rho_hat = mestre_estimate(spectrum, counts)
         out["rho_hat"] = list(rho_hat)
         out["multiplicities"] = [int(c) for c in counts]
-        _dump_json(out, args.json)
-        return 0
+        return out
 
     if args.route == "residues":
         est = moments_by_residues(spectrum, L)
@@ -112,8 +124,7 @@ def _cmd_estimate(args) -> int:
     out["imag_leakage"] = est.imag_leakage
     out["node_count"] = est.node_count
     if args.moments_only:
-        _dump_json(out, args.json)
-        return 0
+        return out
 
     if args.method == "known-mult":
         if model is None:
@@ -132,31 +143,32 @@ def _cmd_estimate(args) -> int:
         cond_gamma=None if np.isnan(result.cond_gamma) else result.cond_gamma,
         weight_residual_max=float(result.weight_residuals.max()),
     )
-    _dump_json(out, args.json)
-    return 0
+    return out
 
 
 def _cmd_density(args) -> int:
     model = _load(args.model)
-    curve = density_curve(
-        model, model.aspect, grid_spec=args.step, epsilon=args.epsilon
-    )
-    with open(args.out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    with ExitStack() as stack:
+        csv_fh = stack.enter_context(open(args.out_csv, "w", newline=""))
+        json_fh = _open_output(stack, args.out_json)
+        curve = density_curve(
+            model, model.aspect, grid_spec=args.step, epsilon=args.epsilon
+        )
+        writer = csv.writer(csv_fh)
         writer.writerow(["x", "density"])
         for x, d in zip(curve.grid, curve.density):
             writer.writerow([f"{x:.12g}", f"{d:.12g}"])
-    _dump_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "clusters": [list(c) for c in curve.clusters],
-            "mass_at_zero": curve.mass_at_zero,
-            "epsilon": curve.epsilon,
-            "separable": is_separable(curve, model.L),
-            "total_mass": curve.total_mass(),
-        },
-        args.out_json,
-    )
+        _dump_json(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "clusters": [list(c) for c in curve.clusters],
+                "mass_at_zero": curve.mass_at_zero,
+                "epsilon": curve.epsilon,
+                "separable": is_separable(curve, model.L),
+                "total_mass": curve.total_mass(),
+            },
+            json_fh,
+        )
     print(
         f"wrote {curve.grid.size} density samples to {args.out_csv}; "
         f"{len(curve.clusters)} cluster(s)"
@@ -190,9 +202,10 @@ def _sweep_config(raw) -> ExperimentConfig:
 def _cmd_mse_sweep(args) -> int:
     config = _load(args.config, _sweep_config, "config")
     log = print if args.verbose else None
-    report = run_mse_sweep(config, log=log)
     L = config.model.L
+    # opened before the trials run, so that an unwritable path costs none
     with open(args.out_csv, "w", newline="") as fh:
+        report = run_mse_sweep(config, log=log)
         writer = csv.writer(fh)
         header = ["method", "N", "M", "mse_db", "failure_count",
                   "projected_count", "wall_time_s"]
@@ -225,24 +238,26 @@ def _clt_config(raw) -> dict:
 
 def _cmd_clt_check(args) -> int:
     config = _load(args.config, _clt_config, "config")
-    hist = run_clt_histogram(**config)
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "method": hist.method,
-        "N": hist.N,
-        "M": hist.M,
-        "trials": config["trials"],
-        "failure_count": hist.failure_count,
-        "predicted_var": list(hist.predicted_var),
-        "empirical_var": list(hist.empirical_var),
-        "ks_statistic": list(hist.ks_statistic),
-        "overlay_x": [list(x) for x in hist.overlay_x],
-        "overlay_pdf": [list(p) for p in hist.overlay_pdf],
-    }
-    _dump_json(out, args.json)
-    if args.hist_csv:
-        with open(args.hist_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    with ExitStack() as stack:
+        json_fh = _open_output(stack, args.json)
+        csv_fh = (stack.enter_context(open(args.hist_csv, "w", newline=""))
+                  if args.hist_csv else None)
+        hist = run_clt_histogram(**config)
+        _dump_json({
+            "schema_version": SCHEMA_VERSION,
+            "method": hist.method,
+            "N": hist.N,
+            "M": hist.M,
+            "trials": config["trials"],
+            "failure_count": hist.failure_count,
+            "predicted_var": list(hist.predicted_var),
+            "empirical_var": list(hist.empirical_var),
+            "ks_statistic": list(hist.ks_statistic),
+            "overlay_x": [list(x) for x in hist.overlay_x],
+            "overlay_pdf": [list(p) for p in hist.overlay_pdf],
+        }, json_fh)
+        if csv_fh is not None:
+            writer = csv.writer(csv_fh)
             writer.writerow(["component", "bin_lo", "bin_hi", "density"])
             for k in range(hist.counts.shape[0]):
                 for i in range(hist.counts.shape[1]):
@@ -252,6 +267,7 @@ def _cmd_clt_check(args) -> int:
                         f"{hist.bin_edges[k, i + 1]:.9g}",
                         f"{hist.counts[k, i]:.9g}",
                     ])
+    if args.hist_csv:
         print(f"wrote histogram bins to {args.hist_csv}")
     return 0
 

@@ -4,9 +4,11 @@ Everything here is a counterclockwise ellipse centered on the real axis,
 given as its (center, half_width, half_height) and discretized by the
 periodic trapezoid rule with nodes offset off the real axis, which
 converges geometrically for integrands analytic in a neighborhood of the
-curve. Each quadrature picks its own ellipse: the moment quadrature
-`spectrum_ellipse`, the CLT quadrature one `cluster_ellipse` per support
-cluster.
+curve. The nodes below the real axis are the exact conjugates of those
+above it, so a quadrature whose integrand is real on the real axis
+evaluates it on the upper half and mirrors it. Each quadrature picks its
+own ellipse: the moment quadrature `spectrum_ellipse`, the CLT quadrature
+one `cluster_ellipse` per support cluster.
 
 No moment or CLT integrand is singular at the origin: where the companion
 transform has a pole there (M > N) its reciprocal vanishes, and otherwise
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContourError
+from .errors import ContourError, InputError
 
 __all__ = ["ellipse_nodes", "spectrum_ellipse", "cluster_ellipse"]
 
@@ -31,13 +33,21 @@ def ellipse_nodes(center, half_width, half_height, nodes: int):
     sum(f(points) * dz) approximates the counterclockwise contour integral
     of f. The node axis comes last and the parameters broadcast against it:
     scalars give one ellipse, (T, 1) arrays a (T, nodes) stack whose row t
-    lies on ellipse t. The half-step offset keeps every node strictly off
-    the real axis and the node set symmetric under conjugation.
+    lies on ellipse t. nodes must be even. The half-step offset keeps every
+    node strictly off the real axis, and the lower half is the exact mirror
+    of the upper: points[..., K-1-j] = conj(points[..., j]) and
+    dz[..., K-1-j] = -conj(dz[..., j]) for j < K/2, K = nodes, so an
+    integrand with f(conj z) = conj(f(z)) needs evaluating on the upper
+    half only.
     """
-    theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
+    if nodes < 2 or nodes % 2:
+        raise InputError(f"need an even positive node count, got {nodes}")
+    theta = 2.0 * np.pi * (np.arange(nodes // 2) + 0.5) / nodes
     cos, sin = np.cos(theta), np.sin(theta)
-    points = center + half_width * cos + 1j * half_height * sin
-    dz = (-half_width * sin + 1j * half_height * cos) * (2.0 * np.pi / nodes)
+    upper = center + half_width * cos + 1j * half_height * sin
+    step = (-half_width * sin + 1j * half_height * cos) * (2.0 * np.pi / nodes)
+    points = np.concatenate([upper, upper[..., ::-1].conj()], axis=-1)
+    dz = np.concatenate([step, -step[..., ::-1].conj()], axis=-1)
     return points, dz
 
 

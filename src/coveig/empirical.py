@@ -81,7 +81,7 @@ def empirical_m(spectrum: SampleSpectrum, z):
     return m_sample, m_comp
 
 
-# largest (rows, nodes, n) temporary of the companion transform, in entries
+# entries of the companion transform's (rows, nodes, n) slice buffer
 _SLICE_ENTRIES = 2**15
 
 
@@ -91,10 +91,11 @@ def companion_transform_rows(pos, M: int, z):
     pos is (T, n), the min(N, M) positive eigenvalues of each spectrum,
     and z (T, K), the points of each row; the M - n structural zeros of
     the companion enter as a count, so derived spectra (exact zeros) and
-    diagonalized ones behave identically. The sums run in slices of rows
-    (of points, when one row is too large) so that no (rows, K, n)
-    temporary exceeds _SLICE_ENTRIES; a row's values do not depend on the
-    rows beside it.
+    diagonalized ones behave identically. Each entry takes one reciprocal
+    r = 1/(lambda - z), and m' sums r^2, so conjugate points give conjugate
+    values bit for bit. The sums run in slices of rows (of points, when one
+    row is too large) through one buffer of at most _SLICE_ENTRIES entries;
+    a row's values do not depend on the rows beside it.
     """
     T, K = z.shape
     n = pos.shape[1]
@@ -102,11 +103,18 @@ def companion_transform_rows(pos, M: int, z):
     cols = K if rows > 1 else max(1, _SLICE_ENTRIES // n)
     m = np.empty((T, K), dtype=complex)
     m_prime = np.empty((T, K), dtype=complex)
+    # one allocation per call, not per slice: a fresh temporary per slice
+    # let the allocator hand the heap's top back and fault it in again
+    buffer = np.empty(min(T, rows) * min(K, cols) * n, dtype=complex)
     for a in range(0, T, rows):
         for b in range(0, K, cols):
-            diff = pos[a:a + rows, None, :] - z[a:a + rows, b:b + cols, None]
-            m[a:a + rows, b:b + cols] = (1.0 / diff).sum(axis=2)
-            m_prime[a:a + rows, b:b + cols] = (1.0 / diff**2).sum(axis=2)
+            zz = z[a:a + rows, b:b + cols, None]
+            r = buffer[:zz.size * n].reshape(zz.shape[:2] + (n,))
+            np.subtract(pos[a:a + rows, None, :], zz, out=r)
+            np.reciprocal(r, out=r)
+            m[a:a + rows, b:b + cols] = r.sum(axis=2)
+            np.square(r, out=r)
+            m_prime[a:a + rows, b:b + cols] = r.sum(axis=2)
     zero_count = M - n
     if zero_count:
         m += zero_count * (-1.0 / z)

@@ -17,6 +17,13 @@ triangular LAPACK product, so the eigensolve is most of a draw's cost. So
 `simulate_spectrum(model, N, M, seed)` has the law of the spectrum of
 `generate_observations(model, N, M, seed)` but is not its spectrum; only
 `generate_observations` writes a real Y.
+
+That eigensolve, in `simulate_spectrum` and `sample_spectrum` alike, is
+the two steps of LAPACK's `zheevd` without eigenvectors (numpy's
+`eigvalsh`), called directly on the buffer the Gram matrix was formed in:
+`zhetrd` reduces it to a real tridiagonal in place, and `dsterf`
+diagonalizes that. Its eigenvalues equal `zheevd`'s bit for bit when both
+run on one LAPACK build.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import blas, lapack
 
-from .errors import DimensionError, InputError
+from .errors import ConvergenceError, DimensionError, InputError
 from .model import PopulationModel, multiplicities
 
 __all__ = [
@@ -43,8 +50,10 @@ __all__ = [
 ]
 
 _MAGIC = b"COVEIG01"
-# most complex entries of the Gram matrices one eigvalsh call diagonalizes
-_EIG_SLICE_ENTRIES = 2**16
+# zheevd scales a matrix whose largest entry lies outside [_RMIN, _RMAX]
+# into that range before reducing it, and its eigenvalues back after
+_RMIN = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+_RMAX = 1.0 / _RMIN
 
 
 @dataclass(frozen=True)
@@ -134,8 +143,9 @@ def sample_spectrum(observations: np.ndarray, seed: int = 0) -> SampleSpectrum:
         raise InputError("observations contain non-finite entries")
     Y = Y.astype(np.complex128, copy=False)
     small = Y if N <= M else Y.conj().T
-    return padded_spectrum(_gram_eigenvalues(small @ small.conj().T / M),
-                            N, M, seed)
+    gram = np.asfortranarray(small @ small.conj().T / M)
+    lam = _gram_eigenvalues(gram, _workspace(gram.shape[0]))
+    return padded_spectrum(lam, N, M, seed)
 
 
 def padded_spectrum(lam: np.ndarray, N: int, M: int, seed) -> SampleSpectrum:
@@ -149,10 +159,40 @@ def padded_spectrum(lam: np.ndarray, N: int, M: int, seed) -> SampleSpectrum:
     )
 
 
-def _gram_eigenvalues(gram: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a (stack of) PSD Gram matrices, from the lower
-    triangle only, with eigvalsh's tiny negatives clipped to zero."""
-    lam = np.linalg.eigvalsh(gram)
+def _workspace(n: int) -> int:
+    """zhetrd's optimal workspace at order n, which selects its blocked
+    reduction, as zheevd's own query does."""
+    work, _ = lapack.zhetrd_lwork(n, lower=1)
+    return int(work.real)
+
+
+def _gram_eigenvalues(gram: np.ndarray, lwork: int) -> np.ndarray:
+    """Eigenvalues, ascending, of the PSD Gram matrix held in the lower
+    triangle of the Fortran-ordered gram, which is overwritten.
+
+    zheevd's steps for eigenvalues only: the scaling of an extreme matrix,
+    zhetrd with workspace lwork (from `_workspace`) and dsterf. The largest
+    entry of a PSD matrix lies on its diagonal, so that is where the scale
+    is read. Rounding's tiny negatives are clipped to zero; a dsterf that
+    does not converge raises ConvergenceError.
+    """
+    if gram.shape[0] == 1:
+        # no off-diagonal to reduce; zheevd returns the real diagonal
+        lam = gram[0, :1].real.copy()
+    else:
+        top = gram.diagonal().real.max()
+        sigma = (_RMAX / top if top > _RMAX
+                 else _RMIN / top if 0.0 < top < _RMIN else None)
+        if sigma is not None:
+            gram *= sigma
+        _, d, e, _, _ = lapack.zhetrd(gram, lower=1, lwork=lwork,
+                                      overwrite_a=1)
+        lam, info = lapack.dsterf(d, e, overwrite_d=1, overwrite_e=1)
+        if info > 0:
+            raise ConvergenceError(
+                f"dsterf left {info} off-diagonal entries unconverged")
+        if sigma is not None:
+            lam *= 1.0 / sigma
     np.clip(lam, 0.0, None, out=lam)
     return lam
 
@@ -164,11 +204,10 @@ def simulate_rows(model: PopulationModel, N: int, M: int,
     The row kernel of `simulate_spectrum`, which is its one-row call:
     returns a (len(seeds), min(N, M)) array whose row t holds, ascending,
     the eigenvalues that ``simulate_spectrum(model, N, M, seeds[t])``
-    reports as positive, bit for bit. The scale, the strictly-lower index
-    and the buffers are set up once; each seed is drawn and its Gram matrix
-    formed as in `simulate_spectrum`, and the matrices are diagonalized by
-    one `eigvalsh` call per slice of at most _EIG_SLICE_ENTRIES entries, so
-    memory does not grow with the number of seeds.
+    reports as positive, bit for bit. The scale, the strictly-lower index,
+    zhetrd's workspace and one n x n buffer are set up once; each seed is
+    drawn, its Gram matrix formed in the buffer as in `simulate_spectrum`
+    and reduced there, so memory does not grow with the number of seeds.
     """
     scale = _realized_scale(model, N, M) / np.sqrt(M)
     n = min(N, M)
@@ -178,33 +217,28 @@ def simulate_rows(model: PopulationModel, N: int, M: int,
     lower = np.tri(n, n, -1, dtype=bool)
     below = n * (n - 1) // 2  # entries below the diagonal of the top block
     root_half = np.sqrt(0.5)
-    per = max(1, _EIG_SLICE_ENTRIES // (n * n))
-    # column-major slots, so that LAPACK forms each Gram matrix in place
-    # from the top n x n block of the factor, which it overwrites
-    stack = np.zeros((min(per, len(seeds)), n, n),
-                     dtype=np.complex128).transpose(0, 2, 1)
+    lwork = _workspace(n)
+    # column-major, so that LAPACK forms the Gram matrix in place from the
+    # top n x n block of the factor, which it overwrites, and reduces it
+    # there; only the lower triangle is ever written, the upper stays zero
+    top = np.zeros((n, n), dtype=np.complex128, order="F")
     # the i.i.d. rows below that block, when N > M
     tail = np.empty((N - n, n), dtype=np.complex128, order="F")
-    for a in range(0, len(seeds), per):
-        chunk = seeds[a:a + per]
-        for k, seed in enumerate(chunk):
-            rng = _rng_for(seed)
-            top = stack[k]
-            top[diag, diag] = np.sqrt(rng.standard_gamma(M - diag))
-            draws = rng.standard_normal(2 * (below + tail.size))
-            draws *= root_half
-            draws = draws.view(np.complex128)
-            top[lower] = draws[:below]
-            top *= scale[:n, None]
-            gram, _ = lapack.zlauum(top, lower=1, overwrite_c=1)
-            if tail.size:
-                tail[:] = draws[below:].reshape(tail.shape)
-                tail *= scale[n:, None]
-                gram = blas.zherk(1.0, tail, beta=1.0, c=gram, trans=2,
-                                  lower=1, overwrite_c=1)
-            if gram is not top:
-                top[:] = gram
-        out[a:a + len(chunk)] = _gram_eigenvalues(stack[:len(chunk)])
+    for t, seed in enumerate(seeds):
+        rng = _rng_for(seed)
+        top[diag, diag] = np.sqrt(rng.standard_gamma(M - diag))
+        draws = rng.standard_normal(2 * (below + tail.size))
+        draws *= root_half
+        draws = draws.view(np.complex128)
+        top[lower] = draws[:below]
+        top *= scale[:n, None]
+        gram, _ = lapack.zlauum(top, lower=1, overwrite_c=1)
+        if tail.size:
+            tail[:] = draws[below:].reshape(tail.shape)
+            tail *= scale[n:, None]
+            gram = blas.zherk(1.0, tail, beta=1.0, c=gram, trans=2,
+                              lower=1, overwrite_c=1)
+        out[t] = _gram_eigenvalues(gram, lwork)
     return out
 
 
@@ -228,7 +262,8 @@ def simulate_spectrum(
 
     B^H B is formed in its lower triangle only: LAPACK's `zlauum` multiplies
     the triangular top n x n block by its adjoint, and when N > M `zherk`
-    adds the Gram matrix of the i.i.d. block below it. This is the one-row
+    adds the Gram matrix of the i.i.d. block below it; `zhetrd` and
+    `dsterf` then diagonalize it in the same buffer. This is the one-row
     call of `simulate_rows`.
     """
     lam = simulate_rows(model, N, M, [seed])[0]
@@ -260,11 +295,16 @@ def read_observations(path) -> tuple[NDArray[np.complex128], int]:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise InputError(f"{path}: not a coveig observation file")
-        N, M, seed = struct.unpack("<qqq", fh.read(24))
+        header = fh.read(24)
+        if len(header) != 24:
+            raise InputError(f"{path}: truncated header")
+        N, M, seed = struct.unpack("<qqq", header)
         if N < 1 or M < 1:
             raise InputError(f"{path}: invalid dimensions {N} x {M}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != N * M * 2:
-        raise InputError(f"{path}: truncated payload")
+        payload = fh.read()
+    if len(payload) != 16 * N * M:
+        raise InputError(f"{path}: payload of {len(payload)} bytes, "
+                         f"expected {16 * N * M} for {N} x {M}")
+    data = np.frombuffer(payload, dtype="<f8")
     data = data.reshape(N, M, 2)
     return data[:, :, 0] + 1j * data[:, :, 1], int(seed)

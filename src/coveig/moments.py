@@ -5,10 +5,13 @@ companion transform m(z): the first moment comes from the log-derivative
 integrand z m'(z)/m(z), higher ones from 1/m(z)^(ell-1). The quadrature
 route discretizes one ellipse around the whole spectrum and the origin,
 where neither integrand is singular, so the same rule serves N < M, N = M
-and N > M. Since that ellipse encloses every singularity of both
-integrands, each integral is also minus the residue at z = infinity, which
-depends only on the power sums of the positive eigenvalues; the residue
-route evaluates it exactly and serves as an independent cross-check.
+and N > M. The transform of a real spectrum is conjugate-symmetric and
+the ellipse's nodes below the real axis mirror those above, so the
+transform is evaluated on the upper half of the nodes only. Since that
+ellipse encloses every singularity of both integrands, each integral is
+also minus the residue at z = infinity, which depends only on the power
+sums of the positive eigenvalues; the residue route evaluates it exactly
+and serves as an independent cross-check.
 
 Each route is a row kernel, `quadrature_rows` and `residue_rows`, over a
 stack of spectra of one (N, M), so that a block of Monte Carlo trials pays
@@ -90,10 +93,11 @@ def quadrature_rows(pos, N: int, M: int, L: int):
     The row kernel of `moments_by_quadrature`, which is its one-row call:
     pos is (T, n), the positive eigenvalues of each spectrum, ascending.
     Each row integrates on its own `spectrum_ellipse`, at 128 nodes first,
-    doubling the node count until the self-check passes. Returns (gamma,
-    leakage, node_count, errors): gamma (T, 2L), the scaled leakage and the
-    node count of each row, and per row None or the error the one-row call
-    raises. Every row equals its one-row call bit for bit; the rows of an
+    doubling the node count until the self-check passes; the transform is
+    evaluated on the upper half of the nodes and conjugated onto the lower
+    half. Returns (gamma, leakage, node_count, errors): gamma (T, 2L), the
+    scaled leakage and the node count of each row, and per row None or the
+    error the one-row call raises. Every row equals its one-row call bit for bit; the rows of an
     error are undefined.
     """
     pos = np.asarray(pos, dtype=float)
@@ -110,7 +114,11 @@ def quadrature_rows(pos, N: int, M: int, L: int):
     for attempt in range(_MAX_DOUBLINGS + 1):
         nodes = _START_NODES << attempt
         pts, weights = ellipse_nodes(*(v[live] for v in ellipse), nodes)
-        m, m_prime = companion_transform_rows(pos[live], M, pts)
+        # the lower half of the nodes mirrors the upper, and the transform
+        # of a real spectrum has m(conj z) = conj(m(z)), bit for bit
+        upper = companion_transform_rows(pos[live], M, pts[:, :nodes // 2])
+        m, m_prime = (np.concatenate([v, v[:, ::-1].conj()], axis=1)
+                      for v in upper)
         full, size = _raw_quadrature(N, M, L, pts, weights, m, m_prime)
         # every other node of the offset trapezoid rule is again a uniform
         # rule at half resolution, on the transform already computed there

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -300,14 +301,19 @@ CLT = {"model": SWEEP["model"], "N": 20, "M": 40, "trials": 4}
     ("mse-sweep", dict(SWEEP, methods="mestre"), "not the string 'mestre'"),
     ("clt-check", dict(CLT, bins=0), "histogram bin"),
     ("estimate", None, "No such file"),
+    ("estimate", b"COVEIG01" + bytes(10), "truncated header"),
+    ("estimate", b"COVEIG01" + struct.pack("<qqq", 2, 3, 0) + bytes(13),
+     "payload of 13 bytes, expected 96"),
     ("unwritable", SWEEP, "No such file"),
 ], ids=["trials-text", "rho-scalar", "clt-config", "truncated-json",
         "missing-config", "methods-string", "zero-bins", "missing-obs",
-        "unwritable-out-csv"])
+        "short-obs-header", "ragged-obs-payload", "unwritable-out-csv"])
 def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, command,
                                                      config, expected):
     path = tmp_path / "config.json"
-    if config is not None:
+    if isinstance(config, bytes):
+        (tmp_path / "obs.bin").write_bytes(config)
+    elif config is not None:
         path.write_text(config if isinstance(config, str)
                         else json.dumps(config))
     out_csv = str(tmp_path / "out.csv")
@@ -324,3 +330,31 @@ def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, command,
     assert rc == 1
     assert err.startswith("error:") and expected in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,config,flag", [
+    ("mse-sweep", SWEEP, "--out-csv"),
+    ("clt-check", CLT, "--json"),
+    ("clt-check", CLT, "--hist-csv"),
+])
+def test_unwritable_output_fails_before_any_trial(tmp_path, capsys,
+                                                  monkeypatch, command,
+                                                  config, flag):
+    runs = []
+    for name in ("run_mse_sweep", "run_clt_histogram"):
+        monkeypatch.setattr(cli, name,
+                            lambda *a, _name=name, **k: runs.append(_name))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    outputs = {"mse-sweep": {"--out-csv": tmp_path / "out.csv"},
+               "clt-check": {"--json": tmp_path / "out.json",
+                             "--hist-csv": tmp_path / "hist.csv"}}[command]
+    outputs[flag] = tmp_path / "missing" / "out"
+    args = [command, "--config", str(path)]
+    for name, out in outputs.items():
+        args += [name, str(out)]
+    rc = cli.main(args)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "No such file" in err
+    assert runs == []

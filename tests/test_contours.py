@@ -5,6 +5,7 @@ import pytest
 
 from coveig import (
     ContourError,
+    InputError,
     PopulationModel,
     moments_by_quadrature,
     moments_by_residues,
@@ -56,12 +57,30 @@ def test_cauchy_formula_recovers_pole_location():
 
 
 def test_ellipse_nodes_avoid_real_axis_and_pair_up():
-    pts, _ = ellipse_nodes(2.0, 1.0, 0.4, 64)
-    assert np.abs(pts.imag).min() > 1e-3
-    # node set is closed under conjugation, so real integrands of conjugate
-    # symmetric functions come out real
-    gap = np.abs(pts[:, None] - np.conj(pts)[None, :]).min(axis=1)
-    assert gap.max() < 1e-12
+    for nodes in (2, 64, 1024):
+        pts, dz = ellipse_nodes(2.0, 1.0, 0.4, nodes)
+        assert np.abs(pts.imag).min() > 1e-3 * 64 / nodes
+        # the lower half mirrors the upper exactly, so a conjugate-symmetric
+        # integrand needs evaluating on the upper half only, and the rule's
+        # sum of it comes out real
+        assert (pts[:nodes // 2].imag > 0).all()
+        assert np.array_equal(pts[::-1], np.conj(pts))
+        assert np.array_equal(dz[::-1], -np.conj(dz))
+        # and so does every row of a stack of ellipses
+        center = np.array([[2.0], [-1.0], [1e10]])
+        stack, weights = ellipse_nodes(center, 0.8 * np.abs(center),
+                                       0.5 * np.abs(center), nodes)
+        assert stack.shape == weights.shape == (3, nodes)
+        assert np.array_equal(stack[:, ::-1], np.conj(stack))
+        assert np.array_equal(weights[:, ::-1], -np.conj(weights))
+
+
+@pytest.mark.parametrize("nodes", [0, 1, 63])
+def test_odd_or_empty_node_counts_rejected(nodes):
+    # an odd rule has no mirror, and its middle node sits on the real axis;
+    # an empty one integrates nothing
+    with pytest.raises(InputError):
+        ellipse_nodes(2.0, 1.0, 0.4, nodes)
 
 
 def test_halved_node_subset_is_consistent_rule():

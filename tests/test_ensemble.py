@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from coveig import (
+    ConvergenceError,
     DimensionError,
     InputError,
     PopulationModel,
@@ -16,6 +17,7 @@ from coveig import (
     trial_seed,
     write_observations,
 )
+from coveig import ensemble
 
 
 def _model():
@@ -91,6 +93,25 @@ def test_derived_companion_matches_diagonalized():
         np.testing.assert_allclose(
             full_companion, fast.lambda_hat_companion, rtol=1e-9, atol=1e-12,
         )
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_sample_spectrum_at_extreme_scales(scale):
+    # Gram entries near 1e-300 and 1e300 lie outside the range zheevd
+    # reduces unscaled; the spectrum must scale with them all the same
+    Y = generate_observations(_model(), 8, 14, seed=4)
+    reference = sample_spectrum(Y).lambda_hat
+    lam = sample_spectrum(scale * Y).lambda_hat / scale**2
+    np.testing.assert_allclose(lam, reference, rtol=1e-13)
+
+
+def test_unconverged_eigensolve_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(ensemble.lapack, "dsterf", lambda d, e, **_: (d, 2))
+    Y = generate_observations(_model(), 8, 14, seed=4)
+    with pytest.raises(ConvergenceError, match="dsterf"):
+        sample_spectrum(Y)
+    with pytest.raises(ConvergenceError, match="dsterf"):
+        simulate_spectrum(_model(), 8, 14, seed=4)
 
 
 def test_trace_identity():

@@ -191,6 +191,22 @@ def test_default_ellipse_keeps_transform_off_zero(nodes):
         assert np.abs(m).min() * pos[-1] >= 0.5, (pos.size, M, pos[-1])
 
 
+@pytest.mark.parametrize("M", [4, 8, 800])
+def test_transform_at_conjugate_nodes_is_conjugate(M):
+    # the quadrature evaluates the transform on the upper half of its nodes
+    # and conjugates it onto the lower half, which must be what a direct
+    # evaluation there gives, bit for bit
+    pos = np.stack([LAM, 1e-100 * LAM, 1e100 * LAM, [1.0, 1.0, 2.0, 2.0]])
+    pts, _ = ellipse_nodes(*(v[:, None] for v in spectrum_ellipse(pos[:, -1])),
+                           256)
+    m, m_prime = companion_transform_rows(pos, M, pts)
+    assert np.array_equal(m[:, ::-1], np.conj(m))
+    assert np.array_equal(m_prime[:, ::-1], np.conj(m_prime))
+    upper, upper_prime = companion_transform_rows(pos, M, pts[:, :128])
+    assert np.array_equal(upper, m[:, :128])
+    assert np.array_equal(upper_prime, m_prime[:, :128])
+
+
 def _cap_nodes(monkeypatch, nodes: int):
     """Make the quadrature stop at a first rule of the given node count."""
     monkeypatch.setattr(moments, "_START_NODES", nodes)

@@ -145,9 +145,11 @@ def test_block_rows_equal_one_row_calls(seed, shape, L, project, size, nodes,
         for g in stack])
 
 
-def _one_seed_draw(model, N, M, seed):
-    """simulate_spectrum's documented steps for one seed on fresh buffers,
-    with one eigvalsh call: the reference every kernel row must equal."""
+def _one_seed_draw(model, N, M, seed, gram_only=False):
+    """simulate_spectrum's documented steps for one seed on fresh buffers:
+    the Gram matrix from zlauum and zherk, then zhetrd at its queried
+    workspace and dsterf, the reference every kernel row must equal. With
+    gram_only, the Gram matrix (its lower triangle) instead."""
     scale = (np.sqrt(np.repeat(model.rho_array(), multiplicities(model, N)))
              / np.sqrt(M))
     n = min(N, M)
@@ -164,14 +166,27 @@ def _one_seed_draw(model, N, M, seed):
     if N > n:
         gram = blas.zherk(1.0, factor[n:], beta=1.0, c=gram, trans=2,
                           lower=1, overwrite_c=1)
-    return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+    if gram_only:
+        return gram
+    if n == 1:
+        return np.clip(gram[0].real, 0.0, None)
+    work, _ = lapack.zhetrd_lwork(n, lower=1)
+    _, d, e, _, _ = lapack.zhetrd(gram, lower=1, lwork=int(work.real))
+    lam, info = lapack.dsterf(d, e)
+    assert info == 0
+    return np.clip(lam, 0.0, None)
 
 
-@pytest.mark.parametrize("N,M", [(24, 60), (30, 30), (40, 20), (70, 140)])
+SAMPLING_SHAPES = [(24, 60), (30, 30), (40, 20), (70, 140), (1, 9), (9, 1),
+                   (1, 1)]
+
+
+@pytest.mark.parametrize("N,M", SAMPLING_SHAPES)
 def test_simulate_rows_equal_one_seed_draws(N, M):
-    # N < M, N = M and N > M (the zherk block); at 70 x 140 one eigvalsh
-    # call takes 13 Gram matrices, so the block of 25 runs in slices
-    model = PopulationModel(rho=(1.0, 2.0, 4.0), weights=(1 / 3,) * 3,
+    # N < M, N = M and N > M (the zherk block), and a single row or column,
+    # where there is no off-diagonal to reduce
+    L = min(N, 3)
+    model = PopulationModel(rho=(1.0, 2.0, 4.0)[:L], weights=(1 / L,) * L,
                             aspect=N / M)
     for size in (1, 7, 25):
         seeds = [trial_seed(size, t) for t in range(size)]
@@ -182,14 +197,31 @@ def test_simulate_rows_equal_one_seed_draws(N, M):
             assert _bits(rows[t]) == reference
             spectrum = simulate_spectrum(model, N, M, seed)
             assert _bits(spectrum.positive_eigenvalues()) == reference
-    assert ensemble._EIG_SLICE_ENTRIES // 70**2 < 25
+
+
+@pytest.mark.parametrize("N,M", SAMPLING_SHAPES)
+def test_simulate_rows_match_eigvalsh(N, M):
+    # numpy's eigvalsh runs zheevd, zhetrd then dsterf, from the OpenBLAS
+    # numpy bundles; scipy bundles its own build, so the two agree to a few
+    # ulps of lambda_max rather than bit for bit everywhere
+    L = min(N, 3)
+    model = PopulationModel(rho=(1.0, 2.0, 4.0)[:L], weights=(1 / L,) * L,
+                            aspect=N / M)
+    seeds = [trial_seed(11, t) for t in range(7)]
+    rows = simulate_rows(model, N, M, seeds)
+    for t, seed in enumerate(seeds):
+        gram = _one_seed_draw(model, N, M, seed, gram_only=True)
+        expected = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+        tol = 8 * np.finfo(float).eps * expected[-1]
+        assert np.abs(rows[t] - expected).max() <= tol
 
 
 def test_block_memory_is_bounded():
     # the largest chunk the trial plan hands out, as in a serial 1000-trial
-    # call at 150 x 400, runs as one block. The eigensolve and the
-    # companion transform run in slices; whole, each (64, 128, 150) complex
-    # temporary of the transform would take 19.7 MB
+    # call at 150 x 400, runs as one block. The eigensolve reuses one
+    # n x n buffer and the companion transform runs in slices; whole, its
+    # (64, 64, 150) complex temporary on the upper half of the nodes would
+    # take 9.8 MB
     n = 1000
     start, chunks = 1, []
     while start < n:
