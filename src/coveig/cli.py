@@ -176,13 +176,25 @@ def _cmd_density(args) -> int:
     return 0
 
 
+def _integer(value, name: str) -> int:
+    """A config's integer field: a JSON integer, or a float of integral
+    value. A bool, a string, a fraction or any other value is an InputError,
+    not silently truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"malformed config: {name} must be an integer, "
+                     f"got {value!r}")
+
+
 def _sizes_from_config(raw, model) -> tuple[tuple[int, int], ...]:
     if "sizes" in raw:
-        return tuple((int(n), int(m)) for n, m in raw["sizes"])
+        return tuple((_integer(n, "sizes"), _integer(m, "sizes"))
+                     for n, m in raw["sizes"])
     if "N" in raw:
-        return tuple(
-            (int(n), int(round(int(n) / model.aspect))) for n in raw["N"]
-        )
+        dims = [_integer(n, "N") for n in raw["N"]]
+        return tuple((n, int(round(n / model.aspect))) for n in dims)
     raise InputError("sweep config needs 'sizes' ([[N, M], ...]) or 'N' list")
 
 
@@ -191,8 +203,8 @@ def _sweep_config(raw) -> ExperimentConfig:
     return ExperimentConfig(
         model=model,
         sizes=_sizes_from_config(raw, model),
-        trials=int(raw["trials"]),
-        master_seed=int(raw.get("master_seed", 0)),
+        trials=_integer(raw["trials"], "trials"),
+        master_seed=_integer(raw.get("master_seed", 0), "master_seed"),
         methods=raw.get("methods", ("moment_full", "mestre")),
         infeasible=raw.get("infeasible", "exclude"),
         moment_route=raw.get("moment_route", "quadrature"),
@@ -227,12 +239,12 @@ def _clt_config(raw) -> dict:
     """Keyword arguments of run_clt_histogram."""
     return dict(
         model=_model(raw["model"]),
-        N=int(raw["N"]),
-        M=int(raw["M"]),
-        trials=int(raw["trials"]),
-        master_seed=int(raw.get("master_seed", 0)),
+        N=_integer(raw["N"], "N"),
+        M=_integer(raw["M"], "M"),
+        trials=_integer(raw["trials"], "trials"),
+        master_seed=_integer(raw.get("master_seed", 0), "master_seed"),
         method=raw.get("method", "moment_full"),
-        bins=int(raw.get("bins", 40)),
+        bins=_integer(raw.get("bins", 40), "bins"),
     )
 
 

@@ -230,8 +230,13 @@ def secular_zeros(spectrum: SampleSpectrum) -> SecularRoots:
     clipped to their brackets, then moved one float towards the root when
     that lowers |g|.
     """
-    N, M = spectrum.N, spectrum.M
-    pos = spectrum.positive_eigenvalues()
+    return SecularRoots(*_secular_roots(
+        spectrum.positive_eigenvalues(), spectrum.N, spectrum.M))
+
+
+def _secular_roots(pos: np.ndarray, N: int, M: int):
+    """`secular_zeros` on the min(N, M) positive eigenvalues pos, ascending;
+    returns the fields (mu_hat, brackets, residuals) of its SecularRoots."""
     dist, counts = _merge_coincident(pos)
 
     def g(mu: np.ndarray) -> np.ndarray:
@@ -255,18 +260,12 @@ def secular_zeros(spectrum: SampleSpectrum) -> SecularRoots:
     brackets = np.column_stack([lo, hi])
 
     # repeated eigenvalues are themselves roots, one copy fewer than their
-    # multiplicity
-    for rep, cnt in zip(dist, counts):
-        if cnt > 1:
-            roots = np.append(roots, np.full(cnt - 1, rep))
-            brackets = np.vstack([brackets, np.tile([rep, rep], (cnt - 1, 1))])
-            residuals = np.append(residuals, np.zeros(cnt - 1))
-
-    zeros = N - M + 1 if N >= M else 0
-    if zeros:
-        roots = np.append(roots, np.zeros(zeros))
-        brackets = np.vstack([brackets, np.zeros((zeros, 2))])
-        residuals = np.append(residuals, np.zeros(zeros))
+    # multiplicity, and for N >= M the convention adds N - M + 1 zeros
+    extra = np.concatenate([np.repeat(dist, counts - 1),
+                            np.zeros(max(N - M + 1, 0))])
+    roots = np.concatenate([roots, extra])
+    brackets = np.vstack([brackets, np.column_stack([extra, extra])])
+    residuals = np.concatenate([residuals, np.zeros(extra.size)])
 
     if roots.size != N:
         raise BracketError(
@@ -274,8 +273,4 @@ def secular_zeros(spectrum: SampleSpectrum) -> SecularRoots:
             "spectrum may be rank deficient"
         )
     order = np.argsort(roots, kind="stable")
-    return SecularRoots(
-        mu_hat=roots[order],
-        brackets=brackets[order],
-        residuals=residuals[order],
-    )
+    return roots[order], brackets[order], residuals[order]

@@ -97,12 +97,20 @@ def complex_gaussian(
     return radius * np.exp(2j * np.pi * v)
 
 
+def _check_seed(seed, name: str = "seed") -> None:
+    if seed < 0:
+        raise InputError(f"{name} must be non-negative, got {seed}")
+
+
 def _rng_for(seed: int) -> np.random.Generator:
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def trial_seed(master_seed: int, index: int) -> int:
     """Stable per-trial integer seed derived from (master_seed, index)."""
+    _check_seed(master_seed, "master seed")
+    _check_seed(index, "trial index")
     ss = np.random.SeedSequence((int(master_seed), int(index)))
     return int(ss.generate_state(1, np.uint64)[0])
 

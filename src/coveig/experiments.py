@@ -5,10 +5,6 @@ competing estimators across problem sizes, and histogram checks of the
 asymptotic normality predictions. Every trial draws its seed from
 (master_seed, trial_index), so runs are reproducible.
 
-A trial solves the secular equation only for Mestre's estimator, the one
-method that reads its roots. Moments on either route and both moment
-inversions do not, so a trial of the moment methods alone skips the solve.
-
 Trials run in chunks of consecutive trials of one (N, M). Trial 0 runs
 alone first. On Linux, when its time projects the rest to more than a
 tenth of a second, the calling process forks one worker per further CPU in
@@ -24,9 +20,11 @@ BLAS to one thread (OPENBLAS_NUM_THREADS=1) so that the processes do not
 oversubscribe the CPUs. A chunk runs through the row kernels: the draws
 and their eigenvalues through `ensemble.simulate_rows`, the moments on
 either route and both inversions through those of `moments` and
-`inversion`; secular roots and Mestre run trial by trial. A row of a
-kernel equals its one-row call bit for bit, so outputs depend neither on
-the worker count nor on the chunks. `SweepRow.wall_time` (the CSV's
+`inversion`, and Mestre with its secular roots through
+`mestre.mestre_rows`. A row of a kernel equals its one-row call bit for
+bit, so outputs depend neither on the worker count nor on the chunks. A
+chunk returns one structured array, a row per trial, and the chunks'
+arrays are concatenated in trial order. `SweepRow.wall_time` (the CSV's
 wall_time_s) is busy time summed over trials, not elapsed time; a chunk's
 kernel time, the sampling included, is split evenly over its trials.
 """
@@ -46,8 +44,7 @@ from numpy.typing import NDArray
 from scipy.special import ndtr
 
 from .clt import theta_mestre, theta_moment_estimator
-from .ensemble import padded_spectrum, simulate_rows, trial_seed
-from .empirical import secular_zeros
+from .ensemble import simulate_rows, trial_seed
 from .errors import (
     ConditioningError,
     ContourError,
@@ -58,7 +55,7 @@ from .errors import (
     InvalidWeightsError,
 )
 from .inversion import invert_known_rows, invert_rows
-from .mestre import mestre_estimate
+from .mestre import mestre_rows
 from .model import PopulationModel, multiplicities
 from .moments import quadrature_rows, residue_rows
 
@@ -175,57 +172,46 @@ def _trials(model, N, M, counts, seeds, methods, project=False,
             route="quadrature"):
     """A block of Monte Carlo trials of every method at one (N, M).
 
-    Returns one (estimates, projected, times) per seed: estimates is
-    (methods, L) with NaN rows where a method failed, projected flags
-    projected inversions, and times holds each method's own time, then
-    the shared time of the sampling plus the secular roots when Mestre
-    reads them, then the moment-estimation time. The draws and their
-    eigenvalues, the moments on either route and both inversions run once
-    over the block's stacked rows, whose time is split evenly over its
-    trials; secular roots and Mestre run trial by trial, on spectra built
-    only for them. A trial's results do not depend on the block it is in.
+    Returns a structured array with one row per seed and the columns
+    "estimates", (methods, L) with NaN rows where a method failed;
+    "projected", the flags of projected inversions; and "seconds", the
+    trial's share of each stage: "sampling", "moments" and each method.
+    Every stage runs once over the block's stacked rows, its time split
+    evenly over the trials: the draws and their eigenvalues, the moments on
+    either route, each inversion, and Mestre with its secular roots, which
+    no other method reads. A trial's results do not depend on the block it
+    is in.
     """
     L = model.L
     T = len(seeds)
-    est = np.full((T, len(methods), L), np.nan)
-    projected = np.zeros((T, len(methods)), dtype=bool)
-    times = np.zeros((T, len(methods) + 2))
+    record = np.zeros(T, dtype=[
+        ("estimates", float, (len(methods), L)),
+        ("projected", bool, (len(methods),)),
+        ("seconds", [(s, float) for s in ("sampling", "moments", *methods)]),
+    ])
+    est, projected, seconds = (record[name] for name in record.dtype.names)
+    est[:] = np.nan
     t0 = time.perf_counter()
     lam = simulate_rows(model, N, M, seeds)
-    times[:, -2] = (time.perf_counter() - t0) / T
-    # only Mestre reads the secular roots
-    if "mestre" in methods:
-        spectra, secular = [], []
-        for t, seed in enumerate(seeds):
-            t0 = time.perf_counter()
-            spectra.append(padded_spectrum(lam[t], N, M, seed))
-            secular.append(secular_zeros(spectra[-1]))
-            times[t, -2] += time.perf_counter() - t0
+    seconds["sampling"] = (time.perf_counter() - t0) / T
+    if (lam[:, 0] <= 0).any():
+        raise InputError("sample spectrum is rank deficient")
 
-    gamma = None
     if any(m.startswith("moment") for m in methods):
         t0 = time.perf_counter()
-        if (lam[:, 0] <= 0).any():
-            raise InputError("sample spectrum is rank deficient")
         if route == "residues":
             gamma, errors = residue_rows(lam, N, M, L), [None] * T
         else:
             gamma, _, _, errors = quadrature_rows(lam, N, M, L)
         # a failed trial leaves every moment method's row NaN
         ok = np.flatnonzero(_estimated(errors))
-        times[:, -1] = (time.perf_counter() - t0) / T
+        seconds["moments"] = (time.perf_counter() - t0) / T
 
     for i, method in enumerate(methods):
+        t0 = time.perf_counter()
         if method == "mestre":
-            for t in range(T):
-                t0 = time.perf_counter()
-                try:
-                    est[t, i] = mestre_estimate(spectra[t], counts, secular[t])
-                except _TRIAL_FAILURES:
-                    pass
-                times[t, i] = time.perf_counter() - t0
-        elif gamma is not None and ok.size:
-            t0 = time.perf_counter()
+            est[:, i] = mestre_rows(lam, N, M, counts)
+        elif ok.size:
             if method == "moment_full":
                 rows = invert_rows(gamma[ok], L, project=project)
             else:
@@ -234,8 +220,8 @@ def _trials(model, N, M, counts, seeds, methods, project=False,
             good = _estimated(rows.errors)
             est[ok[good], i] = rows.rho_hat[good]
             projected[ok[good], i] = rows.projected[good]
-            times[:, i] = (time.perf_counter() - t0) / T
-    return list(zip(est, projected, times))
+        seconds[method] = (time.perf_counter() - t0) / T
+    return record
 
 
 def _cpus() -> int:
@@ -257,7 +243,7 @@ def _chunk_end(start: int, n: int, takers: int, floor: int,
 
 def _take_chunks(run, take) -> dict:
     """run(chunk) for every chunk take() hands out until it hands out an
-    empty one; returns {chunk start: its results}."""
+    empty one; returns {chunk start: its record}."""
     done = {}
     while chunk := take():
         done[chunk.start] = run(list(chunk))
@@ -287,11 +273,11 @@ def _may_fork() -> bool:
 
 
 def _map_trials(run, n: int, cell_size: int, setup=lambda: None):
-    """run(chunk) for the trial indices 0 .. n - 1, spread over this
+    """run(chunk) for the trial indices 0 .. n - 1, n >= 1, spread over this
     process's CPUs, and setup() once in this process; returns (setup(),
-    the results in index order). run takes a list of consecutive indices of
-    one cell (indices j with one j // cell_size) and returns one result per
-    index.
+    the records of every chunk concatenated in index order). run takes a
+    list of consecutive indices of one cell (indices j with one
+    j // cell_size) and returns a structured array with one row per index.
 
     Trial 0 runs alone here. When its time, times the n - 1 trials left,
     exceeds _PARALLEL_MIN_S and the process may run on more than one CPU,
@@ -300,14 +286,12 @@ def _map_trials(run, n: int, cell_size: int, setup=lambda: None):
     next chunk of the guided plan (`_chunk_end`, with a floor of
     _CHUNK_MIN_S of trial 0's time) from one shared counter until none is
     left, so a slow process takes fewer chunks and none waits long for the
-    last. Serially the same plan runs with W = 1. A result must depend on
-    its index alone, not on the chunk it ran in, so the results are the
-    serial loop's whatever the worker count. An error run or setup raises
+    last. Serially the same plan runs with W = 1. A row must depend on its
+    index alone, not on the chunk it ran in, so the rows are the serial
+    loop's whatever the worker count. An error run or setup raises
     reaches the caller as raised, after every worker has been stopped.
     Forking is skipped where `_may_fork` says no.
     """
-    if n < 1:
-        return setup(), []
     t0 = time.perf_counter()
     done = {0: run([0])}
     elapsed = time.perf_counter() - t0
@@ -379,7 +363,7 @@ def _map_trials(run, n: int, cell_size: int, setup=lambda: None):
             if proc.is_alive():
                 proc.terminate()
             proc.join()
-    return made, [r for k in sorted(done) for r in done[k]]
+    return made, np.concatenate([done[k] for k in sorted(done)])
 
 
 def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
@@ -393,11 +377,11 @@ def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
     neither. A trial solves the secular equation only when "mestre" is
     among the methods, whichever the moment route. wall_time is busy time:
     the sum of the cell's per-trial stage times, measured where each trial
-    ran (a chunk's sampling, moment and inversion times split evenly over
-    its trials), with the shared time (sampling, plus the secular roots
-    when Mestre reads them) split evenly across the methods and the
-    moment-estimation time across the moment methods. It is not elapsed
-    time when trials run in parallel.
+    ran (a chunk's time in each stage split evenly over its trials): the
+    method's own time, Mestre's with its secular roots, plus the sampling
+    time split evenly across the methods and, for a moment method, the
+    moment-estimation time split across the moment methods. It is not
+    elapsed time when trials run in parallel.
     """
     model = config.model
     L = model.L
@@ -414,23 +398,21 @@ def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
         return _trials(model, N, M, counts, seeds, methods, project,
                        config.moment_route)
 
-    _, results = _map_trials(run, len(cells) * trials, trials)
+    _, record = _map_trials(run, len(cells) * trials, trials)
     rows = []
     estimates = {}
     for c, (N, M, _) in enumerate(cells):
-        # (trials, methods, L), (trials, methods), (trials, methods + 2)
-        est, projected, times = (
-            np.array(part) for part in zip(*results[c * trials:(c + 1) * trials])
-        )
-        projected = projected.sum(axis=0)
-        times = times.sum(axis=0)
+        cell = record[c * trials:(c + 1) * trials]
+        projected = cell["projected"].sum(axis=0)
+        seconds = cell["seconds"]
         for i, method in enumerate(methods):
-            arr = est[:, i]
+            arr = cell["estimates"][:, i]
             ok = ~np.isnan(arr[:, 0])
             n_ok = int(ok.sum())
-            wall = times[i] + times[-2] / len(methods)
+            wall = (seconds[method].sum()
+                    + seconds["sampling"].sum() / len(methods))
             if method in moment_methods:
-                wall += times[-1] / len(moment_methods)
+                wall += seconds["moments"].sum() / len(moment_methods)
             if n_ok:
                 err = arr[ok] - rho
                 mse_db = float(10.0 * np.log10(np.mean(np.sum(err**2, axis=1))))
@@ -516,6 +498,8 @@ def run_clt_histogram(
         raise InputError("method must be 'moment_full' or 'mestre'")
     if bins < 1:
         raise InputError("need at least one histogram bin")
+    if trials < 1:
+        raise InputError("need at least one trial")
     L = model.L
     rho = model.rho_array()
     counts_n = multiplicities(model, N)
@@ -527,12 +511,10 @@ def run_clt_histogram(
 
     def run(block):
         seeds = [trial_seed(master_seed, t) for t in block]
-        return [M * (est[0] - rho)
-                for est, _, _ in _trials(model, N, M, counts_n, seeds,
-                                         (method,))]
+        return _trials(model, N, M, counts_n, seeds, (method,))
 
-    predicted, dev = _map_trials(run, trials, trials, setup)
-    dev = np.reshape(dev, (-1, L))
+    predicted, record = _map_trials(run, trials, trials, setup)
+    dev = M * (record["estimates"][:, 0] - rho)
     ok = ~np.isnan(dev[:, 0])
     good = dev[ok]
     if good.shape[0] < 2:

@@ -13,11 +13,42 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .empirical import SecularRoots, secular_zeros
+from .empirical import SecularRoots, _secular_roots
 from .ensemble import SampleSpectrum
 from .errors import DimensionError, InputError
 
 __all__ = ["mestre_estimate"]
+
+
+def _block_sums(diff: np.ndarray, counts, M: int) -> NDArray[np.float64]:
+    """(T, L) estimates from the (T, N) rows of lambda_hat - mu_hat: M / N_k
+    times the sum over the k-th block of N_k consecutive indices."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 1 or np.any(counts < 1):
+        raise InputError("multiplicities must be positive integers")
+    if int(counts.sum()) != diff.shape[1]:
+        raise DimensionError(
+            f"multiplicities sum to {int(counts.sum())}, but N = {diff.shape[1]}"
+        )
+    ends = np.cumsum(counts)
+    return np.column_stack([M / (b - a) * diff[:, a:b].sum(axis=1)
+                            for a, b in zip(ends - counts, ends)])
+
+
+def mestre_rows(pos, N: int, M: int, counts) -> NDArray[np.float64]:
+    """(T, L) baseline estimates from pos, (T, min(N, M)), each row a
+    spectrum's eigenvalues, ascending and checked positive by the caller.
+
+    The row kernel of `mestre_estimate`, its one-row call, bit for bit: a
+    row's lambda_hat is pos after N - min(N, M) structural zeros, its
+    secular roots are solved on their own, and counts are checked once.
+    Any error raises for the whole stack."""
+    T, n = pos.shape
+    diff = np.zeros((T, N))
+    diff[:, N - n:] = pos
+    for t in range(T):
+        diff[t] -= _secular_roots(pos[t], N, M)[0]
+    return _block_sums(diff, counts, M)
 
 
 def mestre_estimate(
@@ -29,20 +60,11 @@ def mestre_estimate(
 
     counts are the multiplicities N_1..N_L (ascending-eigenvalue order);
     they must sum to N. Both spectra enter ascending, secular roots with
-    their convention zeros included.
+    their convention zeros included. Without secular this is the one-row
+    call of `mestre_rows`; given roots go through the same block sums.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 1 or np.any(counts < 1):
-        raise InputError("multiplicities must be positive integers")
-    if int(counts.sum()) != spectrum.N:
-        raise DimensionError(
-            f"multiplicities sum to {int(counts.sum())}, but N = {spectrum.N}"
-        )
     if secular is None:
-        secular = secular_zeros(spectrum)
+        return mestre_rows(spectrum.positive_eigenvalues()[None], spectrum.N,
+                           spectrum.M, counts)[0]
     diff = spectrum.lambda_hat - secular.mu_hat
-    M = spectrum.M
-    ends = np.cumsum(counts)
-    return np.array([
-        M / (b - a) * diff[a:b].sum() for a, b in zip(ends - counts, ends)
-    ])
+    return _block_sums(diff[None], counts, spectrum.M)[0]

@@ -305,9 +305,21 @@ CLT = {"model": SWEEP["model"], "N": 20, "M": 40, "trials": 4}
     ("estimate", b"COVEIG01" + struct.pack("<qqq", 2, 3, 0) + bytes(13),
      "payload of 13 bytes, expected 96"),
     ("unwritable", SWEEP, "No such file"),
+    ("clt-check", dict(CLT, master_seed=-1), "master seed must be non-negative"),
+    ("simulate", SWEEP["model"], "seed must be non-negative"),
+    ("mse-sweep", dict(SWEEP, trials=4.7), "trials must be an integer"),
+    ("mse-sweep", dict(SWEEP, trials=True), "trials must be an integer"),
+    ("mse-sweep", dict(SWEEP, master_seed="7"), "master_seed must be an integer"),
+    ("mse-sweep", dict(SWEEP, N=[20.5]), "N must be an integer"),
+    ("mse-sweep", dict(SWEEP, sizes=[[20, "40"]]), "sizes must be an integer"),
+    ("clt-check", dict(CLT, M=40.5), "M must be an integer"),
+    ("clt-check", dict(CLT, bins=False), "bins must be an integer"),
 ], ids=["trials-text", "rho-scalar", "clt-config", "truncated-json",
         "missing-config", "methods-string", "zero-bins", "missing-obs",
-        "short-obs-header", "ragged-obs-payload", "unwritable-out-csv"])
+        "short-obs-header", "ragged-obs-payload", "unwritable-out-csv",
+        "negative-master-seed", "negative-seed", "trials-fraction",
+        "trials-bool", "master-seed-text", "N-fraction", "sizes-text",
+        "M-fraction", "bins-bool"])
 def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, command,
                                                      config, expected):
     path = tmp_path / "config.json"
@@ -324,6 +336,8 @@ def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, command,
         "clt-check": ["clt-check", "--config", str(path), "--json", "-"],
         "estimate": ["estimate", "--obs", str(tmp_path / "obs.bin"),
                      "--L", "2"],
+        "simulate": ["simulate", "--model", str(path), "--N", "20", "--M",
+                     "40", "--seed", "-1", "--out", str(tmp_path / "obs.bin")],
     }[command]
     rc = cli.main(args)
     err = capsys.readouterr().err

@@ -246,6 +246,18 @@ def test_trial_seed_distinct():
     assert trial_seed(42, 7) == trial_seed(42, 7)
 
 
+def test_negative_seeds_are_input_errors():
+    # numpy's SeedSequence would raise a bare ValueError
+    with pytest.raises(InputError, match="master seed must be non-negative"):
+        trial_seed(-1, 0)
+    with pytest.raises(InputError, match="trial index must be non-negative"):
+        trial_seed(0, -1)
+    model = _model()
+    for draw in (generate_observations, simulate_spectrum):
+        with pytest.raises(InputError, match="seed must be non-negative"):
+            draw(model, 4, 8, -1)
+
+
 def test_observation_file_roundtrip(tmp_path):
     model = _model()
     Y = generate_observations(model, 5, 9, seed=77)

@@ -23,7 +23,7 @@ from coveig import (
     run_clt_histogram,
     run_mse_sweep,
 )
-from coveig import experiments
+from coveig import experiments, mestre
 
 MODEL = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.5)
 
@@ -291,29 +291,41 @@ def test_forked_clt_histogram_is_bit_identical(monkeypatch, method, model, N, M)
     assert serial.failure_count == forked.failure_count
 
 
-def _fail_at_trial(monkeypatch, master_seed, trial, fail):
-    real = experiments.secular_zeros
-    bad_seed = coveig.trial_seed(master_seed, trial)
+def _fail_at_trial(monkeypatch, config, trial, fail):
+    """Call fail() where Mestre solves the secular roots of the given trial
+    of config's one size, which it knows by its eigenvalues."""
+    real = mestre._secular_roots
+    (N, M), = config.sizes
+    seed = coveig.trial_seed(config.master_seed, trial)
+    bad = coveig.simulate_spectrum(config.model, N, M, seed)
+    bad = bad.positive_eigenvalues()
 
-    def secular_zeros(spectrum):
-        if spectrum.seed == bad_seed:
+    def secular_roots(pos, N, M):
+        if np.array_equal(pos, bad):
             fail()
-        return real(spectrum)
+        return real(pos, N, M)
 
-    monkeypatch.setattr(experiments, "secular_zeros", secular_zeros)
+    monkeypatch.setattr(mestre, "_secular_roots", secular_roots)
 
 
 def test_worker_error_reaches_caller(monkeypatch):
     def fail():
         err = BracketError("bracket lost at trial 3")
         err.trial = 3
+        err.pid = os.getpid()
         raise err
 
     asked = _forked(monkeypatch)
-    _fail_at_trial(monkeypatch, 42, 3, fail)
+    # trial 0 and the caller's chunks sleep, so the plan's chunks hold two
+    # trials and the worker takes trial 3's, the second, while the caller
+    # sleeps on the first
+    _slowed(monkeypatch, "caller", 0.1)
+    config = _config(trials=8, methods=("mestre",))
+    _fail_at_trial(monkeypatch, config, 3, fail)
     with pytest.raises(BracketError, match="^bracket lost at trial 3$") as exc:
-        run_mse_sweep(_config(trials=8, methods=("mestre",)))
+        run_mse_sweep(config)
     assert exc.value.trial == 3
+    assert exc.value.pid != os.getpid()
     assert asked == ["fork"]
     assert multiprocessing.active_children() == []
 
@@ -405,12 +417,13 @@ def test_each_trial_taken_once_by_racing_workers(monkeypatch, tmp_path):
     def run(block):
         with open(log, "a") as fh:
             fh.write("".join(f"{j}\n" for j in block))
-        return [(j, os.getpid()) for j in block]
+        return np.array([(j, os.getpid()) for j in block],
+                        dtype=[("trial", np.int64), ("pid", np.int64)])
 
     _, results = experiments._map_trials(run, 20000, cell_size=7)
-    assert [j for j, _ in results] == list(range(20000))
+    assert list(results["trial"]) == list(range(20000))
     assert sorted(map(int, log.read_text().split())) == list(range(20000))
-    assert len({pid for _, pid in results}) > 1
+    assert len(set(results["pid"])) > 1
     assert multiprocessing.active_children() == []
 
 
@@ -458,16 +471,16 @@ def test_call_inside_daemonic_pool_worker(monkeypatch):
 
 
 def _count_secular(monkeypatch):
-    """Spy on secular_zeros where the harness calls it; returns the list
-    of spectrum seeds it was called for."""
+    """Spy on the secular root routine where Mestre calls it; returns the
+    list of the eigenvalue rows it was called for."""
     calls = []
-    real = experiments.secular_zeros
+    real = mestre._secular_roots
 
-    def spy(spectrum):
-        calls.append(spectrum.seed)
-        return real(spectrum)
+    def spy(pos, N, M):
+        calls.append(pos)
+        return real(pos, N, M)
 
-    monkeypatch.setattr(experiments, "secular_zeros", spy)
+    monkeypatch.setattr(mestre, "_secular_roots", spy)
     return calls
 
 
@@ -486,10 +499,28 @@ def test_secular_roots_solved_only_where_read(monkeypatch, methods, route,
     # Mestre does, with one solve per trial
     calls = _count_secular(monkeypatch)
     counts = coveig.multiplicities(MODEL, 20)
-    (est, _, _), = experiments._trials(MODEL, 20, 40, counts, [5], methods,
-                                       route=route)
-    assert calls == [5] * solves
+    est, = experiments._trials(MODEL, 20, 40, counts, [5], methods,
+                               route=route)["estimates"]
+    pos = coveig.simulate_spectrum(MODEL, 20, 40, 5).positive_eigenvalues()
+    assert len(calls) == solves
+    assert all(np.array_equal(row, pos) for row in calls)
     assert not np.isnan(est).any()
+
+
+@pytest.mark.parametrize("methods", [("mestre",), ("moment_full",)])
+def test_rank_deficient_block_is_an_input_error(monkeypatch, methods):
+    # one zero eigenvalue in the block's stack stops every method
+    real = experiments.simulate_rows
+
+    def simulate_rows(*args):
+        lam = real(*args)
+        lam[2, 0] = 0.0
+        return lam
+
+    monkeypatch.setattr(experiments, "simulate_rows", simulate_rows)
+    counts = coveig.multiplicities(MODEL, 20)
+    with pytest.raises(InputError, match="rank deficient"):
+        experiments._trials(MODEL, 20, 40, counts, range(4), methods)
 
 
 def test_moment_trials_unchanged_by_the_roots():
@@ -501,7 +532,7 @@ def test_moment_trials_unchanged_by_the_roots():
                                 ("moment_full", "moment_known_mult"))
     shared = experiments._trials(MODEL, 20, 40, counts, seeds,
                                  ("moment_full", "moment_known_mult", "mestre"))
-    for (a, _, _), (b, _, _) in zip(alone, shared):
+    for a, b in zip(alone["estimates"], shared["estimates"]):
         assert np.array_equal(a, b[:2])
 
 

@@ -1,12 +1,13 @@
 """The row kernels of the sampling, moment and inversion layers against
 their one-row calls.
 
-simulate_rows, quadrature_rows, residue_rows, invert_rows and
-invert_known_rows take a stack of trials of one (N, M); simulate_spectrum,
-moments_by_quadrature, moments_by_residues, invert_moments and
-invert_moments_known_multiplicities are their one-row calls. Every row of a
-block must equal the one-row call on that trial alone, bit for bit, or
-carry the error class and message that call raises.
+simulate_rows, quadrature_rows, residue_rows, invert_rows,
+invert_known_rows and mestre_rows take a stack of trials of one (N, M);
+simulate_spectrum, moments_by_quadrature, moments_by_residues,
+invert_moments, invert_moments_known_multiplicities and mestre_estimate are
+their one-row calls. Every row of a block must equal the one-row call on
+that trial alone, bit for bit, or carry the error class and message that
+call raises.
 """
 
 from __future__ import annotations
@@ -22,18 +23,23 @@ from scipy.linalg import blas, lapack
 
 from coveig import (
     CoveigError,
+    DimensionError,
+    InputError,
     PopulationModel,
     invert_moments,
     invert_moments_known_multiplicities,
+    mestre_estimate,
     moments_by_quadrature,
     moments_by_residues,
     multiplicities,
+    secular_zeros,
     simulate_spectrum,
     trial_seed,
 )
 from coveig import ensemble, experiments, moments
-from coveig.ensemble import simulate_rows
+from coveig.ensemble import padded_spectrum, simulate_rows
 from coveig.inversion import invert_known_rows, invert_rows
+from coveig.mestre import mestre_rows
 from coveig.moments import quadrature_rows, residue_rows
 
 
@@ -145,6 +151,53 @@ def test_block_rows_equal_one_row_calls(seed, shape, L, project, size, nodes,
         for g in stack])
 
 
+@pytest.mark.parametrize("N,M", [(24, 60), (30, 30), (42, 21), (9, 3)])
+def test_mestre_rows_equal_one_row_calls(N, M):
+    # N < M, N = M and N > M, where lambda_hat leads with N - M zeros; each
+    # row against the one-row call and against the block sums of one
+    # spectrum's lambda_hat - mu_hat, taken as 1-D sums
+    model = PopulationModel(rho=(1.0, 3.0, 10.0), weights=(1 / 3,) * 3,
+                            aspect=N / M)
+    counts = multiplicities(model, N)
+    ends = np.cumsum(counts)
+    seeds = [trial_seed(N + M, t) for t in range(25)]
+    rows = mestre_rows(simulate_rows(model, N, M, seeds), N, M, counts)
+    assert rows.shape == (25, 3)
+    for t, seed in enumerate(seeds):
+        spectrum = simulate_spectrum(model, N, M, seed)
+        assert _bits(rows[t]) == _bits(mestre_estimate(spectrum, counts))
+        diff = spectrum.lambda_hat - secular_zeros(spectrum).mu_hat
+        assert _bits(rows[t]) == _bits([
+            M / (b - a) * diff[a:b].sum() for a, b in zip(ends - counts, ends)
+        ])
+
+
+@pytest.mark.parametrize("N,M", [(4, 8), (4, 4), (6, 4)])
+def test_mestre_rows_with_repeated_eigenvalues(N, M):
+    # a repeated eigenvalue is itself a root; rows with and without repeats
+    # share a stack
+    pos = np.array([[1.0, 2.0, 2.0, 5.0], [1.0, 2.0, 3.0, 5.0],
+                    [0.5, 0.5, 0.5, 4.0]])
+    counts = [N // 2, N - N // 2]
+    rows = mestre_rows(pos, N, M, counts)
+    for t, row in enumerate(pos):
+        spectrum = padded_spectrum(row, N, M, 0)
+        assert _bits(rows[t]) == _bits(mestre_estimate(spectrum, counts))
+
+
+@pytest.mark.parametrize("counts,error", [
+    ([8, 8, 0], InputError), ([[8, 8]], InputError), ([8, 9], DimensionError),
+])
+def test_mestre_rows_reject_bad_counts_for_the_stack(counts, error):
+    # checked once: the whole stack raises what the one-row call raises
+    model = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.4)
+    pos = simulate_rows(model, 16, 40, range(5))
+    with pytest.raises(error) as exc:
+        mestre_rows(pos, 16, 40, counts)
+    assert _outcome(lambda: mestre_estimate(
+        simulate_spectrum(model, 16, 40, 0), counts)) == (error, str(exc.value))
+
+
 def _one_seed_draw(model, N, M, seed, gram_only=False):
     """simulate_spectrum's documented steps for one seed on fresh buffers:
     the Gram matrix from zlauum and zherk, then zhetrd at its queried
@@ -241,5 +294,5 @@ def test_block_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(block) == largest
+    assert len(block["estimates"]) == largest
     assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
