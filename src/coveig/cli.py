@@ -29,7 +29,12 @@ from .ensemble import (
     write_observations,
 )
 from .errors import CoveigError, InputError
-from .experiments import ExperimentConfig, run_clt_histogram, run_mse_sweep
+from .experiments import (
+    ExperimentConfig,
+    _integer as _read_integer,
+    run_clt_histogram,
+    run_mse_sweep,
+)
 from .inversion import invert_moments, invert_moments_known_multiplicities
 from .limiting import density_curve, is_separable
 from .mestre import mestre_estimate
@@ -177,15 +182,12 @@ def _cmd_density(args) -> int:
 
 
 def _integer(value, name: str) -> int:
-    """A config's integer field: a JSON integer, or a float of integral
-    value. A bool, a string, a fraction or any other value is an InputError,
-    not silently truncated."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InputError(f"malformed config: {name} must be an integer, "
-                     f"got {value!r}")
+    """A config's integer field, read as the library reads it
+    (`experiments._integer`); a malformed value names the config."""
+    try:
+        return _read_integer(value, name)
+    except InputError as exc:
+        raise InputError(f"malformed config: {exc}") from None
 
 
 def _sizes_from_config(raw, model) -> tuple[tuple[int, int], ...]:

@@ -20,8 +20,9 @@ BLAS to one thread (OPENBLAS_NUM_THREADS=1) so that the processes do not
 oversubscribe the CPUs. A chunk runs through the row kernels: the draws
 and their eigenvalues through `ensemble.simulate_rows`, the moments on
 either route and both inversions through those of `moments` and
-`inversion`, and Mestre with its secular roots through
-`mestre.mestre_rows`. A row of a kernel equals its one-row call bit for
+`inversion`, and Mestre through `mestre.mestre_rows`, on cluster contours
+where a trial's sample clusters separate and on its secular roots where
+they do not. A row of a kernel equals its one-row call bit for
 bit, so outputs depend neither on the worker count nor on the chunks. A
 chunk returns one structured array, a row per trial, and the chunks'
 arrays are concatenated in trial order. `SweepRow.wall_time` (the CSV's
@@ -34,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import math
 import mmap
+import numbers
 import os
 import sys
 import time
@@ -86,6 +88,17 @@ _CHUNK_MIN_S = 0.01
 _CHUNK_MAX = 64
 
 
+def _integer(value, name: str) -> int:
+    """value as an int: an integer, or a float of integral value. A bool, a
+    string, a fraction or any other value is an InputError naming name,
+    not silently truncated."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings for a Monte Carlo sweep.
@@ -108,8 +121,11 @@ class ExperimentConfig:
         if isinstance(self.methods, str):
             raise InputError("methods must be a list of method names, "
                              f"not the string {self.methods!r}")
-        sizes = tuple((int(n), int(m)) for n, m in self.sizes)
+        sizes = tuple((_integer(n, "sizes"), _integer(m, "sizes"))
+                      for n, m in self.sizes)
         object.__setattr__(self, "sizes", sizes)
+        for name in ("trials", "master_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         object.__setattr__(self, "methods", tuple(self.methods))
         if not sizes:
             raise InputError("need at least one (N, M) size")
@@ -178,8 +194,9 @@ def _trials(model, N, M, counts, seeds, methods, project=False,
     trial's share of each stage: "sampling", "moments" and each method.
     Every stage runs once over the block's stacked rows, its time split
     evenly over the trials: the draws and their eigenvalues, the moments on
-    either route, each inversion, and Mestre with its secular roots, which
-    no other method reads. A trial's results do not depend on the block it
+    either route, each inversion, and Mestre, with the secular roots of the
+    trials whose clusters do not separate, which no other method reads. A
+    trial's results do not depend on the block it
     is in.
     """
     L = model.L
@@ -375,10 +392,12 @@ def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
     0 runs first and alone, the rest in chunks of trials of one size,
     taken by this process and any forked workers; the results depend on
     neither. A trial solves the secular equation only when "mestre" is
-    among the methods, whichever the moment route. wall_time is busy time:
-    the sum of the cell's per-trial stage times, measured where each trial
-    ran (a chunk's time in each stage split evenly over its trials): the
-    method's own time, Mestre's with its secular roots, plus the sampling
+    among the methods, whichever the moment route, and only when its sample
+    clusters do not separate; where they do, Mestre integrates on cluster
+    contours instead. wall_time is busy time: the sum of the cell's
+    per-trial stage times, measured where each trial ran (a chunk's time in
+    each stage split evenly over its trials): the method's own time,
+    Mestre's with its contours or secular roots, plus the sampling
     time split evenly across the methods and, for a moment method, the
     moment-estimation time split across the moment methods. It is not
     elapsed time when trials run in parallel.
@@ -496,6 +515,9 @@ def run_clt_histogram(
     """
     if method not in ("moment_full", "mestre"):
         raise InputError("method must be 'moment_full' or 'mestre'")
+    N, M = _integer(N, "N"), _integer(M, "M")
+    trials, bins = _integer(trials, "trials"), _integer(bins, "bins")
+    master_seed = _integer(master_seed, "master_seed")
     if bins < 1:
         raise InputError("need at least one histogram bin")
     if trials < 1:

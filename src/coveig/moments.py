@@ -87,6 +87,34 @@ def _raw_quadrature(N: int, M: int, L: int, pts, weights, m, m_prime):
     return raw, size
 
 
+def checked_quadrature(pos, N: int, M: int, L: int, pts, weights,
+                       order_scale):
+    """The moment integrals of each row of pos, (T, n), on its row of the
+    (T, K) nodes pts of `ellipse_nodes`, and their self-check against the
+    embedded half rule: (full, delta, passed), full (T, 2L), delta each
+    row's largest discrepancy beyond rounding, order ell multiplied by
+    order_scale[:, ell] (which broadcasts against (T, 2L)), and passed
+    where delta is within tolerance."""
+    # the lower half of the nodes mirrors the upper, and the transform of a
+    # real spectrum has m(conj z) = conj(m(z)), bit for bit
+    K = pts.shape[1]
+    upper = companion_transform_rows(pos, M, pts[:, :K // 2])
+    m, m_prime = (np.concatenate([v, v[:, ::-1].conj()], axis=1)
+                  for v in upper)
+    full, size = _raw_quadrature(N, M, L, pts, weights, m, m_prime)
+    # every other node of the offset trapezoid rule is again a uniform rule
+    # at half resolution, on the transform already computed there
+    half, _ = _raw_quadrature(N, M, L, pts[:, ::2], 2.0 * weights[:, ::2],
+                              m[:, ::2], m_prime[:, ::2])
+    # the two sums cannot agree below their rounding error, which dominates
+    # when the terms cancel to a small moment (M/N near 1e6): no node count
+    # lowers it, so only the discrepancy above it counts
+    floor = _ROUNDING_EPS * np.finfo(float).eps * size
+    delta = ((np.abs(full - half) - floor) * order_scale
+             / (1.0 + np.abs(full) * order_scale)).max(axis=1)
+    return full, delta, delta <= _SELF_CHECK_RTOL
+
+
 def quadrature_rows(pos, N: int, M: int, L: int):
     """Moments of a stack of spectra of one (N, M), one row per spectrum.
 
@@ -114,24 +142,8 @@ def quadrature_rows(pos, N: int, M: int, L: int):
     for attempt in range(_MAX_DOUBLINGS + 1):
         nodes = _START_NODES << attempt
         pts, weights = ellipse_nodes(*(v[live] for v in ellipse), nodes)
-        # the lower half of the nodes mirrors the upper, and the transform
-        # of a real spectrum has m(conj z) = conj(m(z)), bit for bit
-        upper = companion_transform_rows(pos[live], M, pts[:, :nodes // 2])
-        m, m_prime = (np.concatenate([v, v[:, ::-1].conj()], axis=1)
-                      for v in upper)
-        full, size = _raw_quadrature(N, M, L, pts, weights, m, m_prime)
-        # every other node of the offset trapezoid rule is again a uniform
-        # rule at half resolution, on the transform already computed there
-        half, _ = _raw_quadrature(N, M, L, pts[:, ::2], 2.0 * weights[:, ::2],
-                                  m[:, ::2], m_prime[:, ::2])
-        # the two sums cannot agree below their rounding error, which
-        # dominates when the terms cancel to a small moment (M/N near 1e6):
-        # no node count lowers it, so only the discrepancy above it counts
-        floor = _ROUNDING_EPS * np.finfo(float).eps * size
-        s = order_scale[live]
-        delta = ((np.abs(full - half) - floor) * s
-                 / (1.0 + np.abs(full) * s)).max(axis=1)
-        done = delta <= _SELF_CHECK_RTOL
+        full, delta, done = checked_quadrature(
+            pos[live], N, M, L, pts, weights, order_scale[live])
         raw[live[done]] = full[done]
         node_count[live[done]] = nodes
         live, delta = live[~done], delta[~done]

@@ -293,7 +293,8 @@ def test_forked_clt_histogram_is_bit_identical(monkeypatch, method, model, N, M)
 
 def _fail_at_trial(monkeypatch, config, trial, fail):
     """Call fail() where Mestre solves the secular roots of the given trial
-    of config's one size, which it knows by its eigenvalues."""
+    of config's one size, which it knows by its eigenvalues. The sample
+    clusters of MODEL merge, so none of its trials takes the contour."""
     real = mestre._secular_roots
     (N, M), = config.sizes
     seed = coveig.trial_seed(config.master_seed, trial)
@@ -472,7 +473,8 @@ def test_call_inside_daemonic_pool_worker(monkeypatch):
 
 def _count_secular(monkeypatch):
     """Spy on the secular root routine where Mestre calls it; returns the
-    list of the eigenvalue rows it was called for."""
+    list of the eigenvalue rows it was called for. MODEL's sample clusters
+    merge, so each Mestre trial of it solves its roots."""
     calls = []
     real = mestre._secular_roots
 
@@ -624,3 +626,32 @@ def test_clt_histogram_independent_of_blocks_and_workers(monkeypatch):
     for hist in hists:
         assert np.array_equal(hist.deviations, loop, equal_nan=True)
         assert hist.failure_count == int(np.isnan(loop[:, 0]).sum())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("sizes", ((20.9, 40.2),)), ("sizes", ((20, "40"),)), ("trials", 2.5),
+    ("trials", True), ("master_seed", 1.5), ("master_seed", "7"),
+])
+def test_config_rejects_non_integral_counts(field, value):
+    with pytest.raises(InputError, match=f"{field} must be an integer"):
+        _config(**{field: value})
+
+
+def test_config_reads_integral_values_as_integers():
+    config = _config(sizes=((np.int64(20), 40.0),), trials=6.0,
+                     master_seed=np.int32(42))
+    assert config.sizes == ((20, 40),)
+    assert (config.trials, config.master_seed) == (6, 42)
+    assert all(type(v) is int for v in (*config.sizes[0], config.trials,
+                                        config.master_seed))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("N", 20.5), ("M", "40"), ("trials", 3.5), ("master_seed", 1.5),
+    ("bins", 2.5),
+])
+def test_clt_histogram_rejects_non_integral_counts(field, value):
+    kwargs = dict(model=MODEL, N=20, M=40, trials=3, master_seed=1)
+    kwargs[field] = value
+    with pytest.raises(InputError, match=f"{field} must be an integer"):
+        run_clt_histogram(**kwargs)

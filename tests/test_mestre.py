@@ -16,6 +16,9 @@ from coveig import (
     secular_zeros,
     simulate_spectrum,
 )
+from coveig import mestre
+from coveig.ensemble import padded_spectrum, simulate_rows
+from coveig.mestre import mestre_rows
 
 
 def test_cluster_assignment_blocks():
@@ -129,3 +132,110 @@ def test_mestre_sweep_floor_when_clusters_never_split():
                          master_seed=3)
     improvement = rows[0][1] - rows[1][1]
     assert improvement > 5.0  # genuinely consistent here
+
+
+def _root_sums(pos, N, M, counts):
+    """Mestre's block sums of lambda_hat - mu_hat, each row's secular
+    roots solved by `secular_zeros`."""
+    ends = np.cumsum(counts)
+    est = np.empty((len(pos), len(counts)))
+    for t, row in enumerate(pos):
+        spectrum = padded_spectrum(row, N, M, 0)
+        diff = spectrum.lambda_hat - secular_zeros(spectrum).mu_hat
+        est[t] = [M / (b - a) * diff[a:b].sum()
+                  for a, b in zip(ends - counts, ends)]
+    return est
+
+
+def _stack(rho, N, M, trials=16):
+    """trials spectra of equal-weight rho at N x M, and the counts."""
+    model = PopulationModel(rho=rho, weights=(1 / len(rho),) * len(rho),
+                            aspect=N / M)
+    counts = np.asarray(multiplicities(model, N))
+    return simulate_rows(model, N, M, range(trials)), counts
+
+
+@pytest.mark.parametrize("rho,N,M", [
+    ((1.0, 4.0), 40, 400),
+    ((1.0, 3.0, 10.0), 60, 600),
+    ((1.0, 3.0, 9.0, 27.0), 80, 1600),
+    ((1.0, 2.0, 4.0, 8.0, 16.0), 100, 2000),
+    ((1.0, 30.0), 60, 61),  # near-square: a cluster touches the origin
+    ((1.0, 100.0), 40, 41),
+])
+def test_contour_rows_match_root_sums(rho, N, M):
+    # separated clusters take the cluster ellipses; each block sum agrees
+    # with the secular roots' to rounding
+    pos, counts = _stack(rho, N, M)
+    rows, _ = mestre._contour_rows(pos, N, M, counts)
+    assert rows.size >= 12
+    est = mestre_rows(pos, N, M, counts)
+    np.testing.assert_allclose(est[rows], _root_sums(pos[rows], N, M, counts),
+                               rtol=1e-12, atol=0)
+
+
+def _assert_all_roots(pos, N, M, counts):
+    expected = _root_sums(pos, N, M, counts)
+    assert mestre_rows(pos, N, M, counts).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("rho,N,M", [
+    ((1.0, 30.0), 60, 60), ((1.0, 30.0), 80, 60), ((1.0, 3.0, 10.0), 40, 20),
+])
+def test_square_and_tall_rows_take_the_roots(rho, N, M):
+    pos, counts = _stack(rho, N, M)
+    _assert_all_roots(pos, N, M, counts)
+
+
+@pytest.mark.parametrize("N,M", [(30, 80), (150, 400)])
+def test_merged_cluster_rows_take_the_roots(N, M):
+    # the sample clusters of rho (1, 3, 5) at aspect 0.375 merge, so no
+    # crossing is certified
+    pos, counts = _stack((1.0, 3.0, 5.0), N, M)
+    assert mestre._contour_rows(pos, N, M, counts)[0].size == 0
+    _assert_all_roots(pos, N, M, counts)
+
+
+def test_rows_failing_the_half_rule_take_the_roots(monkeypatch):
+    # certified rows whose quadrature is under-resolved fall back
+    pos, counts = _stack((1.0, 3.0, 10.0), 60, 600)
+    assert mestre._contour_rows(pos, 60, 600, counts)[0].size == len(pos)
+    monkeypatch.setattr(mestre, "_NODES", 8)
+    assert mestre._contour_rows(pos, 60, 600, counts)[0].size == 0
+    _assert_all_roots(pos, 60, 600, counts)
+
+
+@pytest.mark.parametrize("rho,N,M", [
+    ((1.0, 3.0, 10.0), 60, 600),  # contour rows
+    ((1.0, 3.0, 5.0), 30, 80),  # root rows
+    ((1.0, 3.0, 10.0), 40, 20),
+])
+def test_one_row_call_with_and_without_roots(rho, N, M):
+    pos, counts = _stack(rho, N, M, trials=6)
+    rows = mestre_rows(pos, N, M, counts)
+    for t, row in enumerate(pos):
+        spectrum = padded_spectrum(row, N, M, 0)
+        secular = secular_zeros(spectrum)
+        assert mestre_estimate(spectrum, counts).tobytes() == rows[t].tobytes()
+        assert (mestre_estimate(spectrum, counts, secular).tobytes()
+                == rows[t].tobytes())
+
+
+def test_passed_roots_read_only_on_the_root_route():
+    pos, counts = _stack((1.0, 3.0, 10.0), 60, 600, trials=4)
+    junk = np.full((4, 60), np.nan)
+    np.testing.assert_array_equal(mestre_rows(pos, 60, 600, counts, junk),
+                                  mestre_rows(pos, 60, 600, counts))
+
+
+@pytest.mark.parametrize("exponent", [-600, 600])
+def test_contour_rows_are_scale_free(exponent):
+    # each row is integrated at lambda_max in [1/2, 1), an exact power of 2
+    # away, so a spectrum scaled by 2^+-600 keeps the contour route and its
+    # estimates scale exactly; m' would underflow at that scale otherwise
+    pos, counts = _stack((1.0, 3.0, 10.0), 60, 600, trials=4)
+    scaled = np.ldexp(pos, exponent)
+    assert mestre._contour_rows(scaled, 60, 600, counts)[0].size == 4
+    np.testing.assert_array_equal(mestre_rows(scaled, 60, 600, counts),
+                                  np.ldexp(mestre_rows(pos, 60, 600, counts),
+                                           exponent))
