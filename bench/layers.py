@@ -1,0 +1,242 @@
+"""Per-layer timings of coveig's row kernels at fixed sizes.
+
+    python bench/layers.py [--quick] [--out BENCH.json]
+
+Run from anywhere; coveig is imported from the src/ of this checkout, and
+BLAS is pinned to one thread. Every size draws one block of trials (64
+rows, or 4 with --quick) and times, per trial:
+
+  simulate_rows                 the sampling kernel, and its three steps
+  simulate_rows.draw              timed in a copy of its loop: the gammas
+  simulate_rows.gram              and normals, the scaled factor and its
+  simulate_rows.eigensolve        Gram matrix, zhetrd + dsterf
+  quadrature_rows               the moments
+  invert_rows                   the full inversion of those moments
+  mestre_rows                   Mestre's estimate
+
+and, once per call, the CLT set-ups theta_mestre on criterion 6's model and
+theta_moment_estimator on criterion 5's. Each layer is called 7 times (1
+with --quick), the layers taking turns within a repeat, and the file holds
+the median and quartiles of those calls in ms per trial (per call for the
+set-ups), with nproc, the numpy, scipy and BLAS versions and the git SHA.
+"""
+
+from __future__ import annotations
+
+import os
+
+# before numpy loads BLAS
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+from scipy.linalg import blas, lapack  # noqa: E402
+
+from coveig import (  # noqa: E402
+    PopulationModel,
+    multiplicities,
+    theta_mestre,
+    theta_moment_estimator,
+    trial_seed,
+)
+from coveig import ensemble  # noqa: E402
+from coveig.inversion import invert_rows  # noqa: E402
+from coveig.mestre import mestre_rows  # noqa: E402
+from coveig.moments import quadrature_rows  # noqa: E402
+
+# (rho, N, M): N < M, N = M and N > M; the aspect is N / M
+SIZES = [((1.0, 3.0), 60, 120), ((1.0, 3.0, 5.0), 150, 400),
+         ((1.0, 3.0, 10.0), 240, 2400), ((1.0, 3.0), 120, 120),
+         ((1.0, 3.0), 240, 120)]
+# the CLT set-ups of acceptance criteria 6 (Mestre) and 5 (moments)
+THETA_MESTRE_MODEL = PopulationModel(rho=(1.0, 3.0, 10.0),
+                                     weights=(1 / 3,) * 3, aspect=0.1)
+THETA_MOMENT_MODEL = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5),
+                                     aspect=0.5)
+MASTER_SEED = 2026
+
+
+def _model(rho, N: int, M: int) -> PopulationModel:
+    return PopulationModel(rho=rho, weights=(1 / len(rho),) * len(rho),
+                           aspect=N / M)
+
+
+def _sampling_steps(model, N: int, M: int, seeds):
+    """`ensemble.simulate_rows`'s loop with each step timed: returns its
+    rows and the seconds spent drawing, forming the Gram matrices and
+    diagonalizing them."""
+    scale = ensemble._realized_scale(model, N, M) / np.sqrt(M)
+    n = min(N, M)
+    out = np.empty((len(seeds), n))
+    diag = np.arange(n)
+    lower = np.tri(n, n, -1, dtype=bool)
+    below = n * (n - 1) // 2
+    root_half = np.sqrt(0.5)
+    lwork = ensemble._workspace(n)
+    top = np.zeros((n, n), dtype=np.complex128, order="F")
+    tail = np.empty((N - n, n), dtype=np.complex128, order="F")
+    spent = np.zeros(3)
+    for t, seed in enumerate(seeds):
+        t0 = time.perf_counter()
+        rng = ensemble._sampler_for(seed)
+        top[diag, diag] = np.sqrt(rng.standard_gamma(M - diag))
+        draws = rng.standard_normal(2 * (below + tail.size))
+        draws *= root_half
+        draws = draws.view(np.complex128)
+        t1 = time.perf_counter()
+        top[lower] = draws[:below]
+        top *= scale[:n, None]
+        gram, _ = lapack.zlauum(top, lower=1, overwrite_c=1)
+        if tail.size:
+            tail[:] = draws[below:].reshape(tail.shape)
+            tail *= scale[n:, None]
+            gram = blas.zherk(1.0, tail, beta=1.0, c=gram, trans=2,
+                              lower=1, overwrite_c=1)
+        t2 = time.perf_counter()
+        out[t] = ensemble._gram_eigenvalues(gram, lwork)
+        spent += (t1 - t0, t2 - t1, time.perf_counter() - t2)
+    return out, spent
+
+
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    value = fn(*args)
+    return time.perf_counter() - t0, value
+
+
+def _size_layers(rho, N: int, M: int, rows: int, repeats: int) -> dict:
+    """Seconds per trial of every layer, one list of repeats each."""
+    model = _model(rho, N, M)
+    L = model.L
+    counts = multiplicities(model, N)
+    seeds = [trial_seed(MASTER_SEED, t) for t in range(rows)]
+    pos = ensemble.simulate_rows(model, N, M, seeds)
+    copied, _ = _sampling_steps(model, N, M, seeds)
+    if not np.array_equal(copied, pos):
+        raise SystemExit(f"the timed copy of simulate_rows differs at {N}x{M}")
+    gamma, _, _, errors = quadrature_rows(pos, N, M, L)
+    gamma = gamma[[e is None for e in errors]]
+    samples = {name: [] for name in (
+        "simulate_rows", "simulate_rows.draw", "simulate_rows.gram",
+        "simulate_rows.eigensolve", "quadrature_rows", "invert_rows",
+        "mestre_rows")}
+    for _ in range(repeats):
+        seconds, _ = _timed(ensemble.simulate_rows, model, N, M, seeds)
+        samples["simulate_rows"].append(seconds / rows)
+        _, spent = _sampling_steps(model, N, M, seeds)
+        for step, seconds in zip(("draw", "gram", "eigensolve"), spent):
+            samples[f"simulate_rows.{step}"].append(seconds / rows)
+        seconds, _ = _timed(quadrature_rows, pos, N, M, L)
+        samples["quadrature_rows"].append(seconds / rows)
+        if len(gamma):
+            seconds, _ = _timed(invert_rows, gamma, L)
+            samples["invert_rows"].append(seconds / len(gamma))
+        seconds, _ = _timed(mestre_rows, pos, N, M, counts)
+        samples["mestre_rows"].append(seconds / rows)
+    return samples
+
+
+def _summary(seconds: list) -> dict | None:
+    """Median and quartiles, in ms."""
+    if not seconds:
+        return None
+    p25, p50, p75 = np.percentile(np.asarray(seconds) * 1e3, [25, 50, 75])
+    return {"p25": p25, "p50": p50, "p75": p75, "n": len(seconds)}
+
+
+def _git(*args: str) -> str | None:
+    try:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                              text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def _blas(config) -> str | None:
+    try:
+        blas_info = config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return blas_info.get("openblas configuration") or " ".join(
+        str(blas_info.get(key, "")) for key in ("name", "version")).strip()
+
+
+def _environment() -> dict:
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "nproc": os.cpu_count(),
+        "affinity": (len(os.sched_getaffinity(0))
+                     if hasattr(os, "sched_getaffinity") else None),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "numpy_blas": _blas(np.show_config),
+        "scipy_blas": _blas(scipy.show_config),
+        "blas_threads": 1,
+        "git_sha": _git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="4-row blocks and one repeat, to check that "
+                             "every layer runs")
+    parser.add_argument("--out", default="BENCH.json",
+                        help="JSON file to write (default: BENCH.json)")
+    args = parser.parse_args(argv)
+    rows, repeats = (4, 1) if args.quick else (64, 7)
+
+    layers = []
+    for rho, N, M in SIZES:
+        for name, seconds in _size_layers(rho, N, M, rows, repeats).items():
+            layers.append({"layer": name, "N": N, "M": M, "rho": list(rho),
+                           "ms_per_trial": _summary(seconds)})
+    setups = []
+    for fn, model in ((theta_mestre, THETA_MESTRE_MODEL),
+                      (theta_moment_estimator, THETA_MOMENT_MODEL)):
+        fn(model)  # warm caches outside the timing
+        seconds = [_timed(fn, model)[0] for _ in range(repeats)]
+        setups.append({"layer": fn.__name__, "rho": list(model.rho),
+                       "aspect": model.aspect,
+                       "ms_per_call": _summary(seconds)})
+    result = {
+        "environment": _environment(),
+        "protocol": {"rows": rows, "repeats": repeats,
+                     "master_seed": MASTER_SEED,
+                     "statistics": "median and quartiles of the repeats"},
+        "layers": layers,
+        "setups": setups,
+    }
+    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+
+    for row in layers:
+        stats = row["ms_per_trial"]
+        cell = ("-" if stats is None else
+                f"{stats['p50']:.4f} [{stats['p25']:.4f}, {stats['p75']:.4f}]")
+        print(f"{row['N']:>4} x {row['M']:<5} {row['layer']:<26} {cell} "
+              "ms/trial")
+    for row in setups:
+        stats = row["ms_per_call"]
+        print(f"{'set-up':<12} {row['layer']:<26} {stats['p50']:.3f} "
+              f"[{stats['p25']:.3f}, {stats['p75']:.3f}] ms/call")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

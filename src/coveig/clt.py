@@ -26,7 +26,11 @@ the integrand: for c < 1 m_u has a pole there and 1/m_u vanishes, for
 c > 1 m_u(0) is finite and positive, and at c = 1 the support itself
 starts at 0. Each integral is checked against the half-resolution rule
 embedded in its nodes, entry by entry divided by s^2, s the support's
-right edge, and the node count doubles until the two agree.
+right edge, and the node count doubles until the two agree. An ellipse's
+nodes below the real axis mirror those above, so the transform is solved
+and kappa evaluated on the upper half of the first contour only; the
+lower half is their conjugate, and the half rule reads the even nodes of
+the same values.
 
 Normalization: all covariances refer to M * (estimate - truth).
 """
@@ -70,10 +74,14 @@ class CltCovariance:
 
 
 def _transform_on(model: PopulationModel, ellipse, nodes: int):
-    """Weights on an ellipse's nodes and the companion transform there."""
+    """Weights on an ellipse's nodes and the companion transform there.
+
+    The nodes below the real axis mirror those above, and m_u(conj z) =
+    conj(m_u(z)), so the transform is solved on the upper half and
+    conjugated onto the lower half."""
     points, dz = ellipse_nodes(*ellipse, nodes)
-    m, _ = solve_m_underline_grid(model, model.aspect, points)
-    return dz, m
+    m, _ = solve_m_underline_grid(model, model.aspect, points[:nodes // 2])
+    return dz, np.concatenate([m, m[::-1].conj()])
 
 
 def _kappa_matrix(model: PopulationModel, m1, m2):
@@ -104,24 +112,35 @@ def _kappa_matrix(model: PopulationModel, m1, m2):
     return -num / (d11[:, None] * d22[None, :] * d12**2)
 
 
-def _blocks(model: PopulationModel, transforms, step: int):
-    """Sum of w1 w2 kappa / (m1 m2) for every cluster pair, from every
-    step-th node.
+def _blocks(model: PopulationModel, transforms):
+    """Sum of w1 w2 kappa / (m1 m2) for every cluster pair, by the full
+    rule and by the half-resolution rule embedded in it.
 
-    Every other node of the offset trapezoid rule is again a uniform rule,
-    so step 2 gives the embedded half-resolution rule.
+    The nodes below the real axis mirror those above and kappa has real
+    coefficients, so kappa(conj m1, conj m2) = conj(kappa(m1, m2)) bit for
+    bit: kappa is evaluated for the upper-half rows of the first contour
+    only, against every column, and its lower-half rows are the mirrored
+    conjugates of those. Every other node of the offset trapezoid rule is
+    again a uniform rule, so the half rule sums the even rows and columns
+    of the same matrix with the weights doubled. Both sums run over the
+    whole matrix, as a full evaluation sums it: the integral over two
+    clusters far apart is a part in 1e4 of its terms, and reordering its
+    sum (twice the real part of the upper rows', say) moves it by up to
+    5e-13 relative.
     """
-    def rows(w, m):
-        w, m = w[::step], m[::step]
-        return m, step * w * (1.0 / m)
-
-    clusters = [rows(*t) for t in transforms]
-    B = np.empty((len(clusters), len(clusters)), dtype=complex)
+    clusters = [(m, w * (1.0 / m)) for w, m in transforms]
+    full = np.empty((len(clusters), len(clusters)), dtype=complex)
+    half = np.empty_like(full)
     for k, (m1, p1) in enumerate(clusters):
+        upper = m1[:m1.size // 2]
         for l, (m2, p2) in enumerate(clusters[k:], start=k):
+            kappa = _kappa_matrix(model, upper, m2)
+            kappa = np.concatenate([kappa, kappa[::-1, ::-1].conj()])
             # kappa is symmetric, so the transposed pair needs no new sum
-            B[k, l] = B[l, k] = p1 @ _kappa_matrix(model, m1, m2) @ p2
-    return B
+            full[k, l] = full[l, k] = p1 @ kappa @ p2
+            half[k, l] = half[l, k] = (
+                (2.0 * p1[::2]) @ kappa[::2, ::2] @ (2.0 * p2[::2]))
+    return full, half
 
 
 def _scaled_gap(a, b, scale: float) -> float:
@@ -138,7 +157,9 @@ def _cluster_pair_integrals(model: PopulationModel, clusters, nodes: int):
     diagonal entry integrates over cluster k's contour in both variables
     and an off-diagonal one over the two disjoint cluster contours. The
     node count doubles until the embedded half rule agrees entry by entry,
-    each divided by s^2 with s the support's right edge.
+    each divided by s^2 with s the support's right edge. The transform is
+    solved and kappa evaluated for the upper half of the nodes only
+    (`_blocks`).
     """
     norm = -1.0 / (4.0 * np.pi**2 * model.aspect**2)
     scale = float(clusters[-1][1]) ** -2.0
@@ -151,8 +172,9 @@ def _cluster_pair_integrals(model: PopulationModel, clusters, nodes: int):
         # the support's right edge
         if min(np.abs(m).min() for _, m in transforms) * clusters[-1][1] < 1e-10:
             raise ConvergenceError("companion transform vanishes on a contour")
-        full = norm * _blocks(model, transforms, 1)
-        half = norm * _blocks(model, transforms, 2)
+        full, half = _blocks(model, transforms)
+        full *= norm
+        half *= norm
         delta = _scaled_gap(full, half, scale)
         if delta <= _SELF_CHECK_RTOL:
             return full

@@ -10,20 +10,26 @@ Monte Carlo trials never build X. The spectrum depends on X only through
 the complex Wishart matrix X X^H, and Bartlett's decomposition (Bartlett
 1933; Goodman 1963 for the complex case) draws that exactly from the
 N x min(N, M) lower-trapezoidal factor of X = Lf Q, with about N^2/2
-random entries instead of N M. Those entries are ziggurat normals
-(`Generator.standard_normal`, two per complex entry), not the polar draw of
-`complex_gaussian`, and the Gram matrix of the scaled factor is a
-triangular LAPACK product, so the eigensolve is most of a draw's cost. So
-`simulate_spectrum(model, N, M, seed)` has the law of the spectrum of
-`generate_observations(model, N, M, seed)` but is not its spectrum; only
-`generate_observations` writes a real Y.
+random entries instead of N M. Those entries come from their own
+generator, SFC64, whose ziggurat normals (`Generator.standard_normal`, two
+per complex entry) cost about two thirds of Philox's;
+`generate_observations` keeps Philox and the polar draw of
+`complex_gaussian`, so observation files do not depend on the Monte Carlo
+stream. The Gram matrix of the scaled
+factor is a triangular LAPACK product, so the eigensolve is most of a
+draw's cost. So `simulate_spectrum(model, N, M, seed)` has the law of the
+spectrum of `generate_observations(model, N, M, seed)` but is not its
+spectrum; only `generate_observations` writes a real Y.
 
 That eigensolve, in `simulate_spectrum` and `sample_spectrum` alike, is
 the two steps of LAPACK's `zheevd` without eigenvectors (numpy's
 `eigvalsh`), called directly on the buffer the Gram matrix was formed in:
 `zhetrd` reduces it to a real tridiagonal in place, and `dsterf`
-diagonalizes that. Its eigenvalues equal `zheevd`'s bit for bit when both
-run on one LAPACK build.
+diagonalizes that. zhetrd is given a workspace of 8 n, which caps its
+block size at 8 instead of the 32 that its workspace query selects; on
+one OpenBLAS thread that made it 17-23% faster at n = 60..150 and 1-6%
+at n = 240..1000. So its eigenvalues equal `zheevd`'s to rounding, not
+bit for bit.
 """
 
 from __future__ import annotations
@@ -54,6 +60,8 @@ _MAGIC = b"COVEIG01"
 # into that range before reducing it, and its eigenvalues back after
 _RMIN = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
 _RMAX = 1.0 / _RMIN
+# zhetrd's block size is at most its workspace divided by the order
+_ZHETRD_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -103,8 +111,15 @@ def _check_seed(seed, name: str = "seed") -> None:
 
 
 def _rng_for(seed: int) -> np.random.Generator:
+    """The generator of `generate_observations`."""
     _check_seed(seed)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def _sampler_for(seed: int) -> np.random.Generator:
+    """The generator of the Monte Carlo draws of `simulate_rows`."""
+    _check_seed(seed)
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
 
 
 def trial_seed(master_seed: int, index: int) -> int:
@@ -168,10 +183,10 @@ def padded_spectrum(lam: np.ndarray, N: int, M: int, seed) -> SampleSpectrum:
 
 
 def _workspace(n: int) -> int:
-    """zhetrd's optimal workspace at order n, which selects its blocked
-    reduction, as zheevd's own query does."""
-    work, _ = lapack.zhetrd_lwork(n, lower=1)
-    return int(work.real)
+    """zhetrd's workspace at order n: room for panels of _ZHETRD_BLOCK
+    columns, which caps its block size there whatever its query would
+    select."""
+    return _ZHETRD_BLOCK * n
 
 
 def _gram_eigenvalues(gram: np.ndarray, lwork: int) -> np.ndarray:
@@ -233,7 +248,7 @@ def simulate_rows(model: PopulationModel, N: int, M: int,
     # the i.i.d. rows below that block, when N > M
     tail = np.empty((N - n, n), dtype=np.complex128, order="F")
     for t, seed in enumerate(seeds):
-        rng = _rng_for(seed)
+        rng = _sampler_for(seed)
         top[diag, diag] = np.sqrt(rng.standard_gamma(M - diag))
         draws = rng.standard_normal(2 * (below + tail.size))
         draws *= root_half
@@ -263,16 +278,17 @@ def simulate_spectrum(
 
     so rows i >= n (only when N > M) are i.i.d. CN(0, 1). With
     B = R^(1/2) Lf / sqrt(M), the nonzero eigenvalues of (1/M) Y Y^H are
-    those of the n x n matrix B^H B. Draw order from the seed's generator:
-    the n diagonal gammas, then the strictly lower entries row by row, each
-    the real and imaginary parts of two consecutive `standard_normal` draws
-    scaled by sqrt(1/2); a seed gives a bit-identical spectrum.
+    those of the n x n matrix B^H B. Draw order from the seed's generator,
+    ``Generator(SFC64(SeedSequence(seed)))``: the n diagonal gammas, then
+    the strictly lower entries row by row, each the real and imaginary
+    parts of two consecutive `standard_normal` draws scaled by sqrt(1/2);
+    a seed gives a bit-identical spectrum.
 
     B^H B is formed in its lower triangle only: LAPACK's `zlauum` multiplies
     the triangular top n x n block by its adjoint, and when N > M `zherk`
-    adds the Gram matrix of the i.i.d. block below it; `zhetrd` and
-    `dsterf` then diagonalize it in the same buffer. This is the one-row
-    call of `simulate_rows`.
+    adds the Gram matrix of the i.i.d. block below it; `zhetrd`, with
+    workspace 8 n, and `dsterf` then diagonalize it in the same buffer.
+    This is the one-row call of `simulate_rows`.
     """
     lam = simulate_rows(model, N, M, [seed])[0]
     return padded_spectrum(lam, N, M, seed)

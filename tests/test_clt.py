@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coveig import (
     ConditioningError,
+    ConvergenceError,
     InputError,
     PopulationModel,
     SeparabilityError,
@@ -21,7 +22,7 @@ from coveig import (
     v_matrix,
 )
 from coveig import clt, limiting
-from coveig.contours import ellipse_nodes
+from coveig.contours import cluster_ellipse, ellipse_nodes
 from coveig.limiting import solve_m_underline_grid
 
 TWO_ATOM = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.5)
@@ -269,6 +270,74 @@ def test_theta_mestre_separated_model():
     assert np.linalg.eigvalsh(theta).min() > -1e-6 * np.abs(theta).max()
     # larger eigenvalues fluctuate more
     assert np.diag(theta)[0] < np.diag(theta)[1] < np.diag(theta)[2]
+
+
+def _full_node_theta_mestre(model, nodes=256):
+    """theta_mestre's integrals evaluated directly: the transform solved
+    at every node, kappa at every pair of nodes of two contours, and the
+    half rule as a second pass over the even nodes."""
+    clusters = support_clusters(model, model.aspect)
+    transforms = []
+    for k in range(len(clusters)):
+        points, dz = ellipse_nodes(*cluster_ellipse(clusters, k), nodes)
+        transforms.append((dz, solve_m_underline_grid(model, model.aspect,
+                                                      points)[0]))
+
+    def blocks(step):
+        rows = [(m[::step], step * w[::step] * (1.0 / m[::step]))
+                for w, m in transforms]
+        B = np.empty((len(rows), len(rows)), dtype=complex)
+        for k, (m1, p1) in enumerate(rows):
+            for l, (m2, p2) in enumerate(rows[k:], start=k):
+                B[k, l] = B[l, k] = p1 @ clt._kappa_matrix(model, m1, m2) @ p2
+        return -B / (4.0 * np.pi**2 * model.aspect**2)
+
+    full, half = blocks(1), blocks(2)
+    # the reference must itself have converged at this node count
+    assert clt._scaled_gap(full, half, clusters[-1][1] ** -2.0) <= 1e-8
+    w = model.weights_array()
+    return full.real / np.outer(w, w)
+
+
+FIVE_ATOM = PopulationModel(rho=(1.0, 2.0, 4.0, 8.0, 16.0),
+                            weights=(0.2,) * 5, aspect=0.02)
+
+
+@pytest.mark.parametrize("model", [THREE_ATOM, WIDE_SCALES, FIVE_ATOM])
+def test_theta_mestre_upper_half_kernel_matches_full_nodes(model):
+    # kappa evaluated for the upper-half rows only and mirrored, both
+    # rules read from that one matrix, against the direct evaluation
+    np.testing.assert_allclose(theta_mestre(model),
+                               _full_node_theta_mestre(model),
+                               rtol=1e-13, atol=0)
+
+
+def test_theta_mestre_half_rule_check_bites(monkeypatch):
+    # 8 nodes cannot resolve criterion 6's model: the embedded half rule
+    # disagrees, the node count doubles, and without doublings the same
+    # typed error is raised at once
+    seen = []
+    transform_on = clt._transform_on
+
+    def recording(model, ellipse, nodes):
+        seen.append(nodes)
+        return transform_on(model, ellipse, nodes)
+
+    monkeypatch.setattr(clt, "_transform_on", recording)
+    with pytest.raises(ConvergenceError,
+                       match="CLT quadrature has not converged at 32 nodes"):
+        theta_mestre(THREE_ATOM, nodes=8)
+    assert sorted(set(seen)) == [8, 16, 32]
+    reference = theta_mestre(THREE_ATOM)
+    seen.clear()
+    # from 32 nodes the rule doubles twice and agrees at 128
+    np.testing.assert_allclose(theta_mestre(THREE_ATOM, nodes=32), reference,
+                               rtol=1e-8)
+    assert sorted(set(seen)) == [32, 64, 128]
+    monkeypatch.setattr(clt, "_MAX_DOUBLINGS", 0)
+    with pytest.raises(ConvergenceError,
+                       match="CLT quadrature has not converged at 8 nodes"):
+        theta_mestre(THREE_ATOM, nodes=8)
 
 
 def test_theta_mestre_requires_separability():

@@ -138,6 +138,18 @@ def test_generate_observations_golden():
     np.testing.assert_allclose(Y, golden, rtol=1e-14, atol=0)
 
 
+def test_simulate_spectrum_golden():
+    # the Monte Carlo stream (SFC64, gammas then the lower normals row by
+    # row) must not change by accident; the digits are compared to within
+    # rounding, since the LAPACK build may differ in the last bits
+    lam = simulate_spectrum(_model(), 6, 14, seed=2026).positive_eigenvalues()
+    golden = [float.fromhex(h) for h in (
+        "0x1.734c5d7dcc069p-2", "0x1.5b35558001e20p-1", "0x1.c5606a8d8ad03p-1",
+        "0x1.f29ef458027bap+0", "0x1.4d9f5cf6c25f5p+1", "0x1.2a7ac76f3e87ep+2",
+    )]
+    np.testing.assert_allclose(lam, golden, rtol=1e-12, atol=0)
+
+
 def test_simulate_spectrum_reproducible():
     model = _model()
     for N, M in [(16, 32), (20, 8), (9, 9)]:
@@ -152,7 +164,7 @@ def test_simulate_spectrum_reproducible():
 def _bartlett_factor(model, N, M, seed):
     """The factor R^(1/2) Lf in the documented draw order, built densely."""
     n = min(N, M)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     factor = np.zeros((N, n), dtype=complex)
     diag = np.sqrt(rng.standard_gamma(M - np.arange(n)))
     count = sum(min(i, n) for i in range(N))
@@ -219,7 +231,7 @@ def test_simulate_spectrum_exact_wishart_moments(N, M):
     assert np.all(np.abs(traces.mean(axis=0) - exact) <= 4 * stderr)
 
 
-@pytest.mark.parametrize("N,M", [(20, 50), (50, 20)])
+@pytest.mark.parametrize("N,M", [(20, 50), (50, 20), (30, 30)])
 def test_simulate_spectrum_matches_observation_spectrum_law(N, M):
     # the Bartlett draw and the spectrum of a full Y are two samplers of
     # one law; compare their extreme nonzero eigenvalues

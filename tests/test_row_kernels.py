@@ -208,13 +208,13 @@ def test_mestre_rows_reject_bad_counts_for_the_stack(counts, error):
 
 def _one_seed_draw(model, N, M, seed, gram_only=False):
     """simulate_spectrum's documented steps for one seed on fresh buffers:
-    the Gram matrix from zlauum and zherk, then zhetrd at its queried
-    workspace and dsterf, the reference every kernel row must equal. With
-    gram_only, the Gram matrix (its lower triangle) instead."""
+    SFC64 draws, the Gram matrix from zlauum and zherk, then zhetrd at
+    workspace 8 n and dsterf, the reference every kernel row must equal.
+    With gram_only, the Gram matrix (its lower triangle) instead."""
     scale = (np.sqrt(np.repeat(model.rho_array(), multiplicities(model, N)))
              / np.sqrt(M))
     n = min(N, M)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     factor = np.zeros((N, n), dtype=np.complex128, order="F")
     i = np.arange(n)
     factor[i, i] = np.sqrt(rng.standard_gamma(M - i))
@@ -231,8 +231,7 @@ def _one_seed_draw(model, N, M, seed, gram_only=False):
         return gram
     if n == 1:
         return np.clip(gram[0].real, 0.0, None)
-    work, _ = lapack.zhetrd_lwork(n, lower=1)
-    _, d, e, _, _ = lapack.zhetrd(gram, lower=1, lwork=int(work.real))
+    _, d, e, _, _ = lapack.zhetrd(gram, lower=1, lwork=8 * n)
     lam, info = lapack.dsterf(d, e)
     assert info == 0
     return np.clip(lam, 0.0, None)
