@@ -19,6 +19,10 @@ theta_moment_estimator on criterion 5's. Each layer is called 7 times (1
 with --quick), the layers taking turns within a repeat, and the file holds
 the median and quartiles of those calls in ms per trial (per call for the
 set-ups), with nproc, the numpy, scipy and BLAS versions and the git SHA.
+
+The "import" record times `import coveig` with perf_counter inside 7 fresh
+interpreters (1 with --quick), with their ru_maxrss right after it and the
+heavy modules it should not load (HEAVY_MODULES) that it did load.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
-from scipy.linalg import blas, lapack  # noqa: E402
 
 from coveig import (  # noqa: E402
     PopulationModel,
@@ -52,6 +55,7 @@ from coveig import (  # noqa: E402
     trial_seed,
 )
 from coveig import ensemble  # noqa: E402
+from coveig._lapack import blas, lapack  # noqa: E402
 from coveig.inversion import invert_rows  # noqa: E402
 from coveig.mestre import mestre_rows  # noqa: E402
 from coveig.moments import quadrature_rows  # noqa: E402
@@ -66,6 +70,19 @@ THETA_MESTRE_MODEL = PopulationModel(rho=(1.0, 3.0, 10.0),
 THETA_MOMENT_MODEL = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5),
                                      aspect=0.5)
 MASTER_SEED = 2026
+# modules `import coveig` must not load; it reaches LAPACK, BLAS and the
+# normal CDF without them
+HEAVY_MODULES = ("scipy.linalg", "scipy.special", "numpy.f2py", "numpy.testing")
+_IMPORT_PROBE = f"""
+import json, resource, sys, time
+t0 = time.perf_counter()
+import coveig
+seconds = time.perf_counter() - t0
+print(json.dumps({{
+    "seconds": seconds,
+    "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "heavy": [name for name in {HEAVY_MODULES!r} if name in sys.modules]}}))
+"""
 
 
 def _model(rho, N: int, M: int) -> PopulationModel:
@@ -148,12 +165,29 @@ def _size_layers(rho, N: int, M: int, rows: int, repeats: int) -> dict:
     return samples
 
 
-def _summary(seconds: list) -> dict | None:
-    """Median and quartiles, in ms."""
-    if not seconds:
+def _summary(values: list, scale: float = 1e3) -> dict | None:
+    """Median and quartiles of the values times scale (seconds to ms by
+    default)."""
+    if not values:
         return None
-    p25, p50, p75 = np.percentile(np.asarray(seconds) * 1e3, [25, 50, 75])
-    return {"p25": p25, "p50": p50, "p75": p75, "n": len(seconds)}
+    p25, p50, p75 = np.percentile(np.asarray(values) * scale, [25, 50, 75])
+    return {"p25": p25, "p50": p50, "p75": p75, "n": len(values)}
+
+
+def _import_record(interpreters: int) -> dict:
+    """`import coveig` in fresh interpreters: its wall time, the peak RSS
+    right after it and the heavy modules it loaded."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True,
+        text=True, check=True).stdout) for _ in range(interpreters)]
+    return {
+        "interpreters": interpreters,
+        "ms_per_import": _summary([run["seconds"] for run in runs]),
+        "maxrss_mb": _summary([run["maxrss_kb"] for run in runs], 1 / 1024),
+        "heavy_modules": sorted({name for run in runs for name in run["heavy"]}),
+    }
 
 
 def _git(*args: str) -> str | None:
@@ -201,6 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rows, repeats = (4, 1) if args.quick else (64, 7)
 
+    imported = _import_record(repeats)
     layers = []
     for rho, N, M in SIZES:
         for name, seconds in _size_layers(rho, N, M, rows, repeats).items():
@@ -221,6 +256,7 @@ def main(argv=None) -> int:
                      "statistics": "median and quartiles of the repeats"},
         "layers": layers,
         "setups": setups,
+        "import": imported,
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
 
@@ -234,6 +270,11 @@ def main(argv=None) -> int:
         stats = row["ms_per_call"]
         print(f"{'set-up':<12} {row['layer']:<26} {stats['p50']:.3f} "
               f"[{stats['p25']:.3f}, {stats['p75']:.3f}] ms/call")
+    stats, rss = imported["ms_per_import"], imported["maxrss_mb"]
+    print(f"{'import':<12} {'coveig':<26} {stats['p50']:.1f} "
+          f"[{stats['p25']:.1f}, {stats['p75']:.1f}] ms, "
+          f"{rss['p50']:.1f} MB peak RSS, heavy modules "
+          f"{imported['heavy_modules'] or 'none'}")
     print(f"wrote {args.out}")
     return 0
 

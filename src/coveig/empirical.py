@@ -13,7 +13,8 @@ eigenvalues the equation reads sum_k mu / (lambda_k - mu) = M - n, and in
 nu = 1/mu it is a positive rank-one eigenproblem that LAPACK's ``dlasd4``
 (Li 1993) solves root by root. For N >= M the right side is zero; a tiny
 constant stands in for it, and the one root that then runs to the origin,
-the convention zero, is never asked for.
+the convention zero, is never asked for. ``dlasd4`` is scipy's wrapper,
+taken from ``coveig._lapack`` without importing ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg.lapack import dlasd4
 
+from ._lapack import dlasd4
 from .ensemble import SampleSpectrum
 from .errors import BracketError, InputError, PoleProximityError
 

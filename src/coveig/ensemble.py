@@ -29,7 +29,9 @@ diagonalizes that. zhetrd is given a workspace of 8 n, which caps its
 block size at 8 instead of the 32 that its workspace query selects; on
 one OpenBLAS thread that made it 17-23% faster at n = 60..150 and 1-6%
 at n = 240..1000. So its eigenvalues equal `zheevd`'s to rounding, not
-bit for bit.
+bit for bit. `zhetrd`, `dsterf`, `zlauum` and `zherk` are scipy's own
+wrappers, taken from `coveig._lapack`, which loads scipy's LAPACK and BLAS
+extension modules without importing `scipy.linalg`.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import blas, lapack
 
+from ._lapack import blas, lapack
 from .errors import ConvergenceError, DimensionError, InputError
 from .model import PopulationModel, multiplicities
 

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import ndtr
 
 from .clt import theta_mestre, theta_moment_estimator
 from .ensemble import simulate_rows, trial_seed
@@ -486,10 +485,77 @@ class CltHistogram:
     failure_count: int
 
 
+# Cephes' erf and erfc (Moshier, ndtr.c), the rational approximations
+# behind scipy.special.ndtr: erf(x) = x T(x^2) / U(x^2) for |x| <= 1 and
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8, R(x) / S(x) from 8;
+# Q, S and U are monic, their leading 1 left out
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): exp(-x^2) underflows past it
+_SQRT_HALF = 7.07106781186547524401e-1
+
+
+def _horner(x, coefs, monic=False):
+    value = x + coefs[0] if monic else np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        value = value * x + c
+    return value
+
+
+def _erf(x):
+    """Cephes' erf, for |x| <= 1."""
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U, monic=True)
+
+
+def _normal_cdf(x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Phi(x) by the operations of scipy.special.ndtr, so bit for bit: with
+    t = x sqrt(1/2), 1/2 + erf(t)/2 where |t| < sqrt(1/2), and otherwise
+    erfc(|t|)/2, reflected above the median, so that Phi keeps its relative
+    accuracy in the lower tail. exp is the C library's, through math.exp,
+    as in Cephes."""
+    t = np.asarray(x, dtype=np.float64) * _SQRT_HALF
+    a = np.abs(t)
+    erfc = np.zeros_like(t)  # of |t|; 0 where exp(-t^2) underflows
+    below = a < 1.0
+    erfc[below] = 1.0 - _erf(a[below])
+    live = (a >= 1.0) & (np.fmin(a, 27.0) ** 2 <= _MAXLOG)  # 27^2 > _MAXLOG
+    b = a[live]
+    low = b < 8.0
+    p = np.where(low, _horner(b, _ERFC_P), _horner(b, _ERFC_R))
+    q = np.where(low, _horner(b, _ERFC_Q, monic=True),
+                 _horner(b, _ERFC_S, monic=True))
+    erfc[live] = np.array([math.exp(v) for v in (-b * b).tolist()]) * p / q
+    cdf = np.where(t > 0, 1.0 - 0.5 * erfc, 0.5 * erfc)
+    near = a < _SQRT_HALF
+    cdf[near] = 0.5 + 0.5 * _erf(t[near])
+    cdf[np.isnan(t)] = np.nan
+    return cdf
+
+
 def _ks_normal(z) -> float:
     """Kolmogorov-Smirnov distance of the sample z from the standard normal:
     max over the sorted z_(i) of i/n - Phi(z_(i)) and Phi(z_(i)) - (i-1)/n."""
-    cdf = ndtr(np.sort(z))
+    cdf = _normal_cdf(np.sort(z))
     n = cdf.size
     i = np.arange(1, n + 1)
     return float(max((i / n - cdf).max(), (cdf - (i - 1) / n).max()))
