@@ -20,6 +20,14 @@ with --quick), the layers taking turns within a repeat, and the file holds
 the median and quartiles of those calls in ms per trial (per call for the
 set-ups), with nproc, the numpy, scipy and BLAS versions and the git SHA.
 
+The "fixed_cost" record times one call of each row kernel on the trial
+path, and of a whole `experiments._trials` chunk (moment_full), at 60 x 120
+on criterion 5's model with 1, 5 and 64 rows (FIXED_ROWS), in ms per call:
+35 calls per cell at 1 and 5 rows and 7 at 64 (5 and 1 with --quick), the
+cells taking turns, so that each call follows another kernel's, as in a
+chunk. Its fixed part is the 1-row time less the per-row slope between 1
+and 64 rows, the cost a chunk pays however few trials it holds.
+
 The "import" record times `import coveig` with perf_counter inside 7 fresh
 interpreters (1 with --quick), with their ru_maxrss right after it and the
 heavy modules it should not load (HEAVY_MODULES) that it did load.
@@ -54,9 +62,9 @@ from coveig import (  # noqa: E402
     theta_moment_estimator,
     trial_seed,
 )
-from coveig import ensemble  # noqa: E402
+from coveig import ensemble, experiments  # noqa: E402
 from coveig._lapack import blas, lapack  # noqa: E402
-from coveig.inversion import invert_rows  # noqa: E402
+from coveig.inversion import invert_known_rows, invert_rows  # noqa: E402
 from coveig.mestre import mestre_rows  # noqa: E402
 from coveig.moments import quadrature_rows  # noqa: E402
 
@@ -70,6 +78,8 @@ THETA_MESTRE_MODEL = PopulationModel(rho=(1.0, 3.0, 10.0),
 THETA_MOMENT_MODEL = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5),
                                      aspect=0.5)
 MASTER_SEED = 2026
+# rows per call of the fixed-cost record
+FIXED_ROWS = (1, 5, 64)
 # modules `import coveig` must not load; it reaches LAPACK, BLAS and the
 # normal CDF without them
 HEAVY_MODULES = ("scipy.linalg", "scipy.special", "numpy.f2py", "numpy.testing")
@@ -94,11 +104,10 @@ def _sampling_steps(model, N: int, M: int, seeds):
     """`ensemble.simulate_rows`'s loop with each step timed: returns its
     rows and the seconds spent drawing, forming the Gram matrices and
     diagonalizing them."""
-    scale = ensemble._realized_scale(model, N, M) / np.sqrt(M)
+    scale, lower = ensemble._sampling_layout(model, N, M)
     n = min(N, M)
     out = np.empty((len(seeds), n))
     diag = np.arange(n)
-    lower = np.tri(n, n, -1, dtype=bool)
     below = n * (n - 1) // 2
     root_half = np.sqrt(0.5)
     lwork = ensemble._workspace(n)
@@ -163,6 +172,51 @@ def _size_layers(rho, N: int, M: int, rows: int, repeats: int) -> dict:
         seconds, _ = _timed(mestre_rows, pos, N, M, counts)
         samples["mestre_rows"].append(seconds / rows)
     return samples
+
+
+def _fixed_cost(repeats: int) -> dict:
+    """ms per call of each trial-path kernel, and of a moment_full chunk of
+    `experiments._trials`, at 60 x 120 with FIXED_ROWS rows; see the module
+    docstring."""
+    model, N, M = THETA_MOMENT_MODEL, 60, 120
+    L = model.L
+    counts = multiplicities(model, N)
+    seeds = [trial_seed(MASTER_SEED, t) for t in range(max(FIXED_ROWS))]
+    pos = ensemble.simulate_rows(model, N, M, seeds)
+    gamma, _, _, errors = quadrature_rows(pos, N, M, L)
+    if any(errors):
+        raise SystemExit("the fixed-cost draws must all have moments")
+    calls = {
+        "simulate_rows": lambda T: ensemble.simulate_rows(model, N, M,
+                                                          seeds[:T]),
+        "quadrature_rows": lambda T: quadrature_rows(pos[:T], N, M, L),
+        "invert_rows": lambda T: invert_rows(gamma[:T], L),
+        "invert_known_rows": lambda T: invert_known_rows(gamma[:T],
+                                                         counts / N),
+        "mestre_rows": lambda T: mestre_rows(pos[:T], N, M, counts),
+        "_trials": lambda T: experiments._trials(
+            model, N, M, counts, seeds[:T], ("moment_full",)),
+    }
+    samples = {(name, T): [] for name in calls for T in FIXED_ROWS}
+    for rep in range(5 * repeats):
+        for T in FIXED_ROWS:
+            if T == max(FIXED_ROWS) and rep % 5:
+                continue
+            for name, call in calls.items():
+                samples[name, T].append(_timed(call, T)[0])
+    layers = []
+    for name in calls:
+        cells = {T: _summary(samples[name, T]) for T in FIXED_ROWS}
+        least, most = min(FIXED_ROWS), max(FIXED_ROWS)
+        one, many = cells[least]["p50"], cells[most]["p50"]
+        per_row = (many - one) / (most - least)
+        layers.append({"layer": name,
+                       "rows": [{"rows": T, "ms_per_call": cells[T]}
+                                for T in FIXED_ROWS],
+                       "ms_per_row": per_row,
+                       "fixed_ms": one - least * per_row})
+    return {"N": N, "M": M, "rho": list(model.rho), "method": "moment_full",
+            "layers": layers}
 
 
 def _summary(values: list, scale: float = 1e3) -> dict | None:
@@ -236,6 +290,7 @@ def main(argv=None) -> int:
     rows, repeats = (4, 1) if args.quick else (64, 7)
 
     imported = _import_record(repeats)
+    fixed = _fixed_cost(repeats)
     layers = []
     for rho, N, M in SIZES:
         for name, seconds in _size_layers(rho, N, M, rows, repeats).items():
@@ -256,6 +311,7 @@ def main(argv=None) -> int:
                      "statistics": "median and quartiles of the repeats"},
         "layers": layers,
         "setups": setups,
+        "fixed_cost": fixed,
         "import": imported,
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
@@ -270,6 +326,12 @@ def main(argv=None) -> int:
         stats = row["ms_per_call"]
         print(f"{'set-up':<12} {row['layer']:<26} {stats['p50']:.3f} "
               f"[{stats['p25']:.3f}, {stats['p75']:.3f}] ms/call")
+    for row in fixed["layers"]:
+        cells = " ".join(f"{cell['rows']}: {cell['ms_per_call']['p50']:.4f}"
+                         for cell in row["rows"])
+        print(f"{fixed['N']:>4} x {fixed['M']:<5} {row['layer']:<26} ms/call "
+              f"{cells}; fixed {row['fixed_ms']:.4f}, per row "
+              f"{row['ms_per_row']:.4f}")
     stats, rss = imported["ms_per_import"], imported["maxrss_mb"]
     print(f"{'import':<12} {'coveig':<26} {stats['p50']:.1f} "
           f"[{stats['p25']:.1f}, {stats['p75']:.1f}] ms, "

@@ -20,11 +20,26 @@ eigenvalue; that keeps them admissible at N = M and short on nodes.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ContourError, InputError
 
 __all__ = ["ellipse_nodes", "spectrum_ellipse", "cluster_ellipse"]
+
+
+@lru_cache(maxsize=8)
+def _half_circle(nodes: int):
+    """(cos, sin) of the upper half of the offset angles of a rule of nodes
+    nodes, read-only: every call of `ellipse_nodes` at that count shares
+    them."""
+    if nodes < 2 or nodes % 2:
+        raise InputError(f"need an even positive node count, got {nodes}")
+    theta = 2.0 * np.pi * (np.arange(nodes // 2) + 0.5) / nodes
+    cos, sin = np.cos(theta), np.sin(theta)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
 
 
 def ellipse_nodes(center, half_width, half_height, nodes: int):
@@ -40,10 +55,7 @@ def ellipse_nodes(center, half_width, half_height, nodes: int):
     integrand with f(conj z) = conj(f(z)) needs evaluating on the upper
     half only.
     """
-    if nodes < 2 or nodes % 2:
-        raise InputError(f"need an even positive node count, got {nodes}")
-    theta = 2.0 * np.pi * (np.arange(nodes // 2) + 0.5) / nodes
-    cos, sin = np.cos(theta), np.sin(theta)
+    cos, sin = _half_circle(nodes)
     upper = center + half_width * cos + 1j * half_height * sin
     step = (-half_width * sin + 1j * half_height * cos) * (2.0 * np.pi / nodes)
     points = np.concatenate([upper, upper[..., ::-1].conj()], axis=-1)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -218,8 +219,22 @@ def _gram_eigenvalues(gram: np.ndarray, lwork: int) -> np.ndarray:
                 f"dsterf left {info} off-diagonal entries unconverged")
         if sigma is not None:
             lam *= 1.0 / sigma
-    np.clip(lam, 0.0, None, out=lam)
+    # np.clip's operation for a lower bound alone, without its wrapper
+    np.maximum(lam, 0.0, out=lam)
     return lam
+
+
+@lru_cache(maxsize=16)
+def _sampling_layout(model: PopulationModel, N: int, M: int):
+    """(scale, lower) of `simulate_rows` at (model, N, M): R^(1/2) / sqrt(M)
+    of the realized covariance and the strictly-lower mask of the top
+    min(N, M) block, read-only. A Monte Carlo run draws every chunk of a
+    size at one (model, N, M), so they are built once."""
+    scale = _realized_scale(model, N, M) / np.sqrt(M)
+    n = min(N, M)
+    lower = np.tri(n, n, -1, dtype=bool)
+    scale.flags.writeable = lower.flags.writeable = False
+    return scale, lower
 
 
 def simulate_rows(model: PopulationModel, N: int, M: int,
@@ -229,17 +244,17 @@ def simulate_rows(model: PopulationModel, N: int, M: int,
     The row kernel of `simulate_spectrum`, which is its one-row call:
     returns a (len(seeds), min(N, M)) array whose row t holds, ascending,
     the eigenvalues that ``simulate_spectrum(model, N, M, seeds[t])``
-    reports as positive, bit for bit. The scale, the strictly-lower index,
-    zhetrd's workspace and one n x n buffer are set up once; each seed is
-    drawn, its Gram matrix formed in the buffer as in `simulate_spectrum`
-    and reduced there, so memory does not grow with the number of seeds.
+    reports as positive, bit for bit. The scale and the strictly-lower
+    mask come from `_sampling_layout`, zhetrd's workspace and one n x n
+    buffer are set up once per call, and each seed is drawn, its Gram
+    matrix formed in the buffer as in `simulate_spectrum` and reduced
+    there, so memory does not grow with the number of seeds.
     """
-    scale = _realized_scale(model, N, M) / np.sqrt(M)
+    scale, lower = _sampling_layout(model, N, M)
     n = min(N, M)
     seeds = list(seeds)
     out = np.empty((len(seeds), n))
     diag = np.arange(n)
-    lower = np.tri(n, n, -1, dtype=bool)
     below = n * (n - 1) // 2  # entries below the diagonal of the top block
     root_half = np.sqrt(0.5)
     lwork = _workspace(n)

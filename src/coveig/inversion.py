@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -49,6 +50,8 @@ _COND_LIMIT = 1e12
 _IMAG_RTOL = 1e-8
 _GAP_RTOL = 1e-8
 _WEIGHT_SLACK = 0.05
+# stacks of at most this many Newton systems are solved in numpy scalars
+_SCALAR_SYSTEMS = 2
 
 
 @dataclass(frozen=True)
@@ -97,14 +100,16 @@ def _moment_vector(gamma_hat) -> NDArray[np.float64]:
     return np.asarray(gamma_hat, dtype=float)
 
 
-def _fail(errors: list, live: np.ndarray, bad: np.ndarray, make) -> np.ndarray:
-    """Give the live rows where bad holds the error make(t), t their index
-    in live, unless they have one already; returns ~bad, the rows that stay
-    live."""
+def _drop(errors: list, live: np.ndarray, bad: np.ndarray, make, *arrays):
+    """The live rows, and the same rows of each array, without those where
+    bad holds; each dropped row gets the error make(t), t its index in
+    live. When no row is bad, one test is all this costs."""
+    if not bad.any():
+        return (live, *arrays)
     for t in np.flatnonzero(bad):
-        if errors[live[t]] is None:
-            errors[live[t]] = make(t)
-    return ~bad
+        errors[live[t]] = make(t)
+    keep = ~bad
+    return (live[keep], *(a[keep] for a in arrays))
 
 
 def _checked_rows(gamma, need: int):
@@ -119,25 +124,27 @@ def _checked_rows(gamma, need: int):
         raise InputError(
             f"need at least {need} moments, got shape {gamma.shape[1:]}")
     errors = [None] * gamma.shape[0]
-    live = np.arange(gamma.shape[0])
-    keep = _fail(errors, live, ~np.isfinite(gamma).all(axis=1),
-                 lambda t: InputError("moments contain non-finite values"))
-    live = live[keep]
-    keep = _fail(errors, live, np.abs(gamma[live, 0] - 1.0) > 1e-9,
-                 lambda t: InputError(
-                     f"gamma_0 must be 1, got {gamma[live[t], 0]!r}"))
-    return gamma, errors, live[keep]
+    finite = np.isfinite(gamma).all(axis=1)
+    ok = finite & (np.abs(gamma[:, 0] - 1.0) <= 1e-9)
+    live = np.flatnonzero(ok)
+    if live.size < len(errors):
+        for t in np.flatnonzero(~ok):
+            errors[t] = (InputError(f"gamma_0 must be 1, got {gamma[t, 0]!r}")
+                         if finite[t] else
+                         InputError("moments contain non-finite values"))
+    return gamma, errors, live
 
 
 def _moment_scale(gamma: NDArray[np.float64], errors: list, live):
-    """Per row s = max |gamma_ell|^(1/ell) of a (T, K) stack; returns
-    (s, live) without the rows whose moments beyond gamma_0 all vanish."""
-    ells = np.arange(1, gamma.shape[1])
-    mags = np.abs(gamma[:, 1:]) ** (1.0 / ells)
+    """Per row s = max |gamma_ell|^(1/ell) of the live rows of a (T, K)
+    stack; returns (live, s, gamma[live]) without the rows whose moments
+    beyond gamma_0 all vanish."""
+    if live.size < gamma.shape[0]:
+        gamma = gamma[live]
+    mags = np.abs(gamma[:, 1:]) ** (1.0 / np.arange(1, gamma.shape[1]))
     s = mags.max(axis=1, initial=0.0)
-    keep = _fail(errors, live, s == 0.0,
-                 lambda t: InputError("all moments beyond gamma_0 vanish"))
-    return s[keep], live[keep]
+    return _drop(errors, live, s == 0.0, lambda t: InputError(
+        "all moments beyond gamma_0 vanish"), s, gamma)
 
 
 def _roots(poly: np.ndarray) -> np.ndarray:
@@ -147,19 +154,85 @@ def _roots(poly: np.ndarray) -> np.ndarray:
     The companion matrices are one stacked eigvals call; a row with a zero
     constant term goes through np.roots, which deflates it.
     """
-    T, d = poly.shape[0], poly.shape[1] - 1
-    roots = np.empty((T, d), dtype=complex)
+    d = poly.shape[1] - 1
     zero = poly[:, -1] == 0
-    full = ~zero
-    if full.any():
-        # np.roots' companion matrix
-        A = np.zeros((int(full.sum()), d, d))
-        A[:, 1:, :-1] = np.eye(d - 1)
-        A[:, 0, :] = -poly[full, 1:] / poly[full, :1]
-        roots[full] = np.linalg.eigvals(A)
-    for t in np.flatnonzero(zero):
-        roots[t] = np.roots(poly[t])
+    deflate = zero.any()
+    full = ~zero if deflate else slice(None)
+    # np.roots' companion matrix: ones below the diagonal, the scaled
+    # coefficients in the first row
+    A = np.zeros((poly[full].shape[0], d, d))
+    A.reshape(-1, d * d)[:, d::d + 1] = 1.0
+    A[:, 0, :] = -poly[full, 1:] / poly[full, :1]
+    roots = np.empty((poly.shape[0], d), dtype=complex)
+    roots[full] = np.linalg.eigvals(A)
+    if deflate:
+        for t in np.flatnonzero(zero):
+            roots[t] = np.roots(poly[t])
     return roots
+
+
+def _solve_scalars(system: list) -> list:
+    """`_solve_augmented` of one finite system, operation for operation,
+    on its n rows of n + 1 numpy scalars (the rows are overwritten)."""
+    n = len(system)
+    for k in range(n - 1):
+        p = max(range(k, n), key=lambda i: abs(system[i][k]))
+        system[k], system[p] = system[p], system[k]
+        pivot = system[k]
+        if pivot[k] == 0:
+            raise np.linalg.LinAlgError("singular Newton system")
+        for row in system[k + 1:]:
+            factor = row[k] / pivot[k]
+            row[k:] = [a - factor * b for a, b in zip(row[k:], pivot[k:])]
+    if system[-1][-2] == 0:
+        raise np.linalg.LinAlgError("singular Newton system")
+    x = [None] * n
+    x[-1] = system[-1][-1] / system[-1][-2]
+    for k in range(n - 2, -1, -1):
+        row = system[k]
+        # matmul's sum: from zero, one product at a time
+        dot = type(row[k])(0)
+        for a, b in zip(row[k + 1:n], x[k + 1:]):
+            dot = dot + a * b
+        x[k] = (row[n] - dot) / row[k]
+    return x
+
+
+def _solve_augmented(Ab: np.ndarray) -> np.ndarray:
+    """x with A x = b for each system of a (T, n, n + 1) stack of augmented
+    matrices [A | b], by Gaussian elimination with partial pivoting in the
+    stack's own arithmetic; Ab is overwritten. A zero pivot in any system
+    raises. A stack of at most _SCALAR_SYSTEMS finite systems is solved
+    system by system in numpy scalars, where numpy's cost per call would
+    exceed the arithmetic; the operations, and so the bits, are the same.
+    """
+    if Ab.shape[0] <= _SCALAR_SYSTEMS and np.isfinite(Ab).all():
+        return np.array([_solve_scalars(system) for system in Ab.tolist()],
+                        dtype=Ab.dtype).reshape(Ab.shape[:2])
+    n = Ab.shape[1]
+    rows = np.arange(Ab.shape[0])
+    pivots = []  # the pivot rows, in elimination order
+    for k in range(n - 1):
+        rest = Ab[:, k:]
+        p = np.abs(rest[:, :, k]).argmax(axis=1)
+        # the pivot row leaves; row k takes its place among the rest
+        pivot = rest[rows, p]
+        rest[rows, p] = rest[:, 0]
+        if not pivot[:, k].all():
+            raise np.linalg.LinAlgError("singular Newton system")
+        factors = rest[:, 1:, k] / pivot[:, k, None]
+        rest[:, 1:, k:] -= factors[:, :, None] * pivot[:, None, k:]
+        pivots.append(pivot)
+    pivots.append(Ab[:, -1])
+    if not pivots[-1][:, -2].all():
+        raise np.linalg.LinAlgError("singular Newton system")
+    x = np.empty(Ab.shape[:2], dtype=Ab.dtype)
+    x[:, -1] = pivots[-1][:, -1] / pivots[-1][:, -2]
+    for k in range(n - 2, -1, -1):
+        pivot = pivots[k]
+        dot = (pivot[:, None, k + 1:n] @ x[:, k + 1:, None])[:, 0, 0]
+        x[:, k] = (pivot[:, n] - dot) / pivot[:, k]
+    return x
 
 
 def _eliminate(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -168,41 +241,27 @@ def _eliminate(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     LAPACK has no extended-precision path, and at high map conditioning a
     double-precision solve wrecks the Newton step; the systems here are at
     most 10 x 10, so hand elimination costs nothing. A stack (..., n, n),
-    (..., n) is solved system by system in the same arithmetic; a zero
-    pivot in any system raises.
+    (..., n) is solved system by system in the same arithmetic
+    (`_solve_augmented`); a zero pivot in any system raises.
     """
     shape = b.shape
     n = shape[-1]
-    A = A.reshape(-1, n, n).copy()
-    b = b.reshape(-1, n).copy()
-    rows = np.arange(b.shape[0])
-    for k in range(n):
-        p = k + np.abs(A[:, k:, k]).argmax(axis=1)
-        if np.any(A[rows, p, k] == 0):
-            raise np.linalg.LinAlgError("singular Newton system")
-        A[rows, k], A[rows, p] = A[rows, p], A[rows, k].copy()
-        b[rows, k], b[rows, p] = b[rows, p], b[rows, k].copy()
-        factors = A[:, k + 1:, k] / A[:, k, k, None]
-        A[:, k + 1:, k:] -= factors[:, :, None] * A[:, k, None, k:]
-        b[:, k + 1:] -= factors * b[:, k, None]
-    x = np.zeros_like(b)
-    for k in range(n - 1, -1, -1):
-        dot = (A[:, k, None, k + 1:] @ x[:, k + 1:, None])[:, 0, 0]
-        x[:, k] = (b[:, k] - dot) / A[:, k, k]
-    return x.reshape(shape)
+    Ab = np.concatenate([A.reshape(-1, n, n), b.reshape(-1, n, 1)], axis=2)
+    return _solve_augmented(Ab).reshape(shape)
 
 
-def _newton_steps(jac: np.ndarray, resid: np.ndarray):
-    """_eliminate over a stack, with a singular system failing only its own
-    row; returns (steps, solved)."""
+def _newton_steps(system: np.ndarray):
+    """_solve_augmented over a stack, with a singular system failing only
+    its own row; returns (steps, solved), solved None when every row
+    solved."""
     try:
-        return _eliminate(jac, resid), np.ones(resid.shape[0], dtype=bool)
+        return _solve_augmented(system.copy()), None
     except np.linalg.LinAlgError:
-        steps = np.zeros_like(resid)
-        solved = np.zeros(resid.shape[0], dtype=bool)
-        for t in range(resid.shape[0]):
+        steps = np.zeros(system.shape[:2], dtype=system.dtype)
+        solved = np.zeros(system.shape[0], dtype=bool)
+        for t in range(system.shape[0]):
             try:
-                steps[t] = _eliminate(jac[t], resid[t])
+                steps[t] = _solve_augmented(system[t:t + 1].copy())[0]
                 solved[t] = True
             except np.linalg.LinAlgError:
                 pass
@@ -221,66 +280,93 @@ def _moment_newton(real: np.ndarray, c: np.ndarray, gamma: np.ndarray, s):
     stall well short of the attainable accuracy. Steps that do not reduce
     the residual are rejected, and a row stops at its first rejected,
     singular or negligible step. Rows are (T, L) real and c, (T, 2L) gamma
-    and (T,) s; each row runs its own iteration.
+    and (T,) s; each row runs its own iteration. The powers of the atoms
+    that a residual was evaluated on are kept for the next Jacobian.
     """
-    L = real.shape[1]
+    T, L = real.shape
     ells = np.arange(gamma.shape[1], dtype=np.longdouble)[:, None]
+    lower = np.maximum(ells - 1, 0)
     g_ext = (gamma.astype(np.longdouble)
              / s.astype(np.longdouble)[:, None] ** ells[:, 0])
     x_real = real.astype(np.longdouble)
     x_c = c.astype(np.longdouble)
-    resid = ((x_real[:, None, :] ** ells) @ x_c[..., None])[..., 0] - g_ext
+    x_pow = x_real[:, None, :] ** ells
+    resid = (x_pow @ x_c[..., None])[..., 0] - g_ext
     scale = 1.0 + np.abs(real).max(axis=1)
-    live = np.arange(real.shape[0])
+    live = np.arange(T)
     for _ in range(12):
-        xr, xc = x_real[live], x_c[live]
-        powers = xr[:, None, :] ** ells
-        dpow = ells * xr[:, None, :] ** np.maximum(ells - 1, 0)
-        jac = np.concatenate([powers, dpow * xc[:, None, :]], axis=2)
-        step, solved = _newton_steps(jac, resid[live])
-        live, step = live[solved], step[solved]
-        c_new = x_c[live] - step[:, :L]
-        real_new = x_real[live] - step[:, L:]
-        resid_new = (((real_new[:, None, :] ** ells) @ c_new[..., None])[..., 0]
-                     - g_ext[live])
-        better = ~(np.abs(resid_new).max(axis=1)
-                   >= np.abs(resid[live]).max(axis=1))
-        live, step = live[better], step[better]
-        x_c[live], x_real[live], resid[live] = (
-            c_new[better], real_new[better], resid_new[better])
+        whole = live.size == T
+        xr, xc, powers, r = ((x_real, x_c, x_pow, resid) if whole else
+                             (a[live] for a in (x_real, x_c, x_pow, resid)))
+        # the step (dc, dx) solves [J | r], J = [x^l, l c x^(l-1)]
+        dpow = ells * xr[:, None, :] ** lower
+        step, solved = _newton_steps(np.concatenate(
+            [powers, dpow * xc[:, None, :], r[:, :, None]], axis=2))
+        if solved is not None:
+            whole = False
+            live, step, xr, xc, r = (
+                a[solved] for a in (live, step, xr, xc, r))
+        c_new = xc - step[:, :L]
+        real_new = xr - step[:, L:]
+        pow_new = real_new[:, None, :] ** ells
+        resid_new = ((pow_new @ c_new[..., None])[..., 0]
+                     - (g_ext if whole else g_ext[live]))
+        better = ~(np.abs(resid_new).max(axis=1) >= np.abs(r).max(axis=1))
+        if whole and better.all():
+            x_c, x_real, x_pow, resid = c_new, real_new, pow_new, resid_new
+        else:
+            if not better.all():
+                live, step, c_new, real_new, pow_new, resid_new = (
+                    a[better] for a in (live, step, c_new, real_new,
+                                        pow_new, resid_new))
+            x_c[live], x_real[live], x_pow[live], resid[live] = (
+                c_new, real_new, pow_new, resid_new)
         live = live[~(np.abs(step).max(axis=1) <= 1e-15 * scale[live])]
         if not live.size:
             break
-    order = np.argsort(x_real, axis=1)
-    return (np.take_along_axis(x_real, order, axis=1).astype(np.float64),
-            np.take_along_axis(x_c, order, axis=1).astype(np.float64))
+    if not (x_real[:, 1:] > x_real[:, :-1]).all():
+        order = np.argsort(x_real, axis=1)
+        rows = np.arange(T)[:, None]
+        x_real, x_c = x_real[rows, order], x_c[rows, order]
+    return x_real.astype(np.float64), x_c.astype(np.float64)
 
 
-def _check_roots(roots: np.ndarray, project: bool, errors: list, live):
+def _check_roots(roots: np.ndarray, project: bool, errors: list, live,
+                 *arrays):
     """Feasibility screen of a (T, d) stack of roots: imaginary parts, sign
-    and gaps. Returns the real ascending roots and the rows that pass; a
-    projection clips non-positive roots instead and passes every row."""
+    and gaps. Returns (live, real, roots, *arrays) for the rows that pass,
+    real their real parts ascending; a projection clips non-positive roots
+    instead and passes every row."""
     real = np.sort(roots.real, axis=1)
     if project:
         clip = real[:, 0] <= 0
-        real[clip] = np.maximum(real[clip], 1e-10)
-        return real, np.ones(live.size, dtype=bool)
-    big_imag = np.abs(roots.imag) > _IMAG_RTOL * (1.0 + np.abs(roots))
-    keep = _fail(errors, live, big_imag.any(axis=1), lambda t: InvalidRootsError(
-        f"recovered roots have imaginary parts up to "
-        f"{np.abs(roots[t].imag).max():.3e}; moment vector is infeasible"))
-    keep &= _fail(errors, live, keep & (real[:, 0] <= 0),
-                  lambda t: InvalidRootsError(
-                      "recovered roots include non-positive value "
-                      f"{real[t, 0]:.6e}"))
-    if real.shape[1] > 1:
-        low = np.full(live.size, np.inf)
-        v = real[keep]
-        low[keep] = (np.diff(v, axis=1) / np.maximum(
-            np.abs(v[:, 1:]), np.abs(v[:, :-1]))).min(axis=1)
-        keep &= _fail(errors, live, low <= _GAP_RTOL, lambda t: InvalidRootsError(
-            f"recovered roots nearly coincide (relative gap {low[t]:.3e})"))
-    return real, keep
+        if clip.any():
+            real[clip] = np.maximum(real[clip], 1e-10)
+        return (live, real, roots, *arrays)
+    imaginary = (np.abs(roots.imag)
+                 > _IMAG_RTOL * (1.0 + np.abs(roots))).any(axis=1)
+    negative = real[:, 0] <= 0
+    # relative gaps of neighbours; a row failing the screens above may
+    # divide 0 by 0 here, and takes their error instead
+    with np.errstate(invalid="ignore", divide="ignore"):
+        low = ((real[:, 1:] - real[:, :-1]) / np.maximum(
+            np.abs(real[:, 1:]), np.abs(real[:, :-1]))).min(
+                axis=1, initial=np.inf)
+
+    def error(t):
+        if imaginary[t]:
+            return InvalidRootsError(
+                f"recovered roots have imaginary parts up to "
+                f"{np.abs(roots[t].imag).max():.3e}; moment vector is "
+                "infeasible")
+        if negative[t]:
+            return InvalidRootsError(
+                f"recovered roots include non-positive value {real[t, 0]:.6e}")
+        return InvalidRootsError(
+            f"recovered roots nearly coincide (relative gap {low[t]:.3e})")
+
+    return _drop(errors, live, imaginary | negative | (low <= _GAP_RTOL),
+                 error, real, roots, *arrays)
 
 
 def _reconstruction(
@@ -292,6 +378,13 @@ def _reconstruction(
     return np.abs((powers @ c[..., None])[..., 0] - gamma)
 
 
+def _empty_rows(T: int, L: int, K: int, errors: list) -> InversionRows:
+    """NaN rows of every field, none projected, for a stack of T."""
+    return InversionRows(np.full((T, L), np.nan), np.full((T, L), np.nan),
+                         np.full(T, np.nan), np.full((T, K), np.nan),
+                         np.zeros(T, dtype=bool), errors)
+
+
 def invert_rows(gamma, L: int, project: bool = False) -> InversionRows:
     """Full inversion of a (T, K) stack of moment vectors, K >= 2L.
 
@@ -300,74 +393,77 @@ def invert_rows(gamma, L: int, project: bool = False) -> InversionRows:
     live: input, Hankel condition, roots, gaps, weights; the Newton
     refinement runs on the rows not projected. The linear algebra is
     stacked (`cond`, `solve`, `eigvals`), except `lstsq`, which cannot
-    take stacks, for projected weights.
+    take stacks, for projected weights. A screen that no row fails costs
+    one test, so a small stack pays little more than its arithmetic.
     """
     if L < 1:
         raise InputError("L must be at least 1")
     gamma, errors, live = _checked_rows(gamma, 2 * L)
-    T = gamma.shape[0]
     gamma = gamma[:, :2 * L]
-    rho = np.full((T, L), np.nan)
-    c_hat = np.full((T, L), np.nan)
-    cond_all = np.full(T, np.nan)
-    weight_res = np.full((T, 2 * L), np.nan)
-    projected = np.zeros(T, dtype=bool)
-    out = InversionRows(rho, c_hat, cond_all, weight_res, projected, errors)
-    s, live = _moment_scale(gamma[live], errors, live)
+    out = _empty_rows(gamma.shape[0], L, 2 * L, errors)
+    live, s, gamma = _moment_scale(gamma, errors, live)
     if not live.size:
         return out
-    g = gamma[live] / s[:, None] ** np.arange(2 * L)
+    g = gamma / s[:, None] ** np.arange(2 * L)
 
     # both Hankel matrices, scaled and unscaled, index the moments by i + j
-    index = np.add.outer(np.arange(L), np.arange(L))
-    cond = np.linalg.cond(g[:, index])
-    cond_all[live] = cond
-    keep = _fail(errors, live, ~np.isfinite(cond) | (cond > _COND_LIMIT),
-                 lambda t: ConditioningError(
-                     f"Hankel system condition {cond[t]:.3e} exceeds 1e12",
-                     cond=float(cond[t])))
-    live, s, g = live[keep], s[keep], g[keep]
+    hankel = g[:, np.add.outer(np.arange(L), np.arange(L))]
+    # np.linalg.cond's ratio of extreme singular values; gamma_0 = 1 keeps
+    # the largest one positive, so the ratio is never 0 / 0
+    singular = np.linalg.svd(hankel, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        cond = singular[:, 0] / singular[:, -1]
+    out.cond_gamma[live] = cond
+    live, s, gamma, g, hankel = _drop(
+        errors, live, ~np.isfinite(cond) | (cond > _COND_LIMIT),
+        lambda t: ConditioningError(
+            f"Hankel system condition {cond[t]:.3e} exceeds 1e12",
+            cond=float(cond[t])), s, gamma, g, hankel)
     if not live.size:
         return out
     # coeffs[:, i] multiplies X^i
-    coeffs = np.linalg.solve(g[:, index], -g[:, L:2 * L, None])[..., 0]
+    coeffs = np.linalg.solve(hankel, -g[:, L:2 * L, None])[..., 0]
     poly = np.concatenate([np.ones((live.size, 1)), coeffs[:, ::-1]], axis=1)
-    roots = _roots(poly)
-    real, keep = _check_roots(roots, project, errors, live)
-    live, s, g, roots, real = (a[keep] for a in (live, s, g, roots, real))
+    live, real, roots, s, gamma, g = _check_roots(
+        _roots(poly), project, errors, live, s, gamma, g)
     if not live.size:
         return out
-    moved = (np.any(np.abs(roots.imag) > _IMAG_RTOL * (1.0 + np.abs(roots)),
-                    axis=1)
-             | np.any(np.sort(roots.real, axis=1) != real, axis=1))
 
     vand = real[:, None, :] ** np.arange(L)[:, None]
     if project:
+        # rows whose real roots are not the roots: imaginary parts beyond
+        # tolerance, or a clipped root
+        moved = ((np.abs(roots.imag) > _IMAG_RTOL * (1.0 + np.abs(roots)))
+                 | (np.sort(roots.real, axis=1) != real)).any(axis=1)
         c = np.stack([np.linalg.lstsq(v, gt[:L], rcond=None)[0]
                       for v, gt in zip(vand, g)])
     else:
         c = np.linalg.solve(vand, g[:, :L, None])[..., 0]
-    outside = np.any(c < -_WEIGHT_SLACK, axis=1) | np.any(
-        c > 1.0 + _WEIGHT_SLACK, axis=1)
+    outside = ((c < -_WEIGHT_SLACK) | (c > 1.0 + _WEIGHT_SLACK)).any(axis=1)
     if project:
         for t in np.flatnonzero(outside):
             clipped = np.clip(c[t], 0.0, 1.0)
             c[t] = (clipped / clipped.sum() if clipped.sum() > 0
                     else np.full(L, 1.0 / L))
         moved |= outside
+        newton = ~moved
+        if newton.any():
+            real[newton], c[newton] = _moment_newton(
+                real[newton], c[newton], gamma[newton], s[newton])
+        out.projected[live] = moved
     else:
-        keep = _fail(errors, live, outside, lambda t: InvalidWeightsError(
-            f"weights {c[t]} fall outside [-0.05, 1.05]"))
-        live, s, real, c, moved = (a[keep] for a in (live, s, real, c, moved))
-
-    newton = ~moved
-    if newton.any():
-        real[newton], c[newton] = _moment_newton(
-            real[newton], c[newton], gamma[live[newton]], s[newton])
-    rho[live] = real * s[:, None]
-    c_hat[live] = c
-    weight_res[live] = _reconstruction(rho[live], c, gamma[live])
-    projected[live] = moved & project
+        # without a projection no row moved, so every row is refined
+        live, s, gamma, real, c = _drop(
+            errors, live, outside, lambda t: InvalidWeightsError(
+                f"weights {c[t]} fall outside [-0.05, 1.05]"),
+            s, gamma, real, c)
+        if not live.size:
+            return out
+        real, c = _moment_newton(real, c, gamma, s)
+    rho = real * s[:, None]
+    out.rho_hat[live] = rho
+    out.c_hat[live] = c
+    out.weight_residuals[live] = _reconstruction(rho, c, gamma)
     return out
 
 
@@ -412,25 +508,28 @@ def invert_moments(gamma_hat, L: int | None = None, project: bool = False) -> Es
     )
 
 
-def _integer_multiset(weights: np.ndarray, max_denominator: int = 24):
-    """Smallest integer counts n_i with n_i / sum(n) = weights."""
-    fracs = [Fraction(float(w)).limit_denominator(max_denominator) for w in weights]
+@lru_cache(maxsize=64)
+def _integer_multiset(weights: tuple, max_denominator: int = 24):
+    """Smallest integer counts n_i with n_i / sum(n) = weights, a tuple of
+    floats; returns (counts, sum(counts)). A run passes the same weights
+    for every block of trials, so the answer is kept."""
+    fracs = [Fraction(w).limit_denominator(max_denominator) for w in weights]
     denom = 1
     for f in fracs:
         denom = lcm(denom, f.denominator)
     counts = []
-    for w, f in zip(weights, fracs):
-        n = round(float(w) * denom)
-        if abs(float(w) * denom - n) > 1e-9 * denom or n < 1:
+    for w in weights:
+        n = round(w * denom)
+        if abs(w * denom - n) > 1e-9 * denom or n < 1:
             raise InvalidWeightsError(
-                f"weight {float(w)!r} is not a rational with denominator "
+                f"weight {w!r} is not a rational with denominator "
                 f"<= {max_denominator}"
             )
         counts.append(n)
     g = 0
     for n in counts:
         g = gcd(g, n)
-    counts = [n // g for n in counts]
+    counts = tuple(n // g for n in counts)
     total = sum(counts)
     if total > max_denominator:
         raise InvalidWeightsError(
@@ -452,20 +551,17 @@ def invert_known_rows(gamma, weights, project: bool = False) -> InversionRows:
         raise InputError("weights must be a 1-D array")
     if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
         raise InvalidWeightsError("weights must be positive and sum to one")
-    counts, d = _integer_multiset(w)
+    counts, d = _integer_multiset(tuple(w.tolist()))
     L = w.size
     gamma, errors, live = _checked_rows(gamma, d + 1)
     T = gamma.shape[0]
     gamma = gamma[:, : d + 1]
-    rho = np.full((T, L), np.nan)
-    weight_res = np.full((T, d + 1), np.nan)
-    projected = np.zeros(T, dtype=bool)
-    out = InversionRows(rho, np.tile(w, (T, 1)), np.full(T, np.nan),
-                        weight_res, projected, errors)
-    s, live = _moment_scale(gamma[live], errors, live)
+    out = _empty_rows(T, L, d + 1, errors)
+    out.c_hat[:] = w
+    live, s, gamma = _moment_scale(gamma, errors, live)
     if not live.size:
         return out
-    p = d * gamma[live, 1:] / s[:, None] ** np.arange(1, d + 1)
+    p = d * gamma[:, 1:] / s[:, None] ** np.arange(1, d + 1)
 
     # Newton-Girard: power sums to elementary symmetric polynomials
     e = np.zeros((live.size, d + 1))
@@ -481,21 +577,25 @@ def invert_known_rows(gamma, weights, project: bool = False) -> InversionRows:
     # a multiplicity-m root comes back as a cluster splayed by eps^(1/m),
     # with spurious imaginary parts; its centroid is first-order accurate,
     # so blocks are averaged before any feasibility screening
-    roots = np.take_along_axis(roots, np.argsort(roots.real, axis=1), axis=1)
-    ends = np.cumsum(counts)
-    centers = np.stack(
-        [roots[:, a:b].mean(axis=1) for a, b in zip(ends - counts, ends)],
-        axis=1)
-    rho_scaled, keep = _check_roots(centers, project, errors, live)
-    live, s, centers, rho_scaled = (
-        a[keep] for a in (live, s, centers, rho_scaled))
+    roots = roots[np.arange(live.size)[:, None],
+                  np.argsort(roots.real, axis=1)]
+    if len(set(counts)) == 1:
+        centers = roots.reshape(live.size, L, counts[0]).mean(axis=2)
+    else:
+        ends = np.cumsum(counts)
+        centers = np.stack([roots[:, a:b].mean(axis=1)
+                            for a, b in zip(ends - counts, ends)], axis=1)
+    live, rho_scaled, centers, s, gamma = _check_roots(
+        centers, project, errors, live, s, gamma)
 
-    rho[live] = rho_scaled * s[:, None]
-    weight_res[live] = _reconstruction(rho[live], w, gamma[live])
-    projected[live] = project & (
-        np.any(np.abs(centers.imag) > _IMAG_RTOL * (1.0 + np.abs(centers)),
-               axis=1)
-        | np.any(centers.real != rho_scaled, axis=1))
+    rho = rho_scaled * s[:, None]
+    out.rho_hat[live] = rho
+    out.weight_residuals[live] = _reconstruction(rho, w, gamma)
+    if project:
+        out.projected[live] = (
+            np.any(np.abs(centers.imag)
+                   > _IMAG_RTOL * (1.0 + np.abs(centers)), axis=1)
+            | np.any(centers.real != rho_scaled, axis=1))
     return out
 
 

@@ -18,6 +18,13 @@ stack of spectra of one (N, M), so that a block of Monte Carlo trials pays
 numpy's per-call overhead once; `moments_by_quadrature` and
 `moments_by_residues` are their one-row calls, and each row of a block
 equals that call bit for bit, or carries the error it raises.
+
+The quadrature is scale-free: each row is integrated with its largest
+eigenvalue brought into [1/2, 1) by an exact power of 2, which no rounding
+sees, so only a moment that a float cannot hold (gamma_3 of a spectrum
+near 1e150, say) comes back infinite or zero. The residue route divides
+by lambda_max itself and multiplies order ell back by lambda_max^ell, so
+it too overflows where gamma_{2L-1} cannot be represented.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ __all__ = [
 ]
 
 _SELF_CHECK_RTOL = 3e-11
+_EPS = np.finfo(float).eps
 # the rounding error of a sum of terms t_k is taken as at most this many
 # eps times sum |t_k|; the half-rule check discounts it
 _ROUNDING_EPS = 8
@@ -63,30 +71,6 @@ class MomentEstimates:
     node_count: int
 
 
-def _raw_quadrature(N: int, M: int, L: int, pts, weights, m, m_prime):
-    """Complex moment integrals, one row per row of the (T, K) nodes pts
-    and the transform m, m' there; gamma_hat_0 is exact. Also returns the
-    size of each sum, |coefficient| * sum |weight * integrand|, on which
-    its rounding error is bounded."""
-    raw = np.empty((pts.shape[0], 2 * L), dtype=complex)
-    size = np.zeros((pts.shape[0], 2 * L))
-    raw[:, 0] = 1.0
-    two_pi_i = 2j * np.pi
-    terms = weights * pts * m_prime / m
-    raw[:, 1] = -(M / N) * np.sum(terms, axis=1) / two_pi_i
-    size[:, 1] = (M / N) * np.abs(terms).sum(axis=1) / (2 * np.pi)
-    inv = 1.0 / m
-    power = inv.copy()  # 1/m^(ell-1), starting at ell = 2
-    for ell in range(2, 2 * L):
-        coefficient = (M / N) * (-1.0) ** ell / (ell - 1)
-        terms = weights * power
-        raw[:, ell] = coefficient * np.sum(terms, axis=1) / two_pi_i
-        size[:, ell] = (abs(coefficient) * np.abs(terms).sum(axis=1)
-                        / (2 * np.pi))
-        power *= inv
-    return raw, size
-
-
 def checked_quadrature(pos, N: int, M: int, L: int, pts, weights,
                        order_scale):
     """The moment integrals of each row of pos, (T, n), on its row of the
@@ -94,22 +78,41 @@ def checked_quadrature(pos, N: int, M: int, L: int, pts, weights,
     embedded half rule: (full, delta, passed), full (T, 2L), delta each
     row's largest discrepancy beyond rounding, order ell multiplied by
     order_scale[:, ell] (which broadcasts against (T, 2L)), and passed
-    where delta is within tolerance."""
+    where delta is within tolerance. gamma_hat_0 is exact; order 1 sums
+    z m'/m, order ell >= 2 sums 1/m^(ell - 1), each times the weights."""
     # the lower half of the nodes mirrors the upper, and the transform of a
     # real spectrum has m(conj z) = conj(m(z)), bit for bit
-    K = pts.shape[1]
+    T, K = pts.shape
     upper = companion_transform_rows(pos, M, pts[:, :K // 2])
     m, m_prime = (np.concatenate([v, v[:, ::-1].conj()], axis=1)
                   for v in upper)
-    full, size = _raw_quadrature(N, M, L, pts, weights, m, m_prime)
+    # the terms of orders 1 .. 2L - 1, summed over the node axis
+    terms = np.empty((T, 2 * L - 1, K), dtype=complex)
+    terms[:, 0] = weights * pts * m_prime / m
+    inv = 1.0 / m
+    power = inv.copy()  # 1/m^(ell-1), starting at ell = 2
+    for ell in range(2, 2 * L):
+        terms[:, ell - 1] = weights * power
+        if ell + 1 < 2 * L:
+            power *= inv
+    coefficient = np.array([-(M / N)] + [(M / N) * (-1.0) ** ell / (ell - 1)
+                                         for ell in range(2, 2 * L)])
+    two_pi_i = 2j * np.pi
+    full = np.ones((T, 2 * L), dtype=complex)
+    full[:, 1:] = coefficient * terms.sum(axis=2) / two_pi_i
     # every other node of the offset trapezoid rule is again a uniform rule
-    # at half resolution, on the transform already computed there
-    half, _ = _raw_quadrature(N, M, L, pts[:, ::2], 2.0 * weights[:, ::2],
-                              m[:, ::2], m_prime[:, ::2])
-    # the two sums cannot agree below their rounding error, which dominates
-    # when the terms cancel to a small moment (M/N near 1e6): no node count
-    # lowers it, so only the discrepancy above it counts
-    floor = _ROUNDING_EPS * np.finfo(float).eps * size
+    # at half resolution, with twice the weights: its sums are twice those
+    # over every other term, exactly
+    half = np.ones((T, 2 * L), dtype=complex)
+    half[:, 1:] = coefficient * (2.0 * terms[:, :, ::2].sum(axis=2)) / two_pi_i
+    # each sum's rounding error is at most _ROUNDING_EPS eps times its size,
+    # |coefficient| * sum |weight * integrand|; the two sums cannot agree
+    # below it, which dominates when the terms cancel to a small moment
+    # (M/N near 1e6): no node count lowers it, so only the discrepancy
+    # above it counts
+    size = np.zeros((T, 2 * L))
+    size[:, 1:] = np.abs(coefficient) * np.abs(terms).sum(axis=2) / (2 * np.pi)
+    floor = _ROUNDING_EPS * _EPS * size
     delta = ((np.abs(full - half) - floor) * order_scale
              / (1.0 + np.abs(full) * order_scale)).max(axis=1)
     return full, delta, delta <= _SELF_CHECK_RTOL
@@ -120,48 +123,56 @@ def quadrature_rows(pos, N: int, M: int, L: int):
 
     The row kernel of `moments_by_quadrature`, which is its one-row call:
     pos is (T, n), the positive eigenvalues of each spectrum, ascending.
-    Each row integrates on its own `spectrum_ellipse`, at 128 nodes first,
-    doubling the node count until the self-check passes; the transform is
-    evaluated on the upper half of the nodes and conjugated onto the lower
-    half. Returns (gamma, leakage, node_count, errors): gamma (T, 2L), the
-    scaled leakage and the node count of each row, and per row None or the
-    error the one-row call raises. Every row equals its one-row call bit for bit; the rows of an
-    error are undefined.
+    Each row is divided by the power of 2 that brings its largest
+    eigenvalue into [1/2, 1), integrates on its own `spectrum_ellipse`, at
+    128 nodes first, doubling the node count until the self-check passes,
+    and has order ell multiplied back by that power to the ell. The
+    scaling is exact, so the moments equal those of the unscaled rule, and
+    no scale overflows the transform or the checks; a moment that a float
+    cannot hold comes back infinite or zero. The transform is evaluated on
+    the upper half of the nodes and conjugated onto the lower half.
+    Returns (gamma, leakage, node_count, errors): gamma (T, 2L), the scaled
+    leakage and the node count of each row, and per row None or the error
+    the one-row call raises. Every row equals its one-row call bit for
+    bit; the rows of an error are undefined.
     """
     pos = np.asarray(pos, dtype=float)
     T = pos.shape[0]
+    exponent = np.frexp(pos[:, -1:])[1]
+    pos = np.ldexp(pos, -exponent)
     # gamma_ell grows like lambda_max^ell, so the checks divide order ell
     # by it to bring every order to a common size
     scale = pos[:, -1]
     ellipse = [v[:, None] for v in spectrum_ellipse(scale)]
     order_scale = scale[:, None] ** -np.arange(2.0 * L)
-    raw = np.full((T, 2 * L), np.nan, dtype=complex)
-    node_count = np.zeros(T, dtype=int)
-    errors = [None] * T
-    live = np.arange(T)
-    for attempt in range(_MAX_DOUBLINGS + 1):
-        nodes = _START_NODES << attempt
-        pts, weights = ellipse_nodes(*(v[live] for v in ellipse), nodes)
-        full, delta, done = checked_quadrature(
-            pos[live], N, M, L, pts, weights, order_scale[live])
-        raw[live[done]] = full[done]
-        node_count[live[done]] = nodes
-        live, delta = live[~done], delta[~done]
+    nodes = _START_NODES
+    raw, delta, done = checked_quadrature(
+        pos, N, M, L, *ellipse_nodes(*ellipse, nodes), order_scale)
+    node_count = np.where(done, nodes, 0)
+    live = np.flatnonzero(~done)
+    for attempt in range(1, _MAX_DOUBLINGS + 1):
         if not live.size:
             break
-        if attempt == _MAX_DOUBLINGS:
-            for r, d in zip(live, delta):
-                errors[r] = ConvergenceError(
-                    f"contour quadrature has not converged at {nodes} nodes "
-                    f"(self-check discrepancy {d:.3e})",
-                    residual=float(d),
-                )
-            break
+        nodes = _START_NODES << attempt
+        full, delta[live], done = checked_quadrature(
+            pos[live], N, M, L,
+            *ellipse_nodes(*(v[live] for v in ellipse), nodes),
+            order_scale[live])
+        raw[live[done]] = full[done]
+        node_count[live[done]] = nodes
+        live = live[~done]
+    errors = [None] * T
+    for r in live:
+        raw[r] = np.nan
+        errors[r] = ConvergenceError(
+            f"contour quadrature has not converged at {nodes} nodes "
+            f"(self-check discrepancy {delta[r]:.3e})",
+            residual=float(delta[r]),
+        )
 
-    gamma = raw.real
     leakage = (np.abs(raw.imag) * order_scale).max(axis=1)
     leaky = leakage > _LEAKAGE_RTOL * (
-        1.0 + (np.abs(gamma) * order_scale).max(axis=1))
+        1.0 + (np.abs(raw.real) * order_scale).max(axis=1))
     for r in np.flatnonzero(leaky):
         if errors[r] is None:
             errors[r] = ConvergenceError(
@@ -169,6 +180,7 @@ def quadrature_rows(pos, N: int, M: int, L: int):
                 "tolerance; the quadrature is under-resolved",
                 residual=float(leakage[r]),
             )
+    gamma = np.ldexp(raw.real, exponent * np.arange(2 * L))
     return gamma, leakage, node_count, errors
 
 
@@ -213,8 +225,10 @@ def residue_rows(pos, N: int, M: int, L: int):
     gamma (T, 2L). With lambda scaled by lambda_max, p_k = (1/M) sum
     lambda^k and P(w) = 1 + sum_k p_k w^k, gamma_1 = (M/N) p_1 and
     gamma_ell = -(M / (N (ell - 1))) [w^ell] P(w)^-(ell - 1) for ell >= 2;
-    order ell is then multiplied back by lambda_max^ell. Every row equals
-    its one-row call bit for bit.
+    order ell is then multiplied back by lambda_max^ell, which overflows
+    to infinity where gamma_ell cannot be represented (gamma_3 of a
+    spectrum near 1e150, at L = 2). Every row equals its one-row call bit
+    for bit.
     """
     pos = np.asarray(pos, dtype=float)
     T = pos.shape[0]

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 
 
@@ -15,10 +17,26 @@ def test_quick_layer_bench_writes_every_record(tmp_path):
     subprocess.run([sys.executable, str(LAYERS), "--quick", "--out", str(out)],
                    check=True, capture_output=True, timeout=300)
     bench = json.loads(out.read_text())
-    assert {"environment", "protocol", "layers", "setups", "import"} <= set(bench)
+    assert {"environment", "protocol", "layers", "setups", "fixed_cost",
+            "import"} <= set(bench)
     assert bench["layers"] and bench["setups"]
     assert all(row["ms_per_trial"] for row in bench["layers"]
                if row["layer"] != "invert_rows")
+    fixed = bench["fixed_cost"]
+    assert (fixed["N"], fixed["M"]) == (60, 120)
+    assert fixed["method"] == "moment_full"
+    assert [row["layer"] for row in fixed["layers"]] == [
+        "simulate_rows", "quadrature_rows", "invert_rows", "invert_known_rows",
+        "mestre_rows", "_trials"]
+    for row in fixed["layers"]:
+        assert [cell["rows"] for cell in row["rows"]] == [1, 5, 64]
+        assert [cell["ms_per_call"]["n"] for cell in row["rows"]] == [5, 5, 1]
+        assert all(cell["ms_per_call"]["p50"] > 0 for cell in row["rows"])
+        assert row["ms_per_row"] == pytest.approx(
+            (row["rows"][2]["ms_per_call"]["p50"]
+             - row["rows"][0]["ms_per_call"]["p50"]) / 63)
+        assert row["fixed_ms"] == pytest.approx(
+            row["rows"][0]["ms_per_call"]["p50"] - row["ms_per_row"])
     imported = bench["import"]
     assert imported["interpreters"] == 1
     assert imported["ms_per_import"]["n"] == 1

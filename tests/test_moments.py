@@ -13,12 +13,13 @@ from coveig import (
     moments_by_quadrature,
     moments_by_residues,
     simulate_spectrum,
+    trial_seed,
     true_moments,
 )
 from coveig import empirical, moments
 from coveig.contours import ellipse_nodes, spectrum_ellipse
 from coveig.empirical import companion_transform_rows
-from coveig.ensemble import SampleSpectrum, padded_spectrum
+from coveig.ensemble import SampleSpectrum, padded_spectrum, simulate_rows
 
 LAM = np.array([0.8, 1.1, 2.5, 3.0])
 
@@ -373,3 +374,40 @@ def test_invalid_order_rejected():
         moments_by_quadrature(spectrum, 0)
     with pytest.raises(InputError):
         moments_by_residues(spectrum, 0)
+
+
+@pytest.mark.parametrize("exponent", [150, -150, 300, -300])
+def test_quadrature_moments_scale_exactly(exponent):
+    # each row is integrated with lambda_max in [1/2, 1), an exact power of
+    # 2 away, so a spectrum scaled by 2^k keeps its node counts, leakage and
+    # checks, and moment l is scaled by 2^(k l), bit for bit; unscaled, the
+    # transform's derivative and the checks overflow or underflow there
+    model = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.5)
+    pos = simulate_rows(model, 60, 120, [trial_seed(9, t) for t in range(8)])
+    gamma, leakage, count, errors = moments.quadrature_rows(pos, 60, 120, 2)
+    scaled = moments.quadrature_rows(np.ldexp(pos, exponent), 60, 120, 2)
+    assert errors == scaled[3] == [None] * 8
+    np.testing.assert_array_equal(
+        scaled[0], np.ldexp(gamma, exponent * np.arange(4)))
+    np.testing.assert_array_equal(scaled[1], leakage)
+    np.testing.assert_array_equal(scaled[2], count)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150, 1e-160])
+def test_quadrature_converges_at_extreme_scales(scale):
+    # no row fails its checks on any scale; where gamma_3 ~ scale^3 leaves
+    # the float range it comes back infinite or zero, as on the residue route
+    model = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.5)
+    pos = simulate_rows(model, 60, 120, [trial_seed(9, t) for t in range(8)])
+    gamma, _, _, errors = moments.quadrature_rows(pos, 60, 120, 2)
+    with np.errstate(over="ignore", under="ignore"):
+        got, _, _, scaled_errors = moments.quadrature_rows(scale * pos, 60,
+                                                           120, 2)
+        want = gamma * scale ** np.arange(4)
+    assert scaled_errors == [None] * 8
+    tiny = np.finfo(float).tiny
+    normal = np.isfinite(want) & (np.abs(want) >= tiny)
+    assert normal[:, :2].all()
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert (np.abs(got[~normal & np.isfinite(want)]) < tiny).all()

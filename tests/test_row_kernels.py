@@ -36,7 +36,7 @@ from coveig import (
     simulate_spectrum,
     trial_seed,
 )
-from coveig import ensemble, experiments, mestre, moments
+from coveig import ensemble, experiments, inversion, mestre, moments
 from coveig.ensemble import padded_spectrum, simulate_rows
 from coveig.inversion import invert_known_rows, invert_rows
 from coveig.mestre import mestre_rows
@@ -303,3 +303,112 @@ def test_block_memory_is_bounded():
         tracemalloc.stop()
     assert len(block["estimates"]) == largest
     assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# one moment vector per screen of the inversions, L = 2. The atoms 1 and 3
+# with equal weights have the moments 1, 2, 5, 14; each other row fails one
+# screen, or, projected, is clipped onto the feasible set instead
+FULL_SCREENS = {
+    "estimated": ([1.0, 2.0, 5.0, 14.0], None),
+    "estimated, moved": ([1.0, 2.1, 5.3, 15.1], None),
+    "non-finite": ([1.0, np.nan, 5.0, 14.0], "non-finite"),
+    "infinite": ([1.0, 2.0, np.inf, 14.0], "non-finite"),
+    "gamma_0": ([1.5, 2.0, 5.0, 14.0], "gamma_0 must be 1"),
+    "vanishing": ([1.0, 0.0, 0.0, 0.0], "vanish"),
+    "one atom": ([1.0, 2.0, 4.0, 8.0], "condition"),
+    "complex roots": ([1.0, 1.0, 0.5, -1.0], "imaginary parts"),
+    "non-positive root": ([1.0, 0.0, 1.0, 0.0], "non-positive"),
+    "double root": ([1.0, 2.0, 3.0, 4.0], "nearly coincide"),
+    "weights": ([1.0, 3.6, 11.4, 34.8], "fall outside"),
+}
+# gamma_0 .. gamma_2 suffice for the known weights (1/2, 1/2)
+KNOWN_SCREENS = {
+    "estimated": ([1.0, 2.0, 5.0], None),
+    "estimated, moved": ([1.0, 2.1, 5.3], None),
+    "non-finite": ([1.0, np.nan, 5.0], "non-finite"),
+    "gamma_0": ([0.5, 2.0, 5.0], "gamma_0 must be 1"),
+    "vanishing": ([1.0, 0.0, 0.0], "vanish"),
+    "complex roots": ([1.0, 1.0, 0.5], "imaginary parts"),
+    "non-positive root": ([1.0, 0.0, 1.0], "non-positive"),
+    "double root": ([1.0, 2.0, 4.0], "nearly coincide"),
+}
+# screens a projection passes instead, and the rows it flags as projected:
+# a double root is real and positive, so nothing moves it
+PASSED = {"complex roots", "non-positive root", "double root", "weights"}
+PROJECTED = {"complex roots", "non-positive root", "weights"}
+
+
+def _screen_stack(screens, T: int) -> list:
+    """The names of a T-row stack holding every screen's row, in a fixed
+    shuffled order."""
+    names = (list(screens) * T)[:max(T, len(screens))]
+    return [names[t] for t in np.random.default_rng(T).permutation(len(names))]
+
+
+@pytest.mark.parametrize("kernel", ["full", "known"])
+@pytest.mark.parametrize("project", [False, True])
+@pytest.mark.parametrize("T", [1, 5, 64])
+def test_mixed_failure_stacks_equal_one_row_calls(kernel, project, T):
+    # every screen fails at least one row of the rows stacked in blocks of
+    # T; each row must keep the bits, error class and message of its
+    # one-row call, so skipping a screen that no row fails must not skip
+    # it for a block where one does
+    screens = FULL_SCREENS if kernel == "full" else KNOWN_SCREENS
+    names = _screen_stack(screens, 64)
+    assert set(names) == set(screens)
+    weights = np.array([0.5, 0.5])
+
+    def fields(res):
+        return tuple(_bits(f) for f in (
+            res.rho_hat, res.c_hat, res.cond_gamma, res.weight_residuals,
+            res.projected))
+
+    def one_row(gamma):
+        if kernel == "full":
+            return _outcome(lambda: fields(
+                invert_moments(gamma, 2, project=project)))
+        return _outcome(lambda: fields(invert_moments_known_multiplicities(
+            gamma, weights, project=project)))
+
+    single = {name: one_row(np.array(screens[name][0])) for name in screens}
+    for name, (_, message) in screens.items():
+        outcome = single[name]
+        if message is None or project and name in PASSED:
+            assert outcome[-1] == _bits(project and name in PROJECTED), name
+        else:
+            assert issubclass(outcome[0], CoveigError), name
+            assert message in outcome[1], (name, outcome)
+    for start in range(0, len(names), T):
+        block = names[start:start + T]
+        stack = np.array([screens[name][0] for name in block])
+        rows = (invert_rows(stack, 2, project) if kernel == "full"
+                else invert_known_rows(stack, weights, project))
+        _check([_row(rows.errors, t, (
+            rows.rho_hat, rows.c_hat, rows.cond_gamma, rows.weight_residuals,
+            rows.projected)) for t in range(len(block))],
+               [single[name] for name in block])
+
+
+def test_small_newton_stacks_solve_like_large_ones():
+    # stacks of at most _SCALAR_SYSTEMS systems are eliminated in numpy
+    # scalars; the pivots, the singular systems and the bits must be those
+    # of the stacked elimination
+    rng = np.random.default_rng(5)
+    systems = rng.normal(size=(40, 6, 7)).astype(np.longdouble)
+    systems[3, :, 0] = 0.0  # singular
+    systems[7, 2] = systems[7, 0]  # a pivot tie in the first column
+    systems[9, :, :] = np.round(systems[9] * 4) / 4  # exact ties
+    assert inversion._SCALAR_SYSTEMS >= 1
+    for t, system in enumerate(systems):
+        # the stacked path: a stack larger than the scalar limit, of one
+        # system repeated
+        big = np.repeat(system[None], inversion._SCALAR_SYSTEMS + 1, axis=0)
+        try:
+            want = inversion._solve_augmented(big)[0]
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                inversion._solve_augmented(system[None].copy())
+            continue
+        got = inversion._solve_augmented(system[None].copy())[0]
+        assert np.array_equal(got, want), t
+        assert np.array_equal(np.signbit(got), np.signbit(want)), t
