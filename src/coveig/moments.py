@@ -180,7 +180,8 @@ def quadrature_rows(pos, N: int, M: int, L: int):
                 "tolerance; the quadrature is under-resolved",
                 residual=float(leakage[r]),
             )
-    gamma = np.ldexp(raw.real, exponent * np.arange(2 * L))
+    orders = np.arange(2 * L, dtype=exponent.dtype)
+    gamma = np.ldexp(raw.real, exponent * orders)
     return gamma, leakage, node_count, errors
 
 
