@@ -13,7 +13,7 @@ set-up of the call, such as a CLT covariance, while they start; then it
 and the workers each take the next chunk of a guided plan (guided
 self-scheduling, Polychronopoulos & Kuck 1987) from one shared
 counter until none is left. A chunk holds ceil(remaining / 2W) trials for
-W processes, never fewer than about 20 ms of trial 0's time nor more than
+W processes, never fewer than about 10 ms of trial 0's time nor more than
 64, so chunks shrink toward the end and a slow process holds up the others
 for at most one small chunk. Serially the same plan runs with W = 1. Pin
 BLAS to one thread (OPENBLAS_NUM_THREADS=1) so that the processes do not
@@ -80,12 +80,8 @@ _TRIAL_FAILURES = (
 # a smaller projected serial remainder is not worth forking workers for
 _PARALLEL_MIN_S = 0.1
 # a chunk of trials takes at least this long, by trial 0's time, so that
-# the row kernels' per-call overhead stays small beside it. With that
-# overhead at about 0.4 ms per 60 x 120 chunk (2-core x86-64 VM, one BLAS
-# thread), 20 ms ran the clt-check of criterion 5 about 2.5% faster than
-# 10 ms and those of criteria 6 and 3 as fast; 30 ms slowed the latter two
-# by about 10%
-_CHUNK_MIN_S = 0.02
+# the row kernels' per-call overhead stays small beside it
+_CHUNK_MIN_S = 0.01
 # most trials of one chunk, which go through the row kernels at once; it
 # bounds the memory a chunk takes
 _CHUNK_MAX = 64

@@ -50,8 +50,6 @@ _COND_LIMIT = 1e12
 _IMAG_RTOL = 1e-8
 _GAP_RTOL = 1e-8
 _WEIGHT_SLACK = 0.05
-# stacks of at most this many Newton systems are solved in numpy scalars
-_SCALAR_SYSTEMS = 2
 
 
 @dataclass(frozen=True)
@@ -171,44 +169,12 @@ def _roots(poly: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _solve_scalars(system: list) -> list:
-    """`_solve_augmented` of one finite system, operation for operation,
-    on its n rows of n + 1 numpy scalars (the rows are overwritten)."""
-    n = len(system)
-    for k in range(n - 1):
-        p = max(range(k, n), key=lambda i: abs(system[i][k]))
-        system[k], system[p] = system[p], system[k]
-        pivot = system[k]
-        if pivot[k] == 0:
-            raise np.linalg.LinAlgError("singular Newton system")
-        for row in system[k + 1:]:
-            factor = row[k] / pivot[k]
-            row[k:] = [a - factor * b for a, b in zip(row[k:], pivot[k:])]
-    if system[-1][-2] == 0:
-        raise np.linalg.LinAlgError("singular Newton system")
-    x = [None] * n
-    x[-1] = system[-1][-1] / system[-1][-2]
-    for k in range(n - 2, -1, -1):
-        row = system[k]
-        # matmul's sum: from zero, one product at a time
-        dot = type(row[k])(0)
-        for a, b in zip(row[k + 1:n], x[k + 1:]):
-            dot = dot + a * b
-        x[k] = (row[n] - dot) / row[k]
-    return x
-
-
 def _solve_augmented(Ab: np.ndarray) -> np.ndarray:
     """x with A x = b for each system of a (T, n, n + 1) stack of augmented
     matrices [A | b], by Gaussian elimination with partial pivoting in the
     stack's own arithmetic; Ab is overwritten. A zero pivot in any system
-    raises. A stack of at most _SCALAR_SYSTEMS finite systems is solved
-    system by system in numpy scalars, where numpy's cost per call would
-    exceed the arithmetic; the operations, and so the bits, are the same.
+    raises.
     """
-    if Ab.shape[0] <= _SCALAR_SYSTEMS and np.isfinite(Ab).all():
-        return np.array([_solve_scalars(system) for system in Ab.tolist()],
-                        dtype=Ab.dtype).reshape(Ab.shape[:2])
     n = Ab.shape[1]
     rows = np.arange(Ab.shape[0])
     pivots = []  # the pivot rows, in elimination order
@@ -252,10 +218,10 @@ def _eliminate(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _newton_steps(system: np.ndarray):
     """_solve_augmented over a stack, with a singular system failing only
-    its own row; returns (steps, solved), solved None when every row
-    solved."""
+    its own row; returns (steps, solved)."""
     try:
-        return _solve_augmented(system.copy()), None
+        return (_solve_augmented(system.copy()),
+                np.ones(system.shape[0], dtype=bool))
     except np.linalg.LinAlgError:
         steps = np.zeros(system.shape[:2], dtype=system.dtype)
         solved = np.zeros(system.shape[0], dtype=bool)
@@ -295,40 +261,27 @@ def _moment_newton(real: np.ndarray, c: np.ndarray, gamma: np.ndarray, s):
     scale = 1.0 + np.abs(real).max(axis=1)
     live = np.arange(T)
     for _ in range(12):
-        whole = live.size == T
-        xr, xc, powers, r = ((x_real, x_c, x_pow, resid) if whole else
-                             (a[live] for a in (x_real, x_c, x_pow, resid)))
+        xr, xc, r = x_real[live], x_c[live], resid[live]
         # the step (dc, dx) solves [J | r], J = [x^l, l c x^(l-1)]
         dpow = ells * xr[:, None, :] ** lower
         step, solved = _newton_steps(np.concatenate(
-            [powers, dpow * xc[:, None, :], r[:, :, None]], axis=2))
-        if solved is not None:
-            whole = False
-            live, step, xr, xc, r = (
-                a[solved] for a in (live, step, xr, xc, r))
+            [x_pow[live], dpow * xc[:, None, :], r[:, :, None]], axis=2))
+        live, step, xr, xc, r = (a[solved] for a in (live, step, xr, xc, r))
         c_new = xc - step[:, :L]
         real_new = xr - step[:, L:]
         pow_new = real_new[:, None, :] ** ells
-        resid_new = ((pow_new @ c_new[..., None])[..., 0]
-                     - (g_ext if whole else g_ext[live]))
+        resid_new = (pow_new @ c_new[..., None])[..., 0] - g_ext[live]
         better = ~(np.abs(resid_new).max(axis=1) >= np.abs(r).max(axis=1))
-        if whole and better.all():
-            x_c, x_real, x_pow, resid = c_new, real_new, pow_new, resid_new
-        else:
-            if not better.all():
-                live, step, c_new, real_new, pow_new, resid_new = (
-                    a[better] for a in (live, step, c_new, real_new,
-                                        pow_new, resid_new))
-            x_c[live], x_real[live], x_pow[live], resid[live] = (
-                c_new, real_new, pow_new, resid_new)
+        live, step = live[better], step[better]
+        x_c[live], x_real[live], x_pow[live], resid[live] = (
+            c_new[better], real_new[better], pow_new[better],
+            resid_new[better])
         live = live[~(np.abs(step).max(axis=1) <= 1e-15 * scale[live])]
         if not live.size:
             break
-    if not (x_real[:, 1:] > x_real[:, :-1]).all():
-        order = np.argsort(x_real, axis=1)
-        rows = np.arange(T)[:, None]
-        x_real, x_c = x_real[rows, order], x_c[rows, order]
-    return x_real.astype(np.float64), x_c.astype(np.float64)
+    order = np.argsort(x_real, axis=1)
+    return (np.take_along_axis(x_real, order, axis=1).astype(np.float64),
+            np.take_along_axis(x_c, order, axis=1).astype(np.float64))
 
 
 def _check_roots(roots: np.ndarray, project: bool, errors: list, live,
@@ -577,14 +530,11 @@ def invert_known_rows(gamma, weights, project: bool = False) -> InversionRows:
     # a multiplicity-m root comes back as a cluster splayed by eps^(1/m),
     # with spurious imaginary parts; its centroid is first-order accurate,
     # so blocks are averaged before any feasibility screening
-    roots = roots[np.arange(live.size)[:, None],
-                  np.argsort(roots.real, axis=1)]
-    if len(set(counts)) == 1:
-        centers = roots.reshape(live.size, L, counts[0]).mean(axis=2)
-    else:
-        ends = np.cumsum(counts)
-        centers = np.stack([roots[:, a:b].mean(axis=1)
-                            for a, b in zip(ends - counts, ends)], axis=1)
+    roots = np.take_along_axis(roots, np.argsort(roots.real, axis=1), axis=1)
+    ends = np.cumsum(counts)
+    centers = np.stack(
+        [roots[:, a:b].mean(axis=1) for a, b in zip(ends - counts, ends)],
+        axis=1)
     live, rho_scaled, centers, s, gamma = _check_roots(
         centers, project, errors, live, s, gamma)
 

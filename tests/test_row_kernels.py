@@ -388,27 +388,3 @@ def test_mixed_failure_stacks_equal_one_row_calls(kernel, project, T):
             rows.projected)) for t in range(len(block))],
                [single[name] for name in block])
 
-
-def test_small_newton_stacks_solve_like_large_ones():
-    # stacks of at most _SCALAR_SYSTEMS systems are eliminated in numpy
-    # scalars; the pivots, the singular systems and the bits must be those
-    # of the stacked elimination
-    rng = np.random.default_rng(5)
-    systems = rng.normal(size=(40, 6, 7)).astype(np.longdouble)
-    systems[3, :, 0] = 0.0  # singular
-    systems[7, 2] = systems[7, 0]  # a pivot tie in the first column
-    systems[9, :, :] = np.round(systems[9] * 4) / 4  # exact ties
-    assert inversion._SCALAR_SYSTEMS >= 1
-    for t, system in enumerate(systems):
-        # the stacked path: a stack larger than the scalar limit, of one
-        # system repeated
-        big = np.repeat(system[None], inversion._SCALAR_SYSTEMS + 1, axis=0)
-        try:
-            want = inversion._solve_augmented(big)[0]
-        except np.linalg.LinAlgError:
-            with pytest.raises(np.linalg.LinAlgError):
-                inversion._solve_augmented(system[None].copy())
-            continue
-        got = inversion._solve_augmented(system[None].copy())[0]
-        assert np.array_equal(got, want), t
-        assert np.array_equal(np.signbit(got), np.signbit(want)), t
