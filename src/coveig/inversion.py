@@ -266,12 +266,13 @@ def _moment_newton(real: np.ndarray, c: np.ndarray, gamma: np.ndarray, s):
         dpow = ells * xr[:, None, :] ** lower
         step, solved = _newton_steps(np.concatenate(
             [x_pow[live], dpow * xc[:, None, :], r[:, :, None]], axis=2))
-        live, step, xr, xc, r = (a[solved] for a in (live, step, xr, xc, r))
+        # an unsolved row's step is zero; it stops with the rejected ones
         c_new = xc - step[:, :L]
         real_new = xr - step[:, L:]
         pow_new = real_new[:, None, :] ** ells
         resid_new = (pow_new @ c_new[..., None])[..., 0] - g_ext[live]
-        better = ~(np.abs(resid_new).max(axis=1) >= np.abs(r).max(axis=1))
+        better = solved & ~(np.abs(resid_new).max(axis=1)
+                            >= np.abs(r).max(axis=1))
         live, step = live[better], step[better]
         x_c[live], x_real[live], x_pow[live], resid[live] = (
             c_new[better], real_new[better], pow_new[better],
