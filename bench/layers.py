@@ -10,6 +10,7 @@ rows, or 4 with --quick) and times, per trial:
   simulate_rows.draw              timed in a copy of its loop: the gammas
   simulate_rows.gram              and normals, the scaled factor and its
   simulate_rows.eigensolve        Gram matrix, zhetrd + dsterf
+  secular_rows                  all N secular roots, as secular_zeros
   quadrature_rows               the moments
   invert_rows                   the full inversion of those moments
   mestre_rows                   Mestre's estimate
@@ -19,6 +20,10 @@ theta_moment_estimator on criterion 5's. Each layer is called 7 times (1
 with --quick), the layers taking turns within a repeat, and the file holds
 the median and quartiles of those calls in ms per trial (per call for the
 set-ups), with nproc, the numpy, scipy and BLAS versions and the git SHA.
+Every layer, here and in the "fixed_cost" record, also holds the minor page
+faults of a call (the ru_minflt delta; for the three sampling steps, their
+faults in one call of the loop copy): a call whose temporaries pass the
+allocator's trim threshold faults its heap in again each time.
 
 The "fixed_cost" record times one call of each row kernel on the trial
 path, and of a whole `experiments._trials` chunk (moment_full), at 60 x 120
@@ -44,6 +49,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import resource  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -64,6 +70,7 @@ from coveig import (  # noqa: E402
 )
 from coveig import ensemble, experiments  # noqa: E402
 from coveig._lapack import blas, lapack  # noqa: E402
+from coveig.empirical import secular_rows  # noqa: E402
 from coveig.inversion import invert_known_rows, invert_rows  # noqa: E402
 from coveig.mestre import mestre_rows  # noqa: E402
 from coveig.moments import quadrature_rows  # noqa: E402
@@ -100,10 +107,19 @@ def _model(rho, N: int, M: int) -> PopulationModel:
                            aspect=N / M)
 
 
+def _mark():
+    """(perf_counter, minor page faults, perf_counter): a step ends at the
+    first reading and the next begins at the last, so that neither times
+    the getrusage call between them."""
+    t0 = time.perf_counter()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    return t0, faults, time.perf_counter()
+
+
 def _sampling_steps(model, N: int, M: int, seeds):
     """`ensemble.simulate_rows`'s loop with each step timed: returns its
-    rows and the seconds spent drawing, forming the Gram matrices and
-    diagonalizing them."""
+    rows, and the seconds spent and minor page faults taken drawing,
+    forming the Gram matrices and diagonalizing them."""
     scale, lower = ensemble._sampling_layout(model, N, M)
     n = min(N, M)
     out = np.empty((len(seeds), n))
@@ -114,14 +130,15 @@ def _sampling_steps(model, N: int, M: int, seeds):
     top = np.zeros((n, n), dtype=np.complex128, order="F")
     tail = np.empty((N - n, n), dtype=np.complex128, order="F")
     spent = np.zeros(3)
+    faults = np.zeros(3, dtype=np.int64)
     for t, seed in enumerate(seeds):
-        t0 = time.perf_counter()
+        marks = [_mark()]
         rng = ensemble._sampler_for(seed)
         top[diag, diag] = np.sqrt(rng.standard_gamma(M - diag))
         draws = rng.standard_normal(2 * (below + tail.size))
         draws *= root_half
         draws = draws.view(np.complex128)
-        t1 = time.perf_counter()
+        marks.append(_mark())
         top[lower] = draws[:below]
         top *= scale[:n, None]
         gram, _ = lapack.zlauum(top, lower=1, overwrite_c=1)
@@ -130,48 +147,60 @@ def _sampling_steps(model, N: int, M: int, seeds):
             tail *= scale[n:, None]
             gram = blas.zherk(1.0, tail, beta=1.0, c=gram, trans=2,
                               lower=1, overwrite_c=1)
-        t2 = time.perf_counter()
+        marks.append(_mark())
         out[t] = ensemble._gram_eigenvalues(gram, lwork)
-        spent += (t1 - t0, t2 - t1, time.perf_counter() - t2)
-    return out, spent
+        marks.append(_mark())
+        for k, (start, end) in enumerate(zip(marks, marks[1:])):
+            spent[k] += end[0] - start[2]
+            faults[k] += end[1] - start[1]
+    return out, spent, faults
 
 
 def _timed(fn, *args):
+    """Seconds and minor page faults of the call fn(*args)."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
-    value = fn(*args)
-    return time.perf_counter() - t0, value
+    fn(*args)
+    seconds = time.perf_counter() - t0
+    return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
-def _size_layers(rho, N: int, M: int, rows: int, repeats: int) -> dict:
-    """Seconds per trial of every layer, one list of repeats each."""
+def _size_layers(rho, N: int, M: int, rows: int, repeats: int):
+    """Seconds per trial and minor page faults per call of every layer,
+    one list of repeats each."""
     model = _model(rho, N, M)
     L = model.L
     counts = multiplicities(model, N)
     seeds = [trial_seed(MASTER_SEED, t) for t in range(rows)]
     pos = ensemble.simulate_rows(model, N, M, seeds)
-    copied, _ = _sampling_steps(model, N, M, seeds)
+    copied, _, _ = _sampling_steps(model, N, M, seeds)
     if not np.array_equal(copied, pos):
         raise SystemExit(f"the timed copy of simulate_rows differs at {N}x{M}")
     gamma, _, _, errors = quadrature_rows(pos, N, M, L)
     gamma = gamma[[e is None for e in errors]]
-    samples = {name: [] for name in (
-        "simulate_rows", "simulate_rows.draw", "simulate_rows.gram",
-        "simulate_rows.eigensolve", "quadrature_rows", "invert_rows",
-        "mestre_rows")}
+    names = ("simulate_rows", "simulate_rows.draw", "simulate_rows.gram",
+             "simulate_rows.eigensolve", "secular_rows", "quadrature_rows",
+             "invert_rows", "mestre_rows")
+    samples = {name: [] for name in names}
+    faults = {name: [] for name in names}
+
+    def record(name, trials, seconds, minflt):
+        samples[name].append(seconds / trials)
+        faults[name].append(minflt)
+
     for _ in range(repeats):
-        seconds, _ = _timed(ensemble.simulate_rows, model, N, M, seeds)
-        samples["simulate_rows"].append(seconds / rows)
-        _, spent = _sampling_steps(model, N, M, seeds)
-        for step, seconds in zip(("draw", "gram", "eigensolve"), spent):
-            samples[f"simulate_rows.{step}"].append(seconds / rows)
-        seconds, _ = _timed(quadrature_rows, pos, N, M, L)
-        samples["quadrature_rows"].append(seconds / rows)
+        record("simulate_rows", rows,
+               *_timed(ensemble.simulate_rows, model, N, M, seeds))
+        _, spent, taken = _sampling_steps(model, N, M, seeds)
+        for step, seconds, minflt in zip(("draw", "gram", "eigensolve"),
+                                         spent, taken):
+            record(f"simulate_rows.{step}", rows, seconds, minflt)
+        record("secular_rows", rows, *_timed(secular_rows, pos, N, M, N))
+        record("quadrature_rows", rows, *_timed(quadrature_rows, pos, N, M, L))
         if len(gamma):
-            seconds, _ = _timed(invert_rows, gamma, L)
-            samples["invert_rows"].append(seconds / len(gamma))
-        seconds, _ = _timed(mestre_rows, pos, N, M, counts)
-        samples["mestre_rows"].append(seconds / rows)
-    return samples
+            record("invert_rows", len(gamma), *_timed(invert_rows, gamma, L))
+        record("mestre_rows", rows, *_timed(mestre_rows, pos, N, M, counts))
+    return samples, faults
 
 
 def _fixed_cost(repeats: int) -> dict:
@@ -203,15 +232,18 @@ def _fixed_cost(repeats: int) -> dict:
             if T == max(FIXED_ROWS) and rep % 5:
                 continue
             for name, call in calls.items():
-                samples[name, T].append(_timed(call, T)[0])
+                samples[name, T].append(_timed(call, T))
     layers = []
     for name in calls:
-        cells = {T: _summary(samples[name, T]) for T in FIXED_ROWS}
+        cells = {T: _summary([s for s, _ in samples[name, T]])
+                 for T in FIXED_ROWS}
         least, most = min(FIXED_ROWS), max(FIXED_ROWS)
         one, many = cells[least]["p50"], cells[most]["p50"]
         per_row = (many - one) / (most - least)
         layers.append({"layer": name,
-                       "rows": [{"rows": T, "ms_per_call": cells[T]}
+                       "rows": [{"rows": T, "ms_per_call": cells[T],
+                                 "minflt_per_call": _summary(
+                                     [f for _, f in samples[name, T]], 1)}
                                 for T in FIXED_ROWS],
                        "ms_per_row": per_row,
                        "fixed_ms": one - least * per_row})
@@ -221,7 +253,7 @@ def _fixed_cost(repeats: int) -> dict:
 
 def _summary(values: list, scale: float = 1e3) -> dict | None:
     """Median and quartiles of the values times scale (seconds to ms by
-    default)."""
+    default; 1 for page faults)."""
     if not values:
         return None
     p25, p50, p75 = np.percentile(np.asarray(values) * scale, [25, 50, 75])
@@ -293,17 +325,20 @@ def main(argv=None) -> int:
     fixed = _fixed_cost(repeats)
     layers = []
     for rho, N, M in SIZES:
-        for name, seconds in _size_layers(rho, N, M, rows, repeats).items():
+        samples, faults = _size_layers(rho, N, M, rows, repeats)
+        for name, seconds in samples.items():
             layers.append({"layer": name, "N": N, "M": M, "rho": list(rho),
-                           "ms_per_trial": _summary(seconds)})
+                           "ms_per_trial": _summary(seconds),
+                           "minflt_per_call": _summary(faults[name], 1)})
     setups = []
     for fn, model in ((theta_mestre, THETA_MESTRE_MODEL),
                       (theta_moment_estimator, THETA_MOMENT_MODEL)):
         fn(model)  # warm caches outside the timing
-        seconds = [_timed(fn, model)[0] for _ in range(repeats)]
+        calls = [_timed(fn, model) for _ in range(repeats)]
         setups.append({"layer": fn.__name__, "rho": list(model.rho),
                        "aspect": model.aspect,
-                       "ms_per_call": _summary(seconds)})
+                       "ms_per_call": _summary([s for s, _ in calls]),
+                       "minflt_per_call": _summary([f for _, f in calls], 1)})
     result = {
         "environment": _environment(),
         "protocol": {"rows": rows, "repeats": repeats,
@@ -317,15 +352,16 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
 
     for row in layers:
-        stats = row["ms_per_trial"]
+        stats, faults = row["ms_per_trial"], row["minflt_per_call"]
         cell = ("-" if stats is None else
-                f"{stats['p50']:.4f} [{stats['p25']:.4f}, {stats['p75']:.4f}]")
-        print(f"{row['N']:>4} x {row['M']:<5} {row['layer']:<26} {cell} "
-              "ms/trial")
+                f"{stats['p50']:.4f} [{stats['p25']:.4f}, {stats['p75']:.4f}]"
+                f" ms/trial, {faults['p50']:.0f} faults/call")
+        print(f"{row['N']:>4} x {row['M']:<5} {row['layer']:<26} {cell}")
     for row in setups:
-        stats = row["ms_per_call"]
+        stats, faults = row["ms_per_call"], row["minflt_per_call"]
         print(f"{'set-up':<12} {row['layer']:<26} {stats['p50']:.3f} "
-              f"[{stats['p25']:.3f}, {stats['p75']:.3f}] ms/call")
+              f"[{stats['p25']:.3f}, {stats['p75']:.3f}] ms/call, "
+              f"{faults['p50']:.0f} faults/call")
     for row in fixed["layers"]:
         cells = " ".join(f"{cell['rows']}: {cell['ms_per_call']['p50']:.4f}"
                          for cell in row["rows"])

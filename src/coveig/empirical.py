@@ -15,6 +15,12 @@ nu = 1/mu it is a positive rank-one eigenproblem that LAPACK's ``dlasd4``
 constant stands in for it, and the one root that then runs to the origin,
 the convention zero, is never asked for. ``dlasd4`` is scipy's wrapper,
 taken from ``coveig._lapack`` without importing ``scipy.linalg``.
+
+The roots are a row kernel, `secular_rows`, that solves only the smallest
+roots of a stack of spectra: only its ``dlasd4`` calls loop, over the rows
+and the roots asked for. The baseline estimator reads the roots below its
+last block and takes that block from the trace, as its cluster-contour
+route does; the contour moment estimators read no root.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ __all__ = [
     "SecularRoots",
     "empirical_m",
     "companion_transform_rows",
+    "secular_rows",
     "secular_zeros",
 ]
 
@@ -124,98 +131,205 @@ def companion_transform_rows(pos, M: int, z):
 
 
 def _merge_coincident(values: np.ndarray):
-    """Group ascending positives whose relative gap is below 1e-12."""
-    if np.all(np.diff(values) > _MERGE_RTOL * values[1:]):
-        return values, np.ones(values.size, dtype=np.int64)
-    reps, counts = [values[0]], [1]
-    for v in values[1:]:
+    """Group ascending positives whose relative gap is below 1e-12: the
+    groups' representatives and sizes, padded to values.size with the last
+    representative and with zeros, and the mask of the values that open a
+    group."""
+    reps, sizes = [values[0]], [1]
+    opens = np.ones(values.size, dtype=bool)
+    for j, v in enumerate(values[1:], 1):
         if v - reps[-1] <= _MERGE_RTOL * max(abs(v), abs(reps[-1])):
             # running mean keeps the representative centered in the clump
-            reps[-1] += (v - reps[-1]) / (counts[-1] + 1)
-            counts[-1] += 1
+            reps[-1] += (v - reps[-1]) / (sizes[-1] + 1)
+            sizes[-1] += 1
+            opens[j] = False
         else:
             reps.append(v)
-            counts.append(1)
-    return np.asarray(reps), np.asarray(counts, dtype=np.int64)
+            sizes.append(1)
+    pad = values.size - len(reps)
+    return reps + reps[-1:] * pad, sizes + [0] * pad, opens
 
 
-def _interlacing_brackets(dist: np.ndarray, wide: bool):
-    """Open intervals, one per secular root, between consecutive poles.
+def _rank_one_roots(dist, sizes, value, opens, N: int, M: int):
+    """The secular roots at the entries of opens, a (T, W) mask over the
+    positions first .. first + W - 1 of `secular_rows`, one LAPACK
+    ``dlasd4`` call each, as a (T, W) array; first is 1 at N >= M, where
+    position 0 is the convention zero, and 0 otherwise. Other entries hold
+    finite placeholders.
 
-    The rational function is strictly increasing between poles, so each
-    interval between distinct positive eigenvalues holds exactly one root;
-    when M > N (``wide``) one more lies below the smallest eigenvalue.
+    Row t holds K_t distinct eigenvalues dist[t, :K_t] of multiplicities
+    sizes[t, :K_t], padded with zeros, and value[t] repeats each by its
+    multiplicity. The position j of a group's first eigenvalue holds the
+    root below the group, between value[j - 1] (0 at j = 0) and value[j],
+    the r-th root for the r-th group. With n = min(N, M) the
+    equation reads sum_k size_k mu / (lambda_k - mu) = M - n, so by the
+    matrix determinant lemma 1/mu are the eigenvalues of diag(1/lambda) +
+    u u^T / (M - n) with u_k = sqrt(size_k / lambda_k). That is LAPACK's
+    positive rank-one problem diag(d)^2 + rho z z^T with d = lambda^(-1/2)
+    ascending, z_k proportional to sqrt(size_k / lambda_k) and rho =
+    sum(size_k / lambda_k) / (M - n), solved by Li's "middle way" iteration
+    (Li 1993, "Solving secular equations stably and efficiently"). For
+    N >= M, M - n = 0 becomes _DELTA: the largest sigma then runs off to
+    infinity and its mu to the convention zero, on which ``dlasd4`` does
+    not converge, so it is never asked for. ``dlasd4`` also returns
+    t_k = d_k^2 - sigma^2 to high relative accuracy, and lambda_k - mu =
+    -t_k lambda_k mu; each root is read as that offset from its nearer pole,
+    or from the origin, so the rounding of d cancels. ``dlasd4`` fails on a
+    problem far from unit scale, so each row is first divided by 4^k, with
+    2k the even part of its lambda_max's binary exponent, which puts
+    lambda_max in [1/2, 2), and the roots are multiplied back by 4^k: both
+    steps are exact, and d = lambda^(-1/2) only gains the exact factor 2^k.
+    Only the ``dlasd4`` calls loop.
     """
-    lo = np.nextafter(dist[:-1], np.inf)
-    hi = np.nextafter(dist[1:], 0.0)
-    if wide:
-        lo = np.concatenate([[dist[0] * 1e-15], lo])
-        hi = np.concatenate([[np.nextafter(dist[0], 0.0)], hi])
-    return lo, hi
-
-
-def _rank_one_roots(dist: np.ndarray, counts: np.ndarray, N: int, M: int):
-    """The secular roots in their brackets, one LAPACK ``dlasd4`` call each.
-
-    With n = min(N, M) the equation reads sum_k count_k mu / (lambda_k - mu)
-    = M - n, so by the matrix determinant lemma 1/mu are the eigenvalues of
-    diag(1/lambda) + u u^T / (M - n) with u_k = sqrt(count_k / lambda_k).
-    That is LAPACK's positive rank-one problem diag(d)^2 + rho z z^T with
-    d = lambda^(-1/2) ascending, z_k proportional to sqrt(count_k / lambda_k)
-    and rho = sum(count_k / lambda_k) / (M - n), solved by Li's "middle way"
-    iteration (Li 1993, "Solving secular equations stably and efficiently").
-    For N >= M, M - n = 0 becomes _DELTA: the largest sigma then runs off
-    to infinity and its mu to the convention zero. ``dlasd4`` does not
-    converge on that root, so it is never asked for, and the K - 1 roots
-    between the poles remain; for M > N all K are kept.
-    ``dlasd4`` also returns t_k = d_k^2 - sigma^2 to high relative accuracy,
-    and lambda_k - mu = -t_k lambda_k mu; each root is read as that offset
-    from its nearer pole, or from the origin, so the rounding of d cancels.
-    ``dlasd4`` fails on a problem far from unit scale, so the eigenvalues
-    are first divided by 4^k, with 2k the even part of lambda_max's binary
-    exponent, which puts lambda_max in [1/2, 2), and the roots are
-    multiplied back by 4^k: both steps are exact, and d = lambda^(-1/2)
-    only gains the exact factor 2^k.
-    """
-    K = dist.size
+    T, W = opens.shape
     wide = M > N
-    two_k = 2 * (int(np.frexp(dist[-1])[1]) // 2)
-    dist = np.ldexp(dist, -two_k)
-    weight = counts / dist
-    d = np.sqrt(1.0 / dist[::-1])
-    z = np.sqrt(weight[::-1] / weight.sum())
-    rho = weight.sum() / (M - N if wide else _DELTA)
-    # sigma_i ascends as mu descends: sigma_i gives root r = K - 1 - i, which
-    # lies between the poles dist[r - 1] (d index i + 1) and dist[r] (index i);
-    # for N >= M root r = 0 is the convention zero and is skipped
     first = 0 if wide else 1
-    sigma2 = np.empty(K)
-    t_above = np.empty(K)
-    t_below = np.empty(K)
-    for i in range(K - first):
-        delta, sigma, work, info = dlasd4(i, d, z, rho)
-        if info:
-            raise BracketError(
-                f"dlasd4 did not converge on secular root {i} (info {info})"
-            )
-        r = K - 1 - i
-        sigma2[r] = sigma * sigma
-        t_above[r] = delta[i] * work[i]
-        if i + 1 < K:
-            t_below[r] = delta[i + 1] * work[i + 1]
-    if K == 1:
-        # LAPACK's n = 1 branch returns delta = work = 1; here sigma^2 = d^2 + rho
-        t_above[0] = -rho
-    mu = 1.0 / sigma2[first:]
-    above = dist[first:]
-    below = np.concatenate([[0.0], dist[:-1]])[first:]
-    gap_above = -t_above[first:] * above * mu
-    gap_below = t_below[first:] * below * mu
+    two_k = 2 * (np.frexp(dist[:, -1])[1] // 2)[:, None]
+    sigma, t_above, t_below = _dlasd4_rows(
+        np.ldexp(dist, -two_k), sizes, opens, first, M - N if wide else _DELTA)
+    value = np.ldexp(value[:, :first + W], -two_k)
+    mu = 1.0 / (sigma * sigma)
+    above = value[:, first:]
+    below = np.zeros((T, W))
+    below[:, 1 - first:] = value[:, :W - 1 + first]
+    gap_above = -t_above * above * mu
+    gap_below = t_below * below * mu
     if wide:
-        gap_below[0] = mu[0]  # the smallest root's lower neighbour is the origin
+        gap_below[:, 0] = mu[:, 0]  # root 0's lower neighbour is the origin
     return np.ldexp(np.where(
         gap_above <= gap_below, above - gap_above, below + gap_below
     ), two_k)
+
+
+def _dlasd4_rows(dist, sizes, opens, first: int, denominator):
+    """sigma and the t_k at the poles above and below each root of
+    `_rank_one_roots`, whose rho is sum(size_k / lambda_k) / denominator;
+    its d and z are freed on return."""
+    T, n = dist.shape
+    K = np.count_nonzero(sizes, axis=1)
+    solved = np.count_nonzero(opens, axis=1)
+    weight = sizes / dist
+    total = weight.sum(axis=1)
+    d = np.sqrt(1.0 / dist[:, ::-1])
+    z = np.sqrt(weight[:, ::-1] / total[:, None])
+    rho = total / denominator
+    # sigma_i ascends as mu descends: sigma_i gives root r = K - 1 - i,
+    # between the poles of d indices i + 1 and i
+    sigma = np.ones(opens.shape)
+    t_above = np.zeros_like(sigma)
+    t_below = np.zeros_like(sigma)
+    for t in range(T):
+        k = K[t]
+        dt, zt, rt = d[t, n - k:], z[t, n - k:], rho[t]
+        found = []
+        for i in range(k - first - solved[t], k - first):
+            delta, s, work, info = dlasd4(i, dt, zt, rt)
+            if info:
+                raise BracketError(
+                    f"dlasd4 did not converge on secular root {i} "
+                    f"(info {info})"
+                )
+            # LAPACK's n = 1 branch returns delta = work = 1; there
+            # sigma^2 = d^2 + rho
+            found += (s, delta[i] * work[i] if k > 1 else -rt,
+                      delta[i + 1] * work[i + 1] if i + 1 < k else 0.0)
+        if found:
+            # one float array, r ascending: numpy 2.4 leaks a tuple value
+            # set through a mask that is a row of a sliced array, opens[t]
+            row = opens[t]
+            sigma[t, row], t_above[t, row], t_below[t, row] = np.array(
+                found, dtype=float).reshape(-1, 3)[::-1].T
+    return sigma, t_above, t_below
+
+
+def secular_rows(pos, N: int, M: int, count: int):
+    """The count smallest secular roots of each spectrum of a stack.
+
+    pos is (T, n), the n = min(N, M) positive eigenvalues of each spectrum,
+    ascending. Returns (mu_hat, brackets, residuals), (T, count),
+    (T, count, 2) and (T, count): the first count entries of each row's
+    SecularRoots, bit for bit, which `secular_zeros` reads at count = N.
+
+    At N >= M the first N - M + 1 roots are convention zeros; then root
+    N - n + j belongs to pos[j]: the secular root below pos[j]'s group of
+    coincident eigenvalues where pos[j] opens it, and the group's value
+    elsewhere. So only the roots of the groups that open below position
+    count are solved (`_rank_one_roots`), clipped to their brackets and
+    polished (`_polish`), in place in the returned arrays; a group's values
+    are placed.
+    """
+    T, n = pos.shape
+    wide = M > N
+    first = 0 if wide else 1
+    mu = np.zeros((T, count))
+    brackets = np.zeros((T, count, 2))
+    residuals = np.zeros((T, count))
+    m = count - (N - n)  # the positions of pos that are read
+    if m <= first:
+        return mu, brackets, residuals
+    dist, value, sizes = pos, pos, np.ones((T, n), dtype=np.int64)
+    opens = np.ones((T, n), dtype=bool)
+    ties = np.flatnonzero(
+        (np.diff(pos, axis=1) <= _MERGE_RTOL * pos[:, 1:]).any(axis=1))
+    if ties.size:
+        dist, value = pos.copy(), pos.copy()
+        for t in ties:
+            dist[t], sizes[t], opens[t] = _merge_coincident(pos[t])
+            value[t] = np.repeat(dist[t], sizes[t])
+    opens = opens[:, first:m]
+    cols = slice(N - n + first, N - n + m)
+    roots, lo, hi, res = (mu[:, cols], brackets[:, cols, 0],
+                          brackets[:, cols, 1], residuals[:, cols])
+    hi[:] = np.nextafter(value[:, first:m], 0.0)
+    lo[:, 1 - first:] = np.nextafter(value[:, :m - 1], np.inf)
+    if wide:
+        lo[:, 0] = value[:, 0] * 1e-15  # M > N: one root lies below
+    a = np.clip(_rank_one_roots(dist, sizes, value, opens, N, M), lo, hi)
+    # a repeated eigenvalue is a root at its own value, placed; half the
+    # smallest eigenvalue keeps the polish of its entry away from the poles
+    placed = ~opens
+    for x in (a, lo, hi):
+        np.copyto(x, 0.5 * pos[:, :1], where=placed)
+    _polish(pos, N, M, a, lo, hi, roots, res)
+    for x in (roots, lo, hi):
+        np.copyto(x, value[:, first:m], where=placed)
+    res[placed] = 0.0
+    return mu, brackets, residuals
+
+
+def _polish(pos, N: int, M: int, a, lo, hi, roots, residuals):
+    """Move each root a one float towards the root, within [lo, hi], when
+    that lowers |g|, into roots, with |g| into residuals. g is evaluated in
+    slices of rows (of roots, when one row is too large) through one buffer
+    of at most _SLICE_ENTRIES entries, as in `companion_transform_rows`."""
+    T, K = a.shape
+    n = pos.shape[1]
+    rows = max(1, _SLICE_ENTRIES // (K * n))
+    cols = K if rows > 1 else max(1, _SLICE_ENTRIES // n)
+    buffer = np.empty(min(T, rows) * min(K, cols) * n)
+
+    def g(p, mu, terms):
+        # secular function scaled by N; zeros contribute nothing
+        np.subtract(p, mu[:, :, None], out=terms)
+        np.divide(p, terms, out=terms)
+        return terms.sum(axis=2) / N - M / N
+
+    for i in range(0, T, rows):
+        p = pos[i:i + rows, None, :]
+        for j in range(0, K, cols):
+            x = a[i:i + rows, j:j + cols]
+            terms = buffer[:x.size * n].reshape(x.shape + (n,))
+            g_a = g(p, x, terms)
+            # g increases between poles: only the neighbour on the side
+            # its sign points to can be closer to the root
+            b = np.clip(np.nextafter(x, np.where(g_a > 0, 0.0, np.inf)),
+                        lo[i:i + rows, j:j + cols], hi[i:i + rows, j:j + cols])
+            g_b = g(p, b, terms)
+            # keep whichever float has the smaller |g|; a wins ties
+            take_a = np.abs(g_a) <= np.abs(g_b)
+            roots[i:i + rows, j:j + cols] = np.where(take_a, x, b)
+            residuals[i:i + rows, j:j + cols] = np.abs(
+                np.where(take_a, g_a, g_b)) * (N / M)
 
 
 def secular_zeros(spectrum: SampleSpectrum) -> SecularRoots:
@@ -224,54 +338,8 @@ def secular_zeros(spectrum: SampleSpectrum) -> SecularRoots:
     Each open interval between distinct positive sample eigenvalues holds
     exactly one root; when M > N one extra root lies below the smallest
     positive eigenvalue, and when N >= M the convention adds N - M + 1
-    zeros instead. At every shape the roots are the eigenvalues of a
-    positive-definite rank-one update of a diagonal matrix, found by
-    LAPACK's ``dlasd4`` (see ``_rank_one_roots``; with n = min(N, M) the
-    update is scaled by 1 / (M - n), and by 1 / _DELTA when that is zero),
-    clipped to their brackets, then moved one float towards the root when
-    that lowers |g|.
+    zeros instead. The one-row call of `secular_rows`, at count = N.
     """
-    return SecularRoots(*_secular_roots(
-        spectrum.positive_eigenvalues(), spectrum.N, spectrum.M))
-
-
-def _secular_roots(pos: np.ndarray, N: int, M: int):
-    """`secular_zeros` on the min(N, M) positive eigenvalues pos, ascending;
-    returns the fields (mu_hat, brackets, residuals) of its SecularRoots."""
-    dist, counts = _merge_coincident(pos)
-
-    def g(mu: np.ndarray) -> np.ndarray:
-        # secular function scaled by N; zero eigenvalues contribute nothing
-        terms = pos[None, :] / (pos[None, :] - mu[:, None])
-        return terms.sum(axis=1) / N - M / N
-
-    lo, hi = _interlacing_brackets(dist, M > N)
-    roots = residuals = np.empty(0)
-    if lo.size:
-        a = np.clip(_rank_one_roots(dist, counts, N, M), lo, hi)
-        g_a = g(a)
-        # g increases between poles: only the neighbour on the side its
-        # sign points to can be closer to the root
-        b = np.clip(np.nextafter(a, np.where(g_a > 0, 0.0, np.inf)), lo, hi)
-        g_b = g(b)
-        # keep whichever float has the smaller |g|; a wins ties
-        take_a = np.abs(g_a) <= np.abs(g_b)
-        roots = np.where(take_a, a, b)
-        residuals = np.abs(np.where(take_a, g_a, g_b)) * (N / M)
-    brackets = np.column_stack([lo, hi])
-
-    # repeated eigenvalues are themselves roots, one copy fewer than their
-    # multiplicity, and for N >= M the convention adds N - M + 1 zeros
-    extra = np.concatenate([np.repeat(dist, counts - 1),
-                            np.zeros(max(N - M + 1, 0))])
-    roots = np.concatenate([roots, extra])
-    brackets = np.vstack([brackets, np.column_stack([extra, extra])])
-    residuals = np.concatenate([residuals, np.zeros(extra.size)])
-
-    if roots.size != N:
-        raise BracketError(
-            f"expected {N} roots, assembled {roots.size}; "
-            "spectrum may be rank deficient"
-        )
-    order = np.argsort(roots, kind="stable")
-    return roots[order], brackets[order], residuals[order]
+    fields = secular_rows(spectrum.positive_eigenvalues()[None], spectrum.N,
+                          spectrum.M, spectrum.N)
+    return SecularRoots(*(field[0] for field in fields))

@@ -21,8 +21,8 @@ oversubscribe the CPUs. A chunk runs through the row kernels: the draws
 and their eigenvalues through `ensemble.simulate_rows`, the moments on
 either route and both inversions through those of `moments` and
 `inversion`, and Mestre through `mestre.mestre_rows`, on cluster contours
-where a trial's sample clusters separate and on its secular roots where
-they do not. A row of a kernel equals its one-row call bit for
+where a trial's sample clusters separate and on the secular roots below its
+last block where they do not. A row of a kernel equals its one-row call bit for
 bit, so outputs depend neither on the worker count nor on the chunks. A
 chunk returns one structured array, a row per trial, and the chunks'
 arrays are concatenated in trial order. `SweepRow.wall_time` (the CSV's
@@ -194,9 +194,9 @@ def _trials(model, N, M, counts, seeds, methods, project=False,
     Every stage runs once over the block's stacked rows, its time split
     evenly over the trials: the draws and their eigenvalues, the moments on
     either route, each inversion, and Mestre, with the secular roots of the
-    trials whose clusters do not separate, which no other method reads. A
-    trial's results do not depend on the block it
-    is in.
+    trials whose clusters do not separate, which no other method reads;
+    such a trial solves only the roots below its last block. A trial's
+    results do not depend on the block it is in.
     """
     L = model.L
     T = len(seeds)
@@ -392,8 +392,9 @@ def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
     taken by this process and any forked workers; the results depend on
     neither. A trial solves the secular equation only when "mestre" is
     among the methods, whichever the moment route, and only when its sample
-    clusters do not separate; where they do, Mestre integrates on cluster
-    contours instead. wall_time is busy time: the sum of the cell's
+    clusters do not separate, and then only the roots below its last block,
+    the trace giving that block; where they do, Mestre integrates on
+    cluster contours instead. wall_time is busy time: the sum of the cell's
     per-trial stage times, measured where each trial ran (a chunk's time in
     each stage split evenly over its trials): the method's own time,
     Mestre's with its contours or secular roots, plus the sampling

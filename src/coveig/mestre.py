@@ -22,11 +22,15 @@ m(y) < 0 puts that root above y: a row is integrated only when every
 crossing clears its eigenvalue below and its root above by _CLEARANCE
 times itself, a certificate that costs one evaluation of m per crossing.
 The L - 1 crossings lie midway between the blocks' adjacent eigenvalues,
-each curve is an ellipse from -0.3 x to x on _NODES trapezoid nodes, and
-the last block follows from the trace: all blocks sum to sum(lambda) / M.
+each curve is an ellipse from -0.3 x to x on _NODES trapezoid nodes.
 Each row is then checked against the embedded half rule by
-`moments.checked_quadrature`, the check of `moments.quadrature_rows`. Rows that fail the certificate or the check, every row at N >= M
-and every row of L = 1 take the secular roots instead.
+`moments.checked_quadrature`, the check of `moments.quadrature_rows`. Rows
+that fail the certificate or the check and every row at N >= M sum the
+secular roots instead, and only the N - N_L below the last block, which
+`empirical.secular_rows` solves for the whole stack at once. On both routes
+the last block follows from the trace: the blocks sum to
+tr(Lambda - s s^T / M) = sum(lambda) / M, so at L = 1 the estimate is
+gamma_1 = sum(lambda) / N and no root is solved.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .contours import ellipse_nodes
-from .empirical import SecularRoots, _secular_roots
+from .empirical import SecularRoots, secular_rows
 from .ensemble import SampleSpectrum
 from .errors import DimensionError, InputError
 from .moments import checked_quadrature
@@ -61,12 +65,13 @@ def _checked_counts(counts, N: int) -> np.ndarray:
     return counts
 
 
-def _block_sums(diff: np.ndarray, counts, M: int) -> NDArray[np.float64]:
-    """(T, L) estimates from the (T, N) rows of lambda_hat - mu_hat: M / N_k
-    times the sum over the k-th block of N_k consecutive indices."""
-    ends = np.cumsum(counts)
-    return np.column_stack([M / (b - a) * diff[:, a:b].sum(axis=1)
-                            for a, b in zip(ends - counts, ends)])
+def _block_estimates(below, gamma_1, counts, N: int) -> NDArray[np.float64]:
+    """(T, L) estimates from the (T, L - 1) first moments below the block
+    boundaries, M / N times the sum of lambda_hat - mu_hat below each, and
+    gamma_1 = sum(lambda_hat) / N, that sum over every block: N / N_k times
+    the k-th difference."""
+    sums = np.diff(below, axis=1, prepend=0.0, append=gamma_1[:, None])
+    return N / counts * sums
 
 
 def _contour_rows(pos, N: int, M: int, counts):
@@ -104,9 +109,9 @@ def _contour_rows(pos, N: int, M: int, counts):
     # sum of lambda - mu below it, real up to rounding; over every block
     # that sum is gamma_1
     below = full[:, 1].real.reshape(rows.size, crossings)[done]
-    sums = np.diff(below, axis=1, prepend=0.0, append=gamma_1[done, None])
+    est = _block_estimates(below, gamma_1[done], counts, N)
     rows = rows[done]
-    return rows, np.ldexp(N / counts * sums, exponent[rows])
+    return rows, np.ldexp(est, exponent[rows])
 
 
 def mestre_rows(pos, N: int, M: int, counts, mu=None) -> NDArray[np.float64]:
@@ -117,10 +122,11 @@ def mestre_rows(pos, N: int, M: int, counts, mu=None) -> NDArray[np.float64]:
     counts are checked once and any error raises for the whole stack. At
     M > N with L >= 2 a row is integrated on its cluster ellipses when it
     passes their certificate and check (see the module docstring); every
-    other row sums its lambda_hat - mu_hat, where lambda_hat is pos after
-    N - min(N, M) structural zeros and mu_hat its secular roots: row t of
-    mu, (T, N), when given, or solved on their own. A row's estimate
-    depends on that row alone."""
+    other row sums its lambda_hat - mu_hat below each block boundary, where
+    lambda_hat is pos after N - min(N, M) structural zeros and mu_hat its
+    first N - N_L secular roots: those of row t of mu, (T, N), when given,
+    or solved by `secular_rows`. The trace closes the last block. A row's
+    estimate depends on that row alone."""
     T, n = pos.shape
     counts = _checked_counts(counts, N)
     est = np.empty((T, counts.size))
@@ -130,11 +136,14 @@ def mestre_rows(pos, N: int, M: int, counts, mu=None) -> NDArray[np.float64]:
         est[rows] = contour
         roots[rows] = False
     rows = np.flatnonzero(roots)
+    need = N - counts[-1]  # the roots below the last block
+    mu = (secular_rows(pos[rows], N, M, need)[0] if mu is None
+          else mu[rows, :need])
     diff = np.zeros((rows.size, N))
     diff[:, N - n:] = pos[rows]
-    for i, t in enumerate(rows):
-        diff[i] -= _secular_roots(pos[t], N, M)[0] if mu is None else mu[t]
-    est[rows] = _block_sums(diff, counts, M)
+    diff = diff[:, :need] - mu
+    below = M / N * np.cumsum(diff, axis=1)[:, np.cumsum(counts)[:-1] - 1]
+    est[rows] = _block_estimates(below, pos[rows].sum(axis=1) / N, counts, N)
     return est
 
 
@@ -149,7 +158,8 @@ def mestre_estimate(
     they must sum to N. This is the one-row call of `mestre_rows`, so a
     spectrum whose clusters separate is integrated on cluster ellipses;
     secular, when given, supplies the roots of a spectrum that is not, with
-    their convention zeros included.
+    their convention zeros included. Only its first N - N_L roots are read:
+    the trace gives the top block.
     """
     mu = None if secular is None else secular.mu_hat[None]
     return mestre_rows(spectrum.positive_eigenvalues()[None], spectrum.N,

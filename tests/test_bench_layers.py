@@ -22,6 +22,15 @@ def test_quick_layer_bench_writes_every_record(tmp_path):
     assert bench["layers"] and bench["setups"]
     assert all(row["ms_per_trial"] for row in bench["layers"]
                if row["layer"] != "invert_rows")
+    # every layer at every size, the secular roots included, with its
+    # minor page faults per call
+    sizes = {(row["N"], row["M"]) for row in bench["layers"]}
+    assert len(sizes) == 5
+    assert {(row["N"], row["M"]) for row in bench["layers"]
+            if row["layer"] == "secular_rows"} == sizes
+    assert all(row["minflt_per_call"]["p50"] >= 0
+               for row in bench["layers"] if row["ms_per_trial"])
+    assert all(row["minflt_per_call"]["p50"] >= 0 for row in bench["setups"])
     fixed = bench["fixed_cost"]
     assert (fixed["N"], fixed["M"]) == (60, 120)
     assert fixed["method"] == "moment_full"
@@ -31,6 +40,7 @@ def test_quick_layer_bench_writes_every_record(tmp_path):
     for row in fixed["layers"]:
         assert [cell["rows"] for cell in row["rows"]] == [1, 5, 64]
         assert [cell["ms_per_call"]["n"] for cell in row["rows"]] == [5, 5, 1]
+        assert all(cell["minflt_per_call"]["p50"] >= 0 for cell in row["rows"])
         assert all(cell["ms_per_call"]["p50"] > 0 for cell in row["rows"])
         assert row["ms_per_row"] == pytest.approx(
             (row["rows"][2]["ms_per_call"]["p50"]

@@ -305,21 +305,22 @@ def test_forked_clt_histogram_is_bit_identical(monkeypatch, method, model, N, M)
 
 
 def _fail_at_trial(monkeypatch, config, trial, fail):
-    """Call fail() where Mestre solves the secular roots of the given trial
-    of config's one size, which it knows by its eigenvalues. The sample
-    clusters of MODEL merge, so none of its trials takes the contour."""
-    real = mestre._secular_roots
+    """Call fail() where Mestre solves the secular roots of a stack that
+    holds the given trial of config's one size, which it knows by its
+    eigenvalues. The sample clusters of MODEL merge, so none of its trials
+    takes the contour."""
+    real = mestre.secular_rows
     (N, M), = config.sizes
     seed = coveig.trial_seed(config.master_seed, trial)
     bad = coveig.simulate_spectrum(config.model, N, M, seed)
     bad = bad.positive_eigenvalues()
 
-    def secular_roots(pos, N, M):
-        if np.array_equal(pos, bad):
+    def secular_rows(pos, N, M, count):
+        if any(np.array_equal(row, bad) for row in pos):
             fail()
-        return real(pos, N, M)
+        return real(pos, N, M, count)
 
-    monkeypatch.setattr(mestre, "_secular_roots", secular_roots)
+    monkeypatch.setattr(mestre, "secular_rows", secular_rows)
 
 
 def test_worker_error_reaches_caller(monkeypatch):
@@ -485,17 +486,17 @@ def test_call_inside_daemonic_pool_worker(monkeypatch):
 
 
 def _count_secular(monkeypatch):
-    """Spy on the secular root routine where Mestre calls it; returns the
+    """Spy on the secular row kernel where Mestre calls it; returns the
     list of the eigenvalue rows it was called for. MODEL's sample clusters
     merge, so each Mestre trial of it solves its roots."""
     calls = []
-    real = mestre._secular_roots
+    real = mestre.secular_rows
 
-    def spy(pos, N, M):
-        calls.append(pos)
-        return real(pos, N, M)
+    def spy(pos, N, M, count):
+        calls.extend(pos)
+        return real(pos, N, M, count)
 
-    monkeypatch.setattr(mestre, "_secular_roots", spy)
+    monkeypatch.setattr(mestre, "secular_rows", spy)
     return calls
 
 
@@ -511,7 +512,7 @@ def _count_secular(monkeypatch):
 def test_secular_roots_solved_only_where_read(monkeypatch, methods, route,
                                               solves):
     # moments on either route and both inversions never read the roots;
-    # Mestre does, with one solve per trial
+    # Mestre does, with one kernel row per trial
     calls = _count_secular(monkeypatch)
     counts = coveig.multiplicities(MODEL, 20)
     est, = experiments._trials(MODEL, 20, 40, counts, [5], methods,

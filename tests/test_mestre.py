@@ -16,22 +16,29 @@ from coveig import (
     secular_zeros,
     simulate_spectrum,
 )
-from coveig import mestre
+from coveig import empirical, mestre
 from coveig.ensemble import padded_spectrum, simulate_rows
 from coveig.mestre import mestre_rows
 
 
 def test_cluster_assignment_blocks():
-    # counts [2, 3, 1] are the index blocks [0, 2), [2, 5), [5, 6)
+    # counts [2, 3, 1] are the index blocks [0, 2), [2, 5), [5, 6); the
+    # roots below the last block close the first two blocks, and the trace,
+    # sum(lambda_hat - mu_hat) = sum(lambda_hat) / M, closes the last
     model = PopulationModel(rho=(1.0, 3.0, 10.0),
                             weights=(1 / 3, 1 / 3, 1 / 3), aspect=0.1)
     spectrum = simulate_spectrum(model, 6, 60, seed=1)
     secular = secular_zeros(spectrum)
     diff = spectrum.lambda_hat - secular.mu_hat
-    blocks = [60 / 2 * diff[0:2].sum(), 60 / 3 * diff[2:5].sum(),
-              60 / 1 * diff[5:6].sum()]
-    np.testing.assert_array_equal(
-        mestre_estimate(spectrum, [2, 3, 1], secular), blocks)
+    below = 60 / 6 * np.cumsum(diff[:5])[[1, 4]]
+    gamma_1 = spectrum.positive_eigenvalues().sum() / 6
+    blocks = 6 / np.array([2, 3, 1]) * np.diff(below, prepend=0.0,
+                                               append=gamma_1)
+    est = mestre_estimate(spectrum, [2, 3, 1], secular)
+    np.testing.assert_array_equal(est, blocks)
+    np.testing.assert_allclose(
+        est, [60 / 2 * diff[0:2].sum(), 60 / 3 * diff[2:5].sum(),
+              60 / 1 * diff[5:6].sum()], rtol=1e-13, atol=0)
     with pytest.raises(InputError):
         mestre_estimate(spectrum, [2, 0, 4], secular)
 
@@ -135,8 +142,23 @@ def test_mestre_sweep_floor_when_clusters_never_split():
 
 
 def _root_sums(pos, N, M, counts):
-    """Mestre's block sums of lambda_hat - mu_hat, each row's secular
-    roots solved by `secular_zeros`."""
+    """Mestre's estimates from the secular roots solved by `secular_zeros`:
+    M / N times the sums of lambda_hat - mu_hat below each block boundary,
+    over the first N - N_L roots, differenced against 0 and against the
+    trace's total gamma_1 = sum(lambda_hat) / N."""
+    counts = np.asarray(counts)
+    need = N - counts[-1]
+    est = np.empty((len(pos), len(counts)))
+    for t, row in enumerate(pos):
+        spectrum = padded_spectrum(row, N, M, 0)
+        diff = spectrum.lambda_hat[:need] - secular_zeros(spectrum).mu_hat[:need]
+        below = M / N * np.cumsum(diff)[np.cumsum(counts)[:-1] - 1]
+        est[t] = N / counts * np.diff(below, prepend=0.0, append=row.sum() / N)
+    return est
+
+
+def _all_root_sums(pos, N, M, counts):
+    """Mestre's block sums of lambda_hat - mu_hat over all N secular roots."""
     ends = np.cumsum(counts)
     est = np.empty((len(pos), len(counts)))
     for t, row in enumerate(pos):
@@ -174,9 +196,12 @@ def test_contour_rows_match_root_sums(rho, N, M):
                                rtol=1e-12, atol=0)
 
 
-def _assert_all_roots(pos, N, M, counts):
-    expected = _root_sums(pos, N, M, counts)
-    assert mestre_rows(pos, N, M, counts).tobytes() == expected.tobytes()
+def _assert_root_sums(pos, N, M, counts):
+    # bit for bit the oracle, and within rounding of the sums over all roots
+    est = mestre_rows(pos, N, M, counts)
+    assert est.tobytes() == _root_sums(pos, N, M, counts).tobytes()
+    np.testing.assert_allclose(est, _all_root_sums(pos, N, M, counts),
+                               rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("rho,N,M", [
@@ -184,7 +209,7 @@ def _assert_all_roots(pos, N, M, counts):
 ])
 def test_square_and_tall_rows_take_the_roots(rho, N, M):
     pos, counts = _stack(rho, N, M)
-    _assert_all_roots(pos, N, M, counts)
+    _assert_root_sums(pos, N, M, counts)
 
 
 @pytest.mark.parametrize("N,M", [(30, 80), (150, 400)])
@@ -193,7 +218,7 @@ def test_merged_cluster_rows_take_the_roots(N, M):
     # crossing is certified
     pos, counts = _stack((1.0, 3.0, 5.0), N, M)
     assert mestre._contour_rows(pos, N, M, counts)[0].size == 0
-    _assert_all_roots(pos, N, M, counts)
+    _assert_root_sums(pos, N, M, counts)
 
 
 def test_rows_failing_the_half_rule_take_the_roots(monkeypatch):
@@ -202,7 +227,7 @@ def test_rows_failing_the_half_rule_take_the_roots(monkeypatch):
     assert mestre._contour_rows(pos, 60, 600, counts)[0].size == len(pos)
     monkeypatch.setattr(mestre, "_NODES", 8)
     assert mestre._contour_rows(pos, 60, 600, counts)[0].size == 0
-    _assert_all_roots(pos, 60, 600, counts)
+    _assert_root_sums(pos, 60, 600, counts)
 
 
 @pytest.mark.parametrize("rho,N,M", [
@@ -239,3 +264,41 @@ def test_contour_rows_are_scale_free(exponent):
     np.testing.assert_array_equal(mestre_rows(scaled, 60, 600, counts),
                                   np.ldexp(mestre_rows(pos, 60, 600, counts),
                                            exponent))
+
+
+@pytest.mark.parametrize("rho,N,M,asked", [
+    # merged clusters: the 100 roots below the last block of 50
+    ((1.0, 3.0, 5.0), 150, 400, range(50, 150)),
+    # N > M: 20 convention zeros and 19 roots below the last block of 40
+    ((1.0, 30.0), 80, 60, range(40, 59)),
+    # L = 1 reads no root
+    ((2.0,), 40, 80, range(0)),
+])
+def test_root_rows_solve_only_below_the_last_block(monkeypatch, rho, N, M,
+                                                   asked):
+    pos, counts = _stack(rho, N, M, trials=1)
+    solve, indices = empirical.dlasd4, []
+
+    def spy(i, d, z, rho):
+        indices.append(i)
+        return solve(i, d, z, rho)
+
+    monkeypatch.setattr(empirical, "dlasd4", spy)
+    est = mestre_rows(pos, N, M, counts)
+    assert sorted(indices) == list(asked)
+    # all N roots take one index per root below the largest eigenvalue
+    indices.clear()
+    np.testing.assert_allclose(est, _all_root_sums(pos, N, M, counts),
+                               rtol=1e-13, atol=0)
+    assert len(indices) == min(N, M) - (N >= M)
+
+
+@pytest.mark.parametrize("N,M", [(40, 80), (40, 40), (60, 40)])
+def test_one_block_is_the_first_moment(N, M):
+    # L = 1: the trace alone, gamma_1 = sum(lambda_hat) / N
+    pos, counts = _stack((2.0,), N, M)
+    est = mestre_rows(pos, N, M, counts)
+    for t, row in enumerate(pos):
+        assert est[t].tobytes() == np.array([row.sum() / N]).tobytes()
+    np.testing.assert_allclose(est, _all_root_sums(pos, N, M, counts),
+                               rtol=1e-13, atol=0)

@@ -1,13 +1,14 @@
 """The row kernels of the sampling, moment and inversion layers against
 their one-row calls.
 
-simulate_rows, quadrature_rows, residue_rows, invert_rows,
+simulate_rows, secular_rows, quadrature_rows, residue_rows, invert_rows,
 invert_known_rows and mestre_rows take a stack of trials of one (N, M);
-simulate_spectrum, moments_by_quadrature, moments_by_residues,
-invert_moments, invert_moments_known_multiplicities and mestre_estimate are
-their one-row calls. Every row of a block must equal the one-row call on
-that trial alone, bit for bit, or carry the error class and message that
-call raises.
+simulate_spectrum, secular_zeros, moments_by_quadrature,
+moments_by_residues, invert_moments, invert_moments_known_multiplicities
+and mestre_estimate are their one-row calls (secular_rows' rows are
+prefixes of secular_zeros'). Every row of a block must equal the one-row
+call on that trial alone, bit for bit, or carry the error class and message
+that call raises.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from coveig import (
     trial_seed,
 )
 from coveig import ensemble, experiments, inversion, mestre, moments
+from coveig.empirical import secular_rows
 from coveig.ensemble import padded_spectrum, simulate_rows
 from coveig.inversion import invert_known_rows, invert_rows
 from coveig.mestre import mestre_rows
@@ -154,12 +156,14 @@ def test_block_rows_equal_one_row_calls(seed, shape, L, project, size, nodes,
 @pytest.mark.parametrize("N,M", [(24, 60), (30, 30), (42, 21), (9, 3)])
 def test_mestre_rows_equal_one_row_calls(N, M):
     # N < M, N = M and N > M, where lambda_hat leads with N - M zeros; each
-    # row against the one-row call and against the block sums of one
-    # spectrum's lambda_hat - mu_hat, taken as 1-D sums
+    # row against the one-row call and against one spectrum's sums of
+    # lambda_hat - mu_hat below the block boundaries, taken as 1-D sums
+    # over the first N - N_L roots and closed by the trace
     model = PopulationModel(rho=(1.0, 3.0, 10.0), weights=(1 / 3,) * 3,
                             aspect=N / M)
     counts = multiplicities(model, N)
     ends = np.cumsum(counts)
+    need = N - counts[-1]
     seeds = [trial_seed(N + M, t) for t in range(25)]
     stack = simulate_rows(model, N, M, seeds)
     rows = mestre_rows(stack, N, M, counts)
@@ -174,10 +178,40 @@ def test_mestre_rows_equal_one_row_calls(N, M):
         diff = spectrum.lambda_hat - secular_zeros(spectrum).mu_hat
         sums = [M / (b - a) * diff[a:b].sum()
                 for a, b in zip(ends - counts, ends)]
+        below = M / N * np.cumsum(diff[:need])[ends[:-1] - 1]
+        gamma_1 = stack[t].sum() / N
+        prefix = N / counts * np.diff(below, prepend=0.0, append=gamma_1)
         if t in contour:
             np.testing.assert_allclose(rows[t], sums, rtol=1e-12, atol=0)
         else:
-            assert _bits(rows[t]) == _bits(sums)
+            assert _bits(rows[t]) == _bits(prefix)
+            np.testing.assert_allclose(rows[t], sums, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("N,M", [(24, 60), (30, 30), (42, 21)])
+def test_secular_rows_equal_prefixes_of_secular_zeros(N, M):
+    # row 1 repeats an eigenvalue three times, at pos[5:8]: pos[5] opens
+    # the group, a root below it, and its two copies are roots at the
+    # shared value, at entries N - n + 6 and N - n + 7; count N - n + 7
+    # splits them
+    model = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=N / M)
+    stack = simulate_rows(model, N, M, range(4))
+    stack[1, 5:8] = stack[1, 6]
+    shift = N - min(N, M)
+    for count in (0, 1, shift + 1, shift + 6, shift + 7, N // 2, N):
+        block = secular_rows(stack, N, M, count)
+        assert [field.shape for field in block] == [
+            (4, count), (4, count, 2), (4, count)]
+        for t, row in enumerate(stack):
+            roots = secular_zeros(padded_spectrum(row, N, M, 0))
+            assert [_bits(field[t]) for field in block] == [
+                _bits(field[:count])
+                for field in (roots.mu_hat, roots.brackets, roots.residuals)]
+    # the group's copies are placed, not solved
+    roots = secular_zeros(padded_spectrum(stack[1], N, M, 0))
+    copies = roots.mu_hat[shift + 6:shift + 8]
+    assert np.all(copies == stack[1, 6])
+    assert np.all(roots.residuals[shift + 6:shift + 8] == 0)
 
 
 @pytest.mark.parametrize("N,M", [(4, 8), (4, 4), (6, 4)])
