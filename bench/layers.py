@@ -11,19 +11,23 @@ rows, or 4 with --quick) and times, per trial:
   simulate_rows.gram              and normals, the scaled factor and its
   simulate_rows.eigensolve        Gram matrix, zhetrd + dsterf
   secular_rows                  all N secular roots, as secular_zeros
-  quadrature_rows               the moments
-  invert_rows                   the full inversion of those moments
+  quadrature_rows               the moments by quadrature
+  residue_rows                  the moments by residues
+  invert_rows                   the full inversion of the quadrature moments
+  invert_known_rows             their known-multiplicity inversion
   mestre_rows                   Mestre's estimate
 
 and, once per call, the CLT set-ups theta_mestre on criterion 6's model and
-theta_moment_estimator on criterion 5's. Each layer is called 7 times (1
-with --quick), the layers taking turns within a repeat, and the file holds
-the median and quartiles of those calls in ms per trial (per call for the
+theta_moment_estimator on criterion 5's. Each layer is called once
+untimed and then 7 times in a row (1 with --quick), and the file holds the
+median and quartiles of the timed calls in ms per trial (per call for the
 set-ups), with nproc, the numpy, scipy and BLAS versions and the git SHA.
 Every layer, here and in the "fixed_cost" record, also holds the minor page
 faults of a call (the ru_minflt delta; for the three sampling steps, their
 faults in one call of the loop copy): a call whose temporaries pass the
-allocator's trim threshold faults its heap in again each time.
+allocator's trim threshold faults its heap in again each time. Since every
+timed call follows a call of its own layer, its faults do not depend on
+the layer timed before it.
 
 The "fixed_cost" record times one call of each row kernel on the trial
 path, and of a whole `experiments._trials` chunk (moment_full), at 60 x 120
@@ -73,7 +77,7 @@ from coveig._lapack import blas, lapack  # noqa: E402
 from coveig.empirical import secular_rows  # noqa: E402
 from coveig.inversion import invert_known_rows, invert_rows  # noqa: E402
 from coveig.mestre import mestre_rows  # noqa: E402
-from coveig.moments import quadrature_rows  # noqa: E402
+from coveig.moments import quadrature_rows, residue_rows  # noqa: E402
 
 # (rho, N, M): N < M, N = M and N > M; the aspect is N / M
 SIZES = [((1.0, 3.0), 60, 120), ((1.0, 3.0, 5.0), 150, 400),
@@ -85,6 +89,10 @@ THETA_MESTRE_MODEL = PopulationModel(rho=(1.0, 3.0, 10.0),
 THETA_MOMENT_MODEL = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5),
                                      aspect=0.5)
 MASTER_SEED = 2026
+# the layers timed at every size, in the order they run
+LAYERS = ("simulate_rows", "simulate_rows.draw", "simulate_rows.gram",
+          "simulate_rows.eigensolve", "secular_rows", "quadrature_rows",
+          "residue_rows", "invert_rows", "invert_known_rows", "mestre_rows")
 # rows per call of the fixed-cost record
 FIXED_ROWS = (1, 5, 64)
 # modules `import coveig` must not load; it reaches LAPACK, BLAS and the
@@ -178,28 +186,39 @@ def _size_layers(rho, N: int, M: int, rows: int, repeats: int):
         raise SystemExit(f"the timed copy of simulate_rows differs at {N}x{M}")
     gamma, _, _, errors = quadrature_rows(pos, N, M, L)
     gamma = gamma[[e is None for e in errors]]
-    names = ("simulate_rows", "simulate_rows.draw", "simulate_rows.gram",
-             "simulate_rows.eigensolve", "secular_rows", "quadrature_rows",
-             "invert_rows", "mestre_rows")
-    samples = {name: [] for name in names}
-    faults = {name: [] for name in names}
+    weights = counts / N
 
-    def record(name, trials, seconds, minflt):
-        samples[name].append(seconds / trials)
-        faults[name].append(minflt)
+    def timed(name, fn, *args):
+        return lambda: [(name, *_timed(fn, *args))]
 
-    for _ in range(repeats):
-        record("simulate_rows", rows,
-               *_timed(ensemble.simulate_rows, model, N, M, seeds))
+    def sampling_steps():
         _, spent, taken = _sampling_steps(model, N, M, seeds)
-        for step, seconds, minflt in zip(("draw", "gram", "eigensolve"),
-                                         spent, taken):
-            record(f"simulate_rows.{step}", rows, seconds, minflt)
-        record("secular_rows", rows, *_timed(secular_rows, pos, N, M, N))
-        record("quadrature_rows", rows, *_timed(quadrature_rows, pos, N, M, L))
-        if len(gamma):
-            record("invert_rows", len(gamma), *_timed(invert_rows, gamma, L))
-        record("mestre_rows", rows, *_timed(mestre_rows, pos, N, M, counts))
+        return [(f"simulate_rows.{step}", seconds, minflt) for step, seconds,
+                minflt in zip(("draw", "gram", "eigensolve"), spent, taken)]
+
+    # (trials per call, a call returning (layer, seconds, faults) records)
+    calls = [
+        (rows, timed("simulate_rows", ensemble.simulate_rows, model, N, M,
+                     seeds)),
+        (rows, sampling_steps),
+        (rows, timed("secular_rows", secular_rows, pos, N, M, N)),
+        (rows, timed("quadrature_rows", quadrature_rows, pos, N, M, L)),
+        (rows, timed("residue_rows", residue_rows, pos, N, M, L)),
+        (len(gamma), timed("invert_rows", invert_rows, gamma, L)),
+        (len(gamma), timed("invert_known_rows", invert_known_rows, gamma,
+                           weights)),
+        (rows, timed("mestre_rows", mestre_rows, pos, N, M, counts)),
+    ]
+    samples = {name: [] for name in LAYERS}
+    faults = {name: [] for name in LAYERS}
+    for trials, call in calls:
+        if not trials:
+            continue
+        call()  # untimed, so that the first timed call follows its own layer
+        for _ in range(repeats):
+            for name, seconds, minflt in call():
+                samples[name].append(seconds / trials)
+                faults[name].append(minflt)
     return samples, faults
 
 

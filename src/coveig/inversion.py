@@ -4,10 +4,12 @@ The moments gamma_0..gamma_{2L-1} of an L-atom measure determine it: the
 atoms are the roots of the monic polynomial whose coefficients solve the
 L x L Hankel system, and the weights follow from a Vandermonde solve.
 Unless a projection moves them, the companion-matrix roots and the weights
-are then refined once, by Newton iteration on the full moment system in
-extended precision. When the multiplicities are known in advance, the
-atoms come instead from Newton-Girard recursion on the power sums of the
-smallest integer multiset realizing the weights.
+are then refined once, by Newton iteration on the full moment system as
+mixed-precision iterative refinement: the iterate and its residual are
+extended precision, and each step is solved in double. When the
+multiplicities are known in advance, the atoms come instead from
+Newton-Girard recursion on the power sums of the smallest integer multiset
+realizing the weights.
 
 Both routes internally rescale the measure by s = max |gamma_ell|^(1/ell)
 so the linear algebra runs near unit scale; atoms are scaled back at the
@@ -50,6 +52,8 @@ _COND_LIMIT = 1e12
 _IMAG_RTOL = 1e-8
 _GAP_RTOL = 1e-8
 _WEIGHT_SLACK = 0.05
+# the largest multiset the known weights may reduce to
+_MAX_DENOMINATOR = 24
 
 
 @dataclass(frozen=True)
@@ -169,65 +173,22 @@ def _roots(poly: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _solve_augmented(Ab: np.ndarray) -> np.ndarray:
-    """x with A x = b for each system of a (T, n, n + 1) stack of augmented
-    matrices [A | b], by Gaussian elimination with partial pivoting in the
-    stack's own arithmetic; Ab is overwritten. A zero pivot in any system
-    raises.
-    """
-    n = Ab.shape[1]
-    rows = np.arange(Ab.shape[0])
-    pivots = []  # the pivot rows, in elimination order
-    for k in range(n - 1):
-        rest = Ab[:, k:]
-        p = np.abs(rest[:, :, k]).argmax(axis=1)
-        # the pivot row leaves; row k takes its place among the rest
-        pivot = rest[rows, p]
-        rest[rows, p] = rest[:, 0]
-        if not pivot[:, k].all():
-            raise np.linalg.LinAlgError("singular Newton system")
-        factors = rest[:, 1:, k] / pivot[:, k, None]
-        rest[:, 1:, k:] -= factors[:, :, None] * pivot[:, None, k:]
-        pivots.append(pivot)
-    pivots.append(Ab[:, -1])
-    if not pivots[-1][:, -2].all():
-        raise np.linalg.LinAlgError("singular Newton system")
-    x = np.empty(Ab.shape[:2], dtype=Ab.dtype)
-    x[:, -1] = pivots[-1][:, -1] / pivots[-1][:, -2]
-    for k in range(n - 2, -1, -1):
-        pivot = pivots[k]
-        dot = (pivot[:, None, k + 1:n] @ x[:, k + 1:, None])[:, 0, 0]
-        x[:, k] = (pivot[:, n] - dot) / pivot[:, k]
-    return x
-
-
-def _eliminate(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting for tiny extended systems.
-
-    LAPACK has no extended-precision path, and at high map conditioning a
-    double-precision solve wrecks the Newton step; the systems here are at
-    most 10 x 10, so hand elimination costs nothing. A stack (..., n, n),
-    (..., n) is solved system by system in the same arithmetic
-    (`_solve_augmented`); a zero pivot in any system raises.
-    """
-    shape = b.shape
-    n = shape[-1]
-    Ab = np.concatenate([A.reshape(-1, n, n), b.reshape(-1, n, 1)], axis=2)
-    return _solve_augmented(Ab).reshape(shape)
-
-
-def _newton_steps(system: np.ndarray):
-    """_solve_augmented over a stack, with a singular system failing only
-    its own row; returns (steps, solved)."""
+def _newton_steps(jac: np.ndarray, resid: np.ndarray):
+    """The steps J^-1 r of a (T, n, n) stack of Jacobians and a (T, n)
+    stack of residuals, in double, by one stacked LAPACK solve; a singular
+    system fails only its own row, whose step is zero. Returns (steps,
+    solved)."""
+    jac = jac.astype(np.float64)
+    resid = resid.astype(np.float64)[..., None]
     try:
-        return (_solve_augmented(system.copy()),
-                np.ones(system.shape[0], dtype=bool))
+        return (np.linalg.solve(jac, resid)[..., 0],
+                np.ones(jac.shape[0], dtype=bool))
     except np.linalg.LinAlgError:
-        steps = np.zeros(system.shape[:2], dtype=system.dtype)
-        solved = np.zeros(system.shape[0], dtype=bool)
-        for t in range(system.shape[0]):
+        steps = np.zeros(resid.shape[:2])
+        solved = np.zeros(jac.shape[0], dtype=bool)
+        for t in range(jac.shape[0]):
             try:
-                steps[t] = _solve_augmented(system[t:t + 1].copy())[0]
+                steps[t] = np.linalg.solve(jac[t], resid[t])[:, 0]
                 solved[t] = True
             except np.linalg.LinAlgError:
                 pass
@@ -239,15 +200,18 @@ def _moment_newton(real: np.ndarray, c: np.ndarray, gamma: np.ndarray, s):
 
     The Hankel solve loses digits as its condition number grows even when
     the moment problem itself is well posed. Newton iteration on the full
-    moment system restores them, run entirely in extended precision: the
-    conditioning amplifies residual-evaluation noise, step-solve noise and
-    data-scaling noise by the same factor as data noise, so any double
-    rounding inside the loop (including forming the scaled moments) would
-    stall well short of the attainable accuracy. Steps that do not reduce
-    the residual are rejected, and a row stops at its first rejected,
-    singular or negligible step. Rows are (T, L) real and c, (T, 2L) gamma
-    and (T,) s; each row runs its own iteration. The powers of the atoms
-    that a residual was evaluated on are kept for the next Jacobian.
+    moment system restores them. It is mixed-precision iterative
+    refinement (Moler 1967; Higham 2002, ch. 12): the scaled moments, the
+    iterate and the residual are extended precision, and each step is
+    solved in double by LAPACK. The step's rounding, about cond(J) eps per
+    iteration, only sets how fast the error contracts; the extended
+    residual sets where it ends, so a double residual, iterate or scaled
+    moment would stall well short of the attainable accuracy. A step is
+    accepted only when it makes the residual smaller, and a row stops at
+    its first rejected, singular or negligible step. Rows are (T, L) real
+    and c, (T, 2L) gamma and (T,) s; each row runs its own iteration. The
+    powers of the atoms that a residual was evaluated on are kept for the
+    next Jacobian.
     """
     T, L = real.shape
     ells = np.arange(gamma.shape[1], dtype=np.longdouble)[:, None]
@@ -262,17 +226,17 @@ def _moment_newton(real: np.ndarray, c: np.ndarray, gamma: np.ndarray, s):
     live = np.arange(T)
     for _ in range(12):
         xr, xc, r = x_real[live], x_c[live], resid[live]
-        # the step (dc, dx) solves [J | r], J = [x^l, l c x^(l-1)]
+        # the step (dc, dx) solves J step = r, J = [x^l, l c x^(l-1)]
         dpow = ells * xr[:, None, :] ** lower
-        step, solved = _newton_steps(np.concatenate(
-            [x_pow[live], dpow * xc[:, None, :], r[:, :, None]], axis=2))
+        step, solved = _newton_steps(
+            np.concatenate([x_pow[live], dpow * xc[:, None, :]], axis=2), r)
         # an unsolved row's step is zero; it stops with the rejected ones
         c_new = xc - step[:, :L]
         real_new = xr - step[:, L:]
         pow_new = real_new[:, None, :] ** ells
         resid_new = (pow_new @ c_new[..., None])[..., 0] - g_ext[live]
-        better = solved & ~(np.abs(resid_new).max(axis=1)
-                            >= np.abs(r).max(axis=1))
+        better = solved & (np.abs(resid_new).max(axis=1)
+                           < np.abs(r).max(axis=1))
         live, step = live[better], step[better]
         x_c[live], x_real[live], x_pow[live], resid[live] = (
             c_new[better], real_new[better], pow_new[better],
@@ -395,10 +359,12 @@ def invert_rows(gamma, L: int, project: bool = False) -> InversionRows:
         c = np.linalg.solve(vand, g[:, :L, None])[..., 0]
     outside = ((c < -_WEIGHT_SLACK) | (c > 1.0 + _WEIGHT_SLACK)).any(axis=1)
     if project:
-        for t in np.flatnonzero(outside):
-            clipped = np.clip(c[t], 0.0, 1.0)
-            c[t] = (clipped / clipped.sum() if clipped.sum() > 0
-                    else np.full(L, 1.0 / L))
+        # clipped onto [0, 1] and renormalized; equal weights where none
+        # is left
+        clipped = np.clip(c[outside], 0.0, 1.0)
+        total = clipped.sum(axis=1, keepdims=True)
+        c[outside] = np.divide(clipped, total, where=total > 0,
+                               out=np.full_like(clipped, 1.0 / L))
         moved |= outside
         newton = ~moved
         if newton.any():
@@ -432,13 +398,8 @@ def invert_moments(gamma_hat, L: int | None = None, project: bool = False) -> Es
     A scaled Hankel condition number above 1e12 raises ConditioningError.
     This is the one-row call of `invert_rows`.
     """
-    if isinstance(gamma_hat, MomentEstimates) and L is None:
-        L = gamma_hat.gamma_hat.size // 2
-    if L is None:
-        L = np.asarray(gamma_hat).size // 2
-    if L < 1:
-        raise InputError("L must be at least 1")
     gamma = _moment_vector(gamma_hat)
+    L = gamma.size // 2 if L is None else L
     rows = invert_rows(gamma[None], L, project)
     if rows.errors[0] is not None:
         raise rows.errors[0]
@@ -463,11 +424,12 @@ def invert_moments(gamma_hat, L: int | None = None, project: bool = False) -> Es
 
 
 @lru_cache(maxsize=64)
-def _integer_multiset(weights: tuple, max_denominator: int = 24):
+def _integer_multiset(weights: tuple):
     """Smallest integer counts n_i with n_i / sum(n) = weights, a tuple of
     floats; returns (counts, sum(counts)). A run passes the same weights
     for every block of trials, so the answer is kept."""
-    fracs = [Fraction(w).limit_denominator(max_denominator) for w in weights]
+    fracs = [Fraction(w).limit_denominator(_MAX_DENOMINATOR)
+             for w in weights]
     denom = 1
     for f in fracs:
         denom = lcm(denom, f.denominator)
@@ -477,7 +439,7 @@ def _integer_multiset(weights: tuple, max_denominator: int = 24):
         if abs(w * denom - n) > 1e-9 * denom or n < 1:
             raise InvalidWeightsError(
                 f"weight {w!r} is not a rational with denominator "
-                f"<= {max_denominator}"
+                f"<= {_MAX_DENOMINATOR}"
             )
         counts.append(n)
     g = 0
@@ -485,9 +447,9 @@ def _integer_multiset(weights: tuple, max_denominator: int = 24):
         g = gcd(g, n)
     counts = tuple(n // g for n in counts)
     total = sum(counts)
-    if total > max_denominator:
+    if total > _MAX_DENOMINATOR:
         raise InvalidWeightsError(
-            f"reduced multiset size {total} exceeds {max_denominator}"
+            f"reduced multiset size {total} exceeds {_MAX_DENOMINATOR}"
         )
     return counts, total
 

@@ -27,7 +27,6 @@ from coveig import (
     true_moments,
     v_matrix,
 )
-from coveig.inversion import _eliminate
 
 
 def _line(n: int, ok: bool, detail: str) -> None:
@@ -39,6 +38,30 @@ def _line(n: int, ok: bool, detail: str) -> None:
 
 
 RATIO_BANDS = {2: (1.5, 3.2), 3: (1.5, 2.2), 4: (1.45, 1.9), 5: (1.55, 1.85)}
+
+
+def _eliminate(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b, by Gaussian elimination with partial pivoting in the
+    arithmetic of A and b: np.longdouble here, which LAPACK does not take.
+    A zero pivot raises."""
+    n = b.size
+    Ab = np.concatenate([A, b[:, None]], axis=1)
+    pivots = []  # the pivot rows, in elimination order
+    for k in range(n):
+        rest = Ab[k:]
+        p = np.abs(rest[:, k]).argmax()
+        # the pivot row leaves; row k takes its place among the rest
+        pivot = rest[p].copy()
+        rest[p] = rest[0]
+        if pivot[k] == 0:
+            raise np.linalg.LinAlgError("singular Newton system")
+        rest[1:, k:] -= (rest[1:, k] / pivot[k])[:, None] * pivot[None, k:]
+        pivots.append(pivot)
+    x = np.empty(n, dtype=Ab.dtype)
+    for k in range(n - 1, -1, -1):
+        pivot = pivots[k]
+        x[k] = (pivot[n] - pivot[k + 1:n] @ x[k + 1:]) / pivot[k]
+    return x
 
 
 def _identification_floor(model: PopulationModel) -> float:

@@ -20,14 +20,22 @@ def test_quick_layer_bench_writes_every_record(tmp_path):
     assert {"environment", "protocol", "layers", "setups", "fixed_cost",
             "import"} <= set(bench)
     assert bench["layers"] and bench["setups"]
+    # the inversions time the rows whose quadrature moments they got
     assert all(row["ms_per_trial"] for row in bench["layers"]
-               if row["layer"] != "invert_rows")
-    # every layer at every size, the secular roots included, with its
-    # minor page faults per call
+               if row["layer"] not in ("invert_rows", "invert_known_rows"))
+    # every layer at every size, the secular roots, the residue moments
+    # and the known-multiplicity inversion included, each timed once per
+    # repeat after its warm-up call, with its minor page faults per call
     sizes = {(row["N"], row["M"]) for row in bench["layers"]}
     assert len(sizes) == 5
-    assert {(row["N"], row["M"]) for row in bench["layers"]
-            if row["layer"] == "secular_rows"} == sizes
+    for size in sizes:
+        assert [row["layer"] for row in bench["layers"]
+                if (row["N"], row["M"]) == size] == [
+            "simulate_rows", "simulate_rows.draw", "simulate_rows.gram",
+            "simulate_rows.eigensolve", "secular_rows", "quadrature_rows",
+            "residue_rows", "invert_rows", "invert_known_rows", "mestre_rows"]
+    assert all(row["ms_per_trial"]["n"] == 1 for row in bench["layers"]
+               if row["ms_per_trial"])
     assert all(row["minflt_per_call"]["p50"] >= 0
                for row in bench["layers"] if row["ms_per_trial"])
     assert all(row["minflt_per_call"]["p50"] >= 0 for row in bench["setups"])

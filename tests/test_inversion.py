@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import decimal
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -386,6 +389,43 @@ GOLDEN = [
      ["0x1.a147ae147ae13p+0", "0x1.a147ae147ae13p+0"],
      ["0x1.0000000000000p-1", "0x1.0000000000000p-1"]),
 ]
+
+
+def _decimal_moment_solve(gamma, rho, c):
+    """The atoms and weights with sum_k c_k rho_k^ell = gamma_ell for the
+    exact values of the floats gamma, ell < 2L, by Newton iteration from
+    (rho, c) in 50-digit decimal arithmetic."""
+    L = len(rho)
+    with decimal.localcontext(decimal.Context(prec=50)):
+        g = [Decimal(x) for x in gamma]
+        x = [Decimal(float(v)) for v in rho]
+        w = [Decimal(float(v)) for v in c]
+        for _ in range(20):
+            resid = [sum(wk * xk**ell for wk, xk in zip(w, x)) - g[ell]
+                     for ell in range(2 * L)]
+            jac = [[xk**ell for xk in x]
+                   + [ell * wk * xk ** (ell - 1) if ell else Decimal(0)
+                      for wk, xk in zip(w, x)] for ell in range(2 * L)]
+            step = _exact_solve(jac, resid)
+            w = [a - d for a, d in zip(w, step[:L])]
+            x = [a - d for a, d in zip(x, step[L:])]
+            if max(abs(d) for d in step) < Decimal(10) ** -45:
+                return x, w
+    raise AssertionError("the decimal Newton iteration did not converge")
+
+
+@pytest.mark.parametrize("name", ["A", "B"])
+def test_full_inversion_within_one_ulp_of_decimal_solution(name):
+    # the Newton refinement keeps its iterate and residual in extended
+    # precision and solves its steps in double: every atom and weight of
+    # the golden vectors still lies within 1 ulp of the solution of the
+    # moment equations (measured: 0.76 ulp at most with x86's 80-bit
+    # longdouble)
+    gamma = GOLDEN_MOMENTS[name]
+    res = invert_moments(gamma)
+    rho, c = _decimal_moment_solve(gamma, res.rho_hat, res.c_hat)
+    for got, want in zip([*res.rho_hat, *res.c_hat], [*rho, *c]):
+        assert abs(Decimal(float(got)) - want) <= Decimal(math.ulp(got))
 
 
 @pytest.mark.parametrize(
