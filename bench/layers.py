@@ -10,7 +10,7 @@ rows, or 4 with --quick) and times, per trial:
   simulate_rows.draw              timed in a copy of its loop: the gammas
   simulate_rows.gram              and normals, the scaled factor and its
   simulate_rows.eigensolve        Gram matrix, zhetrd + dsterf
-  secular_rows                  all N secular roots, as secular_zeros
+  secular_rows                  all N secular roots and their brackets
   quadrature_rows               the moments by quadrature
   residue_rows                  the moments by residues
   invert_rows                   the full inversion of the quadrature moments
@@ -238,6 +238,7 @@ def _fixed_cost(repeats: int) -> dict:
         "simulate_rows": lambda T: ensemble.simulate_rows(model, N, M,
                                                           seeds[:T]),
         "quadrature_rows": lambda T: quadrature_rows(pos[:T], N, M, L),
+        "residue_rows": lambda T: residue_rows(pos[:T], N, M, L),
         "invert_rows": lambda T: invert_rows(gamma[:T], L),
         "invert_known_rows": lambda T: invert_known_rows(gamma[:T],
                                                          counts / N),

@@ -24,6 +24,7 @@ from contextlib import ExitStack
 import numpy as np
 
 from .ensemble import (
+    _integer as _read_integer,
     generate_observations,
     read_observations,
     sample_spectrum,
@@ -32,7 +33,6 @@ from .ensemble import (
 from .errors import CoveigError, InputError
 from .experiments import (
     ExperimentConfig,
-    _integer as _read_integer,
     run_clt_histogram,
     run_mse_sweep,
 )
@@ -184,7 +184,7 @@ def _cmd_density(args) -> int:
 
 def _integer(value, name: str) -> int:
     """A config's integer field, read as the library reads it
-    (`experiments._integer`); a malformed value names the config."""
+    (`ensemble._integer`); a malformed value names the config."""
     try:
         return _read_integer(value, name)
     except InputError as exc:

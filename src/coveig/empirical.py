@@ -18,9 +18,12 @@ taken from ``coveig._lapack`` without importing ``scipy.linalg``.
 
 The roots are a row kernel, `secular_rows`, that solves only the smallest
 roots of a stack of spectra: only its ``dlasd4`` calls loop, over the rows
-and the roots asked for. The baseline estimator reads the roots below its
-last block and takes that block from the trace, as its cluster-contour
-route does; the contour moment estimators read no root.
+and the roots asked for. Each root is ``dlasd4``'s, read as an offset from
+its nearer pole and clipped to its bracket; the kernel evaluates no
+residual, and `secular_zeros`, its one-row call, adds the residuals. The
+baseline estimator reads the roots below its last block and takes that
+block from the trace, as its cluster-contour route does; the contour
+moment estimators read no root.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ def empirical_m(spectrum: SampleSpectrum, z):
     return m_sample, m_comp
 
 
-# entries of the companion transform's (rows, nodes, n) slice buffer
+# entries of a slice of the companion transform's (rows, nodes, n)
+# buffer, and of the (roots, n) residual terms of `secular_zeros`
 _SLICE_ENTRIES = 2**15
 
 
@@ -246,27 +250,26 @@ def secular_rows(pos, N: int, M: int, count: int):
     """The count smallest secular roots of each spectrum of a stack.
 
     pos is (T, n), the n = min(N, M) positive eigenvalues of each spectrum,
-    ascending. Returns (mu_hat, brackets, residuals), (T, count),
-    (T, count, 2) and (T, count): the first count entries of each row's
-    SecularRoots, bit for bit, which `secular_zeros` reads at count = N.
+    ascending. Returns (mu_hat, brackets), (T, count) and (T, count, 2):
+    the first count entries of each row's SecularRoots, bit for bit, which
+    `secular_zeros` reads at count = N.
 
     At N >= M the first N - M + 1 roots are convention zeros; then root
     N - n + j belongs to pos[j]: the secular root below pos[j]'s group of
     coincident eigenvalues where pos[j] opens it, and the group's value
     elsewhere. So only the roots of the groups that open below position
-    count are solved (`_rank_one_roots`), clipped to their brackets and
-    polished (`_polish`), in place in the returned arrays; a group's values
-    are placed.
+    count are solved (`_rank_one_roots`) and clipped to their brackets, in
+    place in the returned arrays; a group's values are placed. No residual
+    is evaluated.
     """
     T, n = pos.shape
     wide = M > N
     first = 0 if wide else 1
     mu = np.zeros((T, count))
     brackets = np.zeros((T, count, 2))
-    residuals = np.zeros((T, count))
     m = count - (N - n)  # the positions of pos that are read
     if m <= first:
-        return mu, brackets, residuals
+        return mu, brackets
     dist, value, sizes = pos, pos, np.ones((T, n), dtype=np.int64)
     opens = np.ones((T, n), dtype=bool)
     ties = np.flatnonzero(
@@ -278,58 +281,17 @@ def secular_rows(pos, N: int, M: int, count: int):
             value[t] = np.repeat(dist[t], sizes[t])
     opens = opens[:, first:m]
     cols = slice(N - n + first, N - n + m)
-    roots, lo, hi, res = (mu[:, cols], brackets[:, cols, 0],
-                          brackets[:, cols, 1], residuals[:, cols])
+    roots, lo, hi = mu[:, cols], brackets[:, cols, 0], brackets[:, cols, 1]
     hi[:] = np.nextafter(value[:, first:m], 0.0)
     lo[:, 1 - first:] = np.nextafter(value[:, :m - 1], np.inf)
     if wide:
         lo[:, 0] = value[:, 0] * 1e-15  # M > N: one root lies below
-    a = np.clip(_rank_one_roots(dist, sizes, value, opens, N, M), lo, hi)
-    # a repeated eigenvalue is a root at its own value, placed; half the
-    # smallest eigenvalue keeps the polish of its entry away from the poles
-    placed = ~opens
-    for x in (a, lo, hi):
-        np.copyto(x, 0.5 * pos[:, :1], where=placed)
-    _polish(pos, N, M, a, lo, hi, roots, res)
+    np.clip(_rank_one_roots(dist, sizes, value, opens, N, M), lo, hi,
+            out=roots)
+    # a repeated eigenvalue is a root at its own value, placed
     for x in (roots, lo, hi):
-        np.copyto(x, value[:, first:m], where=placed)
-    res[placed] = 0.0
-    return mu, brackets, residuals
-
-
-def _polish(pos, N: int, M: int, a, lo, hi, roots, residuals):
-    """Move each root a one float towards the root, within [lo, hi], when
-    that lowers |g|, into roots, with |g| into residuals. g is evaluated in
-    slices of rows (of roots, when one row is too large) through one buffer
-    of at most _SLICE_ENTRIES entries, as in `companion_transform_rows`."""
-    T, K = a.shape
-    n = pos.shape[1]
-    rows = max(1, _SLICE_ENTRIES // (K * n))
-    cols = K if rows > 1 else max(1, _SLICE_ENTRIES // n)
-    buffer = np.empty(min(T, rows) * min(K, cols) * n)
-
-    def g(p, mu, terms):
-        # secular function scaled by N; zeros contribute nothing
-        np.subtract(p, mu[:, :, None], out=terms)
-        np.divide(p, terms, out=terms)
-        return terms.sum(axis=2) / N - M / N
-
-    for i in range(0, T, rows):
-        p = pos[i:i + rows, None, :]
-        for j in range(0, K, cols):
-            x = a[i:i + rows, j:j + cols]
-            terms = buffer[:x.size * n].reshape(x.shape + (n,))
-            g_a = g(p, x, terms)
-            # g increases between poles: only the neighbour on the side
-            # its sign points to can be closer to the root
-            b = np.clip(np.nextafter(x, np.where(g_a > 0, 0.0, np.inf)),
-                        lo[i:i + rows, j:j + cols], hi[i:i + rows, j:j + cols])
-            g_b = g(p, b, terms)
-            # keep whichever float has the smaller |g|; a wins ties
-            take_a = np.abs(g_a) <= np.abs(g_b)
-            roots[i:i + rows, j:j + cols] = np.where(take_a, x, b)
-            residuals[i:i + rows, j:j + cols] = np.abs(
-                np.where(take_a, g_a, g_b)) * (N / M)
+        np.copyto(x, value[:, first:m], where=~opens)
+    return mu, brackets
 
 
 def secular_zeros(spectrum: SampleSpectrum) -> SecularRoots:
@@ -338,8 +300,19 @@ def secular_zeros(spectrum: SampleSpectrum) -> SecularRoots:
     Each open interval between distinct positive sample eigenvalues holds
     exactly one root; when M > N one extra root lies below the smallest
     positive eigenvalue, and when N >= M the convention adds N - M + 1
-    zeros instead. The one-row call of `secular_rows`, at count = N.
+    zeros instead. The roots and brackets are the one-row call of
+    `secular_rows`, at count = N. The residual of a root whose bracket is
+    strict is |g| N / M, with g = (1/N) sum_k lambda_k / (lambda_k - mu)
+    - M / N, evaluated in slices of roots of at most _SLICE_ENTRIES terms;
+    placed roots and convention zeros have residual 0.
     """
-    fields = secular_rows(spectrum.positive_eigenvalues()[None], spectrum.N,
-                          spectrum.M, spectrum.N)
-    return SecularRoots(*(field[0] for field in fields))
+    pos, N, M = spectrum.positive_eigenvalues(), spectrum.N, spectrum.M
+    (mu,), (brackets,) = secular_rows(pos[None], N, M, N)
+    residuals = np.zeros(N)
+    solved = np.flatnonzero(brackets[:, 0] < brackets[:, 1])
+    step = max(1, _SLICE_ENTRIES // pos.size)
+    for i in range(0, solved.size, step):
+        at = solved[i:i + step]
+        terms = pos / (pos - mu[at, None])
+        residuals[at] = np.abs(terms.sum(axis=1) / N - M / N) * (N / M)
+    return SecularRoots(mu, brackets, residuals)

@@ -36,6 +36,7 @@ extension modules without importing `scipy.linalg`.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -108,28 +109,41 @@ def complex_gaussian(
     return radius * np.exp(2j * np.pi * v)
 
 
-def _check_seed(seed, name: str = "seed") -> None:
+def _integer(value, name: str) -> int:
+    """value as an int: an integer, or a float of integral value. A bool, a
+    string, a fraction or any other value is an InputError naming name,
+    not silently truncated."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_seed(seed, name: str = "seed") -> int:
+    """seed as a non-negative int (`_integer`), or an InputError."""
+    seed = _integer(seed, name)
     if seed < 0:
         raise InputError(f"{name} must be non-negative, got {seed}")
+    return seed
 
 
 def _rng_for(seed: int) -> np.random.Generator:
     """The generator of `generate_observations`."""
-    _check_seed(seed)
+    seed = _check_seed(seed)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def _sampler_for(seed: int) -> np.random.Generator:
     """The generator of the Monte Carlo draws of `simulate_rows`."""
-    _check_seed(seed)
+    seed = _check_seed(seed)
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
 
 
 def trial_seed(master_seed: int, index: int) -> int:
     """Stable per-trial integer seed derived from (master_seed, index)."""
-    _check_seed(master_seed, "master seed")
-    _check_seed(index, "trial index")
-    ss = np.random.SeedSequence((int(master_seed), int(index)))
+    ss = np.random.SeedSequence((_check_seed(master_seed, "master seed"),
+                                 _check_seed(index, "trial index")))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -148,6 +162,7 @@ def generate_observations(
 
 def _realized_scale(model: PopulationModel, N: int, M: int) -> NDArray[np.float64]:
     """R^(1/2) of the realized diagonal covariance, after checking N and M."""
+    N, M = _integer(N, "N"), _integer(M, "M")
     if N < 1 or M < 1:
         raise DimensionError(f"need N >= 1 and M >= 1, got N={N}, M={M}")
     return np.sqrt(np.repeat(model.rho_array(), multiplicities(model, N)))

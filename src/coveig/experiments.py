@@ -35,7 +35,6 @@ from __future__ import annotations
 import contextlib
 import math
 import mmap
-import numbers
 import os
 import sys
 import time
@@ -45,7 +44,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .clt import theta_mestre, theta_moment_estimator
-from .ensemble import simulate_rows, trial_seed
+from .ensemble import _integer, simulate_rows, trial_seed
 from .errors import (
     ConditioningError,
     ContourError,
@@ -85,17 +84,6 @@ _CHUNK_MIN_S = 0.01
 # most trials of one chunk, which go through the row kernels at once; it
 # bounds the memory a chunk takes
 _CHUNK_MAX = 64
-
-
-def _integer(value, name: str) -> int:
-    """value as an int: an integer, or a float of integral value. A bool, a
-    string, a fraction or any other value is an InputError naming name,
-    not silently truncated."""
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

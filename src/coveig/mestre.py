@@ -27,7 +27,9 @@ Each row is then checked against the embedded half rule by
 `moments.checked_quadrature`, the check of `moments.quadrature_rows`. Rows
 that fail the certificate or the check and every row at N >= M sum the
 secular roots instead, and only the N - N_L below the last block, which
-`empirical.secular_rows` solves for the whole stack at once. On both routes
+`empirical.secular_rows` solves for the whole stack at once: ``dlasd4``'s
+roots, each read as an offset from its nearer pole and clipped to its
+bracket, with no residual evaluated. On both routes
 the last block follows from the trace: the blocks sum to
 tr(Lambda - s s^T / M) = sum(lambda) / M, so at L = 1 the estimate is
 gamma_1 = sum(lambda) / N and no root is solved.

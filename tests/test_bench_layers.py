@@ -43,8 +43,8 @@ def test_quick_layer_bench_writes_every_record(tmp_path):
     assert (fixed["N"], fixed["M"]) == (60, 120)
     assert fixed["method"] == "moment_full"
     assert [row["layer"] for row in fixed["layers"]] == [
-        "simulate_rows", "quadrature_rows", "invert_rows", "invert_known_rows",
-        "mestre_rows", "_trials"]
+        "simulate_rows", "quadrature_rows", "residue_rows", "invert_rows",
+        "invert_known_rows", "mestre_rows", "_trials"]
     for row in fixed["layers"]:
         assert [cell["rows"] for cell in row["rows"]] == [1, 5, 64]
         assert [cell["ms_per_call"]["n"] for cell in row["rows"]] == [5, 5, 1]

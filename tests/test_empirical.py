@@ -169,16 +169,20 @@ def _dense_roots(lam, M):
     return ev[1:] if lam.size == M else ev[ev > 0]
 
 
-def _brackets_exactly(lam, M, mu, rtol):
-    # the exact secular function changes sign across mu (1 -/+ rtol), so a
-    # root lies within rtol of mu; rational arithmetic, no rounding
+def _brackets_within(lam, M, mu, ulps):
+    # the exact secular function changes sign between the floats ulps
+    # below and ulps above mu, so a root lies within ulps floats of mu;
+    # rational arithmetic, no rounding
     lam = [Fraction(x) for x in lam]
 
     def f(x):
         x = Fraction(x)
         return sum(l / (l - x) for l in lam) - M
 
-    return f(mu * (1 - rtol)) < 0 < f(mu * (1 + rtol))
+    lo = hi = mu
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    return f(lo) <= 0 <= f(hi)
 
 
 def _simulated(rho, N, M):
@@ -213,8 +217,12 @@ def test_rank_one_roots_match_oracles(spectrum):
     # eigvalsh is accurate to a few eps * lambda_max in absolute terms only
     atol = 8 * lam.size * np.finfo(float).eps * lam[-1]
     np.testing.assert_allclose(mu, _dense_roots(lam, M), rtol=1e-12, atol=atol)
-    for root in mu[_secular(roots)[roots.mu_hat > 0]]:
-        assert _brackets_exactly(lam, M, root, rtol=1e-12)
+    for j, root in enumerate(mu[_secular(roots)[roots.mu_hat > 0]]):
+        # dlasd4 returns the root below lambda_min of the 40 x 41 case
+        # (0.0021637, lambda_min 0.0067769) 26.0 floats above the exact
+        # root; every other root is within 2 floats
+        wide_root = (spectrum.N, spectrum.M) == (40, 41) and j == 0
+        assert _brackets_within(lam, M, root, 27 if wide_root else 2)
 
 
 def test_rank_one_failure_raises_bracket_error(monkeypatch):

@@ -270,6 +270,24 @@ def test_negative_seeds_are_input_errors():
             draw(model, 4, 8, -1)
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: trial_seed(1.5, 2), "master seed"),
+    (lambda: trial_seed(1, 2.5), "trial index"),
+    (lambda: trial_seed("1", 2), "master seed"),
+    (lambda: simulate_spectrum(_model(), 20, 40, 1.5), "seed"),
+    (lambda: simulate_spectrum(_model(), 20.5, 40, 1), "N"),
+    (lambda: simulate_spectrum(_model(), 20, "40", 1), "M"),
+    (lambda: generate_observations(_model(), 4, 8, 2.5), "seed"),
+    (lambda: generate_observations(_model(), 4, 8.5, 2), "M"),
+], ids=["master-seed", "index", "master-seed-text", "simulate-seed",
+        "simulate-N", "simulate-M-text", "observations-seed",
+        "observations-M"])
+def test_non_integers_at_sampling_entry_points_are_input_errors(call, name):
+    # int() would truncate a fraction and numpy raise a bare TypeError
+    with pytest.raises(InputError, match=f"^{name} must be an integer"):
+        call()
+
+
 def test_observation_file_roundtrip(tmp_path):
     model = _model()
     Y = generate_observations(model, 5, 9, seed=77)
