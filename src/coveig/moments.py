@@ -51,9 +51,10 @@ _EPS = np.finfo(float).eps
 # eps times sum |t_k|; the half-rule check discounts it
 _ROUNDING_EPS = 8
 _LEAKAGE_RTOL = 1e-8
-# node count of the first rule, doubled up to _MAX_DOUBLINGS times
-_START_NODES = 128
-_MAX_DOUBLINGS = 3
+# node count of the first rule, doubled up to _MAX_DOUBLINGS times, so
+# to 1024 at most
+_START_NODES = 64
+_MAX_DOUBLINGS = 4
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ def quadrature_rows(pos, N: int, M: int, L: int):
     pos is (T, n), the positive eigenvalues of each spectrum, ascending.
     Each row is divided by the power of 2 that brings its largest
     eigenvalue into [1/2, 1), integrates on its own `spectrum_ellipse`, at
-    128 nodes first, doubling the node count until the self-check passes,
+    64 nodes first, doubling the node count until the self-check passes,
     and has order ell multiplied back by that power to the ell. The
     scaling is exact, so the moments equal those of the unscaled rule, and
     no scale overflows the transform or the checks; a moment that a float
@@ -193,7 +194,7 @@ def moments_by_quadrature(
     """Moments by contour quadrature with an internal convergence check.
 
     The contour is the `spectrum_ellipse` of the largest eigenvalue, at
-    128 nodes first. Each estimate is compared against the half-resolution
+    64 nodes first. Each estimate is compared against the half-resolution
     rule embedded in the same node set, every order ell divided by
     lambda_max^ell first, and the node count doubles (up to 1024) until the
     two agree beyond the rounding error of their sums; disagreement at 1024

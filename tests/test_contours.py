@@ -119,7 +119,7 @@ def test_spectrum_contour_encloses_spectrum_and_origin(N, M):
     mu = secular_zeros(spectrum).mu_hat
     mu = mu[mu > 0]
     assert _inside(ellipse, np.concatenate([lam, mu, [0.0]])).all()
-    assert moments_by_quadrature(spectrum, 3).node_count == 128
+    assert moments_by_quadrature(spectrum, 3).node_count == 64
     assert center - half_width == pytest.approx(-0.3 * lam[-1])
     assert center + half_width == pytest.approx(1.3 * lam[-1])
 

@@ -258,6 +258,57 @@ def test_trial_seed_distinct():
     assert trial_seed(42, 7) == trial_seed(42, 7)
 
 
+def _numpy_state(seed: int) -> np.ndarray:
+    """The state numpy's own SFC64 starts from when seeded with seed."""
+    sfc64 = np.random.SFC64(np.random.SeedSequence(seed))
+    return sfc64.state["state"]["state"]
+
+
+@pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 + 5],
+                         ids=["0", "1", "2^32-1", "2^32", "2^64+5"])
+def test_trial_states_equal_numpy_seeding(master):
+    # the master takes 1 to 3 uint32 words of entropy and the index 1 or 2,
+    # so the hash's pool of 4 words is filled out with zeros, filled
+    # exactly and overflowed (3 + 2 words)
+    indices = [*range(300), 2**32]
+    want = np.array([_numpy_state(trial_seed(master, t)) for t in indices])
+    got = ensemble._trial_states(master, indices)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, want)
+
+
+def test_seed_states_equal_numpy_seeding():
+    # seeds of one uint32 word, 0 included, and of two
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    want = np.array([_numpy_state(seed) for seed in seeds])
+    assert np.array_equal(ensemble._seed_states(seeds), want)
+    assert ensemble._trial_states(3, []).shape == (0, 4)
+
+
+def test_trial_states_reject_negative_seeds_and_indices():
+    with pytest.raises(InputError, match="master seed must be non-negative"):
+        ensemble._trial_states(-1, [0])
+    with pytest.raises(InputError, match="trial indices must be non-negative"):
+        ensemble._trial_states(1, [0, -1])
+    with pytest.raises(InputError, match="states must be"):
+        ensemble.simulate_states(_model(), 4, 8, np.zeros(4, np.uint64))
+
+
+def test_integral_float_sizes_sample_as_ints():
+    # N and M are read as ints once and passed on, to the cached sampling
+    # layout too
+    model = _model()
+    for N, M in ((20.0, 40), (20, np.float64(40.0))):
+        ensemble._sampling_layout.cache_clear()
+        spectrum = simulate_spectrum(model, N, M, 1)
+        assert (type(spectrum.N), type(spectrum.M)) == (int, int)
+        assert np.array_equal(spectrum.lambda_hat_companion,
+                              simulate_spectrum(model, 20, 40, 1)
+                              .lambda_hat_companion)
+        assert np.array_equal(generate_observations(model, N, M, 1),
+                              generate_observations(model, 20, 40, 1))
+
+
 def test_negative_seeds_are_input_errors():
     # numpy's SeedSequence would raise a bare ValueError
     with pytest.raises(InputError, match="master seed must be non-negative"):

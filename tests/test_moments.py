@@ -250,14 +250,14 @@ def test_under_resolved_contour_raises_at_any_scale(monkeypatch):
 @pytest.mark.parametrize("scale", [1e-10, 1.0])
 def test_default_contour_converges_first_time(rho, aspect, N, M, L, scale):
     # the benchmark's three models: the scaled checks accept the first
-    # 128-node ellipse at the model's own scale and at 1e-10 of it
+    # 64-node ellipse at the model's own scale and at 1e-10 of it
     model = PopulationModel(rho=tuple(scale * r for r in rho),
                             weights=(1 / len(rho),) * len(rho), aspect=aspect)
     for seed in range(3):
         spectrum = simulate_spectrum(model, N, M, seed)
         q = moments_by_quadrature(spectrum, L)
         r = moments_by_residues(spectrum, L)
-        assert q.node_count == 128
+        assert q.node_count == 64
         np.testing.assert_allclose(q.gamma_hat, r.gamma_hat, rtol=5e-9)
 
 
@@ -308,7 +308,7 @@ def test_square_aspect_quadrature_matches_residues():
 @pytest.mark.parametrize("aspect", [0.9, 0.99, 1.0, 1.01, 1.1, 2.0])
 def test_quadrature_matches_residues_near_square(aspect):
     # the regime where dimension and sample count are of the same order;
-    # the first contour of 128 nodes passes the half-rule check
+    # the first contour of 64 nodes passes the half-rule check
     M = 200
     model = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=aspect)
     for seed in range(5):
@@ -316,7 +316,7 @@ def test_quadrature_matches_residues_near_square(aspect):
         q = moments_by_quadrature(spectrum, 2)
         r = moments_by_residues(spectrum, 2)
         np.testing.assert_allclose(q.gamma_hat, r.gamma_hat, rtol=1e-12)
-        assert q.node_count == 128
+        assert q.node_count == 64
 
 
 def _exact_moments(lam, N: int, M: int, L: int) -> np.ndarray:
@@ -361,7 +361,7 @@ def test_tall_rank_deficient_spectra_estimate_by_quadrature():
         r = moments_by_residues(spectrum, L).gamma_hat
         exact = _exact_moments(lam, N, M, L)
         s = lam[-1] ** -np.arange(2.0 * L)
-        assert q.node_count == 128
+        assert q.node_count == 64
         for got, ref, tol in ((q.gamma_hat, exact, 2e-10),
                               (q.gamma_hat, r, 2e-10), (r, exact, 1e-14)):
             gap = np.abs(got - ref) * s / (1.0 + np.abs(ref) * s)

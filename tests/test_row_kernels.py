@@ -39,7 +39,12 @@ from coveig import (
 )
 from coveig import ensemble, experiments, inversion, mestre, moments
 from coveig.empirical import secular_rows
-from coveig.ensemble import padded_spectrum, simulate_rows
+from coveig.ensemble import (
+    _trial_states,
+    padded_spectrum,
+    simulate_rows,
+    simulate_states,
+)
 from coveig.inversion import invert_known_rows, invert_rows
 from coveig.mestre import mestre_rows
 from coveig.moments import quadrature_rows, residue_rows
@@ -284,6 +289,9 @@ def test_simulate_rows_equal_one_seed_draws(N, M):
         seeds = [trial_seed(size, t) for t in range(size)]
         rows = simulate_rows(model, N, M, seeds)
         assert rows.shape == (size, min(N, M))
+        # the trial path draws the same rows from the seeds' SFC64 states
+        states = _trial_states(size, range(size))
+        assert _bits(simulate_states(model, N, M, states)) == _bits(rows)
         for t, seed in enumerate(seeds):
             reference = _bits(_one_seed_draw(model, N, M, seed))
             assert _bits(rows[t]) == reference
@@ -324,12 +332,12 @@ def test_block_memory_is_bounded():
     model = PopulationModel(rho=(1.0, 3.0, 5.0), weights=(1 / 3,) * 3,
                             aspect=0.375)
     counts = multiplicities(model, 150)
-    seeds = [trial_seed(2026, t) for t in range(largest)]
+    states = _trial_states(2026, range(largest))
     methods = ("moment_full", "moment_known_mult")
-    experiments._trials(model, 150, 400, counts, seeds[:1], methods)
+    experiments._trials(model, 150, 400, counts, states[:1], methods)
     tracemalloc.start()
     try:
-        block = experiments._trials(model, 150, 400, counts, seeds, methods)
+        block = experiments._trials(model, 150, 400, counts, states, methods)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
