@@ -6,12 +6,11 @@ Run from anywhere; coveig is imported from the src/ of this checkout, and
 BLAS is pinned to one thread. Every size draws one block of trials (64
 rows, or 4 with --quick) and times, per trial:
 
-  simulate_rows                 the sampling kernel, from seeds
-  simulate_states               the same from the trials' SFC64 states,
-                                as Monte Carlo trials draw, and its three
-  simulate_states.draw            steps timed in a copy of its loop: the
-  simulate_states.gram            state set, gammas and normals, the scaled
-  simulate_states.eigensolve      factor and its Gram matrix, zhetrd + dsterf
+  simulate_rows                 the sampling kernel, from the trials'
+                                seeds, and its three steps timed in a
+  simulate_rows.draw              copy of its loop: the state set from the
+  simulate_rows.gram              seed, gammas and normals, the scaled
+  simulate_rows.eigensolve        factor and its Gram matrix, zhetrd + dsterf
   secular_rows                  all N secular roots and their brackets
   quadrature_rows               the moments by quadrature
   residue_rows                  the moments by residues
@@ -31,11 +30,10 @@ allocator's trim threshold faults its heap in again each time. Since every
 timed call follows a call of its own layer, its faults do not depend on
 the layer timed before it.
 
-The "trial_states" record times `ensemble._trial_states`, the per-call
-derivation of every trial's SFC64 state, at TRIAL_STATE_COUNTS trials, and
-beside it numpy's own per-seed path that it replaces (`trial_seed`, then
-`Generator(SFC64(SeedSequence(seed)))` per trial), in ms per call: one
-untimed call each, then 7 timed ones (1 with --quick), taking turns.
+The "trial_seeds" record times `ensemble._trial_seeds`, the per-call
+SplitMix64 pass that derives every trial's seed, at TRIAL_SEED_COUNTS
+trials, in ms per call: one untimed call, then 7 timed ones (1 with
+--quick).
 
 The "fixed_cost" record times one call of each row kernel on the trial
 path, and of a whole `experiments._trials` chunk (moment_full), at 60 x 120
@@ -78,7 +76,6 @@ from coveig import (  # noqa: E402
     multiplicities,
     theta_mestre,
     theta_moment_estimator,
-    trial_seed,
 )
 from coveig import ensemble, experiments  # noqa: E402
 from coveig._lapack import blas, lapack  # noqa: E402
@@ -98,13 +95,12 @@ THETA_MOMENT_MODEL = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5),
                                      aspect=0.5)
 MASTER_SEED = 2026
 # the layers timed at every size, in the order they run
-LAYERS = ("simulate_rows", "simulate_states", "simulate_states.draw",
-          "simulate_states.gram", "simulate_states.eigensolve",
-          "secular_rows", "quadrature_rows", "residue_rows", "invert_rows",
-          "invert_known_rows", "mestre_rows")
-# trials per call of the trial_states record: a clt_wide call, a clt_full
+LAYERS = ("simulate_rows", "simulate_rows.draw", "simulate_rows.gram",
+          "simulate_rows.eigensolve", "secular_rows", "quadrature_rows",
+          "residue_rows", "invert_rows", "invert_known_rows", "mestre_rows")
+# trials per call of the trial_seeds record: a clt_wide call, a clt_full
 # call and an acceptance run
-TRIAL_STATE_COUNTS = (40, 300, 2000)
+TRIAL_SEED_COUNTS = (40, 300, 2000)
 # rows per call of the fixed-cost record
 FIXED_ROWS = (1, 5, 64)
 # modules `import coveig` must not load; it reaches LAPACK, BLAS and the
@@ -136,13 +132,16 @@ def _mark():
     return t0, faults, time.perf_counter()
 
 
-def _sampling_steps(model, N: int, M: int, states):
-    """`ensemble.simulate_states`'s loop with each step timed: returns its
+def _sampling_steps(model, N: int, M: int, seeds):
+    """`ensemble.simulate_rows`'s loop with each step timed: returns its
     rows, and the seconds spent and minor page faults taken setting each
-    state and drawing, forming the Gram matrices and diagonalizing them."""
+    state from its seed and drawing, forming the Gram matrices and
+    diagonalizing them."""
     scale, lower = ensemble._sampling_layout(model, N, M)
     n = min(N, M)
     rng = np.random.Generator(np.random.SFC64(0))
+    states = np.repeat(seeds[:, None], 4, axis=1)
+    states[:, 3] = 1
     out = np.empty((len(states), n))
     diag = np.arange(n)
     below = n * (n - 1) // 2
@@ -157,6 +156,7 @@ def _sampling_steps(model, N: int, M: int, states):
         rng.bit_generator.state = {"bit_generator": "SFC64",
                                    "state": {"state": state},
                                    "has_uint32": 0, "uinteger": 0}
+        rng.bit_generator.random_raw(ensemble._SFC64_WARMUP)
         top[diag, diag] = np.sqrt(rng.standard_gamma(M - diag))
         draws = rng.standard_normal(2 * (below + tail.size))
         draws *= root_half
@@ -194,13 +194,11 @@ def _size_layers(rho, N: int, M: int, rows: int, repeats: int):
     model = _model(rho, N, M)
     L = model.L
     counts = multiplicities(model, N)
-    seeds = [trial_seed(MASTER_SEED, t) for t in range(rows)]
-    states = ensemble._trial_states(MASTER_SEED, range(rows))
+    seeds = ensemble._trial_seeds(MASTER_SEED, np.arange(rows))
     pos = ensemble.simulate_rows(model, N, M, seeds)
-    copied, _, _ = _sampling_steps(model, N, M, states)
-    if not (np.array_equal(copied, pos) and np.array_equal(
-            ensemble.simulate_states(model, N, M, states), pos)):
-        raise SystemExit(f"the sampling from states differs at {N}x{M}")
+    copied, _, _ = _sampling_steps(model, N, M, seeds)
+    if not np.array_equal(copied, pos):
+        raise SystemExit(f"the sampling loop's copy differs at {N}x{M}")
     gamma, _, _, errors = quadrature_rows(pos, N, M, L)
     gamma = gamma[[e is None for e in errors]]
     weights = counts / N
@@ -209,16 +207,14 @@ def _size_layers(rho, N: int, M: int, rows: int, repeats: int):
         return lambda: [(name, *_timed(fn, *args))]
 
     def sampling_steps():
-        _, spent, taken = _sampling_steps(model, N, M, states)
-        return [(f"simulate_states.{step}", seconds, minflt) for step, seconds,
+        _, spent, taken = _sampling_steps(model, N, M, seeds)
+        return [(f"simulate_rows.{step}", seconds, minflt) for step, seconds,
                 minflt in zip(("draw", "gram", "eigensolve"), spent, taken)]
 
     # (trials per call, a call returning (layer, seconds, faults) records)
     calls = [
         (rows, timed("simulate_rows", ensemble.simulate_rows, model, N, M,
                      seeds)),
-        (rows, timed("simulate_states", ensemble.simulate_states, model, N,
-                     M, states)),
         (rows, sampling_steps),
         (rows, timed("secular_rows", secular_rows, pos, N, M, N)),
         (rows, timed("quadrature_rows", quadrature_rows, pos, N, M, L)),
@@ -248,14 +244,14 @@ def _fixed_cost(repeats: int) -> dict:
     model, N, M = THETA_MOMENT_MODEL, 60, 120
     L = model.L
     counts = multiplicities(model, N)
-    states = ensemble._trial_states(MASTER_SEED, range(max(FIXED_ROWS)))
-    pos = ensemble.simulate_states(model, N, M, states)
+    seeds = ensemble._trial_seeds(MASTER_SEED, np.arange(max(FIXED_ROWS)))
+    pos = ensemble.simulate_rows(model, N, M, seeds)
     gamma, _, _, errors = quadrature_rows(pos, N, M, L)
     if any(errors):
         raise SystemExit("the fixed-cost draws must all have moments")
     calls = {
-        "simulate_states": lambda T: ensemble.simulate_states(model, N, M,
-                                                              states[:T]),
+        "simulate_rows": lambda T: ensemble.simulate_rows(model, N, M,
+                                                          seeds[:T]),
         "quadrature_rows": lambda T: quadrature_rows(pos[:T], N, M, L),
         "residue_rows": lambda T: residue_rows(pos[:T], N, M, L),
         "invert_rows": lambda T: invert_rows(gamma[:T], L),
@@ -263,7 +259,7 @@ def _fixed_cost(repeats: int) -> dict:
                                                          counts / N),
         "mestre_rows": lambda T: mestre_rows(pos[:T], N, M, counts),
         "_trials": lambda T: experiments._trials(
-            model, N, M, counts, states[:T], ("moment_full",)),
+            model, N, M, counts, seeds[:T], ("moment_full",)),
     }
     samples = {(name, T): [] for name in calls for T in FIXED_ROWS}
     for rep in range(5 * repeats):
@@ -290,31 +286,17 @@ def _fixed_cost(repeats: int) -> dict:
             "layers": layers}
 
 
-def _trial_states_record(repeats: int) -> dict:
-    """ms per call of `ensemble._trial_states` and of numpy's per-seed
-    path at each of TRIAL_STATE_COUNTS trials; see the module docstring."""
-
-    def numpy_path(n):
-        return [np.random.Generator(np.random.SFC64(np.random.SeedSequence(
-            trial_seed(MASTER_SEED, t)))) for t in range(n)]
-
+def _trial_seeds_record(repeats: int) -> dict:
+    """ms per call of `ensemble._trial_seeds` at each of TRIAL_SEED_COUNTS
+    trials; see the module docstring."""
     rows = []
-    for n in TRIAL_STATE_COUNTS:
+    for n in TRIAL_SEED_COUNTS:
         indices = np.arange(n)
-        calls = {"ms_per_call": lambda: ensemble._trial_states(MASTER_SEED,
-                                                                indices),
-                 "numpy_ms_per_call": lambda: numpy_path(n)}
-        samples = {name: [] for name in calls}
-        for name, call in calls.items():
-            call()
-        for _ in range(repeats):
-            for name, call in calls.items():
-                samples[name].append(_timed(call)[0])
-        row = {"trials": n}
-        row.update((name, _summary(seconds))
-                   for name, seconds in samples.items())
-        row["us_per_trial"] = 1e3 * row["ms_per_call"]["p50"] / n
-        rows.append(row)
+        ensemble._trial_seeds(MASTER_SEED, indices)
+        stats = _summary([_timed(ensemble._trial_seeds, MASTER_SEED,
+                                 indices)[0] for _ in range(repeats)])
+        rows.append({"trials": n, "ms_per_call": stats,
+                     "us_per_trial": 1e3 * stats["p50"] / n})
     return {"master_seed": MASTER_SEED, "rows": rows}
 
 
@@ -389,7 +371,7 @@ def main(argv=None) -> int:
     rows, repeats = (4, 1) if args.quick else (64, 7)
 
     imported = _import_record(repeats)
-    seeding = _trial_states_record(repeats)
+    seeding = _trial_seeds_record(repeats)
     fixed = _fixed_cost(repeats)
     layers = []
     for rho, N, M in SIZES:
@@ -414,7 +396,7 @@ def main(argv=None) -> int:
                      "statistics": "median and quartiles of the repeats"},
         "layers": layers,
         "setups": setups,
-        "trial_states": seeding,
+        "trial_seeds": seeding,
         "fixed_cost": fixed,
         "import": imported,
     }
@@ -432,11 +414,9 @@ def main(argv=None) -> int:
               f"[{stats['p25']:.3f}, {stats['p75']:.3f}] ms/call, "
               f"{faults['p50']:.0f} faults/call")
     for row in seeding["rows"]:
-        ours, theirs = row["ms_per_call"], row["numpy_ms_per_call"]
-        print(f"{'seeding':<12} {'_trial_states':<26} {row['trials']:>5} "
-              f"trials: {ours['p50']:.4f} ms/call "
-              f"({row['us_per_trial']:.3f} us/trial), numpy per seed "
-              f"{theirs['p50']:.4f} ms/call")
+        print(f"{'seeding':<12} {'_trial_seeds':<26} {row['trials']:>5} "
+              f"trials: {row['ms_per_call']['p50']:.4f} ms/call "
+              f"({row['us_per_trial']:.3f} us/trial)")
     for row in fixed["layers"]:
         cells = " ".join(f"{cell['rows']}: {cell['ms_per_call']['p50']:.4f}"
                          for cell in row["rows"])

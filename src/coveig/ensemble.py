@@ -21,15 +21,15 @@ product, so the eigensolve is most of a draw's cost. So
 `generate_observations(model, N, M, seed)` but is not its spectrum; only
 `generate_observations` writes a real Y.
 
-A Monte Carlo trial's generator is
-``Generator(SFC64(SeedSequence(trial_seed(master_seed, index))))``. A call
-derives the SFC64 states of all its trials at once with `_trial_states`,
-which runs numpy's SeedSequence hash and SFC64's seeding (12 discarded
-outputs) on uint32 and uint64 arrays, and `simulate_states` draws every
-row from one generator, its state set before each row. NumPy's own objects
-are the reference: the states equal theirs bit for bit, which the tests
-check, and `simulate_rows` and `simulate_spectrum` still seed each draw
-through them.
+A Monte Carlo trial's seed is ``trial_seed(master_seed, index)``, output
+index of SplitMix64 (Steele, Lea & Flood 2014) started from its own
+finalizer of the master seed: ``mix64(mix64(master) + gamma (index + 1))``
+in wrapping uint64 arithmetic, which a call computes for all its trials in
+one array pass (`_trial_seeds`). A seed s < 2**64 draws from SFC64 seeded
+as in its reference implementation (Doty-Humphrey's PractRand): a = b =
+c = s, counter 1, and 12 outputs discarded. `simulate_rows` sets its
+generator's state so before each row; it is the one sampling kernel, and
+`simulate_spectrum` its one-row call.
 
 That eigensolve, in `simulate_spectrum` and `sample_spectrum` alike, is
 the two steps of LAPACK's `zheevd` without eigenvectors (numpy's
@@ -76,15 +76,11 @@ _RMIN = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
 _RMAX = 1.0 / _RMIN
 # zhetrd's block size is at most its workspace divided by the order
 _ZHETRD_BLOCK = 8
-# SeedSequence's hash of its entropy (numpy/random/bit_generator.pyx), on
-# uint32 words: a pool of four words, mixed with these constants
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_MASK32 = 0xFFFFFFFF
+# SplitMix64's increment, the odd integer nearest 2**64 over the golden
+# ratio, and the two multipliers of its finalizer
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_MULT_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_MULT_2 = np.uint64(0x94D049BB133111EB)
 # outputs SFC64 discards after seeding
 _SFC64_WARMUP = 12
 
@@ -142,11 +138,25 @@ def _integer(value, name: str) -> int:
 
 
 def _check_seed(seed, name: str = "seed") -> int:
-    """seed as a non-negative int (`_integer`), or an InputError."""
+    """seed as an int (`_integer`) in [0, 2**64), or an InputError."""
     seed = _integer(seed, name)
     if seed < 0:
         raise InputError(f"{name} must be non-negative, got {seed}")
+    if seed >= 2**64:
+        raise InputError(f"{name} must be below 2**64, got {seed}")
     return seed
+
+
+def _seed_array(values, name: str) -> np.ndarray:
+    """values, integers in [0, 2**64), as a 1-D uint64 array, or the
+    InputError of `_check_seed`. An integer array is checked at once; other
+    values one by one, as numpy reads a list that holds ints of 2**63 and
+    more as floats."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        if values.size:
+            _check_seed(values.min(), name)
+        return values.astype(np.uint64).reshape(-1)
+    return np.array([_check_seed(v, name) for v in values], dtype=np.uint64)
 
 
 def _rng_for(seed: int) -> np.random.Generator:
@@ -155,132 +165,26 @@ def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _sampler_for(seed: int) -> np.random.Generator:
-    """The generator of the Monte Carlo draws of `simulate_rows`."""
-    seed = _check_seed(seed)
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer of the uint64 array z, wrapping."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX_MULT_1
+    z = (z ^ (z >> np.uint64(27))) * _MIX_MULT_2
+    return z ^ (z >> np.uint64(31))
+
+
+def _trial_seeds(master_seed: int, indices) -> np.ndarray:
+    """`trial_seed(master_seed, t)` for each t of indices, integers in
+    [0, 2**64), as a uint64 array from one pass of SplitMix64."""
+    start = _mix64(np.array([_check_seed(master_seed, "master seed")],
+                            dtype=np.uint64))
+    steps = _seed_array(indices, "trial index") + np.uint64(1)
+    return _mix64(start + _GAMMA * steps)
 
 
 def trial_seed(master_seed: int, index: int) -> int:
-    """Stable per-trial integer seed derived from (master_seed, index)."""
-    ss = np.random.SeedSequence((_check_seed(master_seed, "master seed"),
-                                 _check_seed(index, "trial index")))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _words(value: int) -> list[int]:
-    """The uint32 words SeedSequence reads from a non-negative int, least
-    significant first; 0 is one word."""
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-def _hash_constants(init: int, mult: int):
-    """SeedSequence's running hash constant: each call of its hash xors
-    with the current one, then multiplies by the next, which it keeps.
-    Yields those (xor, multiplier) pairs."""
-    while True:
-        xor, init = init, (init * mult) & _MASK32
-        yield np.uint32(xor), np.uint32(init)
-
-
-def _hashed(value: np.ndarray, constants) -> np.ndarray:
-    """SeedSequence's hash of the uint32 words value, with the next pair of
-    constants (`_hash_constants`)."""
-    xor, mult = next(constants)
-    value = (value ^ xor) * mult
-    return value ^ (value >> _XSHIFT)
-
-
-def _seed_pools(entropy: np.ndarray) -> list[np.ndarray]:
-    """The pool of ``SeedSequence(words)`` for each row of entropy, (T, k)
-    uint32 words in the order SeedSequence reads them, by the operations of
-    its mix_entropy: the pool's four words, each a (T,) uint32 array."""
-    T, k = entropy.shape
-    constants = _hash_constants(_INIT_A, _MULT_A)
-
-    def hashmix(value):
-        return _hashed(value, constants)
-
-    def mix(x, y):
-        value = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return value ^ (value >> _XSHIFT)
-
-    zero = np.zeros(T, dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < k else zero)
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, k):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    return pool
-
-
-def _pool_state(pool: list[np.ndarray], n_words: int) -> np.ndarray:
-    """`SeedSequence.generate_state(n_words, np.uint64)` of each row of
-    the pools from `_seed_pools`: (T, n_words) uint64, each word two
-    uint32 words of the hash, the first the low half."""
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    halves = [_hashed(pool[i % _POOL_SIZE], constants).astype(np.uint64)
-              for i in range(2 * n_words)]
-    return np.stack([lo | (hi << np.uint64(32))
-                     for lo, hi in zip(halves[::2], halves[1::2])], axis=1)
-
-
-def _generate_states(values: np.ndarray, prefix: list[int],
-                     n_words: int) -> np.ndarray:
-    """generate_state(n_words, np.uint64) of SeedSequence((*prefix, v)) for
-    each v of the uint64 array values, (T, n_words): the entropy is the
-    words of prefix then v's one word (v < 2**32) or two, and the rows of
-    either length are hashed together."""
-    out = np.empty((values.size, n_words), dtype=np.uint64)
-    low = (values & np.uint64(_MASK32)).astype(np.uint32)
-    high = (values >> np.uint64(32)).astype(np.uint32)
-    head = np.array(prefix, dtype=np.uint32)
-    for wide in (False, True):
-        rows = np.flatnonzero((high > 0) == wide)
-        if not rows.size:
-            continue
-        tail = [low[rows], high[rows]] if wide else [low[rows]]
-        entropy = np.column_stack(
-            [np.broadcast_to(head, (rows.size, head.size)), *tail])
-        out[rows] = _pool_state(_seed_pools(entropy), n_words)
-    return out
-
-
-def _seed_states(seeds) -> np.ndarray:
-    """The state of ``SFC64(SeedSequence(seed))`` for each seed of seeds,
-    integers in [0, 2**64): (T, 4) uint64, bit for bit. SFC64 seeds its
-    first three words from the hash's generate_state(3, np.uint64), its
-    counter with 1, and discards its first _SFC64_WARMUP outputs."""
-    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
-    a, b, c = _generate_states(seeds, [], 3).T
-    for counter in range(1, _SFC64_WARMUP + 1):
-        # sfc64_next: the output uses the counter before its increment
-        out = a + b + np.uint64(counter)
-        a = b ^ (b >> np.uint64(11))
-        b = c + (c << np.uint64(3))
-        c = ((c << np.uint64(24)) | (c >> np.uint64(40))) + out
-    return np.stack([a, b, c, np.full_like(a, _SFC64_WARMUP + 1)], axis=1)
-
-
-def _trial_states(master_seed: int, indices) -> np.ndarray:
-    """The SFC64 state of the sampler of each trial index: row t equals
-    ``SFC64(SeedSequence(trial_seed(master_seed, indices[t]))).state``,
-    bit for bit, all from one vectorized pass of the hash. indices are
-    non-negative integers below 2**64; returns (len(indices), 4) uint64."""
-    master = _check_seed(master_seed, "master seed")
-    indices = np.asarray(indices)
-    if indices.size and (indices.dtype.kind not in "iu" or indices.min() < 0):
-        raise InputError("trial indices must be non-negative integers")
-    seeds = _generate_states(indices.astype(np.uint64).reshape(-1),
-                             _words(master), 1)[:, 0]
-    return _seed_states(seeds)
+    """Stable per-trial seed in [0, 2**64): output index of SplitMix64
+    started from its finalizer of master_seed (see the module docstring)."""
+    return int(_trial_seeds(master_seed, [index])[0])
 
 
 def generate_observations(
@@ -382,7 +286,7 @@ def _gram_eigenvalues(gram: np.ndarray, lwork: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _sampling_layout(model: PopulationModel, N: int, M: int):
-    """(scale, lower) of `_draw_rows` at (model, N, M), ints from
+    """(scale, lower) of `simulate_rows` at (model, N, M), ints from
     `_dimensions`: R^(1/2) / sqrt(M) of the realized covariance and the
     strictly-lower mask of the top min(N, M) block, read-only. A Monte
     Carlo run draws every chunk of a size at one (model, N, M), so they
@@ -398,57 +302,21 @@ def simulate_rows(model: PopulationModel, N: int, M: int,
                   seeds) -> NDArray[np.float64]:
     """Eigenvalues of the smaller Gram matrix, one row per seed.
 
-    The row kernel of `simulate_spectrum`, which is its one-row call:
-    returns a (len(seeds), min(N, M)) array whose row t holds, ascending,
-    the eigenvalues that ``simulate_spectrum(model, N, M, seeds[t])``
-    reports as positive, bit for bit. Each seed's generator is numpy's
-    own, ``Generator(SFC64(SeedSequence(seed)))``; see `_draw_rows`.
-    """
-    N, M = _dimensions(N, M)
-    seeds = list(seeds)
-    return _draw_rows(model, N, M, map(_sampler_for, seeds), len(seeds))
-
-
-def simulate_states(model: PopulationModel, N: int, M: int,
-                    states) -> NDArray[np.float64]:
-    """`simulate_rows` from the SFC64 state of each row's generator.
-
-    states is (T, 4) uint64, the states of `_trial_states` or
-    `_seed_states`; row t equals the row of `simulate_rows` for the seed
-    whose ``SFC64(SeedSequence(seed))`` has the state states[t], bit for
-    bit. One generator draws every row, its state set before each.
-    """
-    N, M = _dimensions(N, M)
-    states = np.asarray(states, dtype=np.uint64)
-    if states.ndim != 2 or states.shape[1] != 4:
-        raise InputError("states must be (T, 4) SFC64 states, got shape "
-                         f"{states.shape}")
-    rng = np.random.Generator(np.random.SFC64(0))
-    bit_generator = rng.bit_generator
-
-    def reseeded():
-        for state in states:
-            bit_generator.state = {"bit_generator": "SFC64",
-                                   "state": {"state": state},
-                                   "has_uint32": 0, "uinteger": 0}
-            yield rng
-
-    return _draw_rows(model, N, M, reseeded(), len(states))
-
-
-def _draw_rows(model: PopulationModel, N: int, M: int, generators,
-               T: int) -> NDArray[np.float64]:
-    """The loop of `simulate_rows` at the ints (N, M): row t of the
-    (T, min(N, M)) result holds the eigenvalues drawn from the t-th of
-    the T generators. The scale and the strictly-lower mask come from
+    The sampling kernel, and `simulate_spectrum` its one-row call: returns
+    a (len(seeds), min(N, M)) array whose row t holds, ascending, the
+    eigenvalues that ``simulate_spectrum(model, N, M, seeds[t])`` reports
+    as positive, bit for bit. seeds are integers in [0, 2**64). One SFC64
+    generator draws every row, seeded from the row's seed before it (see
+    the module docstring). The scale and the strictly-lower mask come from
     `_sampling_layout`, zhetrd's workspace and one n x n buffer are set up
-    once per call, and each row is drawn, its Gram matrix formed in the
-    buffer as in `simulate_spectrum` and reduced there, so memory does not
-    grow with the number of rows.
+    once per call, and each row's Gram matrix is formed in the buffer and
+    reduced there, so memory does not grow with the number of rows.
     """
+    N, M = _dimensions(N, M)
+    seeds = _seed_array(seeds, "seed")
     scale, lower = _sampling_layout(model, N, M)
     n = min(N, M)
-    out = np.empty((T, n))
+    out = np.empty((seeds.size, n))
     diag = np.arange(n)
     below = n * (n - 1) // 2  # entries below the diagonal of the top block
     root_half = np.sqrt(0.5)
@@ -459,7 +327,16 @@ def _draw_rows(model: PopulationModel, N: int, M: int, generators,
     top = np.zeros((n, n), dtype=np.complex128, order="F")
     # the i.i.d. rows below that block, when N > M
     tail = np.empty((N - n, n), dtype=np.complex128, order="F")
-    for t, rng in enumerate(generators):
+    rng = np.random.Generator(np.random.SFC64(0))
+    bit_generator = rng.bit_generator
+    # SFC64's seeding from one word s: (a, b, c, counter) = (s, s, s, 1)
+    states = np.repeat(seeds[:, None], 4, axis=1)
+    states[:, 3] = 1
+    for t, state in enumerate(states):
+        bit_generator.state = {"bit_generator": "SFC64",
+                               "state": {"state": state},
+                               "has_uint32": 0, "uinteger": 0}
+        bit_generator.random_raw(_SFC64_WARMUP)
         top[diag, diag] = np.sqrt(rng.standard_gamma(M - diag))
         draws = rng.standard_normal(2 * (below + tail.size))
         draws *= root_half
@@ -489,8 +366,8 @@ def simulate_spectrum(
 
     so rows i >= n (only when N > M) are i.i.d. CN(0, 1). With
     B = R^(1/2) Lf / sqrt(M), the nonzero eigenvalues of (1/M) Y Y^H are
-    those of the n x n matrix B^H B. Draw order from the seed's generator,
-    ``Generator(SFC64(SeedSequence(seed)))``: the n diagonal gammas, then
+    those of the n x n matrix B^H B. Draw order from the seed's SFC64
+    generator (see the module docstring): the n diagonal gammas, then
     the strictly lower entries row by row, each the real and imaginary
     parts of two consecutive `standard_normal` draws scaled by sqrt(1/2);
     a seed gives a bit-identical spectrum.

@@ -3,10 +3,11 @@
 Reproduces the package's headline numbers: mean-squared-error sweeps of the
 competing estimators across problem sizes, and histogram checks of the
 asymptotic normality predictions. Every trial draws its seed from
-(master_seed, trial_index), so runs are reproducible: its sampler is
-``SFC64(SeedSequence(trial_seed(master_seed, index)))``, whose states a
-call derives for all of its trial indices at once
-(`ensemble._trial_states`), before any worker forks.
+(master_seed, trial_index), so runs are reproducible: its seed is
+``trial_seed(master_seed, index)``, which a call derives for all of its
+trial indices in one SplitMix64 pass (`ensemble._trial_seeds`) before any
+worker forks, and its draws come from SFC64 seeded from that one word
+(see `coveig.ensemble`).
 
 Trials run in chunks of consecutive trials of one (N, M). Trial 0 runs
 alone first. On Linux, when its time projects the rest to more than a
@@ -21,7 +22,7 @@ W processes, never fewer than about 10 ms of trial 0's time nor more than
 for at most one small chunk. Serially the same plan runs with W = 1. Pin
 BLAS to one thread (OPENBLAS_NUM_THREADS=1) so that the processes do not
 oversubscribe the CPUs. A chunk runs through the row kernels: the draws
-and their eigenvalues through `ensemble.simulate_states`, the moments on
+and their eigenvalues through `ensemble.simulate_rows`, the moments on
 either route and both inversions through those of `moments` and
 `inversion`, and Mestre through `mestre.mestre_rows`, on cluster contours
 where a trial's sample clusters separate and on the secular roots below its
@@ -47,7 +48,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .clt import theta_mestre, theta_moment_estimator
-from .ensemble import _integer, _trial_states, simulate_states
+from .ensemble import _integer, _trial_seeds, simulate_rows
 from .errors import (
     ConditioningError,
     ContourError,
@@ -174,13 +175,12 @@ def _estimated(errors) -> np.ndarray:
     return np.array([err is None for err in errors], dtype=bool)
 
 
-def _trials(model, N, M, counts, states, methods, project=False,
+def _trials(model, N, M, counts, seeds, methods, project=False,
             route="quadrature"):
     """A block of Monte Carlo trials of every method at one (N, M).
 
-    states holds the SFC64 state of each trial's sampler, a row per trial
-    (`ensemble._trial_states`). Returns a structured array with one row
-    per trial and the columns
+    seeds holds each trial's seed, a uint64 array (`ensemble._trial_seeds`).
+    Returns a structured array with one row per trial and the columns
     "estimates", (methods, L) with NaN rows where a method failed;
     "projected", the flags of projected inversions; and "seconds", the
     trial's share of each stage: "sampling", "moments" and each method.
@@ -192,7 +192,7 @@ def _trials(model, N, M, counts, states, methods, project=False,
     results do not depend on the block it is in.
     """
     L = model.L
-    T = len(states)
+    T = len(seeds)
     record = np.zeros(T, dtype=[
         ("estimates", float, (len(methods), L)),
         ("projected", bool, (len(methods),)),
@@ -201,7 +201,7 @@ def _trials(model, N, M, counts, states, methods, project=False,
     est, projected, seconds = (record[name] for name in record.dtype.names)
     est[:] = np.nan
     t0 = time.perf_counter()
-    lam = simulate_states(model, N, M, states)
+    lam = simulate_rows(model, N, M, seeds)
     seconds["sampling"] = (time.perf_counter() - t0) / T
     if (lam[:, 0] <= 0).any():
         raise InputError("sample spectrum is rank deficient")
@@ -403,13 +403,13 @@ def run_mse_sweep(config: ExperimentConfig, log=None) -> ExperimentReport:
     project = config.infeasible == "project"
     trials = config.trials
     cells = [(N, M, multiplicities(model, N)) for N, M in config.sizes]
-    # every size draws trial j from the same state
-    states = _trial_states(config.master_seed, np.arange(trials))
+    # every size draws trial j from the same seed
+    seeds = _trial_seeds(config.master_seed, np.arange(trials))
 
     def run(block):
         N, M, counts = cells[block[0] // trials]
         return _trials(model, N, M, counts,
-                       states[np.remainder(block, trials)], methods, project,
+                       seeds[np.remainder(block, trials)], methods, project,
                        config.moment_route)
 
     _, record = _map_trials(run, len(cells) * trials, trials)
@@ -593,10 +593,10 @@ def run_clt_histogram(
             return np.diag(theta_moment_estimator(model).Theta)[L:]
         return np.diag(theta_mestre(model))
 
-    states = _trial_states(master_seed, np.arange(trials))
+    seeds = _trial_seeds(master_seed, np.arange(trials))
 
     def run(block):
-        return _trials(model, N, M, counts_n, states[block], (method,))
+        return _trials(model, N, M, counts_n, seeds[block], (method,))
 
     predicted, record = _map_trials(run, trials, trials, setup)
     dev = M * (record["estimates"][:, 0] - rho)

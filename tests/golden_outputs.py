@@ -17,7 +17,9 @@ a path those workloads leave out:
 A sweep cell stores `ExperimentReport.estimates`, a clt cell
 `CltHistogram.deviations` and `predicted_var`, every float as `float.hex`
 (NaN rows for failed trials). Regenerate only when outputs change on
-purpose, and declare the largest change.
+purpose, and declare the largest change. A deliberate change of the Monte
+Carlo stream (the trial seeds or the generator's seeding) regenerates
+every cell but the CLT predicted variances, which draw nothing.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ def test_quick_layer_bench_writes_every_record(tmp_path):
     subprocess.run([sys.executable, str(LAYERS), "--quick", "--out", str(out)],
                    check=True, capture_output=True, timeout=300)
     bench = json.loads(out.read_text())
-    assert {"environment", "protocol", "layers", "setups", "trial_states",
+    assert {"environment", "protocol", "layers", "setups", "trial_seeds",
             "fixed_cost", "import"} <= set(bench)
     assert bench["layers"] and bench["setups"]
     # the inversions time the rows whose quadrature moments they got
@@ -31,29 +31,27 @@ def test_quick_layer_bench_writes_every_record(tmp_path):
     for size in sizes:
         assert [row["layer"] for row in bench["layers"]
                 if (row["N"], row["M"]) == size] == [
-            "simulate_rows", "simulate_states", "simulate_states.draw",
-            "simulate_states.gram", "simulate_states.eigensolve",
-            "secular_rows", "quadrature_rows", "residue_rows", "invert_rows",
-            "invert_known_rows", "mestre_rows"]
+            "simulate_rows", "simulate_rows.draw", "simulate_rows.gram",
+            "simulate_rows.eigensolve", "secular_rows", "quadrature_rows",
+            "residue_rows", "invert_rows", "invert_known_rows", "mestre_rows"]
     assert all(row["ms_per_trial"]["n"] == 1 for row in bench["layers"]
                if row["ms_per_trial"])
     assert all(row["minflt_per_call"]["p50"] >= 0
                for row in bench["layers"] if row["ms_per_trial"])
     assert all(row["minflt_per_call"]["p50"] >= 0 for row in bench["setups"])
-    # the per-call seeding of every trial, beside numpy's per-seed path
-    seeding = bench["trial_states"]["rows"]
+    # the per-call SplitMix64 pass over every trial's index
+    seeding = bench["trial_seeds"]["rows"]
     assert [row["trials"] for row in seeding] == [40, 300, 2000]
     for row in seeding:
-        assert row["ms_per_call"]["n"] == row["numpy_ms_per_call"]["n"] == 1
+        assert row["ms_per_call"]["n"] == 1
         assert row["ms_per_call"]["p50"] > 0
-        assert row["numpy_ms_per_call"]["p50"] > 0
         assert row["us_per_trial"] == pytest.approx(
             1e3 * row["ms_per_call"]["p50"] / row["trials"])
     fixed = bench["fixed_cost"]
     assert (fixed["N"], fixed["M"]) == (60, 120)
     assert fixed["method"] == "moment_full"
     assert [row["layer"] for row in fixed["layers"]] == [
-        "simulate_states", "quadrature_rows", "residue_rows", "invert_rows",
+        "simulate_rows", "quadrature_rows", "residue_rows", "invert_rows",
         "invert_known_rows", "mestre_rows", "_trials"]
     for row in fixed["layers"]:
         assert [cell["rows"] for cell in row["rows"]] == [1, 5, 64]

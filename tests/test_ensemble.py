@@ -18,6 +18,7 @@ from coveig import (
     write_observations,
 )
 from coveig import ensemble
+from reference_draws import sfc64_generator
 
 
 def _model():
@@ -139,13 +140,14 @@ def test_generate_observations_golden():
 
 
 def test_simulate_spectrum_golden():
-    # the Monte Carlo stream (SFC64, gammas then the lower normals row by
-    # row) must not change by accident; the digits are compared to within
-    # rounding, since the LAPACK build may differ in the last bits
+    # the Monte Carlo stream (SFC64 seeded from one word, gammas then the
+    # lower normals row by row) must not change by accident; the digits
+    # are compared to within rounding, since the LAPACK build may differ
+    # in the last bits
     lam = simulate_spectrum(_model(), 6, 14, seed=2026).positive_eigenvalues()
     golden = [float.fromhex(h) for h in (
-        "0x1.734c5d7dcc069p-2", "0x1.5b35558001e20p-1", "0x1.c5606a8d8ad03p-1",
-        "0x1.f29ef458027bap+0", "0x1.4d9f5cf6c25f5p+1", "0x1.2a7ac76f3e87ep+2",
+        "0x1.a905ee9f41719p-3", "0x1.33fb5a0369b8dp-2", "0x1.79b5ecb8d058bp-1",
+        "0x1.091a1775a3384p+1", "0x1.54da9124eee16p+1", "0x1.24544f3fc7ae8p+2",
     )]
     np.testing.assert_allclose(lam, golden, rtol=1e-12, atol=0)
 
@@ -164,7 +166,7 @@ def test_simulate_spectrum_reproducible():
 def _bartlett_factor(model, N, M, seed):
     """The factor R^(1/2) Lf in the documented draw order, built densely."""
     n = min(N, M)
-    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+    rng = sfc64_generator(seed)
     factor = np.zeros((N, n), dtype=complex)
     diag = np.sqrt(rng.standard_gamma(M - np.arange(n)))
     count = sum(min(i, n) for i in range(N))
@@ -258,40 +260,93 @@ def test_trial_seed_distinct():
     assert trial_seed(42, 7) == trial_seed(42, 7)
 
 
-def _numpy_state(seed: int) -> np.ndarray:
-    """The state numpy's own SFC64 starts from when seeded with seed."""
-    sfc64 = np.random.SFC64(np.random.SeedSequence(seed))
-    return sfc64.state["state"]["state"]
+_MASK64 = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
-@pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 + 5],
-                         ids=["0", "1", "2^32-1", "2^32", "2^64+5"])
-def test_trial_states_equal_numpy_seeding(master):
-    # the master takes 1 to 3 uint32 words of entropy and the index 1 or 2,
-    # so the hash's pool of 4 words is filled out with zeros, filled
-    # exactly and overflowed (3 + 2 words)
+def _mix64(z: int) -> int:
+    """SplitMix64's finalizer on a Python int (Steele, Lea & Flood 2014)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _splitmix64(state: int):
+    """SplitMix64's outputs from state: add the increment, finalize."""
+    while True:
+        state = (state + _GAMMA) & _MASK64
+        yield _mix64(state)
+
+
+def _sfc64_outputs(seed: int, count: int) -> list[int]:
+    """Doty-Humphrey's SFC64 seeded from one word, a = b = c = seed and
+    counter 1, 12 outputs discarded: its next count outputs."""
+    a = b = c = seed
+    counter = 1
+    out = []
+    for _ in range(12 + count):
+        value = (a + b + counter) & _MASK64
+        counter += 1
+        a = b ^ (b >> 11)
+        b = (c + (c << 3)) & _MASK64
+        c = ((((c << 24) | (c >> 40)) & _MASK64) + value) & _MASK64
+        out.append(value)
+    return out[12:]
+
+
+@pytest.mark.parametrize("master", [0, 1, 2**32, 2**64 - 1],
+                         ids=["0", "1", "2^32", "2^64-1"])
+def test_trial_seeds_equal_splitmix64(master):
+    # index t is SplitMix64's output t from the finalizer of the master,
+    # stepped one by one here; a far index jumps t + 1 increments at once
+    outputs = _splitmix64(_mix64(master))
+    want = [next(outputs) for _ in range(300)]
+    want.append(_mix64((_mix64(master) + _GAMMA * (2**32 + 1)) & _MASK64))
     indices = [*range(300), 2**32]
-    want = np.array([_numpy_state(trial_seed(master, t)) for t in indices])
-    got = ensemble._trial_states(master, indices)
+    assert [trial_seed(master, t) for t in indices] == want
+    got = ensemble._trial_seeds(master, np.array(indices))
     assert got.dtype == np.uint64
-    assert np.array_equal(got, want)
+    assert got.tolist() == want
+    assert ensemble._trial_seeds(master, []).shape == (0,)
 
 
-def test_seed_states_equal_numpy_seeding():
-    # seeds of one uint32 word, 0 included, and of two
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-    want = np.array([_numpy_state(seed) for seed in seeds])
-    assert np.array_equal(ensemble._seed_states(seeds), want)
-    assert ensemble._trial_states(3, []).shape == (0, 4)
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1],
+                         ids=["0", "1", "2^63", "2^64-1"])
+def test_sfc64_seeding_equals_reference(seed):
+    # the tests' generator of the seeding rule, through numpy's SFC64,
+    # against SFC64 in Python ints; the kernels' rows equal its draws
+    raw = sfc64_generator(seed).bit_generator.random_raw(8)
+    assert raw.tolist() == _sfc64_outputs(seed, 8)
 
 
-def test_trial_states_reject_negative_seeds_and_indices():
-    with pytest.raises(InputError, match="master seed must be non-negative"):
-        ensemble._trial_states(-1, [0])
-    with pytest.raises(InputError, match="trial indices must be non-negative"):
-        ensemble._trial_states(1, [0, -1])
-    with pytest.raises(InputError, match="states must be"):
-        ensemble.simulate_states(_model(), 4, 8, np.zeros(4, np.uint64))
+@pytest.mark.parametrize("call,message", [
+    (lambda: trial_seed(2**64, 0), r"master seed must be below 2\*\*64"),
+    (lambda: trial_seed(0, 2**64), r"trial index must be below 2\*\*64"),
+    (lambda: ensemble._trial_seeds(-1, [0]),
+     "master seed must be non-negative"),
+    (lambda: ensemble._trial_seeds(1, np.array([0, -1])),
+     "trial index must be non-negative"),
+    (lambda: ensemble._trial_seeds(1, [0, 2**64]),
+     r"trial index must be below 2\*\*64"),
+    (lambda: ensemble._trial_seeds(1, np.array([0.5])),
+     "trial index must be an integer"),
+    (lambda: simulate_spectrum(_model(), 4, 8, 2**64),
+     r"seed must be below 2\*\*64"),
+    (lambda: ensemble.simulate_rows(_model(), 4, 8, [0, -1]),
+     "seed must be non-negative"),
+    (lambda: ensemble.simulate_rows(_model(), 4, 8, np.array([-3, 1])),
+     "seed must be non-negative"),
+    (lambda: ensemble.simulate_rows(_model(), 4, 8, [2**63, 2**64]),
+     r"seed must be below 2\*\*64"),
+    (lambda: ensemble.simulate_rows(_model(), 4, 8, [1, 2.5]),
+     "seed must be an integer"),
+], ids=["master-2^64", "index-2^64",
+        "seeds-master-negative", "seeds-index-negative", "seeds-index-2^64",
+        "seeds-index-fraction", "simulate-2^64", "rows-negative",
+        "rows-array-negative", "rows-2^64", "rows-fraction"])
+def test_seeds_outside_64_bits_are_input_errors(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
 
 
 def test_integral_float_sizes_sample_as_ints():
@@ -310,7 +365,7 @@ def test_integral_float_sizes_sample_as_ints():
 
 
 def test_negative_seeds_are_input_errors():
-    # numpy's SeedSequence would raise a bare ValueError
+    # numpy would raise a bare ValueError or OverflowError
     with pytest.raises(InputError, match="master seed must be non-negative"):
         trial_seed(-1, 0)
     with pytest.raises(InputError, match="trial index must be non-negative"):

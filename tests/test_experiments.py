@@ -24,7 +24,6 @@ from coveig import (
     run_mse_sweep,
 )
 from coveig import experiments, mestre
-from coveig.ensemble import _seed_states
 
 MODEL = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.5)
 
@@ -351,9 +350,9 @@ def _slowed(monkeypatch, side, seconds=0.02, worker=None):
     (side "caller") or in forked workers (side "worker"), told apart by
     os.getpid(); worker, when given, replaces the sleep in a worker."""
     caller = os.getpid()
-    real = experiments.simulate_states
+    real = experiments.simulate_rows
 
-    def simulate_states(*args):
+    def simulate_rows(*args):
         in_caller = os.getpid() == caller
         if not in_caller and worker is not None:
             worker()
@@ -361,7 +360,7 @@ def _slowed(monkeypatch, side, seconds=0.02, worker=None):
             time.sleep(seconds)
         return real(*args)
 
-    monkeypatch.setattr(experiments, "simulate_states", simulate_states)
+    monkeypatch.setattr(experiments, "simulate_rows", simulate_rows)
 
 
 def test_dead_worker_is_an_error(monkeypatch):
@@ -516,7 +515,7 @@ def test_secular_roots_solved_only_where_read(monkeypatch, methods, route,
     # Mestre does, with one kernel row per trial
     calls = _count_secular(monkeypatch)
     counts = coveig.multiplicities(MODEL, 20)
-    est, = experiments._trials(MODEL, 20, 40, counts, _seed_states([5]),
+    est, = experiments._trials(MODEL, 20, 40, counts, [5],
                                methods, route=route)["estimates"]
     pos = coveig.simulate_spectrum(MODEL, 20, 40, 5).positive_eigenvalues()
     assert len(calls) == solves
@@ -527,17 +526,17 @@ def test_secular_roots_solved_only_where_read(monkeypatch, methods, route,
 @pytest.mark.parametrize("methods", [("mestre",), ("moment_full",)])
 def test_rank_deficient_block_is_an_input_error(monkeypatch, methods):
     # one zero eigenvalue in the block's stack stops every method
-    real = experiments.simulate_states
+    real = experiments.simulate_rows
 
-    def simulate_states(*args):
+    def simulate_rows(*args):
         lam = real(*args)
         lam[2, 0] = 0.0
         return lam
 
-    monkeypatch.setattr(experiments, "simulate_states", simulate_states)
+    monkeypatch.setattr(experiments, "simulate_rows", simulate_rows)
     counts = coveig.multiplicities(MODEL, 20)
     with pytest.raises(InputError, match="rank deficient"):
-        experiments._trials(MODEL, 20, 40, counts, _seed_states(range(4)),
+        experiments._trials(MODEL, 20, 40, counts, range(4),
                             methods)
 
 
@@ -545,10 +544,10 @@ def test_moment_trials_unchanged_by_the_roots():
     # a moment trial that skips the secular solve estimates bit for bit
     # what it does next to Mestre, which makes the solve
     counts = coveig.multiplicities(MODEL, 20)
-    states = _seed_states(range(5))
-    alone = experiments._trials(MODEL, 20, 40, counts, states,
+    seeds = range(5)
+    alone = experiments._trials(MODEL, 20, 40, counts, seeds,
                                 ("moment_full", "moment_known_mult"))
-    shared = experiments._trials(MODEL, 20, 40, counts, states,
+    shared = experiments._trials(MODEL, 20, 40, counts, seeds,
                                  ("moment_full", "moment_known_mult", "mestre"))
     for a, b in zip(alone["estimates"], shared["estimates"]):
         assert np.array_equal(a, b[:2])

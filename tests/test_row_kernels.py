@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import blas, lapack
 
 from coveig import (
     CoveigError,
@@ -39,15 +38,11 @@ from coveig import (
 )
 from coveig import ensemble, experiments, inversion, mestre, moments
 from coveig.empirical import secular_rows
-from coveig.ensemble import (
-    _trial_states,
-    padded_spectrum,
-    simulate_rows,
-    simulate_states,
-)
+from coveig.ensemble import _trial_seeds, padded_spectrum, simulate_rows
 from coveig.inversion import invert_known_rows, invert_rows
 from coveig.mestre import mestre_rows
 from coveig.moments import quadrature_rows, residue_rows
+from reference_draws import bartlett_eigenvalues, sfc64_generator
 
 
 def _bits(value) -> tuple:
@@ -244,34 +239,10 @@ def test_mestre_rows_reject_bad_counts_for_the_stack(counts, error):
 
 
 def _one_seed_draw(model, N, M, seed, gram_only=False):
-    """simulate_spectrum's documented steps for one seed on fresh buffers:
-    SFC64 draws, the Gram matrix from zlauum and zherk, then zhetrd at
-    workspace 8 n and dsterf, the reference every kernel row must equal.
-    With gram_only, the Gram matrix (its lower triangle) instead."""
-    scale = (np.sqrt(np.repeat(model.rho_array(), multiplicities(model, N)))
-             / np.sqrt(M))
-    n = min(N, M)
-    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
-    factor = np.zeros((N, n), dtype=np.complex128, order="F")
-    i = np.arange(n)
-    factor[i, i] = np.sqrt(rng.standard_gamma(M - i))
-    below = np.tri(N, n, -1, dtype=bool)
-    draws = rng.standard_normal(2 * int(below.sum()))
-    draws *= np.sqrt(0.5)
-    factor[below] = draws.view(np.complex128)
-    factor *= scale[:, None]
-    gram, _ = lapack.zlauum(factor[:n], lower=1, overwrite_c=1)
-    if N > n:
-        gram = blas.zherk(1.0, factor[n:], beta=1.0, c=gram, trans=2,
-                          lower=1, overwrite_c=1)
-    if gram_only:
-        return gram
-    if n == 1:
-        return np.clip(gram[0].real, 0.0, None)
-    _, d, e, _, _ = lapack.zhetrd(gram, lower=1, lwork=8 * n)
-    lam, info = lapack.dsterf(d, e)
-    assert info == 0
-    return np.clip(lam, 0.0, None)
+    """simulate_spectrum's documented steps for one seed on fresh buffers,
+    the reference every kernel row must equal (`bartlett_eigenvalues`)."""
+    return bartlett_eigenvalues(model, N, M, sfc64_generator(seed),
+                                gram_only)
 
 
 SAMPLING_SHAPES = [(24, 60), (30, 30), (40, 20), (70, 140), (1, 9), (9, 1),
@@ -289,9 +260,8 @@ def test_simulate_rows_equal_one_seed_draws(N, M):
         seeds = [trial_seed(size, t) for t in range(size)]
         rows = simulate_rows(model, N, M, seeds)
         assert rows.shape == (size, min(N, M))
-        # the trial path draws the same rows from the seeds' SFC64 states
-        states = _trial_states(size, range(size))
-        assert _bits(simulate_states(model, N, M, states)) == _bits(rows)
+        # the trial path derives the same seeds in one array pass
+        assert _trial_seeds(size, np.arange(size)).tolist() == seeds
         for t, seed in enumerate(seeds):
             reference = _bits(_one_seed_draw(model, N, M, seed))
             assert _bits(rows[t]) == reference
@@ -332,12 +302,12 @@ def test_block_memory_is_bounded():
     model = PopulationModel(rho=(1.0, 3.0, 5.0), weights=(1 / 3,) * 3,
                             aspect=0.375)
     counts = multiplicities(model, 150)
-    states = _trial_states(2026, range(largest))
+    seeds = _trial_seeds(2026, np.arange(largest))
     methods = ("moment_full", "moment_known_mult")
-    experiments._trials(model, 150, 400, counts, states[:1], methods)
+    experiments._trials(model, 150, 400, counts, seeds[:1], methods)
     tracemalloc.start()
     try:
-        block = experiments._trials(model, 150, 400, counts, states, methods)
+        block = experiments._trials(model, 150, 400, counts, seeds, methods)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
