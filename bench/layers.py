@@ -19,7 +19,9 @@ rows, or 4 with --quick) and times, per trial:
   mestre_rows                   Mestre's estimate
 
 and, once per call, the CLT set-ups theta_mestre on criterion 6's model and
-theta_moment_estimator on criterion 5's. Each layer is called once
+on two clusters a decade and a half apart at N > M (THETA_MESTRE_TALL, whose
+first cluster's ellipse holds the origin), and theta_moment_estimator on
+criterion 5's. Each layer is called once
 untimed and then 7 times in a row (1 with --quick), and the file holds the
 median and quartiles of the timed calls in ms per trial (per call for the
 set-ups), with nproc, the numpy, scipy and BLAS versions and the git SHA.
@@ -91,6 +93,10 @@ SIZES = [((1.0, 3.0), 60, 120), ((1.0, 3.0, 5.0), 150, 400),
 # the CLT set-ups of acceptance criteria 6 (Mestre) and 5 (moments)
 THETA_MESTRE_MODEL = PopulationModel(rho=(1.0, 3.0, 10.0),
                                      weights=(1 / 3,) * 3, aspect=0.1)
+# rho (1, 50) at c = 1.5: the double integral over cluster pairs did not
+# converge there by 1024 nodes
+THETA_MESTRE_TALL = PopulationModel(rho=(1.0, 50.0), weights=(0.5, 0.5),
+                                    aspect=1.5)
 THETA_MOMENT_MODEL = PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5),
                                      aspect=0.5)
 MASTER_SEED = 2026
@@ -382,6 +388,7 @@ def main(argv=None) -> int:
                            "minflt_per_call": _summary(faults[name], 1)})
     setups = []
     for fn, model in ((theta_mestre, THETA_MESTRE_MODEL),
+                      (theta_mestre, THETA_MESTRE_TALL),
                       (theta_moment_estimator, THETA_MOMENT_MODEL)):
         fn(model)  # warm caches outside the timing
         calls = [_timed(fn, model) for _ in range(repeats)]
@@ -410,7 +417,8 @@ def main(argv=None) -> int:
         print(f"{row['N']:>4} x {row['M']:<5} {row['layer']:<26} {cell}")
     for row in setups:
         stats, faults = row["ms_per_call"], row["minflt_per_call"]
-        print(f"{'set-up':<12} {row['layer']:<26} {stats['p50']:.3f} "
+        print(f"{'set-up':<12} {row['layer']:<26} rho {row['rho']} c "
+              f"{row['aspect']}: {stats['p50']:.3f} "
               f"[{stats['p25']:.3f}, {stats['p75']:.3f}] ms/call, "
               f"{faults['p50']:.0f} faults/call")
     for row in seeding["rows"]:

@@ -16,21 +16,39 @@ infinity: a polynomial in c and the population moments, with no nodes
 (v_matrix).
 
 Mestre's estimator reads one cluster per eigenvalue, so its covariance
-integrates over one ellipse per support cluster: the integral over
-clusters k and l runs on the two cluster ellipses, and the one over
-cluster k with itself on cluster k's ellipse in both variables. kappa is
-evaluated in a form that divides out the 1/(z1 - z2)^2 its two terms
-share, so nearby and coincident nodes lose no digits to cancellation. The
-first cluster's ellipse also holds the origin, which is no singularity of
-the integrand: for c < 1 m_u has a pole there and 1/m_u vanishes, for
-c > 1 m_u(0) is finite and positive, and at c = 1 the support itself
-starts at 0. Each integral is checked against the half-resolution rule
-embedded in its nodes, entry by entry divided by s^2, s the support's
-right edge, and the node count doubles until the two agree. An ellipse's
-nodes below the real axis mirror those above, so the transform is solved
-and kappa evaluated on the upper half of the first contour only; the
-lower half is their conjugate, and the half rule reads the even nodes of
-the same values.
+needs one contour per support cluster, and one integral per cluster. In
+v = -1/m_u the inverse map is z(v) = v + c sum_j w_j rho_j v / (v - rho_j)
+and kappa dz1 dz2 = -d1 d2 log Q dv1 dv2 with the rational
+
+    Q(v1, v2) = (z(v1) - z(v2)) / (v1 - v2)
+              = 1 - c sum_j w_j rho_j^2 / ((v1 - rho_j)(v2 - rho_j)).
+
+The principal root v_0 maps the plane off the support onto {phi < 1},
+phi(v) = c sum_j w_j rho_j^2 / |v - rho_j|^2, and cluster l's ellipse onto
+a curve around the component of {phi > 1} over rho_l. Integrating by
+parts in v1, the inner integral of v2 d2 log Q over that curve is 2 pi i
+times the sum of Q's zeros inside it less that of its poles: the root
+v_l(z1) of z(v) = z1 on cluster l's sheet, less rho_l. So
+
+    w_k w_l Theta_kl = -(i / (2 pi c^2)) oint_{Gamma_k} (v_l - rho_l) v_0' dz,
+    v_0' = 1 / (1 - c sum_j w_j rho_j^2 / (v_0 - rho_j)^2).
+
+rho_l integrates to zero against v_0', but subtracting it spares the sum
+a cancellation. Every root is an eigenvalue of the arrowhead matrix that
+gives m_u. Root l is the one with Re v in (nu_2l, nu_2l+1), the real
+critical points of z(v) around rho_l: the other roots have phi > 1, and
+each component of {phi > 1} holds exactly one (`limiting._roots`). The
+first cluster's ellipse also holds the origin, no singularity of the
+integrand: for c < 1 v_0 vanishes there, for c > 1 v_0(0) is finite, and
+at c = 1 the support starts at 0. An ellipse's lower nodes mirror its
+upper ones, so the roots are solved on the upper half only. Each entry is
+checked against the half-resolution rule embedded in the nodes and
+against its transpose, which integrates on the other ellipse, both divided
+by s^2, s the support's right edge; the node count doubles until they
+agree. An entry off the diagonal is then read from the row of the larger
+cluster: there the smaller cluster's root is near its pole, so the terms
+are as small as the entry, while on the smaller cluster's ellipse they are
+about c w_l rho_l and cancel.
 
 Normalization: all covariances refer to M * (estimate - truth).
 """
@@ -44,7 +62,7 @@ from numpy.typing import NDArray
 
 from .contours import cluster_ellipse, ellipse_nodes
 from .errors import ConditioningError, ConvergenceError, InputError, SeparabilityError
-from .limiting import solve_m_underline_grid, support_clusters
+from .limiting import _roots, support_clusters
 from .model import PopulationModel, true_moments
 
 __all__ = [
@@ -55,7 +73,7 @@ __all__ = [
 ]
 
 _SELF_CHECK_RTOL = 1e-8
-_MAX_DOUBLINGS = 2
+_MAX_DOUBLINGS = 4
 
 
 @dataclass(frozen=True)
@@ -73,116 +91,10 @@ class CltCovariance:
     contour_meta: dict
 
 
-def _transform_on(model: PopulationModel, ellipse, nodes: int):
-    """Weights on an ellipse's nodes and the companion transform there.
-
-    The nodes below the real axis mirror those above, and m_u(conj z) =
-    conj(m_u(z)), so the transform is solved on the upper half and
-    conjugated onto the lower half."""
-    points, dz = ellipse_nodes(*ellipse, nodes)
-    m, _ = solve_m_underline_grid(model, model.aspect, points[:nodes // 2])
-    return dz, np.concatenate([m, m[::-1].conj()])
-
-
-def _kappa_matrix(model: PopulationModel, m1, m2):
-    """kappa at every pair (m1[i], m2[j]), in a form free of cancellation.
-
-    With t = (0, 1/rho_1..1/rho_L) and g = (1, -c w_1..-c w_L) the inverse
-    map is z(m) = -sum_i g_i / (m + t_i), so (z1 - z2) / (m1 - m2) =
-    D12 = sum_i g_i q_i with q_i = 1 / ((m1 + t_i)(m2 + t_i)), and
-    m_u' = 1 / D11. Both terms of kappa then carry 1 / (m1 - m2)^2, and
-    Lagrange's identity divides it out exactly:
-
-        kappa = -sum_{i<j} g_i g_j (t_i - t_j)^2 q_i^2 q_j^2 / (D11 D22 D12^2),
-
-    which stays accurate however close the two contours come.
-    """
-    t = np.concatenate([[0.0], 1.0 / model.rho_array()])
-    g = np.concatenate([[1.0], -model.aspect * model.weights_array()])
-    phi1 = 1.0 / (m1[:, None] + t)
-    phi2 = 1.0 / (m2[:, None] + t)
-    i, j = np.triu_indices(t.size, 1)
-    # every q_i^2 q_j^2 is an outer product, so the sum over pairs is one
-    # matrix product
-    num = ((phi1[:, i] * phi1[:, j]) ** 2 * (g[i] * g[j] * (t[i] - t[j]) ** 2)
-           ) @ ((phi2[:, i] * phi2[:, j]) ** 2).T
-    d12 = (phi1 * g) @ phi2.T
-    d11 = phi1**2 @ g
-    d22 = phi2**2 @ g
-    return -num / (d11[:, None] * d22[None, :] * d12**2)
-
-
-def _blocks(model: PopulationModel, transforms):
-    """Sum of w1 w2 kappa / (m1 m2) for every cluster pair, by the full
-    rule and by the half-resolution rule embedded in it.
-
-    The nodes below the real axis mirror those above and kappa has real
-    coefficients, so kappa(conj m1, conj m2) = conj(kappa(m1, m2)) bit for
-    bit: kappa is evaluated for the upper-half rows of the first contour
-    only, against every column, and its lower-half rows are the mirrored
-    conjugates of those. Every other node of the offset trapezoid rule is
-    again a uniform rule, so the half rule sums the even rows and columns
-    of the same matrix with the weights doubled. Both sums run over the
-    whole matrix, as a full evaluation sums it: the integral over two
-    clusters far apart is a part in 1e4 of its terms, and reordering its
-    sum (twice the real part of the upper rows', say) moves it by up to
-    5e-13 relative.
-    """
-    clusters = [(m, w * (1.0 / m)) for w, m in transforms]
-    full = np.empty((len(clusters), len(clusters)), dtype=complex)
-    half = np.empty_like(full)
-    for k, (m1, p1) in enumerate(clusters):
-        upper = m1[:m1.size // 2]
-        for l, (m2, p2) in enumerate(clusters[k:], start=k):
-            kappa = _kappa_matrix(model, upper, m2)
-            kappa = np.concatenate([kappa, kappa[::-1, ::-1].conj()])
-            # kappa is symmetric, so the transposed pair needs no new sum
-            full[k, l] = full[l, k] = p1 @ kappa @ p2
-            half[k, l] = half[l, k] = (
-                (2.0 * p1[::2]) @ kappa[::2, ::2] @ (2.0 * p2[::2]))
-    return full, half
-
-
 def _scaled_gap(a, b, scale: float) -> float:
     """Largest entry-wise |a - b| against 1 + |a|, every entry divided by
     scale first."""
     return float((np.abs(a - b) * scale / (1.0 + np.abs(a) * scale)).max())
-
-
-def _cluster_pair_integrals(model: PopulationModel, clusters, nodes: int):
-    """Double integrals of kappa / (m_u m_u) over every pair of clusters.
-
-    Entry (k, l) is -p_k K p_l^T / (4 pi^2 c^2), with p_k the row w / m_u
-    on cluster k's contour. kappa has no singularity at z1 = z2, so a
-    diagonal entry integrates over cluster k's contour in both variables
-    and an off-diagonal one over the two disjoint cluster contours. The
-    node count doubles until the embedded half rule agrees entry by entry,
-    each divided by s^2 with s the support's right edge. The transform is
-    solved and kappa evaluated for the upper half of the nodes only
-    (`_blocks`).
-    """
-    norm = -1.0 / (4.0 * np.pi**2 * model.aspect**2)
-    scale = float(clusters[-1][1]) ** -2.0
-    ellipses = [cluster_ellipse(clusters, k) for k in range(len(clusters))]
-    for attempt in range(_MAX_DOUBLINGS + 1):
-        if attempt:
-            nodes *= 2
-        transforms = [_transform_on(model, e, nodes) for e in ellipses]
-        # |m_u| is about 1/|z| on a contour, so the floor is relative to
-        # the support's right edge
-        if min(np.abs(m).min() for _, m in transforms) * clusters[-1][1] < 1e-10:
-            raise ConvergenceError("companion transform vanishes on a contour")
-        full, half = _blocks(model, transforms)
-        full *= norm
-        half *= norm
-        delta = _scaled_gap(full, half, scale)
-        if delta <= _SELF_CHECK_RTOL:
-            return full
-    raise ConvergenceError(
-        f"CLT quadrature has not converged at {nodes} nodes "
-        f"(scaled delta {delta:.3e})",
-        residual=delta,
-    )
 
 
 def _truncated_product(A, B):
@@ -286,13 +198,46 @@ def theta_mestre(model: PopulationModel, nodes: int = 256) -> NDArray[np.float64
     """Asymptotic covariance of the baseline cluster estimator.
 
     Requires a separable model: one support cluster per distinct
-    eigenvalue. Entry (k, l) integrates kappa / (m_u m_u) over the contours
-    of clusters k and l; the diagonal uses cluster k's contour twice.
+    eigenvalue. Entry (k, l) is the double integral of kappa / (m_u m_u)
+    over the contours of clusters k and l, taken as the integral of
+    (v_l - rho_l) v_0' over cluster k's ellipse (module docstring). Every
+    ellipse's upper nodes are solved in one `_roots` call, and a lower node
+    adds the mirrored conjugate of its upper node's term. nodes is the
+    first rule's node count, doubled up to four times until the embedded
+    half rule and the transpose agree; entry (k, l), k > l, is then read
+    from row k and mirrored.
     """
     clusters = support_clusters(model, model.aspect)
     if len(clusters) != model.L:
         raise SeparabilityError(
             f"support has {len(clusters)} clusters, need {model.L}"
         )
-    w = model.weights_array()
-    return _cluster_pair_integrals(model, clusters, nodes).real / np.outer(w, w)
+    c = model.aspect
+    rho, w = model.rho_array(), model.weights_array()
+    norm = -1j / (2.0 * np.pi * c**2)
+    scale = float(clusters[-1][1]) ** -2.0
+    ellipses = np.array([cluster_ellipse(clusters, k) for k in range(model.L)])
+    for attempt in range(_MAX_DOUBLINGS + 1):
+        if attempt:
+            nodes *= 2
+        points, dz = ellipse_nodes(*ellipses.T[:, :, None], nodes)
+        upper = slice(0, nodes // 2)
+        v = -1.0 / _roots(model, c, points[:, upper], model.L + 1)[0]
+        dv0 = 1.0 / (1.0 - c * (w * rho**2 / (v[..., :1] - rho) ** 2).sum(axis=-1))
+        # terms f dz of the upper nodes; a lower node's is -conj of its mirror's
+        p = (v[..., 1:] - rho) * (dv0 * dz[:, upper])[..., None]
+        full = norm * (p - p.conj()).sum(axis=1)
+        # the even nodes: the upper even ones and the mirrors of the odd ones
+        half = 2.0 * norm * (p[:, ::2].sum(axis=1) - p[:, 1::2].conj().sum(axis=1))
+        # rows k and l integrate on different ellipses, so an unresolved
+        # row, or a root taken from the wrong sheet, shows as asymmetry
+        delta = max(_scaled_gap(full, half, scale), _scaled_gap(full, full.T, scale))
+        if delta <= _SELF_CHECK_RTOL:
+            # each pair from the larger cluster's row (module docstring)
+            lower = np.tril(full.real)
+            return (lower + np.tril(lower, -1).T) / np.outer(w, w)
+    raise ConvergenceError(
+        f"CLT quadrature has not converged at {nodes} nodes "
+        f"(scaled delta {delta:.3e})",
+        residual=delta,
+    )

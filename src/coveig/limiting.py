@@ -12,10 +12,11 @@ and the transform of the sample-covariance limit follows from
 
 Off the real axis m_u(z) is the one root of a degree-(L+1) equation with
 Im m_u of the sign of Im z; solve_m_underline_grid takes it as an
-eigenvalue of an (L+1) x (L+1) arrowhead matrix per point. The support
-edges are the values of the inverse map z(m_u) at its real critical
-points, the real eigenvalues of a 2L x 2L matrix (support_clusters). The
-density on the real line is read from Im m(x + i eps) / pi.
+eigenvalue of an (L+1) x (L+1) arrowhead matrix per point, whose other L
+eigenvalues lie one on each cluster's sheet (`_roots`). The support edges
+are the values of the inverse map z(m_u) at its real critical points, the
+real eigenvalues of a 2L x 2L matrix (support_clusters). The density on the
+real line is read from Im m(x + i eps) / pi.
 """
 
 from __future__ import annotations
@@ -78,29 +79,30 @@ def _inverse_map_derivative(m, ratio, rho, w):
     return 1.0 / m**2 - ratio * s2
 
 
-def solve_m_underline_grid(model: PopulationModel, n_over_m: float, z: np.ndarray):
-    """Companion transform at every point of z; returns (m_underline, residual).
+def _roots(model: PopulationModel, ratio: float, z, sheets: int):
+    """The first `sheets` roots m = -1/v of the fixed-point equation at every
+    point of z, Im z > 0, and their errors, of shape z.shape + (sheets,).
 
-    In v = -1/m_u the fixed-point equation reads
+    In v the equation is v - (z - c sum_k w_k rho_k) + sum_k b_k^2 /
+    (v - rho_k) = 0, b_k = rho_k sqrt(c w_k), whose L+1 roots are the
+    eigenvalues of the arrowhead matrix [[z - c sum_k w_k rho_k, i b^T],
+    [i b, diag(rho)]]. Im z = Im v (1 - phi(v)) with phi(v) = c sum_k w_k
+    rho_k^2 / |v - rho_k|^2, so one root has Im v > 0 (Silverstein & Bai
+    1995), the principal one, m_u; it comes first. The other L have phi > 1.
+    On a line Re v = t phi falls as |Im v| grows, so the components of
+    {phi > 1} sit over the intervals (nu_2l, nu_2l+1) around rho_l where
+    phi(t) > 1 (`_critical_points`). No root crosses their boundary as z
+    moves, and as Im z grows root l tends to rho_l, so each holds one root
+    at every z: the L follow by real part, root l + 1 on cluster l's sheet.
 
-        v - (z - c sum_k w_k rho_k) + sum_k b_k^2 / (v - rho_k) = 0,
-
-    b_k = rho_k sqrt(c w_k), whose L+1 roots are the eigenvalues of the
-    arrowhead matrix [[z - c sum_k w_k rho_k, i b^T], [i b, diag(rho)]].
-    For Im z > 0 exactly one root has Im v > 0, which is Im m_u > 0
-    (Silverstein & Bai 1995); points with Im z < 0 are solved at conj(z)
-    and conjugated. A few guarded Newton steps on the inverse map then
-    polish the eigenvalue to full precision.
+    A few guarded Newton steps on the inverse map polish every root. The
+    principal root's error is its fixed-point residual, the others' their
+    next Newton step in v against max(|v|, rho_L); a root whose error stays
+    above 1e-10, whose imaginary part has the wrong sign or whose real part
+    leaves its interval raises ConvergenceError.
     """
     rho = model.rho_array()
     w = model.weights_array()
-    ratio = float(n_over_m)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if not np.all(np.isfinite(z) & (z.imag != 0)):
-        raise InputError("the transform needs finite z off the real axis")
-    lower = z.imag < 0
-    z = np.where(lower, z.conj(), z)
-
     L = rho.size
     b = 1j * rho * np.sqrt(ratio * w)
     arrow = np.zeros(z.shape + (L + 1, L + 1), dtype=complex)
@@ -110,30 +112,63 @@ def solve_m_underline_grid(model: PopulationModel, n_over_m: float, z: np.ndarra
     diag = np.arange(1, L + 1)
     arrow[..., diag, diag] = rho
     v = np.linalg.eigvals(arrow)
-    v = np.take_along_axis(v, v.imag.argmax(axis=-1)[..., None], axis=-1)[..., 0]
-    m = -1.0 / v
-    res = _residual(m, z, ratio, rho, w)
+    principal = np.arange(L + 1) == v.imag.argmax(axis=-1)[..., None]
+    order = np.where(principal, -np.inf, v.real).argsort(axis=-1)
+    m = -1.0 / np.take_along_axis(v, order[..., :sheets], axis=-1)
+    z = z[..., None]
+    sign = np.where(np.arange(sheets) == 0, 1.0, -1.0)
+
+    def newton(m):
+        """The Newton step on the inverse map at m, and m's error."""
+        step = ((_inverse_map(m, ratio, rho, w) - z)
+                / _inverse_map_derivative(m, ratio, rho, w))
+        # near its pole rho_l a root is known to about eps rho_L in v, and
+        # its fixed-point residual loses digits to cancellation (4e-6 at
+        # v - rho_1 = 1e-6 on rho (1, 100, 10000))
+        err = np.abs(step) / (np.abs(m) * np.maximum(1.0, np.abs(m) * rho[-1]))
+        return step, np.where(sign > 0, _residual(m, z, ratio, rho, w), err)
 
     # eigvals alone leaves residuals up to ~1e-7 (at the origin, say)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step, err = newton(m)
         for _ in range(3):
-            g = _inverse_map(m, ratio, rho, w) - z
-            cand = m - g / _inverse_map_derivative(m, ratio, rho, w)
-            cand_res = _residual(cand, z, ratio, rho, w)
-            take = (cand.imag > 0) & (cand_res < res)
+            cand = m - step
+            cand_step, cand_err = newton(cand)
+            take = (sign * cand.imag > 0) & (cand_err < err)
             m = np.where(take, cand, m)
-            res = np.where(take, cand_res, res)
+            step = np.where(take, cand_step, step)
+            err = np.where(take, cand_err, err)
 
     # a NaN residual or a root on the wrong side of the axis fails too
-    bad = ~((res <= 1e-10) & (m.imag > 0))
+    bad = ~((err <= 1e-10) & (sign * m.imag > 0))
     if np.any(bad):
-        worst = float(res.max())
+        worst = float(err.max())
         raise ConvergenceError(
-            f"fixed point did not converge at {int(bad.sum())} of {z.size} "
-            f"points (worst residual {worst:.3e})",
+            f"fixed point did not converge at {int(bad.any(axis=-1).sum())} "
+            f"of {z.size} points (worst residual {worst:.3e})",
             residual=worst,
         )
-    return np.where(lower, m.conj(), m), res
+    if sheets > 1:
+        nu = _critical_points(model, ratio).reshape(-1, 2)[:sheets - 1]
+        t = (-1.0 / m[..., 1:]).real
+        if len(nu) < sheets - 1 or not np.all((nu[:, 0] < t) & (t < nu[:, 1])):
+            raise ConvergenceError("a root lies off its cluster's sheet")
+    return m, err
+
+
+def solve_m_underline_grid(model: PopulationModel, n_over_m: float, z: np.ndarray):
+    """Companion transform at every point of z; returns (m_underline, residual).
+
+    m_u is the principal root of `_roots`, polished to full precision;
+    points with Im z < 0 are solved at conj(z) and conjugated.
+    """
+    ratio = float(n_over_m)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if not np.all(np.isfinite(z) & (z.imag != 0)):
+        raise InputError("the transform needs finite z off the real axis")
+    lower = z.imag < 0
+    m, res = _roots(model, ratio, np.where(lower, z.conj(), z), 1)
+    return np.where(lower, m[..., 0].conj(), m[..., 0]), res[..., 0]
 
 
 def _m_from_companion(m_underline, z, n_over_m: float):
@@ -179,6 +214,25 @@ def _continuous_density(m, z, ratio):
     return np.maximum(dens, 0.0)
 
 
+def _critical_points(model: PopulationModel, ratio: float) -> NDArray[np.float64]:
+    """Sorted real critical points nu_0 < nu_1 < ... of the inverse map in
+    v = -1/m, x = v + c sum_k w_k rho_k v / (v - rho_k), where dx/dv =
+    1 - c sum_k w_k rho_k^2 / (v - rho_k)^2 vanishes.
+
+    The sum is convex between consecutive rho_k and monotone outside them,
+    so they are one below rho_1, one above rho_L and pairs in between. They
+    are the eigenvalues v of [[R, -I], [-b b^T, R]] with R = diag(rho) and
+    b_k = rho_k sqrt(c w_k), which solve det((R - v)^2 - b b^T) = 0; unlike
+    the roots of the same polynomial in monomial form, they stay accurate
+    when the clusters are narrow (small c).
+    """
+    rho = model.rho_array()
+    b = rho * np.sqrt(ratio * model.weights_array())
+    R = np.diag(rho)
+    eig = np.linalg.eigvals(np.block([[R, -np.eye(rho.size)], [-np.outer(b, b), R]]))
+    return np.sort(eig[eig.imag == 0].real)
+
+
 def support_clusters(
     model: PopulationModel, n_over_m: float
 ) -> tuple[tuple[float, float], ...]:
@@ -188,26 +242,12 @@ def support_clusters(
     real m to a point outside the support exactly where x'(m) > 0
     (Silverstein & Choi 1995), so the support edges are x at the real
     critical points of x. In v = -1/m, which keeps the sign of the
-    derivative,
-
-        x = v + c sum_k w_k rho_k v / (v - rho_k),
-        dx/dv = 1 - c sum_k w_k rho_k^2 / (v - rho_k)^2.
-
-    The sum is convex between consecutive rho_k and monotone outside them,
-    so the real critical points v_0 < v_1 < ... are one below rho_1, one
-    above rho_L and pairs in between, and cluster i is [x(v_2i), x(v_2i+1)].
-    They are the eigenvalues v of [[R, -I], [-b b^T, R]] with R = diag(rho)
-    and b_k = rho_k sqrt(c w_k), which solve det((R - v)^2 - b b^T) = 0;
-    unlike the roots of the same polynomial in monomial form, they stay
-    accurate when the clusters are narrow (small c).
+    derivative, cluster i is [x(nu_2i), x(nu_2i+1)] (`_critical_points`).
     """
     ratio = float(n_over_m)
     rho = model.rho_array()
     w = model.weights_array()
-    b = rho * np.sqrt(ratio * w)
-    R = np.diag(rho)
-    eig = np.linalg.eigvals(np.block([[R, -np.eye(rho.size)], [-np.outer(b, b), R]]))
-    v = np.sort(eig[eig.imag == 0].real)[:, None]
+    v = _critical_points(model, ratio)[:, None]
     edges = (v + ratio * (w * rho * v / (v - rho)).sum(axis=1, keepdims=True)).ravel()
     # at c = 1 the lowest edge is 0 up to rounding, which may be negative
     edges = np.maximum(edges, 0.0)

@@ -39,6 +39,12 @@ def test_quick_layer_bench_writes_every_record(tmp_path):
     assert all(row["minflt_per_call"]["p50"] >= 0
                for row in bench["layers"] if row["ms_per_trial"])
     assert all(row["minflt_per_call"]["p50"] >= 0 for row in bench["setups"])
+    # criterion 6's Mestre model, two clusters at N > M, criterion 5's model
+    assert [(row["layer"], row["rho"], row["aspect"]) for row in bench["setups"]] == [
+        ("theta_mestre", [1.0, 3.0, 10.0], 0.1),
+        ("theta_mestre", [1.0, 50.0], 1.5),
+        ("theta_moment_estimator", [1.0, 3.0], 0.5)]
+    assert all(row["ms_per_call"]["n"] == 1 for row in bench["setups"])
     # the per-call SplitMix64 pass over every trial's index
     seeding = bench["trial_seeds"]["rows"]
     assert [row["trials"] for row in seeding] == [40, 300, 2000]

@@ -191,11 +191,37 @@ def test_v_matches_monte_carlo_first_moment():
     assert 0.8 < ratio < 1.2
 
 
+def _kappa_matrix(model, m1, m2):
+    """kappa at every pair (m1[i], m2[j]), in a form free of cancellation.
+
+    With t = (0, 1/rho_1..1/rho_L) and g = (1, -c w_1..-c w_L) the inverse
+    map is z(m) = -sum_i g_i / (m + t_i), so (z1 - z2) / (m1 - m2) =
+    D12 = sum_i g_i q_i with q_i = 1 / ((m1 + t_i)(m2 + t_i)), and
+    m_u' = 1 / D11. Both terms of kappa then carry 1 / (m1 - m2)^2, and
+    Lagrange's identity divides it out exactly:
+
+        kappa = -sum_{i<j} g_i g_j (t_i - t_j)^2 q_i^2 q_j^2 / (D11 D22 D12^2),
+
+    which stays accurate however close the two contours come.
+    """
+    t = np.concatenate([[0.0], 1.0 / model.rho_array()])
+    g = np.concatenate([[1.0], -model.aspect * model.weights_array()])
+    phi1 = 1.0 / (m1[:, None] + t)
+    phi2 = 1.0 / (m2[:, None] + t)
+    i, j = np.triu_indices(t.size, 1)
+    num = ((phi1[:, i] * phi1[:, j]) ** 2 * (g[i] * g[j] * (t[i] - t[j]) ** 2)
+           ) @ ((phi2[:, i] * phi2[:, j]) ** 2).T
+    d12 = (phi1 * g) @ phi2.T
+    d11 = phi1**2 @ g
+    d22 = phi2**2 @ g
+    return -num / (d11[:, None] * d22[None, :] * d12**2)
+
+
 def _kappa(model, z1, z2):
-    """kappa at every pair (z1[i], z2[j]), as the CLT evaluates it."""
+    """kappa at every pair (z1[i], z2[j]), as the 2-D oracle evaluates it."""
     m1, _ = solve_m_underline_grid(model, model.aspect, z1)
     m2, _ = solve_m_underline_grid(model, model.aspect, z2)
-    return clt._kappa_matrix(model, m1, m2)
+    return _kappa_matrix(model, m1, m2)
 
 
 def test_kernel_symmetries():
@@ -253,14 +279,15 @@ def test_theta_annihilates_weight_sum():
     np.testing.assert_allclose(cov.Theta @ u, 0.0, atol=1e-8 * scale)
 
 
-def test_theta_mestre_single_atom_matches_v11():
+@pytest.mark.parametrize("aspect", [0.1, 0.5, 1.0, 2.0, 5.0])
+def test_theta_mestre_single_atom_matches_v11(aspect):
     # the baseline with one block is exactly the first-moment estimator, so
-    # its variance must agree with the closed form through a completely
-    # different contour layout
-    model = PopulationModel(rho=(1.0,), weights=(1.0,), aspect=0.5)
+    # its variance must agree with the closed form rho^2 / c through a
+    # completely different contour layout, at N = M and N > M too
+    model = PopulationModel(rho=(3.0,), weights=(1.0,), aspect=aspect)
     theta = theta_mestre(model)
     assert theta.shape == (1, 1)
-    assert abs(theta[0, 0] - 2.0) < 1e-6
+    assert abs(theta[0, 0] - 9.0 / aspect) <= 1e-12 * 9.0 / aspect
 
 
 def test_theta_mestre_separated_model():
@@ -272,10 +299,11 @@ def test_theta_mestre_separated_model():
     assert np.diag(theta)[0] < np.diag(theta)[1] < np.diag(theta)[2]
 
 
-def _full_node_theta_mestre(model, nodes=256):
-    """theta_mestre's integrals evaluated directly: the transform solved
-    at every node, kappa at every pair of nodes of two contours, and the
-    half rule as a second pass over the even nodes."""
+def _theta_mestre_2d(model, nodes=256):
+    """The baseline's covariance as the double integral of kappa / (m_u
+    m_u) over every pair of cluster ellipses: the transform solved at every
+    node, kappa at every pair of nodes of two contours, and the half rule
+    as a second pass over the even nodes."""
     clusters = support_clusters(model, model.aspect)
     transforms = []
     for k in range(len(clusters)):
@@ -289,7 +317,7 @@ def _full_node_theta_mestre(model, nodes=256):
         B = np.empty((len(rows), len(rows)), dtype=complex)
         for k, (m1, p1) in enumerate(rows):
             for l, (m2, p2) in enumerate(rows[k:], start=k):
-                B[k, l] = B[l, k] = p1 @ clt._kappa_matrix(model, m1, m2) @ p2
+                B[k, l] = B[l, k] = p1 @ _kappa_matrix(model, m1, m2) @ p2
         return -B / (4.0 * np.pi**2 * model.aspect**2)
 
     full, half = blocks(1), blocks(2)
@@ -305,39 +333,130 @@ FIVE_ATOM = PopulationModel(rho=(1.0, 2.0, 4.0, 8.0, 16.0),
 
 @pytest.mark.parametrize("model", [THREE_ATOM, WIDE_SCALES, FIVE_ATOM])
 def test_theta_mestre_upper_half_kernel_matches_full_nodes(model):
-    # kappa evaluated for the upper-half rows only and mirrored, both
-    # rules read from that one matrix, against the direct evaluation
-    np.testing.assert_allclose(theta_mestre(model),
-                               _full_node_theta_mestre(model),
-                               rtol=1e-13, atol=0)
+    # one integral per cluster, on the upper half of its nodes, against the
+    # double integral of the Bai & Silverstein kernel at every node pair;
+    # two different rules, so the gap is read against sqrt(Theta_kk Theta_ll)
+    theta, oracle = theta_mestre(model), _theta_mestre_2d(model)
+    scale = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
+    assert np.all(np.abs(theta - oracle) <= 1e-12 * scale)
+
+
+# where the double integral did not converge by 1024 nodes (scaled delta
+# 1.7e-7, 1.0e-6 and 1.3e-7); the pinned values are the one-integral rule's
+# at 2048 nodes. On the first two they equal the double integral started at
+# 4096 nodes within 1.3e-15 of the largest entry; at c = 1.5 Monte Carlo
+# reads 6.59 +- 0.15 for the first entry (4000 rows at 150 x 100)
+HARD_MODELS = [
+    ((1.0, 10.91), (0.356, 0.644), 0.77,
+     [[9.927691058942973, -3.4713613637925453],
+      [-3.4713613637925453, 241.9530321389103]]),
+    ((1.0, 4.42), (0.526, 0.474), 0.466,
+     [[7.098636077498997, -3.35012622359359],
+      [-3.35012622359359, 92.16407498697214]]),
+    ((1.0, 50.0), (0.5, 0.5), 1.5,
+     [[6.579435705033167, -5.246102371699846],
+      [-5.246102371699846, 3338.579435705033]]),
+]
+
+
+@pytest.mark.parametrize("rho,weights,aspect,expected", HARD_MODELS,
+                         ids=["close_clusters", "closer_clusters", "tall"])
+def test_theta_mestre_converges_on_hard_models(rho, weights, aspect, expected):
+    theta = theta_mestre(PopulationModel(rho=rho, weights=weights,
+                                         aspect=aspect))
+    expected = np.array(expected)
+    assert np.abs(theta - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _random_separable(rng):
+    """A separable model with 1 to 5 atoms, gaps of 2 to 100 times and
+    aspect in [0.02, 5]. Until the support splits into one cluster per atom
+    the gaps widen, up to rho_L = 1e8, and then the aspect halves."""
+    L = int(rng.integers(1, 6))
+    rho = np.cumprod(np.concatenate([[1.0], 10.0 ** rng.uniform(0.3, 2.0, L - 1)]))
+    w = np.clip(rng.dirichlet(np.full(L, 3.0)), 0.05, None)
+    w /= w.sum()
+    c = 10.0 ** rng.uniform(np.log10(0.02), np.log10(5.0))
+    while len(support_clusters(PopulationModel(rho=tuple(rho), weights=tuple(w),
+                                               aspect=c), c)) < L:
+        if rho[-1] ** 1.5 <= 1e8:
+            rho = rho**1.5
+        else:
+            c /= 2.0
+    return PopulationModel(rho=tuple(rho), weights=tuple(w), aspect=c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_sheet_rule(seed):
+    # at every node of every cluster ellipse, of the L + 1 roots v = -1/m
+    # of the fixed-point equation exactly one has Im v > 0 and phi < 1, and
+    # each interval (nu_2l, nu_2l+1) around rho_l between the critical
+    # points holds exactly one of the others, with phi > 1 there
+    model = _random_separable(np.random.default_rng(seed))
+    c, L = model.aspect, model.L
+    rho, w = model.rho_array(), model.weights_array()
+    clusters = support_clusters(model, c)
+    nu = limiting._critical_points(model, c).reshape(L, 2)
+    b = 1j * rho * np.sqrt(c * w)
+    for k in range(L):
+        z = ellipse_nodes(*cluster_ellipse(clusters, k), 256)[0][:128]
+        arrow = np.zeros((z.size, L + 1, L + 1), dtype=complex)
+        arrow[:, 0, 0] = z - c * np.dot(w, rho)
+        arrow[:, 0, 1:] = arrow[:, 1:, 0] = b
+        arrow[:, range(1, L + 1), range(1, L + 1)] = rho
+        v = np.linalg.eigvals(arrow)
+        phi = c * (w * rho**2 / np.abs(v[..., None] - rho) ** 2).sum(axis=-1)
+        principal = v.imag > 0
+        assert np.all(principal.sum(axis=1) == 1)
+        assert np.all(phi[principal] < 1) and np.all(phi[~principal] > 1)
+        others = v[~principal].reshape(z.size, L).real
+        inside = (nu[:, 0] < others[..., None]) & (others[..., None] < nu[:, 1])
+        # one root per interval, one interval per root
+        assert np.all(inside.sum(axis=1) == 1) and np.all(inside.sum(axis=2) == 1)
 
 
 def test_theta_mestre_half_rule_check_bites(monkeypatch):
     # 8 nodes cannot resolve criterion 6's model: the embedded half rule
-    # disagrees, the node count doubles, and without doublings the same
-    # typed error is raised at once
+    # disagrees and the node count doubles until the rules agree at 128;
+    # with fewer doublings the same typed error is raised
     seen = []
-    transform_on = clt._transform_on
+    roots = clt._roots
 
-    def recording(model, ellipse, nodes):
-        seen.append(nodes)
-        return transform_on(model, ellipse, nodes)
+    def recording(model, ratio, z, sheets):
+        seen.append(2 * z.shape[-1])
+        return roots(model, ratio, z, sheets)
 
-    monkeypatch.setattr(clt, "_transform_on", recording)
+    monkeypatch.setattr(clt, "_roots", recording)
+    reference = theta_mestre(THREE_ATOM)
+    seen.clear()
+    np.testing.assert_allclose(theta_mestre(THREE_ATOM, nodes=8), reference,
+                               rtol=1e-8)
+    assert seen == [8, 16, 32, 64, 128]
+    monkeypatch.setattr(clt, "_MAX_DOUBLINGS", 2)
     with pytest.raises(ConvergenceError,
                        match="CLT quadrature has not converged at 32 nodes"):
         theta_mestre(THREE_ATOM, nodes=8)
-    assert sorted(set(seen)) == [8, 16, 32]
-    reference = theta_mestre(THREE_ATOM)
-    seen.clear()
-    # from 32 nodes the rule doubles twice and agrees at 128
-    np.testing.assert_allclose(theta_mestre(THREE_ATOM, nodes=32), reference,
-                               rtol=1e-8)
-    assert sorted(set(seen)) == [32, 64, 128]
     monkeypatch.setattr(clt, "_MAX_DOUBLINGS", 0)
     with pytest.raises(ConvergenceError,
                        match="CLT quadrature has not converged at 8 nodes"):
         theta_mestre(THREE_ATOM, nodes=8)
+
+
+def test_theta_mestre_asymmetry_check_bites(monkeypatch):
+    # row k integrates on cluster k's ellipse only, so roots taken from the
+    # wrong sheets make Theta asymmetric at every node count, and that is
+    # refused
+    roots = clt._roots
+
+    def swapped(model, ratio, z, sheets):
+        m, res = roots(model, ratio, z, sheets)
+        return m[..., [0, 2, 1, 3]], res[..., [0, 2, 1, 3]]
+
+    monkeypatch.setattr(clt, "_roots", swapped)
+    with pytest.raises(ConvergenceError,
+                       match="CLT quadrature has not converged at 4096 nodes"):
+        theta_mestre(THREE_ATOM)
 
 
 def test_theta_mestre_requires_separability():
