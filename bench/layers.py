@@ -45,9 +45,13 @@ cells taking turns, so that each call follows another kernel's, as in a
 chunk. Its fixed part is the 1-row time less the per-row slope between 1
 and 64 rows, the cost a chunk pays however few trials it holds.
 
-The "import" record times `import coveig` with perf_counter inside 7 fresh
-interpreters (1 with --quick), with their ru_maxrss right after it and the
-heavy modules it should not load (HEAVY_MODULES) that it did load.
+The "import" record runs three probes (IMPORT_PROBES), each with
+perf_counter inside 7 fresh interpreters (1 with --quick): `import coveig`
+alone; `import coveig.cli`, what every CLI process pays before its first
+call; and `import coveig` plus `theta_moment_estimator` on criterion 5's
+model, the set-up of clt-check's moment estimator. Each holds the peak
+RSS right after it, the heavy modules (HEAVY_MODULES) that it loaded and
+every scipy module that it loaded.
 """
 
 from __future__ import annotations
@@ -109,18 +113,36 @@ LAYERS = ("simulate_rows", "simulate_rows.draw", "simulate_rows.gram",
 TRIAL_SEED_COUNTS = (40, 300, 2000)
 # rows per call of the fixed-cost record
 FIXED_ROWS = (1, 5, 64)
-# modules `import coveig` must not load; it reaches LAPACK, BLAS and the
-# normal CDF without them
+# modules no probe may load; coveig reaches LAPACK, BLAS and the normal CDF
+# without them
 HEAVY_MODULES = ("scipy.linalg", "scipy.special", "numpy.f2py", "numpy.testing")
-_IMPORT_PROBE = f"""
+# the statements each import probe times in its fresh interpreters
+IMPORT_PROBES = {
+    "coveig": "import coveig",
+    "cli": "import coveig.cli",
+    "clt_full_setup": (
+        "import coveig\n"
+        "coveig.theta_moment_estimator(coveig.PopulationModel(\n"
+        "    rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.5))"),
+}
+# the peak RSS is VmHWM where /proc has it: after exec, ru_maxrss still
+# holds the bench process's own high-water mark when that is higher
+_IMPORT_PROBE = """
 import json, resource, sys, time
 t0 = time.perf_counter()
-import coveig
+{statement}
 seconds = time.perf_counter() - t0
+try:
+    with open("/proc/self/status") as fh:
+        peak = next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({{
     "seconds": seconds,
-    "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-    "heavy": [name for name in {HEAVY_MODULES!r} if name in sys.modules]}}))
+    "peak_kb": peak,
+    "heavy": [name for name in {heavy!r} if name in sys.modules],
+    "scipy": [name for name in sys.modules if name.split(".")[0] == "scipy"]}}))
 """
 
 
@@ -316,19 +338,32 @@ def _summary(values: list, scale: float = 1e3) -> dict | None:
 
 
 def _import_record(interpreters: int) -> dict:
-    """`import coveig` in fresh interpreters: its wall time, the peak RSS
-    right after it and the heavy modules it loaded."""
+    """Each import probe in fresh interpreters, the probes taking turns: its
+    wall time, the peak RSS right after it, and the heavy and the scipy
+    modules it loaded."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    runs = [json.loads(subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True,
-        text=True, check=True).stdout) for _ in range(interpreters)]
-    return {
-        "interpreters": interpreters,
-        "ms_per_import": _summary([run["seconds"] for run in runs]),
-        "maxrss_mb": _summary([run["maxrss_kb"] for run in runs], 1 / 1024),
-        "heavy_modules": sorted({name for run in runs for name in run["heavy"]}),
-    }
+    runs = {name: [] for name in IMPORT_PROBES}
+    for _ in range(interpreters):
+        for name, statement in IMPORT_PROBES.items():
+            code = _IMPORT_PROBE.format(statement=statement,
+                                        heavy=HEAVY_MODULES)
+            runs[name].append(json.loads(subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True,
+                text=True, check=True).stdout))
+    record = {"interpreters": interpreters}
+    for name, probes in runs.items():
+        record[name] = {
+            "statement": IMPORT_PROBES[name],
+            "ms": _summary([run["seconds"] for run in probes]),
+            "maxrss_mb": _summary([run["peak_kb"] for run in probes],
+                                  1 / 1024),
+            "heavy_modules": sorted({module for run in probes
+                                     for module in run["heavy"]}),
+            "scipy_modules": sorted({module for run in probes
+                                     for module in run["scipy"]}),
+        }
+    return record
 
 
 def _git(*args: str) -> str | None:
@@ -431,11 +466,14 @@ def main(argv=None) -> int:
         print(f"{fixed['N']:>4} x {fixed['M']:<5} {row['layer']:<26} ms/call "
               f"{cells}; fixed {row['fixed_ms']:.4f}, per row "
               f"{row['ms_per_row']:.4f}")
-    stats, rss = imported["ms_per_import"], imported["maxrss_mb"]
-    print(f"{'import':<12} {'coveig':<26} {stats['p50']:.1f} "
-          f"[{stats['p25']:.1f}, {stats['p75']:.1f}] ms, "
-          f"{rss['p50']:.1f} MB peak RSS, heavy modules "
-          f"{imported['heavy_modules'] or 'none'}")
+    for name in IMPORT_PROBES:
+        probe = imported[name]
+        stats, rss = probe["ms"], probe["maxrss_mb"]
+        print(f"{'import':<12} {name:<26} {stats['p50']:.1f} "
+              f"[{stats['p25']:.1f}, {stats['p75']:.1f}] ms, "
+              f"{rss['p50']:.1f} MB peak RSS, heavy modules "
+              f"{probe['heavy_modules'] or 'none'}, "
+              f"{len(probe['scipy_modules'])} scipy modules")
     print(f"wrote {args.out}")
     return 0
 

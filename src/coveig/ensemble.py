@@ -201,10 +201,13 @@ def generate_observations(
 
 
 def _dimensions(N, M) -> tuple[int, int]:
-    """(N, M) as ints (`_integer`), or a DimensionError if either is < 1."""
+    """(N, M) as ints (`_integer`), or a DimensionError if either is < 1
+    or an N x M complex matrix could not be addressed."""
     N, M = _integer(N, "N"), _integer(M, "M")
     if N < 1 or M < 1:
         raise DimensionError(f"need N >= 1 and M >= 1, got N={N}, M={M}")
+    if N * M > np.iinfo(np.intp).max // 16:
+        raise DimensionError(f"an {N} x {M} complex matrix is too large")
     return N, M
 
 
@@ -229,7 +232,10 @@ def sample_spectrum(observations: np.ndarray, seed: int = 0) -> SampleSpectrum:
         raise InputError("observations contain non-finite entries")
     Y = Y.astype(np.complex128, copy=False)
     small = Y if N <= M else Y.conj().T
-    gram = np.asfortranarray(small @ small.conj().T / M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.asfortranarray(small @ small.conj().T / M)
+    if not np.all(np.isfinite(gram)):
+        raise InputError("observations too large: their Gram matrix overflows")
     lam = _gram_eigenvalues(gram, _workspace(gram.shape[0]))
     return padded_spectrum(lam, N, M, seed)
 
@@ -383,6 +389,15 @@ def simulate_spectrum(
     return padded_spectrum(lam, N, M, seed)
 
 
+def _header_seed(seed) -> int:
+    """seed as the int64 of an observation file's header, or an InputError
+    if it does not fit."""
+    seed = int(seed)
+    if not -2**63 <= seed < 2**63:
+        raise InputError(f"seed {seed} does not fit the header's int64")
+    return seed
+
+
 def write_observations(path, observations: np.ndarray, seed: int = 0) -> None:
     """Store complex observations in the package's binary format.
 
@@ -393,12 +408,13 @@ def write_observations(path, observations: np.ndarray, seed: int = 0) -> None:
     if Y.ndim != 2:
         raise DimensionError(f"observations must be 2-D, got shape {Y.shape}")
     N, M = Y.shape
+    seed = _header_seed(seed)
     payload = np.empty((N, M, 2), dtype="<f8")
     payload[:, :, 0] = Y.real
     payload[:, :, 1] = Y.imag
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<qqq", N, M, int(seed)))
+        fh.write(struct.pack("<qqq", N, M, seed))
         fh.write(payload.tobytes())
 
 
@@ -418,6 +434,6 @@ def read_observations(path) -> tuple[NDArray[np.complex128], int]:
     if len(payload) != 16 * N * M:
         raise InputError(f"{path}: payload of {len(payload)} bytes, "
                          f"expected {16 * N * M} for {N} x {M}")
-    data = np.frombuffer(payload, dtype="<f8")
-    data = data.reshape(N, M, 2)
-    return data[:, :, 0] + 1j * data[:, :, 1], int(seed)
+    # (real, imag) pairs are complex128 as they lie, non-finite ones too
+    Y = np.frombuffer(payload, dtype="<c16").reshape(N, M)
+    return Y.astype(np.complex128), int(seed)

@@ -48,7 +48,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .clt import theta_mestre, theta_moment_estimator
-from .ensemble import _integer, _trial_seeds, simulate_rows
+from .ensemble import _dimensions, _integer, _trial_seeds, simulate_rows
 from .errors import (
     ConditioningError,
     ContourError,
@@ -90,6 +90,17 @@ _CHUNK_MIN_S = 0.01
 _CHUNK_MAX = 64
 
 
+def _trial_count(trials) -> int:
+    """trials as an int (`_integer`), or an InputError if it is below 1 or
+    too large for an array of its seeds."""
+    trials = _integer(trials, "trials")
+    if trials < 1:
+        raise InputError("need at least one trial")
+    if trials > np.iinfo(np.intp).max // 8:
+        raise InputError(f"{trials} trials are too many to seed")
+    return trials
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings for a Monte Carlo sweep.
@@ -115,18 +126,19 @@ class ExperimentConfig:
         sizes = tuple((_integer(n, "sizes"), _integer(m, "sizes"))
                       for n, m in self.sizes)
         object.__setattr__(self, "sizes", sizes)
-        for name in ("trials", "master_seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "trials", _trial_count(self.trials))
+        object.__setattr__(self, "master_seed",
+                           _integer(self.master_seed, "master_seed"))
         object.__setattr__(self, "methods", tuple(self.methods))
         if not sizes:
             raise InputError("need at least one (N, M) size")
-        if any(n < 1 or m < 1 for n, m in sizes):
-            raise InputError("sizes must be positive")
-        if self.trials < 1:
-            raise InputError("need at least one trial")
+        for n, m in sizes:
+            _dimensions(n, m)
         bad = set(self.methods) - set(_METHODS)
         if bad or not self.methods:
             raise InputError(f"unknown methods {sorted(bad)}; pick from {_METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise InputError(f"methods repeat: {list(self.methods)}")
         if self.infeasible not in ("exclude", "project"):
             raise InputError("infeasible must be 'exclude' or 'project'")
         if self.moment_route not in ("quadrature", "residues"):
@@ -577,13 +589,11 @@ def run_clt_histogram(
     """
     if method not in ("moment_full", "mestre"):
         raise InputError("method must be 'moment_full' or 'mestre'")
-    N, M = _integer(N, "N"), _integer(M, "M")
-    trials, bins = _integer(trials, "trials"), _integer(bins, "bins")
+    N, M = _dimensions(N, M)
+    trials, bins = _trial_count(trials), _integer(bins, "bins")
     master_seed = _integer(master_seed, "master_seed")
     if bins < 1:
         raise InputError("need at least one histogram bin")
-    if trials < 1:
-        raise InputError("need at least one trial")
     L = model.L
     rho = model.rho_array()
     counts_n = multiplicities(model, N)
@@ -619,7 +629,11 @@ def run_clt_histogram(
         ox[k] = np.linspace(lo, hi, 200)
         opdf[k] = (np.exp(-0.5 * (ox[k] / sigma) ** 2)
                    / (sigma * np.sqrt(2 * np.pi)))
-        z = (good[:, k] - good[:, k].mean()) / good[:, k].std(ddof=1)
+        spread = good[:, k].std(ddof=1)
+        if spread == 0:
+            raise ConvergenceError(f"deviations of component {k + 1} do not "
+                                   "vary: no shape to test")
+        z = (good[:, k] - good[:, k].mean()) / spread
         ks[k] = _ks_normal(z)
     return CltHistogram(
         method=method,

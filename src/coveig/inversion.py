@@ -140,12 +140,18 @@ def _checked_rows(gamma, need: int):
 def _moment_scale(gamma: NDArray[np.float64], errors: list, live):
     """Per row s = max |gamma_ell|^(1/ell) of the live rows of a (T, K)
     stack; returns (live, s, gamma[live]) without the rows whose moments
-    beyond gamma_0 all vanish."""
+    beyond gamma_0 all vanish, or whose (K - 1) s^(K - 1) overflows: s^ell
+    scales order ell, and the known-multiplicity route's power sums are
+    (K - 1) gamma_ell."""
     if live.size < gamma.shape[0]:
         gamma = gamma[live]
-    mags = np.abs(gamma[:, 1:]) ** (1.0 / np.arange(1, gamma.shape[1]))
+    top = gamma.shape[1] - 1
+    mags = np.abs(gamma[:, 1:]) ** (1.0 / np.arange(1, top + 1))
     s = mags.max(axis=1, initial=0.0)
-    return _drop(errors, live, s == 0.0, lambda t: InputError(
+    with np.errstate(over="ignore"):
+        bad = (s == 0.0) | ~np.isfinite(top * s ** top)
+    return _drop(errors, live, bad, lambda t: InputError(
+        f"moment scale {s[t]:.3e} overflows at order {top}" if s[t] else
         "all moments beyond gamma_0 vanish"), s, gamma)
 
 

@@ -119,6 +119,12 @@ def checked_quadrature(pos, N: int, M: int, L: int, pts, weights,
     return full, delta, delta <= _SELF_CHECK_RTOL
 
 
+def _overflow(L: int) -> InputError:
+    """The error of a finite spectrum whose moments overflow."""
+    return InputError(f"spectrum out of range: its moments of order up to "
+                      f"{2 * L - 1} overflow")
+
+
 def quadrature_rows(pos, N: int, M: int, L: int):
     """Moments of a stack of spectra of one (N, M), one row per spectrum.
 
@@ -182,7 +188,8 @@ def quadrature_rows(pos, N: int, M: int, L: int):
                 residual=float(leakage[r]),
             )
     orders = np.arange(2 * L, dtype=exponent.dtype)
-    gamma = np.ldexp(raw.real, exponent * orders)
+    with np.errstate(over="ignore"):
+        gamma = np.ldexp(raw.real, exponent * orders)
     return gamma, leakage, node_count, errors
 
 
@@ -199,7 +206,8 @@ def moments_by_quadrature(
     lambda_max^ell first, and the node count doubles (up to 1024) until the
     two agree beyond the rounding error of their sums; disagreement at 1024
     nodes raises ConvergenceError. The imaginary leakage is scaled the same
-    way, then checked and reported. secular is accepted and unused, kept
+    way, then checked and reported. A moment that a float cannot hold
+    raises InputError. secular is accepted and unused, kept
     for callers that still pass it: the ellipse depends on the largest
     eigenvalue alone, so no secular root is solved or read. This is the
     one-row call of `quadrature_rows`.
@@ -210,6 +218,8 @@ def moments_by_quadrature(
         spectrum.positive_eigenvalues()[None], spectrum.N, spectrum.M, L)
     if errors[0] is not None:
         raise errors[0]
+    if not np.isfinite(gamma).all():
+        raise _overflow(L)
     return MomentEstimates(
         gamma_hat=gamma[0],
         method="quadrature",
@@ -257,7 +267,8 @@ def residue_rows(pos, N: int, M: int, L: int):
     gamma[:, 0] = 1.0
     gamma[:, 1] = (M / N) * p[:, 1]
     gamma[:, 2:] = -(M / (N * (ell - 1))) * h[:, ell - 2, ell]
-    return gamma * scale ** np.arange(degree)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return gamma * scale ** np.arange(degree)
 
 
 def moments_by_residues(
@@ -275,12 +286,15 @@ def moments_by_residues(
     the contour route is checked against; at finite N it is the
     free-deconvolution moment estimator. secular is accepted and unused,
     kept for callers that still pass it. A rank-deficient spectrum raises
-    InputError, as on the quadrature route.
+    InputError, as on the quadrature route, and so does a moment that a
+    float cannot hold.
     """
     if L < 1:
         raise InputError("L must be at least 1")
     gamma = residue_rows(spectrum.positive_eigenvalues()[None], spectrum.N,
                          spectrum.M, L)
+    if not np.isfinite(gamma).all():
+        raise _overflow(L)
     return MomentEstimates(
         gamma_hat=gamma[0], method="residues", imag_leakage=0.0, node_count=0
     )

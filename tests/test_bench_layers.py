@@ -69,8 +69,17 @@ def test_quick_layer_bench_writes_every_record(tmp_path):
              - row["rows"][0]["ms_per_call"]["p50"]) / 63)
         assert row["fixed_ms"] == pytest.approx(
             row["rows"][0]["ms_per_call"]["p50"] - row["ms_per_row"])
+    # `import coveig`, a CLI process's imports and clt_full's set-up, each
+    # in one fresh interpreter; only the CLI reaches scipy's wrappers
     imported = bench["import"]
     assert imported["interpreters"] == 1
-    assert imported["ms_per_import"]["n"] == 1
-    assert imported["maxrss_mb"]["p50"] > 0
-    assert imported["heavy_modules"] == []
+    assert set(imported) == {"interpreters", "coveig", "cli", "clt_full_setup"}
+    for name in ("coveig", "cli", "clt_full_setup"):
+        probe = imported[name]
+        assert probe["ms"]["n"] == 1
+        assert probe["ms"]["p50"] > 0
+        assert probe["maxrss_mb"]["p50"] > 0
+        assert probe["heavy_modules"] == []
+    assert imported["coveig"]["scipy_modules"] == []
+    assert imported["clt_full_setup"]["scipy_modules"] == []
+    assert "scipy.linalg._flapack" in imported["cli"]["scipy_modules"]

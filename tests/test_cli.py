@@ -372,3 +372,19 @@ def test_unwritable_output_fails_before_any_trial(tmp_path, capsys,
     assert rc == 1
     assert err.startswith("error:") and "No such file" in err
     assert runs == []
+
+
+def test_simulate_refuses_a_seed_beyond_int64_before_drawing(tmp_path, capsys,
+                                                             monkeypatch):
+    # the observation header stores the seed as int64; a seed above it is
+    # refused before the matrix is drawn, and no file is written
+    draws = []
+    monkeypatch.setattr(cli, "generate_observations",
+                        lambda *a, **k: draws.append(a))
+    out = tmp_path / "obs.bin"
+    rc = cli.main(["simulate", "--model", _write_model(tmp_path), "--N", "4",
+                   "--M", "8", "--seed", str(2**63), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "int64" in err
+    assert draws == [] and not out.exists()

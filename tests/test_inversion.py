@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -443,3 +444,21 @@ def test_inversion_is_bit_stable(name, weights, project, projected,
     assert res.projected is projected
     assert [float(x).hex() for x in res.rho_hat] == rho_hex
     assert [float(x).hex() for x in res.c_hat] == c_hex
+
+
+@pytest.mark.parametrize("weights,top,stack", [
+    (None, 3, ([1.0, 1e100, 1.7e308, 1e300], [1.0, 1e100, 1e200, 1.7e308])),
+    ((0.5, 0.5), 2, ([1.0, 1.7e308, 1.0], [1.0, 1e100, 1.7e308])),
+], ids=["full", "known"])
+def test_moments_beyond_the_scaled_range_are_input_errors(weights, top, stack):
+    # finite moments whose scale s overflows at the top order used, s^3 for
+    # the full inversion at L = 2 and s^2 for two known weights, or whose
+    # power sums (K - 1) gamma_ell do: an InputError, and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for gamma in stack:
+            with pytest.raises(InputError, match=f"overflows at order {top}"):
+                if weights is None:
+                    invert_moments(gamma, 2)
+                else:
+                    invert_moments_known_multiplicities(gamma, weights)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -411,3 +412,17 @@ def test_quadrature_converges_at_extreme_scales(scale):
     np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0)
     assert np.array_equal(np.isinf(got), np.isinf(want))
     assert (np.abs(got[~normal & np.isfinite(want)]) < tiny).all()
+
+
+@pytest.mark.parametrize("route", [moments_by_quadrature, moments_by_residues])
+def test_overflowing_moments_are_input_errors(route):
+    # a finite spectrum near 1e150 whose gamma_3 leaves the float range: the
+    # one-row calls refuse it, and no RuntimeWarning comes first
+    comp = np.sort(np.concatenate([np.zeros(4), 1e150 * LAM]))
+    spectrum = SampleSpectrum(N=4, M=8, lambda_hat=1e150 * LAM,
+                              lambda_hat_companion=comp, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InputError, match="order up to 3 overflow"):
+            route(spectrum, 2)
+        assert np.isfinite(route(spectrum, 1).gamma_hat).all()

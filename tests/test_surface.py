@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -45,13 +46,41 @@ BENCHMARK_NAMES = (
 )
 
 
+# every submodule of the package, as the file system lists them
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(coveig.__path__))
+
+# after a bare `import coveig`: every submodule resolves as an attribute to
+# the module itself, dir() lists every public name and submodule before any
+# is loaded, and a star import binds every name of __all__
+_ATTRIBUTES = """
+import json, sys
+import coveig
+listed = set(dir(coveig))
+submodules = {{name: getattr(coveig, name) is sys.modules["coveig." + name]
+              for name in {submodules!r}}}
+star = {{}}
+exec("from coveig import *", star)
+print(json.dumps({{"unlisted": sorted(set(coveig.__all__) - listed),
+                  "unlisted_submodules": sorted(set(submodules) - listed),
+                  "submodules": submodules,
+                  "unbound": sorted(set(coveig.__all__) - set(star))}}))
+"""
+
+
 def test_public_surface():
     for name in coveig.__all__:
         assert getattr(coveig, name) is not None, name
+    assert len(set(coveig.__all__)) == len(coveig.__all__)
     assert not set(REMOVED) & set(coveig.__all__)
     assert not [name for name in REMOVED if hasattr(coveig, name)]
     assert not [name for name in BENCHMARK_NAMES if not hasattr(coveig, name)]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        coveig.no_such_name  # noqa: B018
     assert callable(cli.main)  # the benchmark's entry point
+    got = _fresh_interpreter(_ATTRIBUTES.format(submodules=SUBMODULES))
+    assert got == {"unlisted": [], "unlisted_submodules": [],
+                   "submodules": dict.fromkeys(SUBMODULES, True),
+                   "unbound": []}
 
 
 # scipy modules whose import costs more than the rest of `import coveig`;
@@ -104,6 +133,59 @@ def _fresh_interpreter(code: str) -> dict:
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+# the modules the CLT set-up and the limiting density never run
+ESTIMATOR_MODULES = ("_lapack", "ensemble", "empirical", "experiments",
+                     "inversion", "mestre", "moments")
+
+_LOADED = """
+import json, sys
+import coveig
+core = sorted(name for name in sys.modules if name.split(".")[0] == "coveig")
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print(json.dumps({"coveig": core, "scipy": scipy}))
+"""
+
+_SETUPS = """
+import json, sys
+import coveig
+# criteria 5 and 6
+models = [coveig.PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5),
+                                 aspect=0.5),
+          coveig.PopulationModel(rho=(1.0, 3.0, 10.0), weights=(1 / 3,) * 3,
+                                 aspect=0.1)]
+raised = []
+for k, model in enumerate(models):
+    calls = {{"theta_mestre": (model,), "theta_moment_estimator": (model,),
+             "v_matrix": (model, model.L),
+             "density_curve": (model, model.aspect)}}
+    for name, args in calls.items():
+        try:
+            getattr(coveig, name)(*args)
+        except coveig.CoveigError as exc:
+            raised.append([name, k, type(exc).__name__])
+print(json.dumps({{
+    "raised": raised,
+    "scipy": sorted(name for name in sys.modules
+                    if name.split(".")[0] == "scipy"),
+    "estimators": sorted(name for name in {estimators!r}
+                         if "coveig." + name in sys.modules)}}))
+"""
+
+
+def test_import_loads_only_errors_and_model():
+    assert _fresh_interpreter(_LOADED) == {
+        "coveig": ["coveig", "coveig.errors", "coveig.model"], "scipy": []}
+
+
+def test_clt_setup_loads_neither_scipy_nor_the_estimators():
+    # the covariance set-ups of clt-check and the limiting density need
+    # numpy and clt, limiting and contours only; criterion 5's two clusters
+    # merge, so Mestre's covariance stops at the separability check there
+    got = _fresh_interpreter(_SETUPS.format(estimators=ESTIMATOR_MODULES))
+    assert got == {"raised": [["theta_mestre", 0, "SeparabilityError"]],
+                   "scipy": [], "estimators": []}
 
 
 @pytest.mark.parametrize("before", ["", "import scipy.linalg", _MISS_WRAPPERS],
