@@ -227,7 +227,7 @@ def _size_layers(rho, N: int, M: int, rows: int, repeats: int):
     copied, _, _ = _sampling_steps(model, N, M, seeds)
     if not np.array_equal(copied, pos):
         raise SystemExit(f"the sampling loop's copy differs at {N}x{M}")
-    gamma, _, _, errors = quadrature_rows(pos, N, M, L)
+    gamma, _, errors = quadrature_rows(pos, N, M, L)
     gamma = gamma[[e is None for e in errors]]
     weights = counts / N
 
@@ -274,7 +274,7 @@ def _fixed_cost(repeats: int) -> dict:
     counts = multiplicities(model, N)
     seeds = ensemble._trial_seeds(MASTER_SEED, np.arange(max(FIXED_ROWS)))
     pos = ensemble.simulate_rows(model, N, M, seeds)
-    gamma, _, _, errors = quadrature_rows(pos, N, M, L)
+    gamma, _, errors = quadrature_rows(pos, N, M, L)
     if any(errors):
         raise SystemExit("the fixed-cost draws must all have moments")
     calls = {

@@ -24,7 +24,6 @@ from contextlib import ExitStack
 import numpy as np
 
 from .ensemble import (
-    _header_seed,
     _integer as _read_integer,
     generate_observations,
     read_observations,
@@ -85,7 +84,6 @@ def _dump_json(obj, fh):
 
 def _cmd_simulate(args) -> int:
     model = _load(args.model)
-    _header_seed(args.seed)  # before the draw, not after it
     Y = generate_observations(model, args.N, args.M, args.seed)
     write_observations(args.out, Y, seed=args.seed)
     print(f"wrote {args.N} x {args.M} observations to {args.out}")

@@ -40,8 +40,9 @@ critical points of z(v) around rho_l: the other roots have phi > 1, and
 each component of {phi > 1} holds exactly one (`limiting._roots`). The
 first cluster's ellipse also holds the origin, no singularity of the
 integrand: for c < 1 v_0 vanishes there, for c > 1 v_0(0) is finite, and
-at c = 1 the support starts at 0. An ellipse's lower nodes mirror its
-upper ones, so the roots are solved on the upper half only. Each entry is
+at c = 1 the support starts at 0. The integrand is conjugate-symmetric,
+so the roots are solved on the upper half of the nodes only and
+`contours.mirrored_sums` sums the whole rule and its half rule. Each entry is
 checked against the half-resolution rule embedded in the nodes and
 against its transpose, which integrates on the other ellipse, both divided
 by s^2, s the support's right edge; the node count doubles until they
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .contours import cluster_ellipse, ellipse_nodes
+from .contours import cluster_ellipse, ellipse_nodes, mirrored_sums
 from .errors import ConditioningError, ConvergenceError, InputError, SeparabilityError
 from .limiting import _roots, support_clusters
 from .model import PopulationModel, true_moments
@@ -201,11 +202,11 @@ def theta_mestre(model: PopulationModel, nodes: int = 256) -> NDArray[np.float64
     eigenvalue. Entry (k, l) is the double integral of kappa / (m_u m_u)
     over the contours of clusters k and l, taken as the integral of
     (v_l - rho_l) v_0' over cluster k's ellipse (module docstring). Every
-    ellipse's upper nodes are solved in one `_roots` call, and a lower node
-    adds the mirrored conjugate of its upper node's term. nodes is the
-    first rule's node count, doubled up to four times until the embedded
-    half rule and the transpose agree; entry (k, l), k > l, is then read
-    from row k and mirrored.
+    ellipse's upper nodes are solved in one `_roots` call and summed by
+    `contours.mirrored_sums`. nodes is the first rule's node count,
+    doubled up to four times until the embedded half rule and the
+    transpose agree; entry (k, l), k > l, is then read from row k and
+    mirrored.
     """
     clusters = support_clusters(model, model.aspect)
     if len(clusters) != model.L:
@@ -224,11 +225,8 @@ def theta_mestre(model: PopulationModel, nodes: int = 256) -> NDArray[np.float64
         upper = slice(0, nodes // 2)
         v = -1.0 / _roots(model, c, points[:, upper], model.L + 1)[0]
         dv0 = 1.0 / (1.0 - c * (w * rho**2 / (v[..., :1] - rho) ** 2).sum(axis=-1))
-        # terms f dz of the upper nodes; a lower node's is -conj of its mirror's
         p = (v[..., 1:] - rho) * (dv0 * dz[:, upper])[..., None]
-        full = norm * (p - p.conj()).sum(axis=1)
-        # the even nodes: the upper even ones and the mirrors of the odd ones
-        half = 2.0 * norm * (p[:, ::2].sum(axis=1) - p[:, 1::2].conj().sum(axis=1))
+        full, half = (norm * s for s in mirrored_sums(p, axis=1))
         # rows k and l integrate on different ellipses, so an unresolved
         # row, or a root taken from the wrong sheet, shows as asymmetry
         delta = max(_scaled_gap(full, half, scale), _scaled_gap(full, full.T, scale))

@@ -4,11 +4,14 @@ Everything here is a counterclockwise ellipse centered on the real axis,
 given as its (center, half_width, half_height) and discretized by the
 periodic trapezoid rule with nodes offset off the real axis, which
 converges geometrically for integrands analytic in a neighborhood of the
-curve. The nodes below the real axis are the exact conjugates of those
-above it, so a quadrature whose integrand is real on the real axis
-evaluates it on the upper half and mirrors it. Each quadrature picks its
-own ellipse: the moment quadrature `spectrum_ellipse`, the CLT quadrature
-one `cluster_ellipse` per support cluster.
+curve (Trefethen & Weideman 2014, SIAM Review 56(3)). The nodes below
+the real axis are the exact conjugates of those above it, so a quadrature
+whose integrand is real on the real axis evaluates it on the upper half
+only, and `mirrored_sums`, the one place that knows the mirror, sums that
+half as the whole rule and as the embedded half rule. The moment
+quadrature integrates on `spectrum_ellipse`, the CLT quadrature on one
+`cluster_ellipse` per support cluster; Mestre's crossing ellipses are
+built in `mestre._contour_rows`.
 
 No moment or CLT integrand is singular at the origin: where the companion
 transform has a pole there (M > N) its reciprocal vanishes, and otherwise
@@ -26,7 +29,8 @@ import numpy as np
 
 from .errors import ContourError, InputError
 
-__all__ = ["ellipse_nodes", "spectrum_ellipse", "cluster_ellipse"]
+__all__ = ["ellipse_nodes", "mirrored_sums", "spectrum_ellipse",
+           "cluster_ellipse"]
 
 
 @lru_cache(maxsize=8)
@@ -53,7 +57,7 @@ def ellipse_nodes(center, half_width, half_height, nodes: int):
     of the upper: points[..., K-1-j] = conj(points[..., j]) and
     dz[..., K-1-j] = -conj(dz[..., j]) for j < K/2, K = nodes, so an
     integrand with f(conj z) = conj(f(z)) needs evaluating on the upper
-    half only.
+    half only (`mirrored_sums`).
     """
     cos, sin = _half_circle(nodes)
     upper = center + half_width * cos + 1j * half_height * sin
@@ -61,6 +65,21 @@ def ellipse_nodes(center, half_width, half_height, nodes: int):
     points = np.concatenate([upper, upper[..., ::-1].conj()], axis=-1)
     dz = np.concatenate([step, -step[..., ::-1].conj()], axis=-1)
     return points, dz
+
+
+def mirrored_sums(terms, axis: int = -1):
+    """(full, half): the sums of the trapezoid rule of `ellipse_nodes` and
+    of its embedded half rule, every other node at twice the weight, for
+    an integrand with f(conj z) = conj(f(z)), from its terms f dz at the
+    upper half of the nodes along axis. A lower node's term is minus the
+    conjugate of its mirror's, so the full sum is 2i Im of the upper sum,
+    real integrals by construction; the even nodes are the upper even ones
+    and the mirrors of the upper odd ones."""
+    terms = np.moveaxis(terms, axis, -1)
+    full = 2j * terms.sum(axis=-1).imag
+    half = 2.0 * (terms[..., ::2].sum(axis=-1)
+                  - terms[..., 1::2].sum(axis=-1).conj())
+    return full, half
 
 
 def spectrum_ellipse(lambda_max):

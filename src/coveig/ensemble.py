@@ -389,32 +389,24 @@ def simulate_spectrum(
     return padded_spectrum(lam, N, M, seed)
 
 
-def _header_seed(seed) -> int:
-    """seed as the int64 of an observation file's header, or an InputError
-    if it does not fit."""
-    seed = int(seed)
-    if not -2**63 <= seed < 2**63:
-        raise InputError(f"seed {seed} does not fit the header's int64")
-    return seed
-
-
 def write_observations(path, observations: np.ndarray, seed: int = 0) -> None:
     """Store complex observations in the package's binary format.
 
-    Layout: 8-byte magic, little-endian int64 N, M, seed, then the matrix
-    row-major as float64 (real, imag) pairs.
+    Layout: 8-byte magic, little-endian int64 N and M and uint64 seed,
+    then the matrix row-major as float64 (real, imag) pairs. seed is any
+    seed of `generate_observations`, in [0, 2**64).
     """
     Y = np.asarray(observations, dtype=np.complex128)
     if Y.ndim != 2:
         raise DimensionError(f"observations must be 2-D, got shape {Y.shape}")
     N, M = Y.shape
-    seed = _header_seed(seed)
+    seed = _check_seed(seed)
     payload = np.empty((N, M, 2), dtype="<f8")
     payload[:, :, 0] = Y.real
     payload[:, :, 1] = Y.imag
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<qqq", N, M, seed))
+        fh.write(struct.pack("<qqQ", N, M, seed))
         fh.write(payload.tobytes())
 
 
@@ -427,7 +419,7 @@ def read_observations(path) -> tuple[NDArray[np.complex128], int]:
         header = fh.read(24)
         if len(header) != 24:
             raise InputError(f"{path}: truncated header")
-        N, M, seed = struct.unpack("<qqq", header)
+        N, M, seed = struct.unpack("<qqQ", header)
         if N < 1 or M < 1:
             raise InputError(f"{path}: invalid dimensions {N} x {M}")
         payload = fh.read()

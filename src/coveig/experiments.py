@@ -223,7 +223,7 @@ def _trials(model, N, M, counts, seeds, methods, project=False,
         if route == "residues":
             gamma, errors = residue_rows(lam, N, M, L), [None] * T
         else:
-            gamma, _, _, errors = quadrature_rows(lam, N, M, L)
+            gamma, _, errors = quadrature_rows(lam, N, M, L)
         # a failed trial leaves every moment method's row NaN
         ok = np.flatnonzero(_estimated(errors))
         seconds["moments"] = (time.perf_counter() - t0) / T

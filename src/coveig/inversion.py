@@ -258,18 +258,20 @@ def _moment_newton(real: np.ndarray, c: np.ndarray, gamma: np.ndarray, s):
 def _check_roots(roots: np.ndarray, project: bool, errors: list, live,
                  *arrays):
     """Feasibility screen of a (T, d) stack of roots: imaginary parts, sign
-    and gaps. Returns (live, real, roots, *arrays) for the rows that pass,
-    real their real parts ascending; a projection clips non-positive roots
-    instead and passes every row."""
+    and gaps. Returns (live, real, moved, *arrays) for the rows that pass,
+    real their real parts ascending and moved the rows where those are not
+    the roots: imaginary parts beyond tolerance, or a non-positive root. A
+    projection clips non-positive roots instead and passes every row;
+    without one no row that passes has moved."""
     real = np.sort(roots.real, axis=1)
-    if project:
-        clip = real[:, 0] <= 0
-        if clip.any():
-            real[clip] = np.maximum(real[clip], 1e-10)
-        return (live, real, roots, *arrays)
     imaginary = (np.abs(roots.imag)
                  > _IMAG_RTOL * (1.0 + np.abs(roots))).any(axis=1)
     negative = real[:, 0] <= 0
+    moved = imaginary | negative
+    if project:
+        if negative.any():
+            real[negative] = np.maximum(real[negative], 1e-10)
+        return (live, real, moved, *arrays)
     # relative gaps of neighbours; a row failing the screens above may
     # divide 0 by 0 here, and takes their error instead
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -289,8 +291,8 @@ def _check_roots(roots: np.ndarray, project: bool, errors: list, live,
         return InvalidRootsError(
             f"recovered roots nearly coincide (relative gap {low[t]:.3e})")
 
-    return _drop(errors, live, imaginary | negative | (low <= _GAP_RTOL),
-                 error, real, roots, *arrays)
+    return _drop(errors, live, moved | (low <= _GAP_RTOL), error, real, moved,
+                 *arrays)
 
 
 def _reconstruction(
@@ -348,17 +350,13 @@ def invert_rows(gamma, L: int, project: bool = False) -> InversionRows:
     # coeffs[:, i] multiplies X^i
     coeffs = np.linalg.solve(hankel, -g[:, L:2 * L, None])[..., 0]
     poly = np.concatenate([np.ones((live.size, 1)), coeffs[:, ::-1]], axis=1)
-    live, real, roots, s, gamma, g = _check_roots(
+    live, real, moved, s, gamma, g = _check_roots(
         _roots(poly), project, errors, live, s, gamma, g)
     if not live.size:
         return out
 
     vand = real[:, None, :] ** np.arange(L)[:, None]
     if project:
-        # rows whose real roots are not the roots: imaginary parts beyond
-        # tolerance, or a clipped root
-        moved = ((np.abs(roots.imag) > _IMAG_RTOL * (1.0 + np.abs(roots)))
-                 | (np.sort(roots.real, axis=1) != real)).any(axis=1)
         c = np.stack([np.linalg.lstsq(v, gt[:L], rcond=None)[0]
                       for v, gt in zip(vand, g)])
     else:
@@ -504,17 +502,14 @@ def invert_known_rows(gamma, weights, project: bool = False) -> InversionRows:
     centers = np.stack(
         [roots[:, a:b].mean(axis=1) for a, b in zip(ends - counts, ends)],
         axis=1)
-    live, rho_scaled, centers, s, gamma = _check_roots(
+    live, rho_scaled, moved, s, gamma = _check_roots(
         centers, project, errors, live, s, gamma)
 
     rho = rho_scaled * s[:, None]
     out.rho_hat[live] = rho
     out.weight_residuals[live] = _reconstruction(rho, w, gamma)
     if project:
-        out.projected[live] = (
-            np.any(np.abs(centers.imag)
-                   > _IMAG_RTOL * (1.0 + np.abs(centers)), axis=1)
-            | np.any(centers.real != rho_scaled, axis=1))
+        out.projected[live] = moved
     return out
 
 

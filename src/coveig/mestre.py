@@ -108,9 +108,8 @@ def _contour_rows(pos, N: int, M: int, counts):
         np.repeat(1.0 / gamma_1, crossings)[:, None])
     done = passed.reshape(rows.size, crossings).all(axis=1)
     # the first moment integral on a crossing's ellipse is M / N times the
-    # sum of lambda - mu below it, real up to rounding; over every block
-    # that sum is gamma_1
-    below = full[:, 1].real.reshape(rows.size, crossings)[done]
+    # sum of lambda - mu below it; over every block that sum is gamma_1
+    below = full[:, 1].reshape(rows.size, crossings)[done]
     est = _block_estimates(below, gamma_1[done], counts, N)
     rows = rows[done]
     return rows, np.ldexp(est, exponent[rows])

@@ -5,9 +5,10 @@ companion transform m(z): the first moment comes from the log-derivative
 integrand z m'(z)/m(z), higher ones from 1/m(z)^(ell-1). The quadrature
 route discretizes one ellipse around the whole spectrum and the origin,
 where neither integrand is singular, so the same rule serves N < M, N = M
-and N > M. The transform of a real spectrum is conjugate-symmetric and
-the ellipse's nodes below the real axis mirror those above, so the
-transform is evaluated on the upper half of the nodes only. Since that
+and N > M. The transform of a real spectrum is conjugate-symmetric, so
+it is evaluated on the upper half of the nodes only and
+`contours.mirrored_sums` sums the whole rule, whose integrals are real by
+construction, and its embedded half rule. Since that
 ellipse encloses every singularity of both integrands, each integral is
 also minus the residue at z = infinity, which depends only on the power
 sums of the positive eigenvalues; the residue route evaluates it exactly
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .contours import ellipse_nodes, spectrum_ellipse
+from .contours import ellipse_nodes, mirrored_sums, spectrum_ellipse
 from .empirical import SecularRoots, companion_transform_rows
 from .ensemble import SampleSpectrum
 from .errors import ConvergenceError, InputError
@@ -50,7 +51,6 @@ _EPS = np.finfo(float).eps
 # the rounding error of a sum of terms t_k is taken as at most this many
 # eps times sum |t_k|; the half-rule check discounts it
 _ROUNDING_EPS = 8
-_LEAKAGE_RTOL = 1e-8
 # node count of the first rule, doubled up to _MAX_DOUBLINGS times, so
 # to 1024 at most
 _START_NODES = 64
@@ -61,9 +61,8 @@ _MAX_DOUBLINGS = 4
 class MomentEstimates:
     """Estimated moments gamma_hat[ell] for ell = 0 .. 2L-1.
 
-    imag_leakage is the largest |Im| of the quadrature's integrals with
-    order ell divided by lambda_max^ell, the value its check compares, so
-    it reads the same for a spectrum on any scale; 0 for residues.
+    imag_leakage is 0.0 on both routes: the residues are real, and so are
+    the quadrature's integrals by construction (`contours.mirrored_sums`).
     """
 
     gamma_hat: NDArray[np.float64]
@@ -75,20 +74,19 @@ class MomentEstimates:
 def checked_quadrature(pos, N: int, M: int, L: int, pts, weights,
                        order_scale):
     """The moment integrals of each row of pos, (T, n), on its row of the
-    (T, K) nodes pts of `ellipse_nodes`, and their self-check against the
-    embedded half rule: (full, delta, passed), full (T, 2L), delta each
-    row's largest discrepancy beyond rounding, order ell multiplied by
-    order_scale[:, ell] (which broadcasts against (T, 2L)), and passed
-    where delta is within tolerance. gamma_hat_0 is exact; order 1 sums
-    z m'/m, order ell >= 2 sums 1/m^(ell - 1), each times the weights."""
-    # the lower half of the nodes mirrors the upper, and the transform of a
-    # real spectrum has m(conj z) = conj(m(z)), bit for bit
-    T, K = pts.shape
-    upper = companion_transform_rows(pos, M, pts[:, :K // 2])
-    m, m_prime = (np.concatenate([v, v[:, ::-1].conj()], axis=1)
-                  for v in upper)
-    # the terms of orders 1 .. 2L - 1, summed over the node axis
-    terms = np.empty((T, 2 * L - 1, K), dtype=complex)
+    (T, K) nodes pts of `ellipse_nodes`, evaluated on their upper half, and
+    their self-check against the embedded half rule: (full, delta,
+    passed), full (T, 2L) and real, delta each row's largest discrepancy
+    beyond rounding, order ell multiplied by order_scale[:, ell] (which
+    broadcasts against (T, 2L)), and passed where delta is within
+    tolerance. gamma_hat_0 is exact; order 1 sums z m'/m, order ell >= 2
+    sums 1/m^(ell - 1), each times the weights."""
+    # the transform of a real spectrum has m(conj z) = conj(m(z))
+    T, upper = pts.shape[0], pts.shape[1] // 2
+    pts, weights = pts[:, :upper], weights[:, :upper]
+    m, m_prime = companion_transform_rows(pos, M, pts)
+    # the terms of orders 1 .. 2L - 1 on the upper nodes
+    terms = np.empty((T, 2 * L - 1, upper), dtype=complex)
     terms[:, 0] = weights * pts * m_prime / m
     inv = 1.0 / m
     power = inv.copy()  # 1/m^(ell-1), starting at ell = 2
@@ -98,21 +96,21 @@ def checked_quadrature(pos, N: int, M: int, L: int, pts, weights,
             power *= inv
     coefficient = np.array([-(M / N)] + [(M / N) * (-1.0) ** ell / (ell - 1)
                                          for ell in range(2, 2 * L)])
-    two_pi_i = 2j * np.pi
-    full = np.ones((T, 2 * L), dtype=complex)
-    full[:, 1:] = coefficient * terms.sum(axis=2) / two_pi_i
     # every other node of the offset trapezoid rule is again a uniform rule
-    # at half resolution, with twice the weights: its sums are twice those
-    # over every other term, exactly
+    # at half resolution, with twice the weights
+    sums, half_sums = mirrored_sums(terms)
+    # the whole rule's sums are imaginary, so sum / (2 pi i) is real
+    full = np.ones((T, 2 * L))
+    full[:, 1:] = coefficient * sums.imag / (2 * np.pi)
     half = np.ones((T, 2 * L), dtype=complex)
-    half[:, 1:] = coefficient * (2.0 * terms[:, :, ::2].sum(axis=2)) / two_pi_i
+    half[:, 1:] = coefficient * half_sums / (2j * np.pi)
     # each sum's rounding error is at most _ROUNDING_EPS eps times its size,
-    # |coefficient| * sum |weight * integrand|; the two sums cannot agree
-    # below it, which dominates when the terms cancel to a small moment
-    # (M/N near 1e6): no node count lowers it, so only the discrepancy
-    # above it counts
+    # |coefficient| * sum |weight * integrand| over all K nodes, twice the
+    # sum over the upper ones; the two sums cannot agree below it, which
+    # dominates when the terms cancel to a small moment (M/N near 1e6): no
+    # node count lowers it, so only the discrepancy above it counts
     size = np.zeros((T, 2 * L))
-    size[:, 1:] = np.abs(coefficient) * np.abs(terms).sum(axis=2) / (2 * np.pi)
+    size[:, 1:] = np.abs(coefficient) * np.abs(terms).sum(axis=2) / np.pi
     floor = _ROUNDING_EPS * _EPS * size
     delta = ((np.abs(full - half) - floor) * order_scale
              / (1.0 + np.abs(full) * order_scale)).max(axis=1)
@@ -136,12 +134,10 @@ def quadrature_rows(pos, N: int, M: int, L: int):
     and has order ell multiplied back by that power to the ell. The
     scaling is exact, so the moments equal those of the unscaled rule, and
     no scale overflows the transform or the checks; a moment that a float
-    cannot hold comes back infinite or zero. The transform is evaluated on
-    the upper half of the nodes and conjugated onto the lower half.
-    Returns (gamma, leakage, node_count, errors): gamma (T, 2L), the scaled
-    leakage and the node count of each row, and per row None or the error
-    the one-row call raises. Every row equals its one-row call bit for
-    bit; the rows of an error are undefined.
+    cannot hold comes back infinite or zero. Returns (gamma, node_count,
+    errors): gamma (T, 2L), the node count of each row, and per row None
+    or the error the one-row call raises. Every row equals its one-row
+    call bit for bit; the rows of an error are undefined.
     """
     pos = np.asarray(pos, dtype=float)
     T = pos.shape[0]
@@ -176,21 +172,10 @@ def quadrature_rows(pos, N: int, M: int, L: int):
             f"(self-check discrepancy {delta[r]:.3e})",
             residual=float(delta[r]),
         )
-
-    leakage = (np.abs(raw.imag) * order_scale).max(axis=1)
-    leaky = leakage > _LEAKAGE_RTOL * (
-        1.0 + (np.abs(raw.real) * order_scale).max(axis=1))
-    for r in np.flatnonzero(leaky):
-        if errors[r] is None:
-            errors[r] = ConvergenceError(
-                f"imaginary leakage {leakage[r]:.3e} (scaled) exceeds "
-                "tolerance; the quadrature is under-resolved",
-                residual=float(leakage[r]),
-            )
     orders = np.arange(2 * L, dtype=exponent.dtype)
     with np.errstate(over="ignore"):
-        gamma = np.ldexp(raw.real, exponent * orders)
-    return gamma, leakage, node_count, errors
+        gamma = np.ldexp(raw, exponent * orders)
+    return gamma, node_count, errors
 
 
 def moments_by_quadrature(
@@ -205,16 +190,16 @@ def moments_by_quadrature(
     rule embedded in the same node set, every order ell divided by
     lambda_max^ell first, and the node count doubles (up to 1024) until the
     two agree beyond the rounding error of their sums; disagreement at 1024
-    nodes raises ConvergenceError. The imaginary leakage is scaled the same
-    way, then checked and reported. A moment that a float cannot hold
-    raises InputError. secular is accepted and unused, kept
+    nodes raises ConvergenceError. The integrals are real by construction,
+    so imag_leakage reads 0.0. A moment that a float cannot hold raises
+    InputError. secular is accepted and unused, kept
     for callers that still pass it: the ellipse depends on the largest
     eigenvalue alone, so no secular root is solved or read. This is the
     one-row call of `quadrature_rows`.
     """
     if L < 1:
         raise InputError("L must be at least 1")
-    gamma, leakage, node_count, errors = quadrature_rows(
+    gamma, node_count, errors = quadrature_rows(
         spectrum.positive_eigenvalues()[None], spectrum.N, spectrum.M, L)
     if errors[0] is not None:
         raise errors[0]
@@ -223,7 +208,7 @@ def moments_by_quadrature(
     return MomentEstimates(
         gamma_hat=gamma[0],
         method="quadrature",
-        imag_leakage=float(leakage[0]),
+        imag_leakage=0.0,
         node_count=int(node_count[0]),
     )
 

@@ -65,14 +65,14 @@ def test_estimate_writes_json_to_stdout_by_default(tmp_path, capsys):
     assert data["schema_version"] == 2
     assert "gamma_hat" in data and "rho_hat" not in data
     assert data["moment_route"] == "quadrature"
-    # order l divided by lambda_max^l, as the quadrature's check compares
-    assert data["imag_leakage"] < 1e-8
+    # the quadrature's integrals are real by construction
+    assert data["imag_leakage"] == 0.0
 
 
 
 def test_estimate_leakage_is_scale_free(tmp_path, capsys):
-    # the reported leakage is the scaled value the check compares, so rho
-    # (1e10, 3e10) reads at rounding level like rho (1, 3), not near 1e15
+    # the quadrature's integrals are real by construction, so rho
+    # (1e10, 3e10) reads 0.0 like rho (1, 3)
     leakage = []
     for scale in (1.0, 1e10):
         model = _write_model(tmp_path, rho=(scale, 3.0 * scale))
@@ -81,8 +81,7 @@ def test_estimate_leakage_is_scale_free(tmp_path, capsys):
         rc = cli.main(["estimate", "--obs", obs, "--L", "2", "--moments-only"])
         assert rc == 0
         leakage.append(json.loads(capsys.readouterr().out)["imag_leakage"])
-    assert max(leakage) <= 1e-14
-    assert abs(leakage[0] - leakage[1]) <= 1e-14
+    assert leakage == [0.0, 0.0]
 
 
 def test_estimate_routes_agree(tmp_path):
@@ -374,17 +373,30 @@ def test_unwritable_output_fails_before_any_trial(tmp_path, capsys,
     assert runs == []
 
 
-def test_simulate_refuses_a_seed_beyond_int64_before_drawing(tmp_path, capsys,
-                                                             monkeypatch):
-    # the observation header stores the seed as int64; a seed above it is
-    # refused before the matrix is drawn, and no file is written
+@pytest.mark.parametrize("seed", [2**63, 2**64 - 1])
+def test_simulate_then_estimate_echo_a_seed_beyond_int64(tmp_path, capsys,
+                                                         seed):
+    # the observation header stores the seed as uint64, so every seed the
+    # sampler takes, [0, 2**64), goes into the file and comes back out
+    obs = _simulate(tmp_path, _write_model(tmp_path), N=8, M=16, seed=seed)
+    capsys.readouterr()
+    rc = cli.main(["estimate", "--obs", obs, "--L", "2", "--moments-only"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == seed
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_simulate_refuses_a_seed_out_of_range_before_drawing(
+        tmp_path, capsys, monkeypatch, seed):
+    # a seed outside [0, 2**64) is refused before the matrix is drawn, and
+    # no file is written
     draws = []
-    monkeypatch.setattr(cli, "generate_observations",
+    monkeypatch.setattr("coveig.ensemble.complex_gaussian",
                         lambda *a, **k: draws.append(a))
     out = tmp_path / "obs.bin"
     rc = cli.main(["simulate", "--model", _write_model(tmp_path), "--N", "4",
-                   "--M", "8", "--seed", str(2**63), "--out", str(out)])
+                   "--M", "8", "--seed", str(seed), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error:") and "int64" in err
+    assert err.startswith("error:") and "seed" in err
     assert draws == [] and not out.exists()

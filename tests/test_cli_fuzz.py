@@ -130,7 +130,7 @@ def _run(argv) -> None:
 @FUZZ
 @given(doc=_model(), N=st.integers(-1, 8), M=st.integers(-1, 8),
        seed=st.integers(-1, 2**64))
-@example(doc=GOOD, N=2, M=2, seed=2**63)  # the header's int64
+@example(doc=GOOD, N=2, M=2, seed=2**63)  # above int64: the header's uint64
 def test_simulate_fails_cleanly(tmp_path, doc, N, M, seed):
     model = tmp_path / "model.json"
     model.write_text(_document(doc))

@@ -12,7 +12,13 @@ from coveig import (
     secular_zeros,
     simulate_spectrum,
 )
-from coveig.contours import cluster_ellipse, ellipse_nodes, spectrum_ellipse
+from coveig.contours import (
+    cluster_ellipse,
+    ellipse_nodes,
+    mirrored_sums,
+    spectrum_ellipse,
+)
+from coveig.empirical import companion_transform_rows
 from coveig.ensemble import SampleSpectrum
 
 
@@ -166,3 +172,28 @@ def test_first_cluster_contour_holds_support_at_origin():
     center, half_width, _ = ellipse = cluster_ellipse([(0.0, 4.0)], 0)
     assert center - half_width == pytest.approx(-1.2)
     assert _inside(ellipse, np.array([0.0, 4.0])).all()
+
+
+@pytest.mark.parametrize("nodes", [8, 64, 256])
+def test_mirrored_sums_match_the_full_rule(nodes):
+    # the upper half's terms of a conjugate-symmetric integrand give the
+    # full rule's sum and that of its even nodes, the embedded half rule
+    pos = simulate_spectrum(
+        PopulationModel(rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.25),
+        20, 80, 3).positive_eigenvalues()
+    pts, dz = ellipse_nodes(*spectrum_ellipse(pos[-1]), nodes)
+    m, m_prime = (v[0] for v in companion_transform_rows(pos[None], 80,
+                                                         pts[None]))
+    integrands = [pts * m_prime / m, 1.0 / m**2, np.exp(pts) / (pts - 7.0)]
+    terms = np.stack(integrands) * dz
+    full, half = mirrored_sums(terms[:, :nodes // 2])
+    # to rounding: a few eps times the sum of the terms' moduli
+    size = np.abs(terms).sum(axis=1)
+    assert (np.abs(full - terms.sum(axis=1)) <= 1e-14 * size).all()
+    even = 2.0 * terms[:, ::2].sum(axis=1)
+    assert (np.abs(half - even) <= 2e-14 * size).all()
+    assert not full.real.any()
+    # the node axis may be any axis, and sums along it bit for bit
+    moved = mirrored_sums(np.moveaxis(terms[:, :nodes // 2], 1, 0), axis=0)
+    np.testing.assert_array_equal(moved[0], full)
+    np.testing.assert_array_equal(moved[1], half)

@@ -109,15 +109,15 @@ def test_block_rows_equal_one_row_calls(seed, shape, L, project, size, nodes,
     def one_moment(t):
         est = moments_by_quadrature(spectra[t], L)
         return tuple(_bits(f) for f in
-                     (est.gamma_hat, est.imag_leakage, est.node_count))
+                     (est.gamma_hat, est.node_count))
 
     start, doublings = ((moments._START_NODES, moments._MAX_DOUBLINGS)
                         if nodes is None else (nodes, 0))
     with mock.patch.object(moments, "_START_NODES", start), \
             mock.patch.object(moments, "_MAX_DOUBLINGS", doublings):
-        gamma, leakage, count, errors = quadrature_rows(pos, N, M, L)
+        gamma, count, errors = quadrature_rows(pos, N, M, L)
         single = [_outcome(lambda: one_moment(t)) for t in range(size)]
-    _check([_row(errors, t, (gamma, leakage, count)) for t in range(size)],
+    _check([_row(errors, t, (gamma, count)) for t in range(size)],
            single)
 
     # the residue route refuses no row
