@@ -28,9 +28,13 @@ set-ups), with nproc, the numpy, scipy and BLAS versions and the git SHA.
 Every layer, here and in the "fixed_cost" record, also holds the minor page
 faults of a call (the ru_minflt delta; for the three sampling steps, their
 faults in one call of the loop copy): a call whose temporaries pass the
-allocator's trim threshold faults its heap in again each time. Since every
-timed call follows a call of its own layer, its faults do not depend on
-the layer timed before it.
+allocator's trim threshold faults its heap in again each time. Every timed
+call follows an untimed call of its own layer, but its faults still depend
+on what ran before it in the process, because glibc's dynamic mmap and
+trim thresholds carry the heap's history: a 64-row quadrature_rows at
+150 x 400 has faulted 0 times per call after the same calls at 60 x 120
+and 166 times when run alone. So a fault count compares runs of one
+bench on one tree, not two code changes.
 
 The "trial_seeds" record times `ensemble._trial_seeds`, the per-call
 SplitMix64 pass that derives every trial's seed, at TRIAL_SEED_COUNTS
@@ -45,13 +49,16 @@ cells taking turns, so that each call follows another kernel's, as in a
 chunk. Its fixed part is the 1-row time less the per-row slope between 1
 and 64 rows, the cost a chunk pays however few trials it holds.
 
-The "import" record runs three probes (IMPORT_PROBES), each with
+The "import" record runs four probes (IMPORT_PROBES), each with
 perf_counter inside 7 fresh interpreters (1 with --quick): `import coveig`
 alone; `import coveig.cli`, what every CLI process pays before its first
-call; and `import coveig` plus `theta_moment_estimator` on criterion 5's
-model, the set-up of clt-check's moment estimator. Each holds the peak
-RSS right after it, the heavy modules (HEAVY_MODULES) that it loaded and
-every scipy module that it loaded.
+call; `import coveig` plus `theta_moment_estimator` on criterion 5's
+model, the set-up of clt-check's moment estimator; and `import coveig.cli`
+plus one 20 x 40 clt-check of CLI_CALL_CONFIG through `coveig.cli.main`,
+forced onto the path that forks a trial worker. Each holds the peak RSS
+right after it, the heavy modules (HEAVY_MODULES) and the modules no CLI
+call runs (UNRUN_MODULES) that it loaded, and every scipy module that it
+loaded.
 """
 
 from __future__ import annotations
@@ -68,6 +75,7 @@ import platform  # noqa: E402
 import resource  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -116,6 +124,14 @@ FIXED_ROWS = (1, 5, 64)
 # modules no probe may load; coveig reaches LAPACK, BLAS and the normal CDF
 # without them
 HEAVY_MODULES = ("scipy.linalg", "scipy.special", "numpy.f2py", "numpy.testing")
+# modules a CLI call never runs: scipy's package start-up, which pulls in
+# subprocess, multiprocessing, and fractions, which pulls in decimal
+UNRUN_MODULES = ("scipy", "subprocess", "multiprocessing", "fractions",
+                 "decimal")
+# the cli_call probe's clt-check, criterion 5's model at 20 x 40
+CLI_CALL_CONFIG = {"model": {"rho": [1.0, 3.0], "weights": [0.5, 0.5],
+                             "aspect": 0.5},
+                   "N": 20, "M": 40, "trials": 40, "master_seed": 505}
 # the statements each import probe times in its fresh interpreters
 IMPORT_PROBES = {
     "coveig": "import coveig",
@@ -124,6 +140,16 @@ IMPORT_PROBES = {
         "import coveig\n"
         "coveig.theta_moment_estimator(coveig.PopulationModel(\n"
         "    rho=(1.0, 3.0), weights=(0.5, 0.5), aspect=0.5))"),
+    # run in a directory that holds CLI_CALL_CONFIG as clt.json; two CPUs
+    # and no threshold fork one trial worker on any machine
+    "cli_call": (
+        "import coveig.cli\n"
+        "from coveig import experiments\n"
+        "experiments._cpus = lambda: 2\n"
+        "experiments._PARALLEL_MIN_S = 0.0\n"
+        "if coveig.cli.main(['clt-check', '--config', 'clt.json',\n"
+        "                    '--json', 'clt_out.json']):\n"
+        "    raise SystemExit('clt-check failed')"),
 }
 # the peak RSS is VmHWM where /proc has it: after exec, ru_maxrss still
 # holds the bench process's own high-water mark when that is higher
@@ -142,6 +168,7 @@ print(json.dumps({{
     "seconds": seconds,
     "peak_kb": peak,
     "heavy": [name for name in {heavy!r} if name in sys.modules],
+    "unrun": [name for name in {unrun!r} if name in sys.modules],
     "scipy": [name for name in sys.modules if name.split(".")[0] == "scipy"]}}))
 """
 
@@ -339,18 +366,21 @@ def _summary(values: list, scale: float = 1e3) -> dict | None:
 
 def _import_record(interpreters: int) -> dict:
     """Each import probe in fresh interpreters, the probes taking turns: its
-    wall time, the peak RSS right after it, and the heavy and the scipy
-    modules it loaded."""
+    wall time, the peak RSS right after it, and the heavy, the unrun and
+    the scipy modules it loaded."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     runs = {name: [] for name in IMPORT_PROBES}
-    for _ in range(interpreters):
-        for name, statement in IMPORT_PROBES.items():
-            code = _IMPORT_PROBE.format(statement=statement,
-                                        heavy=HEAVY_MODULES)
-            runs[name].append(json.loads(subprocess.run(
-                [sys.executable, "-c", code], env=env, capture_output=True,
-                text=True, check=True).stdout))
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "clt.json").write_text(json.dumps(CLI_CALL_CONFIG))
+        for _ in range(interpreters):
+            for name, statement in IMPORT_PROBES.items():
+                code = _IMPORT_PROBE.format(statement=statement,
+                                            heavy=HEAVY_MODULES,
+                                            unrun=UNRUN_MODULES)
+                runs[name].append(json.loads(subprocess.run(
+                    [sys.executable, "-c", code], env=env, cwd=tmp,
+                    capture_output=True, text=True, check=True).stdout))
     record = {"interpreters": interpreters}
     for name, probes in runs.items():
         record[name] = {
@@ -360,6 +390,8 @@ def _import_record(interpreters: int) -> dict:
                                   1 / 1024),
             "heavy_modules": sorted({module for run in probes
                                      for module in run["heavy"]}),
+            "unrun_modules": sorted({module for run in probes
+                                     for module in run["unrun"]}),
             "scipy_modules": sorted({module for run in probes
                                      for module in run["scipy"]}),
         }
@@ -472,7 +504,8 @@ def main(argv=None) -> int:
         print(f"{'import':<12} {name:<26} {stats['p50']:.1f} "
               f"[{stats['p25']:.1f}, {stats['p75']:.1f}] ms, "
               f"{rss['p50']:.1f} MB peak RSS, heavy modules "
-              f"{probe['heavy_modules'] or 'none'}, "
+              f"{probe['heavy_modules'] or 'none'}, unrun modules "
+              f"{probe['unrun_modules'] or 'none'}, "
               f"{len(probe['scipy_modules'])} scipy modules")
     print(f"wrote {args.out}")
     return 0

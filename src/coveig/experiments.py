@@ -11,15 +11,15 @@ worker forks, and its draws come from SFC64 seeded from that one word
 
 Trials run in chunks of consecutive trials of one (N, M). Trial 0 runs
 alone first. On Linux, when its time projects the rest to more than a
-tenth of a second, the calling process forks one worker per further CPU in
-its affinity mask (`taskset -c 0 ...` keeps it on one) and runs the
-set-up of the call, such as a CLT covariance, while they start; then it
-and the workers each take the next chunk of a guided plan (guided
-self-scheduling, Polychronopoulos & Kuck 1987) from one shared
-counter until none is left. A chunk holds ceil(remaining / 2W) trials for
-W processes, never fewer than about 10 ms of trial 0's time nor more than
-64, so chunks shrink toward the end and a slow process holds up the others
-for at most one small chunk. Serially the same plan runs with W = 1. Pin
+tenth of a second, the calling process forks (`os.fork`) one worker per
+further CPU in its affinity mask (`taskset -c 0 ...` keeps it on one) and
+runs the set-up of the call, such as a CLT covariance, while they start;
+then it and the workers each take the next chunk of a guided plan (guided
+self-scheduling, Polychronopoulos & Kuck 1987) from one counter in shared
+memory, locked by a pipe holding one byte, until none is left. A chunk
+holds ceil(remaining / 2W) trials for W processes, never fewer than about
+10 ms of trial 0's time nor more than 64, so chunks shrink toward the end
+and a slow process holds up the others for at most one small chunk. Serially the same plan runs with W = 1. Pin
 BLAS to one thread (OPENBLAS_NUM_THREADS=1) so that the processes do not
 oversubscribe the CPUs. A chunk runs through the row kernels: the draws
 and their eigenvalues through `ensemble.simulate_rows`, the moments on
@@ -40,6 +40,8 @@ import contextlib
 import math
 import mmap
 import os
+import pickle
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
@@ -271,25 +273,32 @@ def _take_chunks(run, take) -> dict:
     return done
 
 
-def _worker(run, take, stop, conn):
-    """Forked worker: send _take_chunks(run, take), or the error run raised
-    instead, after stopping the plan so that no one takes another chunk."""
+def _worker(run, take, stop, fd):
+    """Forked worker: write to fd the pickled _take_chunks(run, take), or
+    the error run raised after stopping the plan so that no one takes
+    another chunk, and exit; a result that cannot be pickled writes nothing."""
     try:
-        conn.send(_take_chunks(run, take))
-    except Exception as exc:
-        stop()
-        conn.send(exc)
+        try:
+            got = _take_chunks(run, take)
+        except Exception as exc:
+            stop()
+            got = exc
+        data = pickle.dumps(got, pickle.HIGHEST_PROTOCOL)
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        os._exit(0)
     finally:
-        conn.close()
+        os._exit(1)
 
 
 def _may_fork() -> bool:
     """False in a daemonic process, which may have no children, and in one
-    running other threads, whose locks a fork would copy held."""
-    import multiprocessing
+    running other threads, whose locks a fork would copy held. Only a
+    loaded `multiprocessing` can have made this process daemonic."""
     import threading
 
-    return not (multiprocessing.current_process().daemon
+    mp = sys.modules.get("multiprocessing")
+    return not ((mp is not None and mp.current_process().daemon)
                 or threading.active_count() > 1)
 
 
@@ -303,15 +312,17 @@ def _map_trials(run, n: int, cell_size: int, setup=lambda: None):
     Trial 0 runs alone here. When its time, times the n - 1 trials left,
     exceeds _PARALLEL_MIN_S and the process may run on more than one CPU,
     W = min(CPUs, n - 1) processes take the rest: this one and W - 1
-    forked workers, which start while this one runs setup(). Each takes the
-    next chunk of the guided plan (`_chunk_end`, with a floor of
+    workers from `os.fork`, which start while this one runs setup(). Each
+    takes the next chunk of the guided plan (`_chunk_end`, with a floor of
     _CHUNK_MIN_S of trial 0's time) from one shared counter until none is
     left, so a slow process takes fewer chunks and none waits long for the
     last. Serially the same plan runs with W = 1. A row must depend on its
     index alone, not on the chunk it ran in, so the rows are the serial
-    loop's whatever the worker count. An error run or setup raises
-    reaches the caller as raised, after every worker has been stopped.
-    Forking is skipped where `_may_fork` says no.
+    loop's whatever the worker count. A worker pickles its records, or its
+    error, into a pipe of its own; one that sends nothing is a CoveigError
+    with its exit code. An error run or setup raises reaches the caller as
+    raised, after every worker has been stopped and reaped. Forking is
+    skipped where `_may_fork` says no.
     """
     t0 = time.perf_counter()
     done = {0: run([0])}
@@ -320,21 +331,23 @@ def _map_trials(run, n: int, cell_size: int, setup=lambda: None):
     takers = min(_cpus(), n - 1)
     if takers < 2 or elapsed * (n - 1) <= _PARALLEL_MIN_S or not _may_fork():
         takers = 1
-    # the next trial to take, in memory that forked workers share
+    # the next trial to take, in memory that forked workers share, locked
+    # by a pipe holding one byte: read it to take the lock, write it back
     next_trial = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
     next_trial[0] = 1
-    lock = contextlib.nullcontext()
-    if takers > 1:
-        import multiprocessing
-        import multiprocessing.connection
+    lock = os.pipe()
+    os.write(lock[1], b"\0")
 
-        # fork, not spawn: a spawned worker would import the package again,
-        # which costs more than most calls' share of trials
-        ctx = multiprocessing.get_context("fork")
-        lock = ctx.Lock()
+    @contextlib.contextmanager
+    def locked():
+        os.read(lock[0], 1)
+        try:
+            yield
+        finally:
+            os.write(lock[1], b"\0")
 
     def take():
-        with lock:
+        with locked():
             start = int(next_trial[0])
             end = (_chunk_end(start, n, takers, floor, cell_size)
                    if start < n else n)
@@ -342,48 +355,42 @@ def _map_trials(run, n: int, cell_size: int, setup=lambda: None):
         return range(start, end)
 
     def stop():
-        with lock:
+        with locked():
             next_trial[0] = n
 
-    procs, pending = [], {}
+    pids, pipes = {}, {}  # worker k's pid and the reading end of its pipe
     try:
         for k in range(takers - 1):
-            recv, send = ctx.Pipe(duplex=False)
-            pending[recv] = k
-            proc = ctx.Process(target=_worker, daemon=True,
-                               args=(run, take, stop, send))
+            pipes[k], send = os.pipe()
             try:
-                proc.start()
+                pids[k] = os.fork()
+                if not pids[k]:
+                    _worker(run, take, stop, send)
             finally:
                 # only the worker may hold the sending end, so that its
                 # death reads as end-of-file here
-                send.close()
-            procs.append(proc)
+                os.close(send)
         made = setup()
         done.update(_take_chunks(run, take))
-        while pending:
-            for conn in multiprocessing.connection.wait(list(pending)):
-                k = pending.pop(conn)
-                try:
-                    got = conn.recv()
-                except EOFError:
-                    procs[k].join()
-                    raise CoveigError(
-                        f"trial worker {k} exited with code "
-                        f"{procs[k].exitcode} before sending its results"
-                    ) from None
-                finally:
-                    conn.close()
-                if isinstance(got, Exception):
-                    raise got
-                done.update(got)
+        for k in range(takers - 1):
+            with open(pipes.pop(k), "rb") as fh:
+                data = fh.read()
+            status = os.waitpid(pids[k], 0)[1]
+            del pids[k]
+            if not data:
+                raise CoveigError(f"trial worker {k} exited with code "
+                                  f"{os.waitstatus_to_exitcode(status)} "
+                                  "before sending its results")
+            got = pickle.loads(data)
+            if isinstance(got, Exception):
+                raise got
+            done.update(got)
     finally:
-        for conn in pending:
-            conn.close()
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
+        for fd in (*pipes.values(), *lock):
+            os.close(fd)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
     return made, np.concatenate([done[k] for k in sorted(done)])
 
 

@@ -26,9 +26,7 @@ the error it raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 
 import numpy as np
 from numpy.typing import NDArray
@@ -429,33 +427,20 @@ def invert_moments(gamma_hat, L: int | None = None, project: bool = False) -> Es
 
 @lru_cache(maxsize=64)
 def _integer_multiset(weights: tuple):
-    """Smallest integer counts n_i with n_i / sum(n) = weights, a tuple of
-    floats; returns (counts, sum(counts)). A run passes the same weights
-    for every block of trials, so the answer is kept."""
-    fracs = [Fraction(w).limit_denominator(_MAX_DENOMINATOR)
-             for w in weights]
-    denom = 1
-    for f in fracs:
-        denom = lcm(denom, f.denominator)
-    counts = []
-    for w in weights:
-        n = round(w * denom)
-        if abs(w * denom - n) > 1e-9 * denom or n < 1:
-            raise InvalidWeightsError(
-                f"weight {w!r} is not a rational with denominator "
-                f"<= {_MAX_DENOMINATOR}"
-            )
-        counts.append(n)
-    g = 0
-    for n in counts:
-        g = gcd(g, n)
-    counts = tuple(n // g for n in counts)
-    total = sum(counts)
-    if total > _MAX_DENOMINATOR:
-        raise InvalidWeightsError(
-            f"reduced multiset size {total} exceeds {_MAX_DENOMINATOR}"
-        )
-    return counts, total
+    """Smallest integer counts n_i >= 1 with n_i / sum(n) = weights, a tuple
+    of floats summing to one: those at the first total d <= _MAX_DENOMINATOR
+    at which every w d lies within 1e-9 d of its nearest integer. Returns
+    (counts, sum(counts)). A run passes the same weights for every block of
+    trials, so the answer is kept."""
+    for total in range(1, _MAX_DENOMINATOR + 1):
+        counts = tuple(round(w * total) for w in weights)
+        if all(n >= 1 and abs(w * total - n) <= 1e-9 * total
+               for w, n in zip(weights, counts)):
+            return counts, sum(counts)
+    raise InvalidWeightsError(
+        f"weights {list(weights)} are not multiples of 1/d for any "
+        f"d <= {_MAX_DENOMINATOR}"
+    )
 
 
 def invert_known_rows(gamma, weights, project: bool = False) -> InversionRows:

@@ -254,18 +254,36 @@ def _serial(monkeypatch):
 
 
 def _forked(monkeypatch):
-    """Force two forked workers; returns the start methods asked for."""
+    """Force two forked workers; returns the pids of the os.fork calls
+    made in this process, one per call."""
     monkeypatch.setattr(experiments, "_cpus", lambda: 2)
     monkeypatch.setattr(experiments, "_PARALLEL_MIN_S", 0.0)
-    asked = []
-    real = multiprocessing.get_context
+    forks = []
+    real = os.fork
 
-    def spy(method=None):
-        asked.append(method)
-        return real(method)
+    def spy():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    monkeypatch.setattr(multiprocessing, "get_context", spy)
-    return asked
+    monkeypatch.setattr(os, "fork", spy)
+    return forks
+
+
+def _no_children() -> bool:
+    """True when this process has no child, running or exited unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _running(pid: int) -> bool:
+    """True while the child pid has not exited; reaps nothing."""
+    return os.waitid(os.P_PID, pid,
+                     os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
 
 
 @pytest.mark.parametrize("infeasible", ["exclude", "project"])
@@ -276,10 +294,10 @@ def test_forked_sweep_is_bit_identical(monkeypatch, infeasible):
     runs = []
     for mode in (_serial, _forked):
         with monkeypatch.context() as m:
-            asked = mode(m)
+            forks = mode(m)
             lines = []
             runs.append((run_mse_sweep(config, log=lines.append), lines))
-            assert asked in (None, ["fork"])
+            assert forks is None or len(forks) == 1
     (serial, serial_log), (forked, forked_log) = runs
     assert forked_log == serial_log
     counted = "failure_count" if infeasible == "exclude" else "projected_count"
@@ -303,10 +321,10 @@ def test_forked_clt_histogram_is_bit_identical(monkeypatch, method, model, N, M)
     hists = []
     for mode in (_serial, _forked):
         with monkeypatch.context() as m:
-            asked = mode(m)
+            forks = mode(m)
             hists.append(run_clt_histogram(model, N, M, trials=9,
                                            master_seed=3, method=method))
-            assert asked in (None, ["fork"])
+            assert forks is None or len(forks) == 1
     serial, forked = hists
     assert np.array_equal(serial.deviations, forked.deviations, equal_nan=True)
     assert serial.failure_count == forked.failure_count
@@ -338,7 +356,7 @@ def test_worker_error_reaches_caller(monkeypatch):
         err.pid = os.getpid()
         raise err
 
-    asked = _forked(monkeypatch)
+    forks = _forked(monkeypatch)
     # trial 0 and the caller's chunks sleep, so the plan's chunks hold two
     # trials and the worker takes trial 3's, the second, while the caller
     # sleeps on the first
@@ -349,8 +367,8 @@ def test_worker_error_reaches_caller(monkeypatch):
         run_mse_sweep(config)
     assert exc.value.trial == 3
     assert exc.value.pid != os.getpid()
-    assert asked == ["fork"]
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 1
+    assert _no_children()
 
 
 def _slowed(monkeypatch, side, seconds=0.02, worker=None):
@@ -378,7 +396,7 @@ def test_dead_worker_is_an_error(monkeypatch):
     _slowed(monkeypatch, "caller", 0.05, worker=lambda: os._exit(3))
     with pytest.raises(coveig.CoveigError, match="exited with code 3"):
         run_mse_sweep(_config(trials=8, methods=("mestre",)))
-    assert multiprocessing.active_children() == []
+    assert _no_children()
 
 
 @pytest.mark.parametrize("side", ["caller", "worker"])
@@ -389,14 +407,14 @@ def test_forked_runs_with_a_slow_side_are_bit_identical(monkeypatch, side):
     runs = []
     for mode in (_serial, _forked):
         with monkeypatch.context() as m:
-            asked = mode(m)
+            forks = mode(m)
             if mode is _forked:
                 _slowed(m, side)
             runs.append((run_mse_sweep(config),
                          run_clt_histogram(MODEL, 20, 40, trials=11,
                                            master_seed=3)))
-            assert asked in (None, ["fork", "fork"])
-            assert multiprocessing.active_children() == []
+            assert forks is None or len(forks) == 2
+            assert _no_children()
     (sweep, hist), (forked_sweep, forked_hist) = runs
     for a, b in zip(sweep.rows, forked_sweep.rows):
         assert (a.failure_count, a.projected_count) == (
@@ -411,21 +429,21 @@ def test_forked_runs_with_a_slow_side_are_bit_identical(monkeypatch, side):
 
 def test_setup_error_reaches_caller_while_workers_run(monkeypatch):
     # the covariance set-up runs in the caller after the workers start
-    asked = _forked(monkeypatch)
+    forks = _forked(monkeypatch)
     _slowed(monkeypatch, "worker", 0.05)
     children = []
 
     def theta_moment_estimator(model):
-        children.append(len(multiprocessing.active_children()))
+        children.append(sum(map(_running, forks)))
         raise coveig.ConvergenceError("set-up failed")
 
     monkeypatch.setattr(experiments, "theta_moment_estimator",
                         theta_moment_estimator)
     with pytest.raises(coveig.ConvergenceError, match="^set-up failed$"):
         run_clt_histogram(MODEL, 20, 40, trials=12, master_seed=1)
-    assert asked == ["fork"]
+    assert len(forks) == 1
     assert children == [1]
-    assert multiprocessing.active_children() == []
+    assert _no_children()
 
 
 def test_each_trial_taken_once_by_racing_workers(monkeypatch, tmp_path):
@@ -447,14 +465,14 @@ def test_each_trial_taken_once_by_racing_workers(monkeypatch, tmp_path):
     assert list(results["trial"]) == list(range(20000))
     assert sorted(map(int, log.read_text().split())) == list(range(20000))
     assert len(set(results["pid"])) > 1
-    assert multiprocessing.active_children() == []
+    assert _no_children()
 
 
 def _no_fork(monkeypatch):
-    def refuse(method=None):
+    def refuse():
         raise AssertionError("must not fork")
 
-    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
 
 
 def test_tiny_call_never_forks(monkeypatch):

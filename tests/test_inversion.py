@@ -208,6 +208,63 @@ def test_weight_validation():
         )
 
 
+def _fraction_multiset(weights):
+    """The multiset rule by exact fractions: each weight's nearest fraction
+    with denominator <= 24, their common denominator, the counts there,
+    reduced by their gcd; InvalidWeightsError where a weight is not such a
+    fraction, a count is 0, or the reduced total passes 24."""
+    denom = 1
+    for w in weights:
+        denom = math.lcm(denom, Fraction(w).limit_denominator(24).denominator)
+    counts = [round(w * denom) for w in weights]
+    if any(abs(w * denom - n) > 1e-9 * denom or n < 1
+           for w, n in zip(weights, counts)):
+        raise InvalidWeightsError("not a rational")
+    g = math.gcd(*counts)
+    counts = tuple(n // g for n in counts)
+    if sum(counts) > 24:
+        raise InvalidWeightsError("multiset too large")
+    return counts, sum(counts)
+
+
+def _compositions(total, parts):
+    """Every tuple of parts positive integers summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def _multiset_or_error(rule, weights):
+    try:
+        return rule(weights)
+    except InvalidWeightsError:
+        return "InvalidWeightsError"
+
+
+def test_integer_multiset_matches_fraction_rule():
+    # every count tuple of up to 4 atoms and total up to 30, as weights n / T;
+    # totals above 24 and reducible tuples included, plus weights that are
+    # not rationals, a total of 25 and a weight that rounds to 0
+    rule = inversion._integer_multiset.__wrapped__
+    cases = [tuple(n / total for n in counts)
+             for parts in range(1, 5) for total in range(parts, 31)
+             for counts in _compositions(total, parts)]
+    assert len(cases) == 31930
+    cases += [(0.3333, 0.6667), (1 / 25, 24 / 25), (0.01, 0.99),
+              (0.004, 0.496, 0.5)]
+    raised = []
+    for weights in cases:
+        expected = _multiset_or_error(_fraction_multiset, weights)
+        assert _multiset_or_error(rule, weights) == expected, weights
+        if expected == "InvalidWeightsError":
+            raised.append(weights)
+    assert cases[-4:] == raised[-4:]
+    assert 4 < len(raised) < len(cases)
+
+
 def test_input_validation():
     with pytest.raises(InputError):
         invert_moments(np.array([1.0, 2.0, 5.0]), L=2)  # too few moments

@@ -103,6 +103,22 @@ def miss(cls, name, path=None, target=None):
 finder.find_spec = classmethod(miss)
 """
 
+# makes scipy's extensions fail to load until scipy is imported, as a wheel
+# that registers its DLL directory in scipy/__init__ would, so that coveig
+# must import scipy and load them again
+_NEED_SCIPY = """
+import importlib.machinery
+loader = importlib.machinery.ExtensionFileLoader
+create = loader.create_module
+
+def refuse(self, spec):
+    if spec.name.startswith("scipy.") and "scipy" not in sys.modules:
+        raise ImportError(f"DLL load failed while importing {spec.name}")
+    return create(self, spec)
+
+loader.create_module = refuse
+"""
+
 _WRAPPERS = """
 import json, sys
 {before}
@@ -188,18 +204,73 @@ def test_clt_setup_loads_neither_scipy_nor_the_estimators():
                    "scipy": [], "estimators": []}
 
 
-@pytest.mark.parametrize("before", ["", "import scipy.linalg", _MISS_WRAPPERS],
-                         ids=["coveig-first", "scipy-linalg-first", "fallback"])
+@pytest.mark.parametrize("before", ["", "import scipy.linalg", _MISS_WRAPPERS,
+                                    _NEED_SCIPY],
+                         ids=["coveig-first", "scipy-linalg-first", "fallback",
+                              "retry-after-scipy"])
 def test_wrappers_are_scipy_linalg_objects(before):
     # coveig loads scipy's LAPACK and BLAS extensions without scipy.linalg,
-    # reuses them when scipy.linalg came first, and imports scipy.linalg
-    # when they cannot be found; the wrappers are scipy.linalg's either way
+    # loads them again after `import scipy` when they need it, reuses them
+    # when scipy.linalg came first, and imports scipy.linalg when they
+    # cannot be found; the wrappers are scipy.linalg's either way
     got = _fresh_interpreter(_WRAPPERS.format(before=before,
                                               heavy=HEAVY_MODULES))
     assert got["same"] == dict.fromkeys(got["same"], True)
     assert len(got["same"]) == 5
-    if before == "":
+    if before in ("", _NEED_SCIPY):
         assert got["heavy"] == []
     assert got["public"] == (before == _MISS_WRAPPERS)
     # the package attribute exists only when scipy.linalg imported it
     assert got["attribute"] == (before == "import scipy.linalg")
+
+
+# the stdlib modules that no CLI call runs: scipy's package start-up pulls
+# in subprocess, the trial workers are forked without multiprocessing, and
+# the known-weight multiset needs no fractions (and so no decimal)
+UNRUN_MODULES = ("scipy", "multiprocessing", "fractions", "decimal",
+                 "subprocess")
+
+# a small clt-check and a small mse-sweep of every method, each forced onto
+# the fork path of `experiments._map_trials`
+_CLI_CALLS = """
+import contextlib, io, json, os, sys
+from coveig import cli, experiments
+experiments._cpus = lambda: 2
+experiments._PARALLEL_MIN_S = 0.0
+forks = []
+fork = os.fork
+
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+os.fork = counted
+model = {{"rho": [1.0, 3.0], "weights": [0.5, 0.5], "aspect": 0.5}}
+tmp = {tmp!r}
+with open(os.path.join(tmp, "clt.json"), "w") as fh:
+    json.dump({{"model": model, "N": 20, "M": 40, "trials": 12,
+               "master_seed": 5}}, fh)
+with open(os.path.join(tmp, "sweep.json"), "w") as fh:
+    json.dump({{"model": model, "sizes": [[20, 40]], "trials": 12,
+               "master_seed": 5,
+               "methods": ["moment_full", "moment_known_mult", "mestre"]}}, fh)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["clt-check", "--config", os.path.join(tmp, "clt.json"),
+                       "--json", os.path.join(tmp, "clt_out.json")]),
+             cli.main(["mse-sweep", "--config", os.path.join(tmp, "sweep.json"),
+                       "--out-csv", os.path.join(tmp, "sweep.csv")])]
+print(json.dumps({{
+    "codes": codes, "forks": len(forks),
+    "unrun": [name for name in {unrun!r} if name in sys.modules],
+    "scipy": sorted(name for name in sys.modules
+                    if name.split(".")[0] == "scipy")}}))
+"""
+
+
+def test_cli_calls_load_only_what_they_run(tmp_path):
+    got = _fresh_interpreter(_CLI_CALLS.format(tmp=str(tmp_path),
+                                               unrun=UNRUN_MODULES))
+    assert got == {"codes": [0, 0], "forks": 2, "unrun": [],
+                   "scipy": ["scipy.linalg._fblas", "scipy.linalg._flapack"]}
